@@ -43,6 +43,7 @@ from .exact_reals import (
     OracleValue,
     RationalValue,
     RealValue,
+    SimplexOracle,
     abs_diff_lt,
     abs_diff_pow_lt,
     as_real,
@@ -100,7 +101,6 @@ from .periodic import (
     unroll,
     validate_spec,
     x_matrix,
-    x_matrix_by_inverse,
 )
 from .transcendence import (
     CriterionReport,

@@ -42,12 +42,13 @@ from .errors import (
     RecursionMismatch,
 )
 from .exact_reals import (
-    IntervalOracle,
     NumberField,
     OracleValue,
+    SimplexOracle,
     abs_diff_lt,
     as_real,
     enclosure_at,
+    query_levels,
     refinement_budget,
 )
 from .intervals import RationalInterval, as_fraction
@@ -306,33 +307,29 @@ def tilde_next(state: ConvergentState, tail: tuple[int, ...]) -> tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-class ConvergentLimitOracle(IntervalOracle):
+class ConvergentLimitOracle(SimplexOracle):
     """Nested enclosures of one limit coordinate of an admissible expansion.
 
-    Level k is the hull of the m+1 consecutive convergents k..k+m, which
-    always contains the limit; the hulls shrink monotonically.
+    Level k is the simplex of the m+1 consecutive convergents k..k+m, which
+    always contains the limit tuple (a nonnegative combination of their
+    columns); the simplices shrink monotonically.  Keyed by the pq.
     """
 
     def __init__(self, pq: PartialQuotients, coord: int):
-        super().__init__()
         if not 1 <= coord <= pq.m:
             raise InputError(f"coordinate must be in 1..{pq.m}")
-        self._rows = [row for row in conv_stream(pq)]
+        super().__init__(pq, coord)
+        self._cols = [(row.C, *row.A) for row in conv_stream(pq)]
         self._m = pq.m
-        self._coord = coord
 
-    def _compute(self, level: int) -> RationalInterval:
+    def vertices(self, level: int) -> list[tuple[int, ...]]:
         top = level + self._m
-        if top >= len(self._rows):
+        if top >= len(self._cols):
             raise OracleExhausted(
                 f"convergent window oracle exhausted at level {level}"
-                f" (have {len(self._rows)} convergents)"
+                f" (have {len(self._cols)} convergents)"
             )
-        vals = [
-            Fraction(self._rows[k].A[self._coord - 1], self._rows[k].C)
-            for k in range(level, top + 1)
-        ]
-        return RationalInterval(min(vals), max(vals))
+        return self._cols[level:top + 1]
 
 
 def limit_values(pq: PartialQuotients) -> tuple[OracleValue, ...]:
@@ -527,15 +524,14 @@ def proximity_check(x, x_prime, n: int) -> ProximityReport:
     C_n2 = rows[n - 2].C
     prefix_bound = Fraction(1, C_n2)
     triangle_bound = Fraction(2, C_n)
-    budget = refinement_budget()
 
     def certify(bound: Fraction) -> list[bool]:
         out = []
         for i in range(2):
             xi, yi = as_real(x[i]), as_real(x_prime[i])
             ok = None
-            for level in range(budget):
-                gap = (enclosure_at(xi, level) - enclosure_at(yi, level)).abs()
+            for lx, ly in zip(query_levels(xi), query_levels(yi)):
+                gap = (enclosure_at(xi, lx) - enclosure_at(yi, ly)).abs()
                 if gap.hi < bound:
                     ok = True
                     break

@@ -10,16 +10,35 @@ expansion records an interruption and continues on the leading (m-1)-tuple
 at the same index; at dimension 1 an integral value ends the run (a rational
 input, classical continued-fraction termination).
 
-All arithmetic is exact for rational and algebraic inputs.  Oracle inputs
-run in certified interval arithmetic: every emitted floor is tagged with the
-enclosure width that certified it.
+The loop never builds a complete quotient.  It carries the unimodular
+integer matrix N_n = M_n^-1, whose rows are linear forms with
+x_n^(j) = L_j(x) / L_0(x), L_i(x) = row_i . (1, x).  A step is integer row
+arithmetic, with no field inverse:
+
+    row_1' = row_0,   row_i' = row_{i-1} - a_{i-1} row_0,   row_0' = row_m - a_m row_0.
+
+Certification: a floor k is accepted only when the whole enclosure of
+L_j / L_0 lies in [k, k+1): read by integer division off a fixed-point box of
+the basis for exact inputs, and off the ratio's values at the vertices of the
+enclosing simplex (SimplexOracle) or box for oracles; otherwise the precision
+rises one level (the oracle level, or root refinement to 2^-(64 * 2^level) in
+the field's shared cache).  Each floor starts at the level that certified the
+previous one; MCF_PRECISION_BUDGET counts the levels tried from there.  For
+rational and algebraic inputs a ratio whose rows are proportional is exactly
+rational and is decided exactly, so the interruption test is the exact
+linear test (row_m - k row_0) . (1, x) = 0.  Oracle inputs never detect an
+interruption: an integral trailing limit exhausts the budget.  Floats decide
+nothing.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import polynomials as pol
 from .errors import (
     FieldMismatch,
     InputError,
@@ -27,16 +46,18 @@ from .errors import (
     NonTerminating,
 )
 from .exact_reals import (
+    _MAX_ALGEBRAIC_ROUNDS,
     AlgebraicValue,
-    FieldElement,
-    IntervalOracle,
+    NumberField,
     OracleValue,
     RationalValue,
     RealValue,
+    SimplexOracle,
     as_real,
+    enclosure_at,
     refinement_budget,
 )
-from .intervals import RationalInterval
+from .intervals import RationalInterval, as_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -179,202 +200,192 @@ def is_admissible(pq: PartialQuotients) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Computation modes (exact rational / exact algebraic / certified interval)
+# The matrix-form loop
 # ---------------------------------------------------------------------------
 
 
-class _NeedsPrecision(Exception):
-    """Internal: an interval operation straddled zero; retry at a deeper level."""
+def _scaled(rows) -> list[list[int]]:
+    """Rational rows times the least common denominator of all their entries."""
+    den = math.lcm(*(as_fraction(c).denominator for row in rows for c in row))
+    return [[int(as_fraction(c) * den) for c in row] for row in rows]
 
 
-def _tidy(iv: RationalInterval) -> RationalInterval:
-    """Outward-round to precision proportional to the interval's own width.
+def _corners(ivs) -> list[list[int]]:
+    """The corners c of the box of the intervals as integer vectors D (1, c), D > 0."""
+    return _scaled([[1, *c] for c in itertools.product(*((iv.lo, iv.hi) for iv in ivs))])
 
-    Exact endpoint sizes double with every chained interval operation; this
-    caps them near 2 log2(1/width) bits while adding rounding slack far
-    below the genuine width, so soundness and level-nesting are preserved.
+
+def _root_powers(fld: NumberField, level: int) -> tuple[int, list[int], list[int]]:
+    """theta^1..theta^(d-1) over 2^P, from the shared root cache refined to 2^-(64 * 2^level)."""
+    P = (64 << level) + 8
+    iv = fld.refine_root(Fraction(1, 1 << (64 << level)))
+    a = (iv.lo.numerator << P) // iv.lo.denominator
+    b = -((-iv.hi.numerator << P) // iv.hi.denominator)
+    lo, hi = [], []
+    for k in range(1, fld.degree):
+        x, y = a**k, b**k
+        if k % 2 == 0 and a < 0:  # even powers fall on the negative side
+            x, y = (y, x) if b <= 0 else (0, max(x, y))
+        lo.append(x >> (P * (k - 1)))
+        hi.append(-((-y) >> (P * (k - 1))))
+    return P, lo, hi
+
+
+def _form(row: list[int], P: int, lo: list[int], hi: list[int]) -> tuple[int, int]:
+    """Enclosure [a, b] / 2^P of the form row . (1, b_1, ..., b_K)."""
+    a = b = row[0] << P
+    for r, l, h in zip(row[1:], lo, hi):
+        if r > 0:
+            a, b = a + r * l, b + r * h
+        elif r:
+            a, b = a + r * h, b + r * l
+    return a, b
+
+
+def _ratio_floor(a: int, b: int, c: int, d: int) -> int | None:
+    """The common floor k of every ratio in [a, b] / [c, d], or None if there is none."""
+    if c <= 0:
+        return None
+    k = a // (d if a >= 0 else c)
+    return k if b < (k + 1) * (c if b >= 0 else d) else None
+
+
+def _vertex_interval(num: list[int], den: list[int]) -> RationalInterval | None:
+    """Range of L_num / L_den over a polytope from its vertex values, None unless den > 0 there
+    (a ratio of linear forms is monotone on each segment where its denominator keeps a sign)."""
+    if min(den) > 0:
+        ratios = [Fraction(p, q) for p, q in zip(num, den)]
+        return RationalInterval(min(ratios), max(ratios))
+    return None
+
+
+def _proportional(num: list[int], den: list[int]) -> tuple[int, int] | None:
+    """(p, q) with num = (p / q) den when the rows are proportional, else None."""
+    i = next(i for i, c in enumerate(den) if c)
+    p, q = num[i], den[i]
+    return (p, q) if all(x * q == y * p for x, y in zip(num, den)) else None
+
+
+class _Image(SimplexOracle):
+    """x^(j) = L_j / L_0 at one index: the input's enclosure mapped by N_n (traces, jacobi_step)."""
+
+    def __init__(self, run: "_Run", rows: list[list[int]], j: int):
+        super().__init__(id(rows), j)  # rows is held and never mutated: its id names the point
+        self._run, self._rows = run, rows
+
+    def vertices(self, level: int) -> list[tuple[int, ...]]:
+        # separation persists at deeper (nested) levels, so the results stay nested
+        for probe in range(level, level + refinement_budget()):
+            forms = [self._run.forms(row, probe) for row in self._rows]
+            if min(forms[0]) > 0:
+                return list(zip(*forms))
+        raise NonTerminating(f"quotient denominator not separated from 0 from level {level}")
+
+
+class _Run:
+    """The rows of N_n over the input's basis (1, b_1, ..., b_K), and the warm-start level.
+
+    rows[0] starts as a common denominator D and rows[i] as D x_i.  The basis
+    is empty for rationals (and fields with a rational root), theta^1..theta^(d-1)
+    for a number field, and the non-rational coordinates of an oracle tuple.
     """
-    w = iv.width
-    if w == 0:
-        return iv
-    bits = max(64, 2 * (w.denominator // w.numerator).bit_length() + 64)
-    return iv.outward(bits)
 
-
-class _IvVal:
-    """Lazily refined interval value: at(level) is inclusion-monotone in level."""
-
-    __slots__ = ("_fn", "_memo", "_tightest")
-
-    def __init__(self, fn):
-        self._fn = fn
-        self._memo: dict[int, RationalInterval] = {}
-        self._tightest: RationalInterval | None = None
-
-    def at(self, level: int) -> RationalInterval:
-        if level in self._memo:
-            return self._memo[level]
-        iv = self._fn(level)
-        if self._tightest is not None:
-            iv = iv.intersect(self._tightest)
-        self._memo[level] = iv
-        self._tightest = iv
-        return iv
-
-    @staticmethod
-    def constant(v: Fraction) -> "_IvVal":
-        point = RationalInterval.point(v)
-        return _IvVal(lambda level: point)
-
-    @staticmethod
-    def from_oracle(oracle: IntervalOracle) -> "_IvVal":
-        return _IvVal(lambda level: oracle.enclosure(level))
-
-    @staticmethod
-    def from_element(element: FieldElement) -> "_IvVal":
-        def fn(level: int) -> RationalInterval:
-            bits = 8 << min(level, 20)
-            return element.interval(Fraction(1, 1 << bits))
-
-        return _IvVal(fn)
-
-    def sub_int(self, k: int) -> "_IvVal":
-        return _IvVal(lambda level: self.at(level) - k)
-
-    def recip(self) -> "_IvVal":
-        def fn(level: int) -> RationalInterval:
-            iv = self.at(level)
-            if iv.lo <= 0 <= iv.hi:
-                raise _NeedsPrecision
-            return _tidy(iv.reciprocal())
-
-        return _IvVal(fn)
-
-    def mul(self, other: "_IvVal") -> "_IvVal":
-        return _IvVal(lambda level: _tidy(self.at(level) * other.at(level)))
-
-
-class _IvOracleAdapter(IntervalOracle):
-    """Expose a derived _IvVal as a public oracle (for traces and step results)."""
-
-    def __init__(self, val: _IvVal):
-        super().__init__()
-        self._val = val
-
-    def _compute(self, level: int) -> RationalInterval:
-        budget = refinement_budget()
-        for probe in range(level, level + budget):
-            try:
-                return self._val.at(probe)
-            except _NeedsPrecision:
-                continue
-        raise NonTerminating("interval enclosure not computable within budget")
-
-
-class _RationalMode:
-    def floor(self, v: Fraction):
-        z = v.numerator // v.denominator
-        return z, None
-
-    def is_int(self, v: Fraction) -> bool | None:
-        return v.denominator == 1
-
-    def to_int(self, v: Fraction) -> int:
-        return int(v)
-
-    def sub_int(self, v: Fraction, k: int) -> Fraction:
-        return v - k
-
-    def recip(self, v: Fraction) -> Fraction:
-        return 1 / v
-
-    def mul(self, u: Fraction, v: Fraction) -> Fraction:
-        return u * v
-
-    def wrap(self, v: Fraction) -> RealValue:
-        return RationalValue(v)
-
-
-class _AlgebraicMode:
-    def floor(self, v: FieldElement):
-        return v.floor(), None
-
-    def is_int(self, v: FieldElement) -> bool | None:
-        return v.is_rational() and v.as_fraction().denominator == 1
-
-    def to_int(self, v: FieldElement) -> int:
-        return int(v.as_fraction())
-
-    def sub_int(self, v: FieldElement, k: int) -> FieldElement:
-        return v - k
-
-    def recip(self, v: FieldElement) -> FieldElement:
-        return v.inverse()
-
-    def mul(self, u: FieldElement, v: FieldElement) -> FieldElement:
-        return u * v
-
-    def wrap(self, v: FieldElement) -> RealValue:
-        return AlgebraicValue(v)
-
-
-class _OracleMode:
-    def floor(self, v: _IvVal):
-        budget = refinement_budget()
-        for level in range(budget):
-            try:
-                iv = v.at(level)
-            except _NeedsPrecision:
-                continue
-            z = iv.floor_certified()
-            if z is not None:
-                return z, iv.width
-        raise NonTerminating(f"oracle floor not certified within budget {budget}")
-
-    def is_int(self, v: _IvVal) -> bool | None:
-        return None  # undecidable; the floor/reciprocal machinery handles it
-
-    def to_int(self, v: _IvVal) -> int:
-        raise NonTerminating("exact integer extraction is impossible for oracles")
-
-    def sub_int(self, v: _IvVal, k: int) -> _IvVal:
-        return v.sub_int(k)
-
-    def recip(self, v: _IvVal) -> _IvVal:
-        return v.recip()
-
-    def mul(self, u: _IvVal, v: _IvVal) -> _IvVal:
-        return u.mul(v)
-
-    def wrap(self, v: _IvVal) -> RealValue:
-        return OracleValue(_IvOracleAdapter(v))
-
-
-def _lower(values: list[RealValue]):
-    """Choose the computation mode and convert inputs to its internal numbers."""
-    if any(isinstance(v, OracleValue) for v in values):
-        mode = _OracleMode()
-        lowered = []
-        for v in values:
-            if isinstance(v, OracleValue):
-                lowered.append(_IvVal.from_oracle(v.oracle))
-            elif isinstance(v, AlgebraicValue):
-                lowered.append(_IvVal.from_element(v.element))
+    def __init__(self, values: list[RealValue]):
+        self.kind, self.level, self.max_level = "rational", 0, math.inf
+        self._enclose, self._enc, self.field = None, (None, (0, [], [])), None
+        algebraic = [v.element for v in values if isinstance(v, AlgebraicValue)]
+        if any(isinstance(v, OracleValue) for v in values):
+            self.kind = "oracle"
+            inexact = [v for v in values if not isinstance(v, RationalValue)]
+            oracles = [getattr(v, "oracle", None) for v in inexact]
+            if all(isinstance(o, SimplexOracle) and o.key == oracles[0].key for o in oracles):
+                self._enclose = lambda level: [(V[0], *(V[o.coord] for o in oracles))
+                                               for V in oracles[0].vertices(level)]
             else:
-                lowered.append(_IvVal.constant(v.value))
-        return mode, lowered
-    algebraics = [v for v in values if isinstance(v, AlgebraicValue)]
-    if algebraics:
-        fld = algebraics[0].element.field
-        for v in algebraics[1:]:
-            if not fld._same(v.element.field):
+                self._enclose = lambda level: _corners([enclosure_at(v, level) for v in inexact])
+            rows, k = [[1] + [0] * len(inexact)], 0
+            for v in values:
+                rows.append([0] * (len(inexact) + 1))
+                if isinstance(v, RationalValue):
+                    rows[-1][0] = v.value
+                else:
+                    k += 1
+                    rows[-1][k] = 1
+        elif algebraic:
+            self.kind, self.field = "algebraic", algebraic[0].field
+            if any(not self.field._same(el.field) for el in algebraic[1:]):
                 raise FieldMismatch("all algebraic inputs must live in one number field")
-        lowered = [
-            v.element if isinstance(v, AlgebraicValue) else fld.element([v.value])
-            for v in values
-        ]
-        return _AlgebraicMode(), lowered
-    return _RationalMode(), [v.value for v in values]
+            coords = [v.element.coords if isinstance(v, AlgebraicValue) else [v.value]
+                      for v in values]
+            root, d = self.field.exact_root(), self.field.degree
+            if root is not None:
+                rows = [[1]] + [[pol.poly_eval(c, root)] for c in coords]
+            else:
+                rows = [[1] + [0] * (d - 1)] + [list(c) + [0] * (d - len(c)) for c in coords]
+                self._enclose = lambda level: _root_powers(self.field, level)
+                self.max_level = _MAX_ALGEBRAIC_ROUNDS
+        else:
+            rows = [[1]] + [[v.value] for v in values]
+        self.rows = _scaled(rows)
+        self.exact = self.kind != "oracle"  # proportional rows are an exactly rational ratio
+
+    def forms(self, row: list[int], level: int):
+        """row . (1, b) on the level's enclosure of the basis: [a, b] / 2^P, or vertex values."""
+        if self._enclose is not None and self._enc[0] != level:
+            self._enc = (level, self._enclose(level))
+        enc = self._enc[1]
+        return _form(row, *enc) if self.exact else [sum(r * v for r, v in zip(row, V)) for V in enc]
+
+    def value(self, j: int) -> RealValue:
+        """The complete quotient x^(j) = L_j / L_0 as a value of the input's kind (traces)."""
+        num, den = self.rows[j], self.rows[0]
+        if self.kind == "rational":
+            return RationalValue(Fraction(num[0], den[0]))
+        if self.kind == "algebraic":
+            return AlgebraicValue(self.field.element(num) / self.field.element(den))
+        return OracleValue(_Image(self, self.rows, j))
+
+    def trailing_integer(self) -> int | None:
+        """The trailing complete quotient when it is exactly an integer (never for oracles)."""
+        r = self.exact and _proportional(self.rows[-1], self.rows[0])
+        return r[0] // r[1] if r and r[0] % r[1] == 0 else None
+
+    def floors(self, n: int) -> list[tuple[int, Fraction | None]]:
+        """Certified floors of x_n^(1..dim), with the ratio width that certified each (oracles)."""
+        den, den_at, budget, out = self.rows[0], {}, refinement_budget(), []
+        for j in range(1, len(self.rows)):
+            num, start = self.rows[j], self.level
+            stop = min(start + budget, self.max_level + 1)
+            for level in range(start, stop):
+                num_f = self.forms(num, level)
+                den_f = den_at.get(level) or den_at.setdefault(level, self.forms(den, level))
+                if self.exact:
+                    k, width = _ratio_floor(*num_f, *den_f), None
+                    if k is None and level == start and (r := _proportional(num, den)):
+                        k = r[0] // r[1]
+                else:
+                    iv = _vertex_interval(num_f, den_f)
+                    k, width = (iv.floor_certified(), iv.width) if iv else (None, None)
+                if k is not None:
+                    break
+            else:
+                raise NonTerminating(
+                    f"floor of x_{n}^({j}) not certified at levels {start}..{stop - 1}"
+                    f" (denominator {'' if min(den_f) > 0 else 'not '}separated from 0)"
+                )
+            self.level = level
+            out.append((k, width))
+        return out
+
+    def advance(self, floors: list[int]) -> None:
+        """One Jacobi-Perron step on the rows: N_{n+1} from N_n and a_n."""
+        rows, r0 = self.rows, self.rows[0]
+
+        def sub(row, a):
+            return [x - a * y for x, y in zip(row, r0)] if a else row
+
+        self.rows = [sub(rows[-1], floors[-1]), r0]
+        self.rows += [sub(rows[i - 1], floors[i - 2]) for i in range(2, len(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +418,13 @@ def jacobi_step(alpha, beta):
     Raises Interruption when beta is an integer (decidable kinds); oracle
     inputs instead exhaust their budget if beta is secretly integral.
     """
-    mode, (va, vb) = _lower([as_real(alpha), as_real(beta)])
-    if mode.is_int(vb):
-        raise Interruption(mode.to_int(vb))
-    a, _ = mode.floor(va)
-    b, _ = mode.floor(vb)
-    den = mode.sub_int(vb, b)
-    inv = mode.recip(den)
-    alpha_next = inv
-    beta_next = mode.mul(mode.sub_int(va, a), inv)
-    return a, b, mode.wrap(alpha_next), mode.wrap(beta_next)
+    run = _Run([as_real(alpha), as_real(beta)])
+    value = run.trailing_integer()
+    if value is not None:
+        raise Interruption(value)
+    (a, _), (b, _) = run.floors(0)
+    run.advance([a, b])
+    return a, b, run.value(1), run.value(2)
 
 
 def expand(inputs, steps: int, keep_trace: bool = False) -> ExpansionRecord:
@@ -433,48 +441,36 @@ def expand(inputs, steps: int, keep_trace: bool = False) -> ExpansionRecord:
     m = len(values)
     if m < 1:
         raise InputError("at least one input value is required")
-    mode, state = _lower(values)
+    run = _Run(values)
 
     seqs: list[list[int]] = [[] for _ in range(m)]
     widths: list[list[Fraction | None]] = [[] for _ in range(m)]
     interruptions: list[InterruptionEvent] = []
     trace: list[tuple[RealValue, ...]] = []
-    dim = m
     n = 0
     terminated = False
 
-    while n < steps and dim >= 1:
+    while n < steps and len(run.rows) > 1:
         # integral trailing coordinate: emit it and drop a dimension
-        while dim >= 1 and mode.is_int(state[dim - 1]):
-            value = mode.to_int(state[dim - 1])
+        while len(run.rows) > 1 and (value := run.trailing_integer()) is not None:
+            dim = len(run.rows) - 1
             seqs[dim - 1].append(value)
             widths[dim - 1].append(None)
-            if dim == 1:
-                terminated = True
-            else:
+            if dim > 1:
                 interruptions.append(InterruptionEvent(n, dim - 1, value))
-            dim -= 1
-            state = state[:dim]
-        if terminated or dim == 0:
+            run.rows = run.rows[:-1]
+        if len(run.rows) == 1:
             terminated = True
             break
 
         if keep_trace:
-            trace.append(tuple(mode.wrap(v) for v in state))
+            trace.append(tuple(run.value(j) for j in range(1, len(run.rows))))
 
-        floors = []
-        for j in range(dim):
-            a_j, w_j = mode.floor(state[j])
-            floors.append(a_j)
+        floors = run.floors(n)
+        for j, (a_j, w_j) in enumerate(floors):
             seqs[j].append(a_j)
             widths[j].append(w_j)
-
-        den = mode.sub_int(state[dim - 1], floors[dim - 1])
-        inv = mode.recip(den)
-        new_state = [inv]
-        for j in range(1, dim):
-            new_state.append(mode.mul(mode.sub_int(state[j - 1], floors[j - 1]), inv))
-        state = new_state
+        run.advance([a for a, _ in floors])
         n += 1
 
     pq = PartialQuotients(m, tuple(tuple(s) for s in seqs))

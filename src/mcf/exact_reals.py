@@ -358,6 +358,10 @@ class IntervalOracle:
     def _compute(self, level: int) -> RationalInterval:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def deepest_level(self) -> int:
+        """The deepest level pulled so far (0 before any): where a certified query starts."""
+        return max(self._memo, default=0)
+
     def enclosure(self, level: int) -> RationalInterval:
         if level in self._memo:
             return self._memo[level]
@@ -369,6 +373,23 @@ class IntervalOracle:
         self._memo[level] = iv
         self._tightest = iv
         return iv
+
+
+class SimplexOracle(IntervalOracle):
+    """Coordinate ``coord`` of a point of R^M enclosed at each level by a simplex.
+
+    Subclasses define ``vertices(level)``: integer vectors (C, A_1, ..., A_M),
+    C > 0, with the point in the convex hull of the A / C.  Oracles of equal
+    ``key`` enclose the same point, so the engine can use their joint simplex.
+    """
+
+    def __init__(self, key, coord: int):
+        super().__init__()
+        self.key, self.coord = key, coord
+
+    def _compute(self, level: int) -> RationalInterval:
+        vals = [Fraction(v[self.coord], v[0]) for v in self.vertices(level)]
+        return RationalInterval(min(vals), max(vals))
 
 
 class FunctionOracle(IntervalOracle):
@@ -483,6 +504,14 @@ def as_real(x) -> RealValue:
     raise InputError(f"cannot interpret {x!r} as a real value")
 
 
+def query_levels(x: RealValue) -> range:
+    """Levels a certified query on x tries: the budget, counted from the deepest
+    level its oracle has memoized (enclosures are nested, so no answer changes)."""
+    oracle = x.oracle if isinstance(x, OracleValue) else None
+    start = oracle.deepest_level() if isinstance(oracle, IntervalOracle) else 0
+    return range(start, start + refinement_budget())
+
+
 def floor_exact(x) -> int:
     """Certified floor of a RealValue (or anything as_real accepts)."""
     x = as_real(x)
@@ -490,12 +519,12 @@ def floor_exact(x) -> int:
         return math.floor(x.value)
     if isinstance(x, AlgebraicValue):
         return x.element.floor()
-    budget = refinement_budget()
-    for level in range(budget):
+    levels = query_levels(x)
+    for level in levels:
         z = x.oracle.enclosure(level).floor_certified()
         if z is not None:
             return z
-    raise NonTerminating(f"oracle floor not certified within budget {budget}")
+    raise NonTerminating(f"oracle floor not certified at levels {levels.start}..{levels.stop - 1}")
 
 
 def is_integer(x) -> bool:
@@ -543,8 +572,8 @@ def abs_diff_pow_lt(x, center, q: int, bound) -> bool:
         if q % 2 == 0:
             return (diff_pow - bound).sign() < 0
         return (diff_pow - bound).sign() < 0 and (diff_pow + bound).sign() > 0
-    budget = refinement_budget()
-    for level in range(budget):
+    levels = query_levels(x)
+    for level in levels:
         mag = (x.oracle.enclosure(level) - center).abs()
         lo_pow = mag.lo**q
         hi_pow = mag.hi**q
@@ -554,7 +583,9 @@ def abs_diff_pow_lt(x, center, q: int, bound) -> bool:
             return False
         if lo_pow == hi_pow == bound:
             return False
-    raise NonTerminating("comparison not certified within the refinement budget")
+    raise NonTerminating(
+        f"comparison not certified at levels {levels.start}..{levels.stop - 1}"
+    )
 
 
 def abs_diff_lt(x, center, bound) -> bool:

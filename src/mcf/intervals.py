@@ -135,9 +135,6 @@ class RationalInterval:
             return z
         return None
 
-    def intersect(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(max(self.lo, other.lo), min(self.hi, other.hi))
-
     def hull(self, other: "RationalInterval") -> "RationalInterval":
         return RationalInterval(min(self.lo, other.lo), max(self.hi, other.hi))
 

@@ -153,53 +153,6 @@ def x_matrix(spec: PeriodicSpec) -> XMatrix:
     return XMatrix(rows)
 
 
-def x_matrix_by_inverse(spec: PeriodicSpec) -> XMatrix:
-    """Independent construction: W times the exact rational inverse of V."""
-    validate_spec(spec)
-    k, h = spec.k, spec.h
-    pq = unroll(spec, k + h)
-    cols, off = column_table(pq, k + h - 1)
-
-    def col_matrix(n: int):
-        c0, c1, c2 = (_col(cols, off, n - j) for j in range(3))
-        return [
-            [Fraction(c0.A[0]), Fraction(c1.A[0]), Fraction(c2.A[0])],
-            [Fraction(c0.A[1]), Fraction(c1.A[1]), Fraction(c2.A[1])],
-            [Fraction(c0.C), Fraction(c1.C), Fraction(c2.C)],
-        ]
-
-    v = col_matrix(k - 1)
-    w = col_matrix(k + h - 1)
-    # invert v by Gauss-Jordan over the rationals
-    aug = [v[i] + [Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    for piv in range(3):
-        if aug[piv][piv] == 0:
-            for r in range(piv + 1, 3):
-                if aug[r][piv] != 0:
-                    aug[piv], aug[r] = aug[r], aug[piv]
-                    break
-        scale = aug[piv][piv]
-        aug[piv] = [x / scale for x in aug[piv]]
-        for r in range(3):
-            if r != piv and aug[r][piv] != 0:
-                factor = aug[r][piv]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[piv])]
-    vinv = [row[3:] for row in aug]
-    prod = [
-        [sum(w[i][t] * vinv[t][j] for t in range(3)) for j in range(3)]
-        for i in range(3)
-    ]
-    rows = []
-    for row in prod:
-        out = []
-        for entry in row:
-            if entry.denominator != 1:
-                raise InputError("inverse-based X matrix is not integral (bug)")
-            out.append(int(entry))
-        rows.append(tuple(out))
-    return XMatrix(tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # Cubic coefficients
 # ---------------------------------------------------------------------------

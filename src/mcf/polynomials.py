@@ -9,7 +9,7 @@ exact arithmetic, no floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .intervals import RationalInterval, as_fraction
 
@@ -249,23 +249,41 @@ def isolate_real_roots(p) -> list[RationalInterval]:
 
 
 def refine_root(p, iv: RationalInterval, max_width: Fraction) -> RationalInterval:
-    """Bisect a sign-change bracket until its width is at most max_width."""
-    lo, hi = iv.lo, iv.hi
-    flo = poly_eval(p, lo)
-    fhi = poly_eval(p, hi)
-    if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
+    """Bisect a sign-change bracket until its width is at most max_width.
+
+    The bracket is integer numerators over a common denominator q (doubled
+    when needed) and signs come from q^d p(x / q): the brackets of plain
+    rational bisection, without a gcd per step.
+    """
+    ints = primitive_part(p)
+
+    def sign(x: int, q: int) -> int:
+        acc, qk = ints[-1], 1
+        for c in reversed(ints[:-1]):
+            qk *= q
+            acc = acc * x + c * qk
+        return (acc > 0) - (acc < 0)
+
+    q = lcm(iv.lo.denominator, iv.hi.denominator)
+    lo, hi = int(iv.lo * q), int(iv.hi * q)
+    slo, shi = sign(lo, q), sign(hi, q)
+    if slo == 0 or shi == 0 or slo == shi:
         raise ValueError("refine_root requires a strict sign-change bracket")
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        fmid = poly_eval(p, mid)
-        if fmid == 0:
+    max_width = as_fraction(max_width)
+    wn, wd = max_width.numerator, max_width.denominator
+    while (hi - lo) * wd > wn * q:
+        if (hi - lo) & 1:
+            lo, hi, q = lo << 1, hi << 1, q << 1
+        mid = (lo + hi) >> 1
+        smid = sign(mid, q)
+        if smid == 0:
             # exact rational root: return the degenerate point bracket
-            return RationalInterval(mid, mid)
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+            return RationalInterval.point(Fraction(mid, q))
+        if smid == slo:
+            lo = mid
         else:
-            hi, fhi = mid, fmid
-    return RationalInterval(lo, hi)
+            hi = mid
+    return RationalInterval(Fraction(lo, q), Fraction(hi, q))
 
 
 def simplest_in_interval(lo, hi) -> Fraction:

@@ -134,17 +134,22 @@ class CriterionReport:
 
 
 def _iroot_floor(x: int, n: int) -> int:
-    """Largest r >= 0 with r**n <= x."""
+    """Largest r >= 0 with r**n <= x, by integer Newton iteration.
+
+    Starts above the root at 2**ceil(bits/n); the iterates then decrease
+    monotonically to the floor root, so the first that fails to decrease is
+    the answer (Brent & Zimmermann, Modern Computer Arithmetic, section 1.5).
+    """
     if x < 0 or n < 1:
         raise InputError("integer root needs x >= 0, n >= 1")
     if x in (0, 1) or n == 1:
         return x
-    r = int(round(x ** (1.0 / n)))
-    while r > 0 and r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 def _ceil_rational_power(base: int, expo: Fraction) -> int:

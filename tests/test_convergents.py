@@ -26,6 +26,7 @@ from mcf import (
     expand,
     growth_check,
     k_interval,
+    limit_values,
     matrix_form,
     matrix_products,
     proximity_check,
@@ -300,3 +301,19 @@ def test_growth_check_loglog():
     with pytest.raises(HypothesisViolated):
         # all-ones: a_2 = 1 is not < C_1^1 = 1
         growth_check(PartialQuotients.from_lists([0, 1, 1, 1], [0, 0, 0, 0]), d=1)
+
+
+def test_long_window_oracle_witness_scan_completes():
+    # each query starts at the deepest level the oracle has memoized, so the
+    # scan is not capped at budget-many levels from 0
+    rng = random.Random(200)
+    a, b = [0], [0]
+    for _ in range(1, 200):
+        head = rng.randint(2, 9)
+        a.append(head)
+        b.append(rng.randint(0, head - 1))
+    pq = PartialQuotients.from_lists(a, b)
+    upto = 200 - 16
+    found = approx_witnesses(list(limit_values(pq)), pq, upto, coords=[1])
+    # a single coordinate has a witness in every window of m + 1 = 3 indices
+    assert all(y - x <= 3 for x, y in zip([-1] + found, found + [upto + 1]))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import pq_prefix_equal, random_periodic_spec
+from references import x_matrix_by_inverse
 
 from mcf import (
     AdmissibilityError,
@@ -21,7 +22,6 @@ from mcf import (
     unroll,
     validate_spec,
     x_matrix,
-    x_matrix_by_inverse,
 )
 from mcf.polynomials import poly_eval_interval
 

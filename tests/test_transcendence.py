@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcf import (
     AdmissibilityError,
@@ -27,6 +29,7 @@ from mcf import (
     verify_quasiperiodic,
 )
 from mcf.convergents import conv_stream, tilde_stream
+from mcf.transcendence import _iroot_floor
 
 
 def test_construct_liouville_hand_values():
@@ -239,3 +242,17 @@ def test_main2_check_threshold():
     assert not report3.ok
     assert report3.hypotheses[0].first_violation == 0
     assert report3.verdict == "violated-at(0)"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1 << 4096), st.integers(1, 6))
+def test_iroot_floor_brackets_the_root(x, n):
+    r = _iroot_floor(x, n)
+    assert r**n <= x < (r + 1) ** n
+
+
+def test_liouville_delta_three_halves_depth_6():
+    spec = LiouvilleSpec(m=2, delta=Fraction(3, 2), depth=6, tail_rules=(const_rule(0),), head=0)
+    pq = construct_liouville(spec)
+    assert check_admissible(pq).ok
+    assert verify_liouville(pq, Fraction(3, 2)).verdict == "hypotheses-hold-to-depth"
