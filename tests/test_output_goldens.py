@@ -1,0 +1,52 @@
+"""Byte-exact stdout goldens for the data-producing CLI commands.
+
+Each `out_<name>.txt` under tests/golden/ is the stdout of one invocation on
+the committed inputs there; the Liouville verifications read the committed
+construction goldens back, so the pair also checks the round trip.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from mcf.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+PQ2 = str(GOLDEN / "pq_m2.json")
+PQ3 = str(GOLDEN / "pq_m3.json")
+
+CASES = [
+    ("convergents_m2_csv", ["convergents", "--pq", PQ2, "--depth", "39", "--emit", "csv"]),
+    ("convergents_m2_jsonl", ["convergents", "--pq", PQ2, "--depth", "39", "--emit", "jsonl"]),
+    ("convergents_m3_csv", ["convergents", "--pq", PQ3, "--depth", "29", "--emit", "csv"]),
+    ("convergents_m3_jsonl", ["convergents", "--pq", PQ3, "--depth", "29", "--emit", "jsonl"]),
+    ("verify_bounds_m2", ["verify", "bounds", "--pq", PQ2]),
+    ("periodic_solve_pure", ["periodic", "solve", "--per-a", "2", "--per-b", "1", "--json"]),
+    ("periodic_solve_pre", ["periodic", "solve", "--pre-a", "0", "2", "--pre-b", "0", "1",
+                            "--per-a", "3", "1", "2", "--per-b", "1", "0", "2", "--json"]),
+    ("construct_liouville_m2", ["construct", "liouville", "--m", "2", "--delta", "3/2",
+                                "--b-rule", "cycle:0,1,2", "--depth", "8"]),
+    ("construct_liouville_m3", ["construct", "liouville", "--m", "3", "--delta", "1",
+                                "--b-rule", "const:1", "--b-rule", "cycle:0,2",
+                                "--depth", "7"]),
+    ("verify_liouville_m2", ["verify", "liouville", "--delta", "3/2",
+                             "--pq", str(GOLDEN / "out_construct_liouville_m2.txt")]),
+    ("verify_liouville_m3", ["verify", "liouville", "--delta", "1",
+                             "--pq", str(GOLDEN / "out_construct_liouville_m3.txt")]),
+]
+
+
+def stdout_of(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_stdout_golden(name, argv):
+    code, out = stdout_of(argv)
+    assert code == 0
+    assert out == (GOLDEN / f"out_{name}.txt").read_text()
