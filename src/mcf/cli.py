@@ -18,9 +18,9 @@ import time
 from fractions import Fraction
 
 from . import serialization as ser
-from .convergents import aux_stream, bound_checks, conv_stream, growth_check, k_interval
+from .convergents import aux_row, bound_checks, column_table, conv_stream, growth_check, k_interval
 from .engine import check_admissible, expand
-from .errors import HypothesisViolated, InputError, MCFError, NonTerminating
+from .errors import HypothesisViolated, InputError, MCFError, NonTerminating, unlimited_int_digits
 from .periodic import PeriodicSpec, solve_periodic
 from .transcendence import (
     LiouvilleSpec,
@@ -109,11 +109,11 @@ def _cmd_convergents(args) -> int:
     if args.depth < 0:
         raise InputError("--depth must be >= 0")
     pq = ser.pq_from_json(_load_json(args.pq))
-    depth = min(args.depth, pq.rect_len - 1)
-    rows = list(conv_stream(pq, depth))
+    cols, off = column_table(pq, args.depth)
+    rows = cols[off:]
     aux = None
     if pq.m == 2:
-        aux = {row.n: row for row in aux_stream(pq, depth)}
+        aux = [aux_row(cols[k], cols[k - 1], cols[k - 2]) for k in range(off, len(cols))]
     if args.emit == "csv":
         headers = ["n"] + [f"A{i + 1}" for i in range(pq.m)] + ["C"]
         if aux is not None:
@@ -393,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@unlimited_int_digits
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -9,7 +9,7 @@ denominator satisfy the (m+1)-term recurrences
 
 with A_{-n}^(i) = delta_{in} (n = 1..m+1), C_{-m-1} = 1 and C_{-n} = 0 for
 n = 1..m.  The same data is the column set of the product of the step
-matrices, which is how `matrix_form` cross-checks the stream.
+matrices.
 
 The auxiliary ("tilde") sequences are the bilinear lag products
 
@@ -39,7 +39,7 @@ from .errors import (
     OracleExhausted,
     PreconditionViolated,
     PrefixMismatch,
-    RecursionMismatch,
+    unlimited_int_digits,
 )
 from .exact_reals import (
     NumberField,
@@ -61,14 +61,8 @@ from .intervals import RationalInterval, as_fraction
 
 @dataclass(frozen=True)
 class Column:
-    """One index of the convergent table: numerators A^(1..m) and denominator C."""
+    """Convergent column of index n: numerators A^(1..m) and denominator C."""
 
-    A: tuple[int, ...]
-    C: int
-
-
-@dataclass(frozen=True)
-class ConvergentRow:
     n: int
     A: tuple[int, ...]
     C: int
@@ -89,8 +83,8 @@ class ConvergentState:
         # window[j-1] holds index n-j; at n=0 these are the delta columns
         cols = []
         for j in range(1, m + 1):
-            cols.append(Column(tuple(1 if i == j else 0 for i in range(1, m + 1)), 0))
-        cols.append(Column(tuple(0 for _ in range(m)), 1))
+            cols.append(Column(-j, tuple(1 if i == j else 0 for i in range(1, m + 1)), 0))
+        cols.append(Column(-m - 1, tuple(0 for _ in range(m)), 1))
         return cls(m, cols, 0)
 
     def step(self, a: tuple[int, ...]) -> Column:
@@ -105,107 +99,51 @@ class ConvergentState:
         C = self.window[self.m].C
         for j in range(1, self.m + 1):
             C += a[j - 1] * self.window[j - 1].C
-        col = Column(tuple(A), C)
+        col = Column(self.n, tuple(A), C)
         self.window.appendleft(col)
         self.n += 1
         return col
 
 
 def conv_stream(pq: PartialQuotients, upto: int | None = None):
-    """Yield ConvergentRow(n, A, C) for n = 0..upto (rectangular range only)."""
+    """Yield the Column of each index n = 0..upto (rectangular range only)."""
     limit = pq.rect_len if upto is None else min(upto + 1, pq.rect_len)
     state = ConvergentState.initial(pq.m)
     for n in range(limit):
-        a = tuple(pq.seqs[j][n] for j in range(pq.m))
-        col = state.step(a)
-        yield ConvergentRow(n, col.A, col.C)
+        yield state.step(tuple(pq.seqs[j][n] for j in range(pq.m)))
 
 
-def column_table(pq: PartialQuotients, upto: int):
-    """Columns for indices -(m+1)..upto as (list, offset): list[n + offset] = Column(n)."""
-    m = pq.m
-    offset = m + 1
-    state = ConvergentState.initial(m)
-    cols: list[Column] = list(reversed(list(state.window)))
-    for row in conv_stream(pq, upto):
-        cols.append(Column(row.A, row.C))
-    if upto >= 0 and len(cols) != offset + upto + 1:
-        raise InputError(f"pq too short: need quotients through index {upto}")
-    return cols, offset
+def column_table(pq: PartialQuotients, upto: int | None = None):
+    """Columns for indices -(m+1)..upto as (list, offset): list[n + offset] has index n.
+
+    One walk of the recurrence; like conv_stream, it stops at the end of the
+    rectangular range.
+    """
+    cols = list(reversed(ConvergentState.initial(pq.m).window))
+    cols.extend(conv_stream(pq, upto))
+    return cols, pq.m + 1
 
 
 # ---------------------------------------------------------------------------
-# Matrix form
+# Lag products (the auxiliary or "tilde" sequences)
 # ---------------------------------------------------------------------------
 
 
-def factor_matrix(a: tuple[int, ...]):
-    """The (m+1)x(m+1) step matrix with first column (a^(1)..a^(m), 1)."""
-    m = len(a)
-    rows = []
-    for i in range(m):
-        row = [0] * (m + 1)
-        row[0] = a[i]
-        row[i + 1] = 1
-        rows.append(tuple(row))
-    rows.append(tuple([1] + [0] * m))
-    return tuple(rows)
+def lag_product(u: Column, v: Column, i: int, j: int) -> int:
+    """u_i v_j - v_i u_j over the coordinates (A^(1), ..., A^(m), C) of two columns.
+
+    Coordinate m is the denominator.  The columns may sit at any two
+    indices, the initial negative-index columns included; with v one index
+    before u and j = m this is the tilde value of coordinate i at u's index.
+    """
+    x, y = u.A + (u.C,), v.A + (v.C,)
+    return x[i] * y[j] - y[i] * x[j]
 
 
-def mat_mul(x, y):
-    size = len(x)
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(size)) for j in range(size))
-        for i in range(size)
-    )
-
-
-def matrix_products(pq: PartialQuotients):
-    """Yield (n, M_0 * ... * M_n) cumulatively over the rectangular range."""
-    prod = None
-    for n in range(pq.rect_len):
-        a = tuple(pq.seqs[j][n] for j in range(pq.m))
-        f = factor_matrix(a)
-        prod = f if prod is None else mat_mul(prod, f)
-        yield n, prod
-
-
-def matrix_form(pq: PartialQuotients, n: int):
-    """Product M_0 ... M_n; its column j holds the convergent column of index n-j."""
-    if n < 0:
-        raise InputError("matrix_form needs n >= 0")
-    for k, prod in matrix_products(pq):
-        if k == n:
-            return prod
-    raise InputError(f"pq too short for matrix_form at n={n}")
-
-
-def det_int(mat) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    a = [list(row) for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-# ---------------------------------------------------------------------------
-# Auxiliary (tilde) sequences
-# ---------------------------------------------------------------------------
+def tildes(cur: Column, prev: Column) -> tuple[int, ...]:
+    """Lag-1 products A^(i) C' - A'^(i) C, i = 1..m, of a column and its predecessor."""
+    m = len(cur.A)
+    return tuple(lag_product(cur, prev, i, m) for i in range(m))
 
 
 @dataclass(frozen=True)
@@ -221,85 +159,40 @@ class AuxRow:
     ab2: int
 
 
+def aux_row(cur: Column, p1: Column, p2: Column) -> AuxRow:
+    """AuxRow at cur's index from the m = 2 columns at n, n-1 and n-2."""
+    return AuxRow(
+        n=cur.n,
+        ac1=lag_product(cur, p1, 0, 2),
+        bc1=lag_product(cur, p1, 1, 2),
+        ab1=lag_product(cur, p1, 0, 1),
+        ac2=lag_product(cur, p2, 0, 2),
+        bc2=lag_product(cur, p2, 1, 2),
+        ab2=lag_product(cur, p2, 0, 1),
+    )
+
+
 def aux_stream(pq: PartialQuotients, upto: int | None = None):
-    """Yield AuxRow for n >= 0 (m = 2), verifying the three-term recursion
+    """Yield AuxRow for n >= 0 (m = 2).
+
+    The lag-1 values also satisfy the three-term recursion
 
         ac1_n = -b_n ac1_{n-1} - a_{n-1} ac1_{n-2} + ac1_{n-3}
 
-    (initial values ac1 = 0, 0, -1 and bc1 = 1, 0, 0 at n = -2, -1, 0)
-    against the definitional bilinear values; any disagreement is an
-    implementation bug and raises RecursionMismatch.
+    (initial values ac1 = 0, 0, -1 and bc1 = 1, 0, 0 at n = -2, -1, 0).
     """
     if pq.m != 2:
         raise InputError("aux_stream is specific to m = 2; use tilde_stream")
-    limit = pq.rect_len if upto is None else min(upto + 1, pq.rect_len)
-    cols, off = column_table(pq, limit - 1)
-
-    ac_hist = deque([0, 0], maxlen=3)  # ac1 at indices n-2, n-1 (n = 0 next)
-    bc_hist = deque([1, 0], maxlen=3)
-    for n in range(limit):
-        cur, p1, p2 = cols[n + off], cols[n - 1 + off], cols[n - 2 + off]
-        A, B, C = cur.A[0], cur.A[1], cur.C
-        A1, B1, C1 = p1.A[0], p1.A[1], p1.C
-        A2, B2, C2 = p2.A[0], p2.A[1], p2.C
-        row = AuxRow(
-            n=n,
-            ac1=A * C1 - A1 * C,
-            bc1=B * C1 - B1 * C,
-            ab1=A * B1 - A1 * B,
-            ac2=A * C2 - A2 * C,
-            bc2=B * C2 - B2 * C,
-            ab2=A * B2 - A2 * B,
-        )
-        if n == 0:
-            if row.ac1 != -1 or row.bc1 != 0:
-                raise RecursionMismatch(f"initial aux values wrong at n=0: {row}")
-        else:
-            # hist holds values at n-3, n-2, n-1 by now
-            b_n = pq.seqs[1][n]
-            a_prev = pq.seqs[0][n - 1]
-            ac_rec = -b_n * ac_hist[2] - a_prev * ac_hist[1] + ac_hist[0]
-            bc_rec = -b_n * bc_hist[2] - a_prev * bc_hist[1] + bc_hist[0]
-            if ac_rec != row.ac1 or bc_rec != row.bc1:
-                raise RecursionMismatch(
-                    f"aux recursion mismatch at n={n}: definitional ({row.ac1}, {row.bc1})"
-                    f" vs recursive ({ac_rec}, {bc_rec})"
-                )
-        ac_hist.append(row.ac1)
-        bc_hist.append(row.bc1)
-        yield row
+    cols, off = column_table(pq, upto)
+    for k in range(off, len(cols)):
+        yield aux_row(cols[k], cols[k - 1], cols[k - 2])
 
 
 def tilde_stream(pq: PartialQuotients, upto: int | None = None):
     """Yield (n, (ac1 per coordinate)) for any m: A_n^(i) C_{n-1} - A_{n-1}^(i) C_n."""
-    limit = pq.rect_len if upto is None else min(upto + 1, pq.rect_len)
-    cols, off = column_table(pq, limit - 1)
-    for n in range(limit):
-        cur, prev = cols[n + off], cols[n - 1 + off]
-        yield n, tuple(cur.A[i] * prev.C - prev.A[i] * cur.C for i in range(pq.m))
-
-
-def tilde_next(state: ConvergentState, tail: tuple[int, ...]) -> tuple[int, ...]:
-    """Tilde values at the state's next index from the tail quotients a^(2..m) only.
-
-    The lag-1 products do not involve a^(1):
-
-        ac1_n^(i) = sum_{j=2..m} a_n^(j) (A_{n-j}^(i) C_{n-1} - A_{n-1}^(i) C_{n-j})
-                    + (A_{n-m-1}^(i) C_{n-1} - A_{n-1}^(i) C_{n-m-1}),
-
-    which is what makes the Liouville-type constructions possible.
-    """
-    m = state.m
-    if len(tail) != m - 1:
-        raise InputError(f"need the {m - 1} trailing quotients")
-    w = state.window  # w[j-1] = column at index n-j
-    out = []
-    for i in range(m):
-        acc = w[m].A[i] * w[0].C - w[0].A[i] * w[m].C
-        for j in range(2, m + 1):
-            acc += tail[j - 2] * (w[j - 1].A[i] * w[0].C - w[0].A[i] * w[j - 1].C)
-        out.append(acc)
-    return tuple(out)
+    cols, off = column_table(pq, upto)
+    for k in range(off, len(cols)):
+        yield cols[k].n, tildes(cols[k], cols[k - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +257,13 @@ def approx_witnesses(x, pq: PartialQuotients, upto: int, coords=None) -> list[in
     if pq.rect_len < upto + 2:
         raise InputError("pq must be expanded to depth upto+1")
     rows = list(conv_stream(pq, upto + 1))
-    tildes = dict(tilde_stream(pq, upto + 1))
     witnesses = []
     for n in range(upto + 1):
-        C_n, C_n1 = rows[n].C, rows[n + 1].C
+        col, nxt = rows[n], rows[n + 1]
         ok = True
         for i in which:
-            target = Fraction(rows[n].A[i], C_n)
-            radius = Fraction(abs(tildes[n + 1][i]), C_n1 * C_n)
+            target = Fraction(col.A[i], col.C)
+            radius = Fraction(abs(lag_product(nxt, col, i, pq.m)), nxt.C * col.C)
             if radius == 0 or not abs_diff_lt(values[i], target, radius):
                 ok = False
                 break
@@ -435,7 +327,6 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Bou
         strict_upper_is_lemma = False
 
     rows = list(conv_stream(pq, n_max))
-    aux = list(aux_stream(pq, n_max))
 
     items = []
     first = None
@@ -463,7 +354,8 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Bou
         C_n = rows[n].C
         if a_next < C_n:
             applied.append(n)
-            if not (aux[n + 1].ac1 < 3 * C_n**2 and aux[n + 1].bc1 < 3 * C_n**2):
+            ac1, bc1 = tildes(rows[n + 1], rows[n])
+            if not (ac1 < 3 * C_n**2 and bc1 < 3 * C_n**2):
                 first = n + 1
                 break
     items.append(
@@ -694,6 +586,7 @@ class GrowthReport:
         return all(item.ok for item in self.items)
 
 
+@unlimited_int_digits
 def growth_check(
     pq: PartialQuotients,
     upto: int | None = None,

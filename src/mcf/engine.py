@@ -44,6 +44,7 @@ from .errors import (
     InputError,
     Interruption,
     NonTerminating,
+    unlimited_int_digits,
 )
 from .exact_reals import (
     _MAX_ALGEBRAIC_ROUNDS,
@@ -116,6 +117,7 @@ class AdmissibilityReport:
         return not self.violations
 
 
+@unlimited_int_digits
 def check_admissible(pq: PartialQuotients) -> AdmissibilityReport:
     """Validate the Perron admissibility conditions for n >= 1.
 

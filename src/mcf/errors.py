@@ -3,7 +3,39 @@
 The CLI maps these onto exit codes: InputError -> 2, NonTerminating -> 3,
 criterion/hypothesis violations are reported data (exit 1), everything
 else is a bug.
+
+Messages quote the offending quotients, which can run to millions of
+digits, so the functions that format or parse them run under
+`unlimited_int_digits`.
 """
+
+import functools
+import sys
+
+
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def unlimited_int_digits(fn):
+    """Run fn with CPython's int <-> decimal string digit cap lifted, then restore it.
+
+    Liouville-type quotients and denominators reach millions of digits, far
+    past the default cap of 4300; the rest of the process keeps its own
+    setting.
+    """
+
+    @functools.wraps(fn)
+    def lifted(*args, **kwargs):
+        old = _int_max_str_digits()
+        if not old:
+            return fn(*args, **kwargs)
+        sys.set_int_max_str_digits(0)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    return lifted
 
 
 class MCFError(Exception):
@@ -88,7 +120,3 @@ class RootSelectionAmbiguous(MCFError):
 
 class PeriodMismatch(InputError):
     """Two periodic specs were expected to share their period blocks but do not."""
-
-
-class RecursionMismatch(MCFError):
-    """Definitional and recursive evaluations disagree: implementation bug."""

@@ -23,6 +23,7 @@ from .errors import (
     NonTerminating,
     OracleExhausted,
     UndecidableForOracle,
+    unlimited_int_digits,
 )
 from .intervals import RationalInterval, as_fraction
 from . import polynomials as pol
@@ -318,27 +319,6 @@ class FieldElement:
         return f"FieldElement({list(self.coords)} over deg-{self.field.degree} field)"
 
 
-def field_arith(op: str, a: FieldElement, b: FieldElement | None = None) -> FieldElement:
-    """Named field operations: add, sub, mul, inv."""
-    if op == "inv":
-        if b is not None:
-            raise InputError("inv takes a single operand")
-        return a.inverse()
-    if b is None:
-        raise InputError(f"{op} needs two operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise InputError(f"unknown field operation {op!r}")
-
-
-def element_interval(a: FieldElement, width) -> RationalInterval:
-    return a.interval(as_fraction(width))
-
-
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
@@ -414,6 +394,7 @@ class DecimalOracle(IntervalOracle):
     raises OracleExhausted.
     """
 
+    @unlimited_int_digits
     def __init__(self, digits: str):
         super().__init__()
         text = digits.strip()

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .convergents import Column, column_table, conv_stream
+from .convergents import Column, column_table, lag_product
 from .engine import PartialQuotients, check_admissible, expand
 from .errors import (
     AdmissibilityError,
@@ -113,83 +113,36 @@ class XMatrix:
         return max(abs(v) for row in self.rows for v in row)
 
 
-def _col(cols, off, n) -> Column:
-    return cols[n + off]
-
-
 def x_matrix(spec: PeriodicSpec) -> XMatrix:
     """X = W V^{-1} with V^{-1} assembled from the lag-product sequences."""
+    return _x_and_top(spec)[0]
+
+
+def _x_and_top(spec: PeriodicSpec) -> tuple[XMatrix, Column]:
+    """The X matrix and the column of index k+h-1, from one walk of the columns."""
     validate_spec(spec)
     k, h = spec.k, spec.h
-    pq = unroll(spec, k + h)
-    cols, off = column_table(pq, k + h - 1)
+    cols, off = column_table(unroll(spec, k + h))
 
-    def a_of(c: Column) -> int:
-        return c.A[0]
-
-    def b_of(c: Column) -> int:
-        return c.A[1]
-
-    def c_of(c: Column) -> int:
-        return c.C
-
-    def cross(n: int, lag: int, f, g) -> int:
-        u, v = _col(cols, off, n), _col(cols, off, n - lag)
-        return f(u) * g(v) - f(v) * g(u)
+    def adjugate_row(n: int, lag: int, sign: int) -> tuple[int, int, int]:
+        u, v = cols[n + off], cols[n - lag + off]
+        b_c, a_c, a_b = lag_product(u, v, 1, 2), lag_product(u, v, 0, 2), lag_product(u, v, 0, 1)
+        return (sign * b_c, -sign * a_c, sign * a_b)
 
     # adjugate of the index-(k-1) column matrix (det = +1)
-    inv = (
-        (cross(k - 2, 1, b_of, c_of), -cross(k - 2, 1, a_of, c_of), cross(k - 2, 1, a_of, b_of)),
-        (-cross(k - 1, 2, b_of, c_of), cross(k - 1, 2, a_of, c_of), -cross(k - 1, 2, a_of, b_of)),
-        (cross(k - 1, 1, b_of, c_of), -cross(k - 1, 1, a_of, c_of), cross(k - 1, 1, a_of, b_of)),
-    )
-    w_rows = []
-    for f in (a_of, b_of, c_of):
-        w_rows.append(tuple(f(_col(cols, off, k + h - 1 - j)) for j in range(3)))
+    inv = (adjugate_row(k - 2, 1, 1), adjugate_row(k - 1, 2, -1), adjugate_row(k - 1, 1, 1))
+    # w[t][i] = W[i][t]: coordinate i of the column of index k+h-1-t
+    w = [c.A + (c.C,) for c in (cols[k + h - 1 - t + off] for t in range(3))]
     rows = tuple(
-        tuple(sum(w_rows[i][t] * inv[t][j] for t in range(3)) for j in range(3))
+        tuple(sum(w[t][i] * inv[t][j] for t in range(3)) for j in range(3))
         for i in range(3)
     )
-    return XMatrix(rows)
+    return XMatrix(rows), cols[k + h - 1 + off]
 
 
 # ---------------------------------------------------------------------------
 # Cubic coefficients
 # ---------------------------------------------------------------------------
-
-
-def _eliminate(x: XMatrix, target: str) -> tuple[int, int, int, int]:
-    """Eliminate the other variable from the two quadratic relations.
-
-    Returns the coefficients (A, B, C, D) of A t^3 + B t^2 + C t + D after
-    asserting that the degree-4 coefficient cancels exactly.
-    """
-    X = x
-    if target == "beta":
-        p = [-X[2, 3], X[3, 3] - X[2, 2], X[3, 2]]
-        q = [X[2, 1], -X[3, 1]]
-        s = [X[3, 3] - X[1, 1], X[3, 2]]
-        t = [X[1, 3], X[1, 2]]
-        lead = X[3, 1]
-    elif target == "alpha":
-        p = [-X[1, 3], X[3, 3] - X[1, 1], X[3, 1]]
-        q = [X[1, 2], -X[3, 2]]
-        s = [X[3, 3] - X[2, 2], X[3, 1]]
-        t = [X[2, 3], X[2, 1]]
-        lead = X[3, 2]
-    else:
-        raise InputError("target must be 'alpha' or 'beta'")
-    expr = pol.poly_add(
-        pol.poly_scale(pol.poly_mul(p, p), lead),
-        pol.poly_sub(
-            pol.poly_mul(pol.poly_mul(s, p), q),
-            pol.poly_mul(t, pol.poly_mul(q, q)),
-        ),
-    )
-    coeffs = list(expr) + [Fraction(0)] * (5 - len(expr))
-    if coeffs[4] != 0:
-        raise DegenerateCubic("degree-4 terms failed to cancel (bug)")
-    return (int(coeffs[3]), int(coeffs[2]), int(coeffs[1]), int(coeffs[0]))
 
 
 def _explicit_coeffs(x: XMatrix, target: str) -> tuple[int, int, int, int]:
@@ -210,7 +163,7 @@ def _explicit_coeffs(x: XMatrix, target: str) -> tuple[int, int, int, int]:
             + 2 * x22 * x23 * x31 - x23 * x31 * x33
         )
         d = x11 * x21 * x23 - x13 * x21**2 - x21 * x23 * x33 + x23**2 * x31
-    else:
+    elif target == "alpha":
         a = -x11 * x31 * x32 + x12 * x31**2 - x21 * x32**2 + x22 * x31 * x32
         b = (
             x11**2 * x32 - x11 * x12 * x31 - x11 * x22 * x32 - x11 * x32 * x33
@@ -223,29 +176,26 @@ def _explicit_coeffs(x: XMatrix, target: str) -> tuple[int, int, int, int]:
             - x13 * x22 * x32 - x13 * x32 * x33
         )
         d = -(x12**2) * x23 + x12 * x13 * x22 - x12 * x13 * x33 + x13**2 * x32
+    else:
+        raise InputError("target must be 'alpha' or 'beta'")
     return (a, b, c, d)
 
 
 def cubic_coeffs(x: XMatrix, target: str) -> tuple[int, int, int, int]:
     """Coefficients (A, B, C, D) of the integer cubic annihilating the target limit.
 
-    Evaluated from the explicit closed forms and re-derived by polynomial
-    elimination; the two must agree and the quartic terms must cancel.
-    Raises DegenerateCubic when the leading coefficient vanishes (the
-    residual lower-degree polynomial rides along in the exception).
+    Evaluated from the explicit closed forms, which eliminate the other
+    variable from the two quadratic relations of the fixed point.  Raises
+    DegenerateCubic when the leading coefficient vanishes (the residual
+    lower-degree polynomial rides along in the exception).
     """
-    explicit = _explicit_coeffs(x, target)
-    eliminated = _eliminate(x, target)
-    if explicit != eliminated:
-        raise AssertionError(
-            f"coefficient routes disagree for {target}: {explicit} vs {eliminated}"
-        )
-    if explicit[0] == 0:
+    coeffs = _explicit_coeffs(x, target)
+    if coeffs[0] == 0:
         raise DegenerateCubic(
             f"leading coefficient vanishes for {target}; residual polynomial attached",
-            residual=tuple(reversed(explicit[1:])),
+            residual=tuple(reversed(coeffs[1:])),
         )
-    return explicit
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +254,7 @@ def solve_periodic(
     residual_width = as_fraction(residual_width)
     k, h = spec.k, spec.h
     steps = 2 * (k + h) if match_steps is None else match_steps
-    x = x_matrix(spec)
+    x, top = _x_and_top(spec)
 
     quartet_a = cubic_coeffs(x, "alpha")
     quartet_b = cubic_coeffs(x, "beta")
@@ -322,10 +272,8 @@ def solve_periodic(
 
     height_a = pol.height(poly_a)
     height_b = pol.height(poly_b)
-    pq_top = unroll(spec, k + h)
-    rows = list(conv_stream(pq_top, k + h - 1))
-    c_top = rows[k + h - 1].C
-    a0, b0 = pq_top.seqs[0][0], pq_top.seqs[1][0]
+    c_top = top.C
+    a0, b0 = (spec.pre_a + spec.per_a)[0], (spec.pre_b + spec.per_b)[0]
     if (a0, b0) == (0, 0):
         bound, applicable = 3024 * c_top**9, True
     elif a0 >= 0 and b0 >= 0:
@@ -333,7 +281,6 @@ def solve_periodic(
     else:
         bound, applicable = None, False
 
-    target = unroll(spec, steps)
     candidates = pol.isolate_real_roots(poly_a)
     budget = refinement_budget()
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .convergents import BoundReport, GrowthReport, ProximityReport
 from .engine import AdmissibilityReport, ExpansionRecord, PartialQuotients
-from .errors import InputError, NonTerminating
+from .errors import InputError, NonTerminating, unlimited_int_digits
 from .exact_reals import (
     AlgebraicValue,
     DecimalOracle,
@@ -32,15 +32,18 @@ def dumps_stable(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@unlimited_int_digits
 def int_str(v: int) -> str:
     return str(int(v))
 
 
+@unlimited_int_digits
 def frac_str(v) -> str:
     v = Fraction(v)
     return f"{v.numerator}/{v.denominator}"
 
 
+@unlimited_int_digits
 def parse_int(v) -> int:
     if isinstance(v, bool):
         raise InputError("expected an integer, got a boolean")
@@ -51,6 +54,7 @@ def parse_int(v) -> int:
     raise InputError(f"expected an integer (number or decimal string), got {v!r}")
 
 
+@unlimited_int_digits
 def parse_frac(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)

@@ -35,8 +35,7 @@ from .convergents import (
     eta_poly,
     eta_field,
     psi_field,
-    tilde_next,
-    tilde_stream,
+    tildes,
     _PSI_POLY,
     _TRIBONACCI_POLY,
     _iv_to_interval,
@@ -191,10 +190,10 @@ class LiouvilleSpec:
 def construct_liouville(spec: LiouvilleSpec) -> PartialQuotients:
     """Build quotients for indices 0..depth satisfying the criterion strictly.
 
-    At each n >= 1 the lag products are computed from the already-fixed
-    window and tail quotients (they do not depend on a_n^(1)), and the head
-    quotient is set just above both the criterion threshold and the
-    admissibility floor.
+    At each n >= 1 the lag products are those of the column stepped with
+    head 0: a_n^(1) adds a_n^(1) times column n-1 to column n, which cancels
+    in A_n C_{n-1} - A_{n-1} C_n.  The head quotient is then set just above
+    both the criterion threshold and the admissibility floor.
     """
     m = spec.m
     seqs: list[list[int]] = [[] for _ in range(m)]
@@ -212,9 +211,10 @@ def construct_liouville(spec: LiouvilleSpec) -> PartialQuotients:
             raise AdmissibilityConflict(
                 f"free entry a_{n}^(j) negative: {tail}", index=n
             )
-        tildes = tilde_next(state, tuple(tail))
-        t_max = max(abs(t) for t in tildes)
-        c_prev = state.window[0].C
+        prev = state.window[0]
+        headless = ConvergentState(m, state.window, state.n).step(tuple([0] + tail))
+        t_max = max(abs(t) for t in tildes(headless, prev))
+        c_prev = prev.C
         threshold = t_max * _ceil_rational_power(c_prev, spec.delta)
         floor_adm = max([0] + tail)
         head = max(threshold, floor_adm) + 1
@@ -245,11 +245,10 @@ def verify_liouville(pq: PartialQuotients, delta, upto: int | None = None) -> Cr
     n_max = pq.rect_len - 1 if upto is None else min(upto, pq.rect_len - 1)
     p, q = delta.numerator, delta.denominator
     rows = list(conv_stream(pq, n_max))
-    tildes = dict(tilde_stream(pq, n_max))
     first = None
     for n in range(1, n_max + 1):
         head = pq.seqs[0][n]
-        t_max = max(abs(t) for t in tildes[n])
+        t_max = max(abs(t) for t in tildes(rows[n], rows[n - 1]))
         c_prev = rows[n - 1].C
         if not head**q > t_max**q * c_prev**p:
             first = n

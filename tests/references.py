@@ -11,7 +11,12 @@ representation.  `mcf.engine` never builds a complete quotient; the property
 tests compare it against this loop.
 
 The X matrix of a periodic spec by exact rational inversion of V, against
-`mcf.periodic.x_matrix`, which assembles V^{-1} from lag products.
+`mcf.periodic.x_matrix`, which assembles V^{-1} from lag products; and the
+cubic coefficients by polynomial elimination, against the closed forms of
+`mcf.periodic.cubic_coeffs`.
+
+The convergent columns as columns of the product of the step matrices,
+against the recurrence of `mcf.convergents.conv_stream`.
 """
 
 from __future__ import annotations
@@ -20,8 +25,10 @@ import math
 from fractions import Fraction
 
 from mcf import AlgebraicValue, RationalValue, as_real
+from mcf import polynomials as pol
 from mcf.convergents import column_table
-from mcf.errors import InputError
+from mcf.engine import PartialQuotients
+from mcf.errors import DegenerateCubic, InputError
 from mcf.periodic import PeriodicSpec, XMatrix, unroll, validate_spec
 
 
@@ -132,3 +139,92 @@ def x_matrix_by_inverse(spec: PeriodicSpec) -> XMatrix:
             out.append(int(entry))
         rows.append(tuple(out))
     return XMatrix(tuple(rows))
+
+
+def _eliminate(x: XMatrix, target: str) -> tuple[int, int, int, int]:
+    """Eliminate the other variable from the two quadratic relations.
+
+    Returns the coefficients (A, B, C, D) of A t^3 + B t^2 + C t + D after
+    asserting that the degree-4 coefficient cancels exactly.
+    """
+    X = x
+    if target == "beta":
+        p = [-X[2, 3], X[3, 3] - X[2, 2], X[3, 2]]
+        q = [X[2, 1], -X[3, 1]]
+        s = [X[3, 3] - X[1, 1], X[3, 2]]
+        t = [X[1, 3], X[1, 2]]
+        lead = X[3, 1]
+    elif target == "alpha":
+        p = [-X[1, 3], X[3, 3] - X[1, 1], X[3, 1]]
+        q = [X[1, 2], -X[3, 2]]
+        s = [X[3, 3] - X[2, 2], X[3, 1]]
+        t = [X[2, 3], X[2, 1]]
+        lead = X[3, 2]
+    else:
+        raise InputError("target must be 'alpha' or 'beta'")
+    expr = pol.poly_add(
+        pol.poly_scale(pol.poly_mul(p, p), lead),
+        pol.poly_sub(
+            pol.poly_mul(pol.poly_mul(s, p), q),
+            pol.poly_mul(t, pol.poly_mul(q, q)),
+        ),
+    )
+    coeffs = list(expr) + [Fraction(0)] * (5 - len(expr))
+    if coeffs[4] != 0:
+        raise DegenerateCubic("degree-4 terms failed to cancel (bug)")
+    return (int(coeffs[3]), int(coeffs[2]), int(coeffs[1]), int(coeffs[0]))
+
+
+def factor_matrix(a: tuple[int, ...]):
+    """The (m+1)x(m+1) step matrix with first column (a^(1)..a^(m), 1)."""
+    m = len(a)
+    rows = []
+    for i in range(m):
+        row = [0] * (m + 1)
+        row[0] = a[i]
+        row[i + 1] = 1
+        rows.append(tuple(row))
+    rows.append(tuple([1] + [0] * m))
+    return tuple(rows)
+
+
+def mat_mul(x, y):
+    size = len(x)
+    return tuple(
+        tuple(sum(x[i][k] * y[k][j] for k in range(size)) for j in range(size))
+        for i in range(size)
+    )
+
+
+def matrix_products(pq: PartialQuotients):
+    """Yield (n, M_0 * ... * M_n) cumulatively over the rectangular range;
+    column j of the product is the convergent column of index n - j."""
+    prod = None
+    for n in range(pq.rect_len):
+        a = tuple(pq.seqs[j][n] for j in range(pq.m))
+        f = factor_matrix(a)
+        prod = f if prod is None else mat_mul(prod, f)
+        yield n, prod
+
+
+def det_int(mat) -> int:
+    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]

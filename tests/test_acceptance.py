@@ -17,6 +17,7 @@ from helpers import (
     random_periodic_spec,
     random_pq_with_power_hypothesis,
 )
+from references import det_int, matrix_products
 
 from mcf import (
     PartialQuotients,
@@ -27,12 +28,10 @@ from mcf import (
     construct_liouville,
     conv_stream,
     cubic_coeffs,
-    det_int,
     expand,
     growth_check,
     limit_values,
     main2_constant,
-    matrix_products,
     roth_scan,
     solve_periodic,
     tilde_stream,
@@ -84,7 +83,7 @@ def test_criterion_2_aux_suite():
     while total < 500:
         pq = random_admissible_m2(rng, 64)
         rows = list(conv_stream(pq))
-        aux = list(aux_stream(pq))  # internal recursion cross-check is active here
+        aux = list(aux_stream(pq))  # definitional lag products; the recursion is checked below
         hist_ac = [0, 0]  # values at n-2, n-1 relative to the next row
         hist_bc = [1, 0]
         for r, row in zip(aux, rows):

@@ -4,11 +4,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from mcf.cli import build_parser, run
+from mcf.serialization import pq_from_json, pq_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -284,3 +288,51 @@ def test_help_golden(name, argv):
     assert exc.value.code == 0
     golden = (GOLDEN / f"help_{name}.txt").read_text()
     assert buf.getvalue() == golden
+
+
+@contextlib.contextmanager
+def int_digit_cap(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_import_leaves_int_digit_cap_alone():
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               PYTHONINTMAXSTRDIGITS="4300")
+    probe = "import sys, mcf, mcf.cli; print(sys.get_int_max_str_digits())"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "4300"
+
+
+def test_huge_integers_cross_the_wire_under_the_default_cap(files):
+    digits = "123456789" * 22_223  # 200,007 digits
+    doc = {"m": 1, "seqs": [[digits]]}
+    with int_digit_cap(4300):
+        assert pq_to_json(pq_from_json(doc)) == doc
+        code, out, _ = invoke(["convergents", "--pq", files("big.json", doc), "--depth", "0",
+                               "--emit", "csv"])
+        assert sys.get_int_max_str_digits() == 4300
+    assert code == 0
+    assert out == f"n,A1,C\n0,{digits},1\n"
+
+
+def test_library_messages_and_literals_with_huge_integers():
+    from mcf import DecimalOracle, HypothesisViolated, PartialQuotients, check_admissible
+    from mcf import growth_check
+
+    big = 10**5000
+    with int_digit_cap(0):
+        text = str(big)
+    with int_digit_cap(4300):
+        with pytest.raises(HypothesisViolated, match=f"= {text} >"):
+            growth_check(PartialQuotients.from_lists([0, big], [0, 0]), M=5)
+        report = check_admissible(PartialQuotients.from_lists([0, 1], [0, big]))
+        assert text in report.violations[0].message
+        assert DecimalOracle("0." + "3" * 5000).enclosure(0).width == Fraction(2, 10**5000)
+        assert sys.get_int_max_str_digits() == 4300

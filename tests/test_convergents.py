@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_admissible, random_admissible_m2
+from references import det_int, factor_matrix, matrix_products
 
 from mcf import (
     AlgebraicValue,
@@ -21,20 +22,16 @@ from mcf import (
     aux_stream,
     bound_checks,
     conv_stream,
-    det_int,
     eta_field,
     expand,
     growth_check,
     k_interval,
     limit_values,
-    matrix_form,
-    matrix_products,
     proximity_check,
     psi_field,
-    tilde_next,
     tilde_stream,
 )
-from mcf.convergents import ConvergentState, factor_matrix
+from mcf.convergents import ConvergentState, tildes
 
 
 def cbrt2_pair():
@@ -71,11 +68,11 @@ def test_denominators_nondecreasing_and_window_growth():
 
 def test_matrix_form_examples():
     pq = PartialQuotients.from_lists([4, 1], [2, 0])
-    m0 = matrix_form(pq, 0)
+    m0 = dict(matrix_products(pq))[0]
     assert m0 == ((4, 1, 0), (2, 0, 1), (1, 0, 0))
 
     pq2 = PartialQuotients.from_lists([1, 1, 1], [0, 0, 1])
-    prod = matrix_form(pq2, 2)
+    prod = dict(matrix_products(pq2))[2]
     rows = list(conv_stream(pq2))
     assert tuple(prod[i][0] for i in range(3)) == (rows[2].A[0], rows[2].A[1], rows[2].C)
     assert tuple(prod[i][1] for i in range(3)) == (rows[1].A[0], rows[1].A[1], rows[1].C)
@@ -123,23 +120,20 @@ def test_tilde_stream_matches_aux_for_m2():
 
 
 def test_tilde_next_is_head_independent():
+    # the head-0 lag-1 product equals the product after stepping with the
+    # real head and with head + 7 (what construct_liouville relies on)
     rng = random.Random(12)
     for m in (2, 3):
         pq = random_admissible(rng, m, 12)
         state = ConvergentState.initial(m)
         for n in range(10):
             tail = tuple(pq.seqs[j][n] for j in range(1, m))
-            if n >= 1:
-                predicted = tilde_next(state, tail)
-                # definitional value appears after stepping with ANY head
-                for head in (pq.seqs[0][n], pq.seqs[0][n] + 7):
-                    probe = ConvergentState(m, list(state.window), state.n)
-                    before = probe.window[0]
-                    col = probe.step((head,) + tail)
-                    defs = tuple(
-                        col.A[i] * before.C - before.A[i] * col.C for i in range(m)
-                    )
-                    assert defs == predicted
+            prev = state.window[0]
+            products = []
+            for head in (0, pq.seqs[0][n], pq.seqs[0][n] + 7):
+                probe = ConvergentState(m, state.window, state.n)
+                products.append(tildes(probe.step((head,) + tail), prev))
+            assert products[0] == products[1] == products[2]
             state.step(tuple(pq.seqs[j][n] for j in range(m)))
 
 

@@ -17,8 +17,6 @@ from mcf import (
     RationalInterval,
     RationalValue,
     UndecidableForOracle,
-    element_interval,
-    field_arith,
     floor_exact,
     is_integer,
 )
@@ -47,11 +45,11 @@ def test_floor_algebraic_cbrt2():
 def test_field_arith_examples():
     field = cbrt2_field()
     theta = field.gen()
-    inv = field_arith("inv", theta)
+    inv = theta.inverse()
     assert inv.coords == (Fraction(0), Fraction(0), Fraction(1, 2))  # theta^2 / 2
-    assert field_arith("mul", theta, theta * theta).coords == (Fraction(2), 0, 0)
+    assert (theta * (theta * theta)).coords == (Fraction(2), 0, 0)
     x = field.element([Fraction(3, 7), Fraction(-1, 2), Fraction(5)])
-    assert field_arith("sub", x, x).is_zero()
+    assert (x - x).is_zero()
 
 
 def test_field_ring_axioms_random():
@@ -91,17 +89,17 @@ def test_field_mismatch():
 def test_element_interval_examples():
     field = cbrt2_field()
     const = field.element([Fraction(5, 2)])
-    iv = element_interval(const, Fraction(1, 10**6))
+    iv = const.interval(Fraction(1, 10**6))
     assert iv.lo == iv.hi == Fraction(5, 2)
 
     theta = field.gen()
-    iv = element_interval(theta, Fraction(1, 1000))
+    iv = theta.interval(Fraction(1, 1000))
     assert iv.width <= Fraction(1, 1000)
     # bisection oracle reference: 1.259921 to 6 places
     ref = Fraction(1259921, 1000000)
     assert iv.lo <= ref + Fraction(1, 1000000) and ref - Fraction(1, 1000000) <= iv.hi
 
-    shifted = element_interval(theta + 1, Fraction(1, 1000))
+    shifted = (theta + 1).interval(Fraction(1, 1000))
     assert shifted.lo >= iv.lo + 1 - Fraction(1, 1000)
     assert shifted.hi <= iv.hi + 1 + Fraction(1, 1000)
 

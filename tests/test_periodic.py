@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import pq_prefix_equal, random_periodic_spec
-from references import x_matrix_by_inverse
+from references import _eliminate, x_matrix_by_inverse
 
 from mcf import (
     AdmissibilityError,
@@ -23,6 +25,7 @@ from mcf import (
     validate_spec,
     x_matrix,
 )
+from mcf.periodic import _explicit_coeffs
 from mcf.polynomials import poly_eval_interval
 
 
@@ -75,6 +78,24 @@ def test_cubic_coeffs_swap_symmetry():
         assert alpha == beta_swapped
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6)),
+             min_size=9, max_size=9),
+    st.sampled_from(["alpha", "beta"]),
+)
+def test_closed_forms_match_elimination(entries, target):
+    x = XMatrix(tuple(tuple(entries[3 * i:3 * i + 3]) for i in range(3)))
+    coeffs = _explicit_coeffs(x, target)
+    assert coeffs == _eliminate(x, target)
+    if coeffs[0] == 0:
+        with pytest.raises(DegenerateCubic) as err:
+            cubic_coeffs(x, target)
+        assert err.value.residual == tuple(reversed(coeffs[1:]))
+    else:
+        assert cubic_coeffs(x, target) == coeffs
+
+
 def test_cubic_coeffs_degenerate():
     x = XMatrix(((1, 1, 1), (1, 1, 1), (0, 0, 1)))  # X31 = X32 = 0 kills the lead
     with pytest.raises(DegenerateCubic) as err:
@@ -112,6 +133,16 @@ def test_round_trip_reexpansion():
         rec = expand([cert.alpha, cert.beta], steps)
         assert rec.pq.is_rectangular
         assert pq_prefix_equal(rec.pq, unroll(spec, steps), steps - 1)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_periodic_spec_round_trip(rng, zero_head):
+    spec = random_periodic_spec(rng, zero_head=zero_head)
+    cert = solve_periodic(spec)
+    steps = 3 * (spec.k + spec.h)
+    rec = expand([cert.alpha, cert.beta], steps)
+    assert rec.pq.seqs == unroll(spec, steps).seqs
 
 
 def test_height_bound_zero_head():

@@ -256,3 +256,26 @@ def test_liouville_delta_three_halves_depth_6():
     pq = construct_liouville(spec)
     assert check_admissible(pq).ok
     assert verify_liouville(pq, Fraction(3, 2)).verdict == "hypotheses-hold-to-depth"
+
+
+tail_rules = st.one_of(
+    st.builds(const_rule, st.integers(0, 3)),
+    st.builds(cycle_rule, st.lists(st.integers(0, 3), min_size=1, max_size=3)),
+    st.builds(seq_rule, st.lists(st.integers(0, 3), max_size=4), then=st.integers(0, 3)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_liouville_construction_passes_its_verifier(data):
+    m = data.draw(st.sampled_from([2, 3]))
+    delta = data.draw(st.fractions(min_value=0, max_value=2, max_denominator=8).filter(bool))
+    spec = LiouvilleSpec(
+        m=m,
+        delta=delta,
+        depth=data.draw(st.integers(1, 7)),
+        tail_rules=tuple(data.draw(tail_rules) for _ in range(m - 1)),
+        head=data.draw(st.integers(0, 3)),
+    )
+    report = verify_liouville(construct_liouville(spec), delta)
+    assert report.verdict == "hypotheses-hold-to-depth"
