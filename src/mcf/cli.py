@@ -120,10 +120,10 @@ def _cmd_convergents(args) -> int:
             headers += ["ac1", "bc1", "ab1", "ac2", "bc2", "ab2"]
         _print(",".join(headers))
         for row in rows:
-            cells = [str(row.n)] + [str(v) for v in row.A] + [str(row.C)]
+            cells = [str(row.n)] + [ser.int_str(v) for v in row.A] + [ser.int_str(row.C)]
             if aux is not None:
                 r = aux[row.n]
-                cells += [str(v) for v in (r.ac1, r.bc1, r.ab1, r.ac2, r.bc2, r.ab2)]
+                cells += [ser.int_str(v) for v in (r.ac1, r.bc1, r.ab1, r.ac2, r.bc2, r.ab2)]
             _print(",".join(cells))
     else:
         for row in rows:

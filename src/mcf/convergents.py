@@ -206,13 +206,17 @@ class ConvergentLimitOracle(SimplexOracle):
     Level k is the simplex of the m+1 consecutive convergents k..k+m, which
     always contains the limit tuple (a nonnegative combination of their
     columns); the simplices shrink monotonically.  Keyed by the pq.
+
+    `cols` is the list of vertex vectors (C_n, A_n^(1), ..., A_n^(m)) for
+    n = 0..rect_len-1; pass it to share one walk of the recurrence between
+    the coordinates of one pq.
     """
 
-    def __init__(self, pq: PartialQuotients, coord: int):
+    def __init__(self, pq: PartialQuotients, coord: int, cols: list | None = None):
         if not 1 <= coord <= pq.m:
             raise InputError(f"coordinate must be in 1..{pq.m}")
         super().__init__(pq, coord)
-        self._cols = [(row.C, *row.A) for row in conv_stream(pq)]
+        self._cols = _vertex_vectors(pq) if cols is None else cols
         self._m = pq.m
 
     def vertices(self, level: int) -> list[tuple[int, ...]]:
@@ -225,9 +229,14 @@ class ConvergentLimitOracle(SimplexOracle):
         return self._cols[level:top + 1]
 
 
+def _vertex_vectors(pq: PartialQuotients) -> list[tuple[int, ...]]:
+    return [(col.C, *col.A) for col in conv_stream(pq)]
+
+
 def limit_values(pq: PartialQuotients) -> tuple[OracleValue, ...]:
-    """Oracle-backed RealValues for the limit tuple of an admissible pq."""
-    return tuple(OracleValue(ConvergentLimitOracle(pq, i)) for i in range(1, pq.m + 1))
+    """Oracle-backed RealValues for the limit tuple of an admissible pq (one walk of the recurrence)."""
+    cols = _vertex_vectors(pq)
+    return tuple(OracleValue(ConvergentLimitOracle(pq, i, cols)) for i in range(1, pq.m + 1))
 
 
 def approx_witnesses(x, pq: PartialQuotients, upto: int, coords=None) -> list[int]:

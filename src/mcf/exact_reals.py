@@ -23,10 +23,10 @@ from .errors import (
     NonTerminating,
     OracleExhausted,
     UndecidableForOracle,
-    unlimited_int_digits,
 )
 from .intervals import RationalInterval, as_fraction
 from . import polynomials as pol
+from .radix import quote, str_to_int
 
 DEFAULT_REFINEMENT_BUDGET = 64
 # Hard cap on refinement rounds for algebraic values: round k targets a root
@@ -394,7 +394,6 @@ class DecimalOracle(IntervalOracle):
     raises OracleExhausted.
     """
 
-    @unlimited_int_digits
     def __init__(self, digits: str):
         super().__init__()
         text = digits.strip()
@@ -402,15 +401,15 @@ class DecimalOracle(IntervalOracle):
         if text.startswith(("+", "-")):
             sign = -1 if text[0] == "-" else 1
             text = text[1:]
-        if not text or not text.replace(".", "", 1).isdigit():
-            raise InputError(f"malformed decimal literal {digits!r}")
+        if not text or not text.replace(".", "", 1).isdecimal():
+            raise InputError(f"malformed decimal literal {quote(digits)}")
         if "." in text:
             int_part, frac_part = text.split(".")
             places = len(frac_part)
-            value = Fraction(sign * int(int_part + frac_part), 10**places)
+            value = Fraction(sign * str_to_int(int_part + frac_part), 10**places)
         else:
             places = 0
-            value = Fraction(sign * int(text))
+            value = Fraction(sign * str_to_int(text))
         self.digits = digits
         self._value = value
         self._ulp = Fraction(1, 10**places)

@@ -5,6 +5,9 @@ decimal strings so nothing is lost crossing 64-bit consumers; rationals are
 "p/q" strings; polynomials are coefficient lists, constant term first.
 Structural counters (m, n, depth) stay JSON numbers.  All document dumps are
 key-sorted and compact, so identical inputs give byte-identical output.
+Integers cross the wire through `mcf.radix` (exactly `str`/`int`, in
+subquadratic time for multi-Mbit values); malformed numbers raise
+InputError.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .exact_reals import (
 )
 from .intervals import RationalInterval
 from .periodic import CubicCertificate, PeriodicSpec
+from .radix import int_to_str, quote, str_to_int
 from .transcendence import CriterionReport
 
 
@@ -32,25 +36,22 @@ def dumps_stable(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-@unlimited_int_digits
 def int_str(v: int) -> str:
-    return str(int(v))
+    return int_to_str(int(v))
 
 
-@unlimited_int_digits
 def frac_str(v) -> str:
     v = Fraction(v)
-    return f"{v.numerator}/{v.denominator}"
+    return f"{int_to_str(v.numerator)}/{int_to_str(v.denominator)}"
 
 
-@unlimited_int_digits
 def parse_int(v) -> int:
     if isinstance(v, bool):
         raise InputError("expected an integer, got a boolean")
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        return int(v.strip())
+        return str_to_int(v)
     raise InputError(f"expected an integer (number or decimal string), got {v!r}")
 
 
@@ -59,7 +60,10 @@ def parse_frac(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v.strip())
+        try:
+            return Fraction(v.strip())
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"malformed rational {quote(v)}; expected 'p/q' with q != 0") from None
     raise InputError(f"expected a rational 'p/q' string, got {v!r}")
 
 
@@ -75,7 +79,10 @@ def real_from_json(obj) -> RealValue:
         raise InputError("real value must be an object with a 'kind' field")
     kind = obj["kind"]
     if kind == "rational":
-        return RationalValue(Fraction(parse_int(obj["num"]), parse_int(obj["den"])))
+        num, den = parse_int(obj["num"]), parse_int(obj["den"])
+        if den == 0:
+            raise InputError("rational value with denominator 0")
+        return RationalValue(Fraction(num, den))
     if kind == "algebraic":
         minpoly = [parse_int(c) for c in obj["minpoly"]]
         lo, hi = parse_frac(obj["lo"]), parse_frac(obj["hi"])

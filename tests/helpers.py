@@ -1,8 +1,10 @@
-"""Shared generators for the property tests: seeded random admissible data."""
+"""Shared generators for the property tests (seeded random admissible data) and test fixtures."""
 
 from __future__ import annotations
 
+import contextlib
 import random
+import sys
 
 from mcf import PartialQuotients, PeriodicSpec, check_admissible, unroll
 
@@ -105,3 +107,13 @@ def random_pq_with_power_hypothesis(rng: random.Random, d: int, length: int,
         force_b = a_n == b_n
         col = state.step((a_n, b_n))
     return PartialQuotients.from_lists(a, b)
+
+
+@contextlib.contextmanager
+def int_digit_cap(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

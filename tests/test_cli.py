@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import int_digit_cap
+
 from mcf.cli import build_parser, run
 from mcf.serialization import pq_from_json, pq_to_json
 
@@ -245,6 +247,22 @@ def test_input_error_exit_codes(files):
     assert code == 2
 
 
+def test_malformed_numbers_in_files_exit_2(files):
+    for bad in ("x", "9" * 100_000 + "x"):
+        pq = files("bad_int.json", {"m": 2, "seqs": [["1", bad], ["0", "0"]]})
+        code, out, err = invoke(["verify", "admissible", "--pq", pq])
+        assert code == 2 and out == ""
+        assert "malformed integer" in err and len(err) < 200  # the value is not echoed whole
+    zero_den = files("zero_den.json", {"kind": "algebraic", "minpoly": ["-2", "0", "1"],
+                                       "lo": "1/0", "hi": "2/1"})
+    code, out, err = invoke(["expand", "--input", zero_den, "--steps", "2"])
+    assert code == 2 and out == ""
+    assert "malformed rational '1/0'" in err
+    zero_den = files("zero_den.json", {"kind": "rational", "num": "1", "den": "0"})
+    code, out, err = invoke(["expand", "--input", zero_den, "--steps", "2"])
+    assert code == 2 and "denominator 0" in err
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["expand", "--nope"])
@@ -290,16 +308,6 @@ def test_help_golden(name, argv):
     assert buf.getvalue() == golden
 
 
-@contextlib.contextmanager
-def int_digit_cap(limit):
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 def test_import_leaves_int_digit_cap_alone():
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
@@ -336,3 +344,23 @@ def test_library_messages_and_literals_with_huge_integers():
         assert text in report.violations[0].message
         assert DecimalOracle("0." + "3" * 5000).enclosure(0).width == Fraction(2, 10**5000)
         assert sys.get_int_max_str_digits() == 4300
+
+
+def test_liouville_past_the_radix_cutoff_round_trips(tmp_path):
+    from mcf import LiouvilleSpec, const_rule, construct_liouville
+    from mcf.radix import CUTOFF_BITS
+    from mcf.serialization import dumps_stable
+
+    code, out, _ = invoke(["construct", "liouville", "--m", "2", "--delta", "1",
+                           "--b-rule", "const:0", "--depth", "13"])
+    assert code == 0
+    pq = construct_liouville(LiouvilleSpec(2, Fraction(1), 13, (const_rule(0),)))
+    assert max(v.bit_length() for v in pq.seqs[0]) > CUTOFF_BITS
+    with int_digit_cap(0):
+        plain = {"m": 2, "seqs": [[str(v) for v in s] for s in pq.seqs]}
+    assert out == dumps_stable(plain) + "\n"
+    path = tmp_path / "li.json"
+    path.write_text(out)
+    code, out, _ = invoke(["verify", "liouville", "--pq", str(path), "--delta", "1"])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "hypotheses-hold-to-depth"

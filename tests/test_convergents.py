@@ -311,3 +311,16 @@ def test_long_window_oracle_witness_scan_completes():
     found = approx_witnesses(list(limit_values(pq)), pq, upto, coords=[1])
     # a single coordinate has a witness in every window of m + 1 = 3 indices
     assert all(y - x <= 3 for x, y in zip([-1] + found, found + [upto + 1]))
+
+
+def test_limit_values_walk_the_recurrence_once(monkeypatch):
+    pq = random_admissible(random.Random(5), 3, 100)
+    steps = []
+    step = ConvergentState.step
+    monkeypatch.setattr(ConvergentState, "step", lambda self, q: steps.append(1) or step(self, q))
+    xs = limit_values(pq)
+    assert len(steps) == 100  # one row per index, not m = 3 rows
+    alone = ConvergentLimitOracle(pq, 2)
+    assert len(steps) == 200
+    for level in (0, 40, 96):
+        assert xs[1].oracle.enclosure(level) == alone.enclosure(level)
