@@ -2,7 +2,11 @@
 expansion of rational/algebraic/oracle tuples, exact convergents, recovery
 of cubic irrationals from periodic expansions with certified height bounds,
 and constructive generation plus finite-depth verification of Liouville-type
-and quasi-periodic transcendence criteria."""
+and quasi-periodic transcendence criteria.
+
+The package exports the README quick-tour API and the exception classes;
+everything else is imported from its submodule (mcf.exact_reals, mcf.engine,
+mcf.convergents, mcf.periodic, mcf.transcendence, mcf.serialization)."""
 
 from .errors import (
     AdmissibilityConflict,
@@ -24,82 +28,9 @@ from .errors import (
     UndecidableForOracle,
 )
 from .intervals import RationalInterval
-from .exact_reals import (
-    AlgebraicValue,
-    DecimalOracle,
-    FieldElement,
-    FunctionOracle,
-    IntervalOracle,
-    NumberField,
-    OracleValue,
-    RationalValue,
-    RealValue,
-    SimplexOracle,
-    abs_diff_lt,
-    abs_diff_pow_lt,
-    as_real,
-    enclosure_at,
-    floor_exact,
-    is_integer,
-    refinement_budget,
-)
-from .engine import (
-    AdmissibilityReport,
-    ExpansionRecord,
-    InterruptionEvent,
-    PartialQuotients,
-    Violation,
-    check_admissible,
-    expand,
-    is_admissible,
-    jacobi_step,
-)
-from .convergents import (
-    BoundReport,
-    CertifiedPowers,
-    CheckItem,
-    ConvergentLimitOracle,
-    GrowthReport,
-    ProximityReport,
-    approx_witnesses,
-    aux_stream,
-    bound_checks,
-    conv_stream,
-    eta_field,
-    growth_check,
-    k_interval,
-    limit_values,
-    proximity_check,
-    psi_field,
-    tilde_stream,
-)
-from .periodic import (
-    CubicCertificate,
-    PeriodicSpec,
-    XMatrix,
-    cubic_coeffs,
-    same_field_check,
-    solve_periodic,
-    unroll,
-    validate_spec,
-    x_matrix,
-)
-from .transcendence import (
-    CriterionReport,
-    HypothesisCheck,
-    LiouvilleSpec,
-    QuasiPeriodicSpec,
-    build_quasiperiodic,
-    const_rule,
-    construct_liouville,
-    cycle_rule,
-    main1_check,
-    main2_check,
-    main2_constant,
-    roth_scan,
-    seq_rule,
-    verify_liouville,
-    verify_quasiperiodic,
-)
+from .exact_reals import AlgebraicValue, NumberField
+from .engine import expand
+from .periodic import PeriodicSpec, solve_periodic
+from .transcendence import LiouvilleSpec, const_rule, construct_liouville, verify_liouville
 
 __version__ = "0.1.0"

@@ -15,10 +15,9 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import serialization as ser
-from .convergents import aux_row, bound_checks, column_table, conv_stream, growth_check, k_interval
+from .convergents import aux_row, bound_checks, column_table, conv_stream, growth_check, loglog_lt
 from .engine import check_admissible, expand
 from .errors import HypothesisViolated, InputError, MCFError, NonTerminating, unlimited_int_digits
 from .periodic import PeriodicSpec, solve_periodic
@@ -64,34 +63,18 @@ def _parse_int_list(text: str) -> list[int]:
     text = text.strip()
     if not text:
         return []
-    return [int(tok) for tok in text.replace(",", " ").split()]
+    return [ser.parse_int(tok) for tok in text.replace(",", " ").split()]
 
 
 def _parse_rule(text: str):
     kind, _, payload = text.partition(":")
     if kind == "const":
-        return const_rule(int(payload))
+        return const_rule(ser.parse_int(payload))
     if kind == "cycle":
         return cycle_rule(_parse_int_list(payload))
     if kind == "list":
         return seq_rule(_parse_int_list(payload))
     raise InputError(f"unknown rule {text!r}; use const:K, cycle:V1,V2,... or list:V1,V2,...")
-
-
-def _pq_rules(pq) -> list:
-    def make(j):
-        seq = pq.seqs[j]
-
-        def rule(n: int) -> int:
-            if n >= len(seq):
-                raise InputError(
-                    f"base sequence {j + 1} too short: need index {n}, have {len(seq)}"
-                )
-            return seq[n]
-
-        return rule
-
-    return [make(j) for j in range(pq.m)]
 
 
 # -- subcommand runners --------------------------------------------------------
@@ -175,7 +158,7 @@ def _cmd_construct_liouville(args) -> int:
         rules = rules * (args.m - 1)
     spec = LiouvilleSpec(
         m=args.m,
-        delta=Fraction(args.delta),
+        delta=ser.parse_frac(args.delta),
         depth=args.depth,
         tail_rules=tuple(rules),
         head=args.a0,
@@ -186,10 +169,7 @@ def _cmd_construct_liouville(args) -> int:
 
 
 def _cmd_construct_quasiperiodic(args) -> int:
-    schedule = ser.schedule_from_json(_load_json(args.schedule))
-    base_pq = ser.pq_from_json(_load_json(args.base))
-    spec = QuasiPeriodicSpec(m=base_pq.m, schedule=schedule, base_rules=tuple(_pq_rules(base_pq)))
-    pq = build_quasiperiodic(spec, args.depth)
+    pq = build_quasiperiodic(_quasi_spec(args), args.depth)
     _print(ser.dumps_stable(ser.pq_to_json(pq)))
     return EXIT_OK
 
@@ -223,7 +203,7 @@ def _cmd_verify_growth(args) -> int:
 
 def _cmd_verify_liouville(args) -> int:
     pq = ser.pq_from_json(_load_json(args.pq))
-    report = verify_liouville(pq, Fraction(args.delta), upto=args.depth)
+    report = verify_liouville(pq, ser.parse_frac(args.delta), upto=args.depth)
     _print(ser.dumps_stable(ser.criterion_report_to_json(report)))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
@@ -231,11 +211,12 @@ def _cmd_verify_liouville(args) -> int:
 def _quasi_spec(args) -> QuasiPeriodicSpec:
     schedule = ser.schedule_from_json(_load_json(args.schedule))
     base_pq = ser.pq_from_json(_load_json(args.base))
-    return QuasiPeriodicSpec(m=base_pq.m, schedule=schedule, base_rules=tuple(_pq_rules(base_pq)))
+    return QuasiPeriodicSpec(m=base_pq.m, schedule=schedule,
+                             base_rules=tuple(seq_rule(s) for s in base_pq.seqs))
 
 
 def _cmd_verify_main1(args) -> int:
-    report = main1_check(_quasi_spec(args), d=args.d, c=Fraction(args.c), depth=args.depth)
+    report = main1_check(_quasi_spec(args), d=args.d, c=ser.parse_frac(args.c), depth=args.depth)
     _print(ser.dumps_stable(ser.criterion_report_to_json(report)))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
@@ -259,12 +240,9 @@ def _cmd_bench_growth(args) -> int:
         state_rows.append(row)
         _print(f"{row.n},{row.C.bit_length()},{elapsed:.6f}")
     if args.d is not None and depth > 1:
-        k_iv = k_interval(args.d, pq.m)
-        from .convergents import _loglog_lt
-
         for n in range(1, depth - 1):
             c_next = state_rows[n + 1].C
-            if c_next >= 2 and not _loglog_lt(c_next, k_iv, n):
+            if c_next >= 2 and not loglog_lt(c_next, args.d, pq.m, n):
                 sys.stderr.write(f"growth bound violated at n={n}\n")
                 return EXIT_VIOLATION
     return EXIT_OK

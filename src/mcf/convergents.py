@@ -25,6 +25,7 @@ bounded by C_n in absolute value.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,6 @@ from .engine import PartialQuotients, expand
 from .errors import (
     HypothesisViolated,
     InputError,
-    NonTerminating,
     OracleExhausted,
     PreconditionViolated,
     PrefixMismatch,
@@ -47,11 +47,11 @@ from .exact_reals import (
     SimplexOracle,
     abs_diff_lt,
     as_real,
+    certify,
     enclosure_at,
     query_levels,
-    refinement_budget,
 )
-from .intervals import RationalInterval, as_fraction
+from .intervals import RationalInterval, as_fraction, iv_enclosure
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,8 @@ def approx_witnesses(x, pq: PartialQuotients, upto: int, coords=None) -> list[in
         for i in which:
             target = Fraction(col.A[i], col.C)
             radius = Fraction(abs(lag_product(nxt, col, i, pq.m)), nxt.C * col.C)
-            if radius == 0 or not abs_diff_lt(values[i], target, radius):
+            what = f"witness test |x_{i + 1} - A_{n}/C_{n}| < |ac1_{n + 1}|/(C_{n + 1} C_{n})"
+            if radius == 0 or not abs_diff_lt(values[i], target, radius, what):
                 ok = False
                 break
         if ok:
@@ -426,22 +427,21 @@ def proximity_check(x, x_prime, n: int) -> ProximityReport:
     prefix_bound = Fraction(1, C_n2)
     triangle_bound = Fraction(2, C_n)
 
-    def certify(bound: Fraction) -> list[bool]:
+    def certify_gap(name: str, bound: Fraction) -> list[bool]:
         out = []
         for i in range(2):
             xi, yi = as_real(x[i]), as_real(x_prime[i])
-            ok = None
-            for lx, ly in zip(query_levels(xi), query_levels(yi)):
-                gap = (enclosure_at(xi, lx) - enclosure_at(yi, ly)).abs()
+            levels, shift = query_levels(xi), query_levels(yi).start - query_levels(xi).start
+
+            def attempt(level):
+                gap = (enclosure_at(xi, level) - enclosure_at(yi, level + shift)).abs()
                 if gap.hi < bound:
-                    ok = True
-                    break
+                    return True
                 if gap.lo > bound:
-                    ok = False
-                    break
-            if ok is None:
-                raise NonTerminating("proximity gap not certified within budget")
-            out.append(ok)
+                    return False
+
+            what = f"proximity gap of coordinate {i + 1} against the {name} bound at n = {n}"
+            out.append(certify(what, attempt, levels))
         return out
 
     tighter = (
@@ -453,8 +453,8 @@ def proximity_check(x, x_prime, n: int) -> ProximityReport:
         prefix_bound,
         triangle_bound,
         tighter,
-        tuple(certify(prefix_bound)),
-        tuple(certify(triangle_bound)),
+        tuple(certify_gap("prefix", prefix_bound)),
+        tuple(certify_gap("triangle", triangle_bound)),
     )
 
 
@@ -462,24 +462,16 @@ def proximity_check(x, x_prime, n: int) -> ProximityReport:
 # Growth constants and certified growth checks
 # ---------------------------------------------------------------------------
 
-_PSI_POLY = (-1, 0, -1, 1)        # x^3 - x^2 - 1, unique real root ~ 1.4656
-_TRIBONACCI_POLY = (-1, -1, -1, 1)  # x^3 - x^2 - x - 1, positive root ~ 1.8393
-
-
 def psi_field() -> NumberField:
-    """Field of the universal denominator growth base (root of x^3 - x^2 - 1)."""
-    return NumberField(_PSI_POLY, RationalInterval(Fraction(7, 5), Fraction(3, 2)))
-
-
-def eta_poly(M: int) -> tuple[int, ...]:
-    return (-1, -M, -M, 1)
+    """Field of the universal denominator growth base (root of x^3 - x^2 - 1, ~ 1.4656)."""
+    return NumberField((-1, 0, -1, 1), RationalInterval(Fraction(7, 5), Fraction(3, 2)))
 
 
 def eta_field(M: int) -> NumberField:
     """Field of the bounded-quotient growth base (positive root of x^3 - M x^2 - M x - 1)."""
     if M < 1:
         raise InputError("M must be >= 1")
-    return NumberField(eta_poly(M), RationalInterval(Fraction(M), Fraction(M + 1)))
+    return NumberField((-1, -M, -M, 1), RationalInterval(Fraction(M), Fraction(M + 1)))
 
 
 class CertifiedPowers:
@@ -516,73 +508,58 @@ class CertifiedPowers:
         """Certified comparison of base^e with an integer: -1, 0 (exact tie), +1."""
         if e == 0:
             return (1 > value) - (1 < value)
-        for _ in range(refinement_budget()):
+
+        def attempt(level):
+            if level:
+                self.tighten()
             p = self.power(e)
             if p.hi < value:
                 return -1
             if p.lo > value:
                 return 1
-            self.tighten()
-        raise NonTerminating("power comparison not certified within budget")
+
+        return certify(f"comparison of root^{e} with an integer", attempt)
 
 
-def _iv_to_interval(x) -> RationalInterval:
-    def to_frac(raw) -> Fraction:
-        # raw is a libmp tuple (sign, mantissa, exponent, bitcount); exact
-        sign, man, exp, _ = raw
-        mag = Fraction(man) * (Fraction(2) ** exp if exp >= 0 else Fraction(1, 2 ** (-exp)))
-        return -mag if sign else mag
-
-    raw_lo, raw_hi = x._mpi_
-    return RationalInterval(to_frac(raw_lo), to_frac(raw_hi))
-
-
-def _with_iv_prec(prec: int, fn):
-    old = _iv.prec
-    _iv.prec = prec
-    try:
-        return fn()
-    finally:
-        _iv.prec = old
+@functools.lru_cache(maxsize=64)
+def _k_enclosure(d: int, m: int, prec: int) -> RationalInterval:
+    if d < 1 or m < 1:
+        raise InputError("need d >= 1 and m >= 1")
+    return iv_enclosure(
+        prec, lambda: _iv.log(d + 1) + _iv.log(_iv.mpf(d + 1) / d) + _iv.log(_iv.log(m + 1))
+    )
 
 
 def k_interval(d: int, m: int, max_width=Fraction(1, 10**6)) -> RationalInterval:
     """Certified enclosure of K(d, m) = log(d+1) + log(1 + 1/d) + log log(m+1)."""
-    if d < 1 or m < 1:
-        raise InputError("need d >= 1 and m >= 1")
     max_width = as_fraction(max_width)
-    prec = 64
-    for _ in range(refinement_budget()):
-        def compute():
-            k = _iv.log(d + 1) + _iv.log(_iv.mpf(d + 1) / d) + _iv.log(_iv.log(m + 1))
-            return _iv_to_interval(k)
 
-        out = _with_iv_prec(prec, compute)
-        if out.width <= max_width:
-            return out
-        prec *= 2
-    raise NonTerminating("K(d, m) interval did not reach the requested width")
+    def attempt(level):
+        k = _k_enclosure(d, m, 64 << level)
+        return k if k.width <= max_width else None
+
+    return certify(f"K({d}, {m}) enclosure of width <= {max_width}", attempt)
 
 
 def loglog_interval(c: int, prec: int = 128) -> RationalInterval:
     """Certified enclosure of log log c (c >= 2)."""
     if c < 2:
         raise InputError("log log requires c >= 2")
-    return _with_iv_prec(prec, lambda: _iv_to_interval(_iv.log(_iv.log(_iv.mpf(c)))))
+    return iv_enclosure(prec, lambda: _iv.log(_iv.log(_iv.mpf(c))))
 
 
-def _loglog_lt(c: int, k_iv: RationalInterval, n: int) -> bool:
-    """Certified strict comparison log log c < k * n."""
-    prec = 128
-    for _ in range(refinement_budget()):
-        lhs = loglog_interval(c, prec)
-        rhs = k_iv * n
+def loglog_lt(c: int, d: int, m: int, n: int) -> bool:
+    """Certified strict comparison log log c < K(d, m) n for c = C_(n+1);
+    both sides are enclosed at 128 * 2^level bits, so a near tie resolves."""
+
+    def attempt(level):
+        lhs, rhs = loglog_interval(c, 128 << level), _k_enclosure(d, m, 128 << level) * n
         if lhs.hi < rhs.lo:
             return True
         if lhs.lo > rhs.hi:
             return False
-        prec *= 2
-    raise NonTerminating("log log comparison not certified within budget")
+
+    return certify(f"log log C_{n + 1} < K({d}, {m}) * {n}", attempt)
 
 
 @dataclass(frozen=True)
@@ -681,11 +658,10 @@ def growth_check(
                 raise HypothesisViolated(
                     f"a_{n + 1}^(1) = {pq.seqs[0][n + 1]} >= C_{n}^{d}", n + 1
                 )
-        k_iv = k_interval(d, pq.m)
-        constants["K"] = k_iv
+        constants["K"] = k_interval(d, pq.m)
         first = None
         for n in range(1, n_max):
-            if not _loglog_lt(rows[n + 1].C, k_iv, n):
+            if not loglog_lt(rows[n + 1].C, d, pq.m, n):
                 first = n
                 break
         items.append(

@@ -43,7 +43,6 @@ from .errors import (
     FieldMismatch,
     InputError,
     Interruption,
-    NonTerminating,
     unlimited_int_digits,
 )
 from .exact_reals import (
@@ -55,8 +54,9 @@ from .exact_reals import (
     RealValue,
     SimplexOracle,
     as_real,
+    budget_levels,
+    certify,
     enclosure_at,
-    refinement_budget,
 )
 from .intervals import RationalInterval, as_fraction
 
@@ -277,11 +277,12 @@ class _Image(SimplexOracle):
 
     def vertices(self, level: int) -> list[tuple[int, ...]]:
         # separation persists at deeper (nested) levels, so the results stay nested
-        for probe in range(level, level + refinement_budget()):
+        def attempt(probe):
             forms = [self._run.forms(row, probe) for row in self._rows]
-            if min(forms[0]) > 0:
-                return list(zip(*forms))
-        raise NonTerminating(f"quotient denominator not separated from 0 from level {level}")
+            return list(zip(*forms)) if min(forms[0]) > 0 else None
+
+        return certify("separation of the quotient denominator from 0", attempt,
+                       budget_levels(level))
 
 
 class _Run:
@@ -293,7 +294,7 @@ class _Run:
     """
 
     def __init__(self, values: list[RealValue]):
-        self.kind, self.level, self.max_level = "rational", 0, math.inf
+        self.kind, self.level, self.max_level = "rational", 0, None
         self._enclose, self._enc, self.field = None, (None, (0, [], [])), None
         algebraic = [v.element for v in values if isinstance(v, AlgebraicValue)]
         if any(isinstance(v, OracleValue) for v in values):
@@ -354,28 +355,24 @@ class _Run:
 
     def floors(self, n: int) -> list[tuple[int, Fraction | None]]:
         """Certified floors of x_n^(1..dim), with the ratio width that certified each (oracles)."""
-        den, den_at, budget, out = self.rows[0], {}, refinement_budget(), []
+        den, den_at, out = self.rows[0], {}, []
         for j in range(1, len(self.rows)):
             num, start = self.rows[j], self.level
-            stop = min(start + budget, self.max_level + 1)
-            for level in range(start, stop):
+
+            def attempt(level):
                 num_f = self.forms(num, level)
                 den_f = den_at.get(level) or den_at.setdefault(level, self.forms(den, level))
                 if self.exact:
-                    k, width = _ratio_floor(*num_f, *den_f), None
+                    k = _ratio_floor(*num_f, *den_f)
                     if k is None and level == start and (r := _proportional(num, den)):
                         k = r[0] // r[1]
-                else:
-                    iv = _vertex_interval(num_f, den_f)
-                    k, width = (iv.floor_certified(), iv.width) if iv else (None, None)
-                if k is not None:
-                    break
-            else:
-                raise NonTerminating(
-                    f"floor of x_{n}^({j}) not certified at levels {start}..{stop - 1}"
-                    f" (denominator {'' if min(den_f) > 0 else 'not '}separated from 0)"
-                )
-            self.level = level
+                    return None if k is None else (level, k, None)
+                iv = _vertex_interval(num_f, den_f)
+                k = iv.floor_certified() if iv else None
+                return None if k is None else (level, k, iv.width)
+
+            self.level, k, width = certify(f"floor of x_{n}^({j})", attempt,
+                                           budget_levels(start, self.max_level))
             out.append((k, width))
         return out
 

@@ -4,8 +4,9 @@ interval oracles.
 
 Floors, signs and integrality tests are *certified*: either decided by exact
 rational arithmetic, or by refining an enclosing interval with exact rational
-endpoints until the question is settled.  A bounded refinement budget (see
-``refinement_budget``) turns would-be infinite loops into ``NonTerminating``.
+endpoints until the question is settled.  Every refinement in the package
+runs through ``certify``, whose bounded budget (see ``refinement_budget``)
+turns would-be infinite loops into ``NonTerminating``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,28 @@ def refinement_budget() -> int:
     if value < 1:
         raise InputError("MCF_PRECISION_BUDGET must be >= 1")
     return value
+
+
+def budget_levels(start: int = 0, cap: int | None = None) -> range:
+    """The levels a certified query tries: the budget counted from start, none past cap."""
+    stop = start + refinement_budget()
+    return range(start, stop if cap is None else min(stop, cap + 1))
+
+
+def certify(what: str, attempt: Callable[[int], object], levels: range | None = None):
+    """The first verdict attempt(level) gives (None means undecided at that level).
+
+    Each attempt reads every enclosure its query needs at that level, so
+    both sides of a comparison tighten together.  levels defaults to the
+    budget counted from 0; running out raises NonTerminating naming `what`
+    and the levels tried.
+    """
+    levels = budget_levels() if levels is None else levels
+    for level in levels:
+        verdict = attempt(level)
+        if verdict is not None:
+            return verdict
+    raise NonTerminating(f"{what} not certified at levels {levels.start}..{levels.stop - 1}")
 
 
 class NumberField:
@@ -259,39 +282,39 @@ class FieldElement:
         max_width = as_fraction(max_width)
         if max_width <= 0:
             raise InputError("requested interval width must be positive")
-        root = self.field.exact_root()
-        if root is not None:
-            return RationalInterval.point(pol.poly_eval(self.coords, root))
-        if self.is_rational():
-            return RationalInterval.point(self.coords[0])
+        exact = self._exact_value()
+        if exact is not None:
+            return RationalInterval.point(exact)
         target = min(self.field.root_interval().width, max_width)
-        for _ in range(_MAX_ALGEBRAIC_ROUNDS + refinement_budget()):
-            iv = pol.poly_eval_interval(self.coords, self.field.root_interval())
-            if iv.width <= max_width:
-                return iv
-            target = target / 16
-            self.field.refine_root(target)
-        raise NonTerminating("element interval refinement budget exhausted")
 
-    def _refinements(self):
-        """Yield successively tighter enclosures on the budgeted schedule."""
+        def attempt(level):
+            if level:
+                self.field.refine_root(target / 16**level)
+            iv = pol.poly_eval_interval(self.coords, self.field.root_interval())
+            return iv if iv.width <= max_width else None
+
+        levels = range(_MAX_ALGEBRAIC_ROUNDS + refinement_budget())
+        return certify("field element enclosure to the requested width", attempt, levels)
+
+    def _exact_value(self) -> Fraction | None:
         root = self.field.exact_root()
         if root is not None:
-            yield RationalInterval.point(pol.poly_eval(self.coords, root))
-            return
-        if self.is_rational():
-            yield RationalInterval.point(self.coords[0])
-            return
-        rounds = min(refinement_budget(), _MAX_ALGEBRAIC_ROUNDS)
-        yield pol.poly_eval_interval(self.coords, self.field.root_interval())
-        for k in range(rounds):
-            width = Fraction(1, 1 << (64 * (1 << k)))
-            self.field.refine_root(width)
-            root = self.field.exact_root()
-            if root is not None:
-                yield RationalInterval.point(pol.poly_eval(self.coords, root))
-                return
-            yield pol.poly_eval_interval(self.coords, self.field.root_interval())
+            return pol.poly_eval(self.coords, root)
+        return self.coords[0] if self.is_rational() else None
+
+    def _decide(self, what: str, read: Callable[[RationalInterval], int | None]) -> int:
+        """read() of the first enclosure that decides it: the cached root interval,
+        then the root refined to width 2^-(64 * 2^k), k = 0, 1, ..."""
+
+        def attempt(level):
+            if level:
+                self.field.refine_root(Fraction(1, 1 << (64 << (level - 1))))
+            exact = self._exact_value()
+            if exact is not None:
+                return read(RationalInterval.point(exact))
+            return read(pol.poly_eval_interval(self.coords, self.field.root_interval()))
+
+        return certify(what, attempt, range(min(refinement_budget(), _MAX_ALGEBRAIC_ROUNDS) + 1))
 
     def sign(self) -> int:
         """Exact sign (-1, 0, +1), certified.
@@ -302,18 +325,11 @@ class FieldElement:
         """
         if self.is_zero():
             return 0
-        for iv in self._refinements():
-            s = iv.sign()
-            if s is not None:
-                return s
-        raise NonTerminating("sign refinement budget exhausted (zero divisor input?)")
+        return self._decide("sign of a field element (zero divisor input?)", RationalInterval.sign)
 
     def floor(self) -> int:
-        for iv in self._refinements():
-            z = iv.floor_certified()
-            if z is not None:
-                return z
-        raise NonTerminating("floor refinement budget exhausted (is the value an integer?)")
+        return self._decide("floor of a field element (is the value an integer?)",
+                            RationalInterval.floor_certified)
 
     def __repr__(self):
         return f"FieldElement({list(self.coords)} over deg-{self.field.degree} field)"
@@ -412,15 +428,16 @@ class DecimalOracle(IntervalOracle):
             value = Fraction(sign * str_to_int(text))
         self.digits = digits
         self._value = value
-        self._ulp = Fraction(1, 10**places)
+        self._places = places
 
     def _compute(self, level: int) -> RationalInterval:
         if level > 0:
             raise OracleExhausted(
-                f"decimal literal {self.digits!r} has no precision beyond {self._ulp} "
+                f"decimal literal {quote(self.digits)} has no precision beyond 10^-{self._places} "
                 "(supply more digits or an exact kind)"
             )
-        return RationalInterval(self._value - self._ulp, self._value + self._ulp)
+        ulp = Fraction(1, 10**self._places)
+        return RationalInterval(self._value - ulp, self._value + ulp)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +505,7 @@ def query_levels(x: RealValue) -> range:
     """Levels a certified query on x tries: the budget, counted from the deepest
     level its oracle has memoized (enclosures are nested, so no answer changes)."""
     oracle = x.oracle if isinstance(x, OracleValue) else None
-    start = oracle.deepest_level() if isinstance(oracle, IntervalOracle) else 0
-    return range(start, start + refinement_budget())
+    return budget_levels(oracle.deepest_level() if isinstance(oracle, IntervalOracle) else 0)
 
 
 def floor_exact(x) -> int:
@@ -499,12 +515,8 @@ def floor_exact(x) -> int:
         return math.floor(x.value)
     if isinstance(x, AlgebraicValue):
         return x.element.floor()
-    levels = query_levels(x)
-    for level in levels:
-        z = x.oracle.enclosure(level).floor_certified()
-        if z is not None:
-            return z
-    raise NonTerminating(f"oracle floor not certified at levels {levels.start}..{levels.stop - 1}")
+    return certify("oracle floor", lambda level: x.oracle.enclosure(level).floor_certified(),
+                   query_levels(x))
 
 
 def is_integer(x) -> bool:
@@ -531,13 +543,13 @@ def enclosure_at(x, round_k: int) -> RationalInterval:
     return x.oracle.enclosure(round_k)
 
 
-def abs_diff_pow_lt(x, center, q: int, bound) -> bool:
+def abs_diff_pow_lt(x, center, q: int, bound, what: str = "comparison |x - c|^q < bound") -> bool:
     """Certified strict test |x - center|**q < bound (q >= 1, bound rational).
 
     Decides exactly for rational and algebraic x.  For oracles the enclosure
     is refined until the comparison is certified either way; an exact tie
     (possible only if the oracle limit violates its irrationality contract)
-    exhausts the budget and raises NonTerminating.
+    exhausts the budget and raises NonTerminating naming `what`.
     """
     center = as_fraction(center)
     bound = as_fraction(bound)
@@ -552,22 +564,18 @@ def abs_diff_pow_lt(x, center, q: int, bound) -> bool:
         if q % 2 == 0:
             return (diff_pow - bound).sign() < 0
         return (diff_pow - bound).sign() < 0 and (diff_pow + bound).sign() > 0
-    levels = query_levels(x)
-    for level in levels:
+
+    def attempt(level):
         mag = (x.oracle.enclosure(level) - center).abs()
-        lo_pow = mag.lo**q
-        hi_pow = mag.hi**q
+        lo_pow, hi_pow = mag.lo**q, mag.hi**q
         if hi_pow < bound:
             return True
-        if lo_pow > bound:
+        if lo_pow > bound or lo_pow == hi_pow == bound:
             return False
-        if lo_pow == hi_pow == bound:
-            return False
-    raise NonTerminating(
-        f"comparison not certified at levels {levels.start}..{levels.stop - 1}"
-    )
+
+    return certify(what, attempt, query_levels(x))
 
 
-def abs_diff_lt(x, center, bound) -> bool:
+def abs_diff_lt(x, center, bound, what: str = "comparison |x - c| < bound") -> bool:
     """Certified strict test |x - center| < bound."""
-    return abs_diff_pow_lt(x, center, 1, bound)
+    return abs_diff_pow_lt(x, center, 1, bound, what)

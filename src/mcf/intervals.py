@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
+from mpmath import iv
+
 from .errors import DivisionByZero
 
 Rat = Fraction
@@ -151,3 +153,20 @@ class RationalInterval:
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
+
+
+def iv_enclosure(prec: int, compute) -> RationalInterval:
+    """The exact endpoints of the mpmath.iv interval compute() returns at prec bits."""
+
+    def to_frac(raw) -> Fraction:
+        sign, man, exp, _ = raw  # a libmp tuple (sign, mantissa, exponent, bitcount)
+        mag = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+        return -mag if sign else mag
+
+    old = iv.prec
+    iv.prec = prec
+    try:
+        lo, hi = compute()._mpi_
+    finally:
+        iv.prec = old
+    return RationalInterval(to_frac(lo), to_frac(hi))

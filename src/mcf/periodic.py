@@ -32,7 +32,7 @@ from .errors import (
     PeriodMismatch,
     RootSelectionAmbiguous,
 )
-from .exact_reals import AlgebraicValue, FieldElement, NumberField, refinement_budget
+from .exact_reals import AlgebraicValue, FieldElement, NumberField, certify
 from .intervals import RationalInterval, as_fraction
 from . import polynomials as pol
 
@@ -282,7 +282,6 @@ def solve_periodic(
         bound, applicable = None, False
 
     candidates = pol.isolate_real_roots(poly_a)
-    budget = refinement_budget()
 
     for attempt in range(4):
         matched: list[tuple[RationalInterval, FieldElement, FieldElement]] = []
@@ -329,22 +328,19 @@ def solve_periodic(
         )
 
     fld = theta.field
-    for _ in range(budget):
+
+    def alpha_residual(level):
         alpha_iv = fld.root_interval()
         if _certified_small_residual(poly_a, alpha_iv, residual_width):
-            break
+            return alpha_iv
         fld.refine_root(alpha_iv.width / (1 << 32))
-    else:
-        raise NonTerminating("alpha residual certification budget exhausted")
 
-    width = Fraction(1, 10**10)
-    for _ in range(budget):
-        beta_iv = beta_el.interval(width)
-        if _certified_small_residual(poly_b, beta_iv, residual_width):
-            break
-        width = width / (1 << 32)
-    else:
-        raise NonTerminating("beta residual certification budget exhausted")
+    def beta_residual(level):
+        beta_iv = beta_el.interval(Fraction(1, 10**10) / (1 << (32 * level)))
+        return beta_iv if _certified_small_residual(poly_b, beta_iv, residual_width) else None
+
+    alpha_iv = certify("residual of the alpha cubic", alpha_residual)
+    beta_iv = certify("residual of the beta cubic", beta_residual)
 
     return CubicCertificate(
         spec=spec,

@@ -67,6 +67,18 @@ def parse_frac(v) -> Fraction:
     raise InputError(f"expected a rational 'p/q' string, got {v!r}")
 
 
+def _field(obj: dict, key: str):
+    if key not in obj:
+        raise InputError(f"missing field {key!r}")
+    return obj[key]
+
+
+def _list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise InputError(f"{what} must be a list")
+    return v
+
+
 def interval_json(iv: RationalInterval) -> dict:
     return {"lo": frac_str(iv.lo), "hi": frac_str(iv.hi)}
 
@@ -79,18 +91,18 @@ def real_from_json(obj) -> RealValue:
         raise InputError("real value must be an object with a 'kind' field")
     kind = obj["kind"]
     if kind == "rational":
-        num, den = parse_int(obj["num"]), parse_int(obj["den"])
+        num, den = parse_int(_field(obj, "num")), parse_int(_field(obj, "den"))
         if den == 0:
             raise InputError("rational value with denominator 0")
         return RationalValue(Fraction(num, den))
     if kind == "algebraic":
-        minpoly = [parse_int(c) for c in obj["minpoly"]]
-        lo, hi = parse_frac(obj["lo"]), parse_frac(obj["hi"])
+        minpoly = [parse_int(c) for c in _list(_field(obj, "minpoly"), "minpoly")]
+        lo, hi = parse_frac(_field(obj, "lo")), parse_frac(_field(obj, "hi"))
         field = NumberField(minpoly, RationalInterval(lo, hi))
-        coords = [parse_frac(c) for c in obj.get("coords", ["0/1", "1/1"])]
+        coords = [parse_frac(c) for c in _list(obj.get("coords", ["0/1", "1/1"]), "coords")]
         return AlgebraicValue(field.element(coords))
     if kind == "decimal":
-        return OracleValue(DecimalOracle(str(obj["digits"])))
+        return OracleValue(DecimalOracle(str(_field(obj, "digits"))))
     raise InputError(f"unknown real value kind {kind!r}")
 
 
@@ -133,7 +145,7 @@ def reals_from_file_payload(obj) -> list[RealValue]:
 def pq_from_json(obj) -> PartialQuotients:
     if not isinstance(obj, dict) or "seqs" not in obj:
         raise InputError("partial quotients must be an object with 'seqs'")
-    seqs = [[parse_int(v) for v in s] for s in obj["seqs"]]
+    seqs = [[parse_int(v) for v in _list(s, "each sequence")] for s in _list(obj["seqs"], "seqs")]
     m = parse_int(obj.get("m", len(seqs)))
     return PartialQuotients(m, tuple(tuple(s) for s in seqs))
 
@@ -298,10 +310,10 @@ def schedule_from_json(obj) -> tuple[tuple[int, int, int], ...]:
     if not isinstance(obj, list):
         raise InputError("schedule file must hold a list under 'schedule'")
     out = []
-    for entry in obj:
+    for k, entry in enumerate(obj):
         if isinstance(entry, dict):
-            out.append((parse_int(entry["n"]), parse_int(entry["r"]), parse_int(entry["lam"])))
-        else:
-            n, r, lam = entry
-            out.append((parse_int(n), parse_int(r), parse_int(lam)))
+            entry = [_field(entry, key) for key in ("n", "r", "lam")]
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise InputError(f"schedule entry {k} must be [n, r, lambda]")
+        out.append(tuple(parse_int(v) for v in entry))
     return tuple(out)

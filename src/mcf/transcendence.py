@@ -23,36 +23,19 @@ checker ever claims transcendence (a statement about limits).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from mpmath import iv as _iv
 from mpmath import mp, mpf, nstr
 
-from .convergents import (
-    ConvergentState,
-    conv_stream,
-    eta_poly,
-    eta_field,
-    psi_field,
-    tildes,
-    _PSI_POLY,
-    _TRIBONACCI_POLY,
-    _iv_to_interval,
-    _with_iv_prec,
-)
-from mpmath import iv as _iv
-
+from .convergents import ConvergentState, conv_stream, eta_field, psi_field, tildes
 from .engine import PartialQuotients, check_admissible
-from .errors import (
-    AdmissibilityConflict,
-    AdmissibilityError,
-    InputError,
-    NonTerminating,
-    ScheduleOverlap,
-)
-from .exact_reals import abs_diff_pow_lt, as_real, refinement_budget
-from .intervals import RationalInterval, as_fraction
+from .errors import AdmissibilityConflict, AdmissibilityError, InputError, ScheduleOverlap
+from .exact_reals import abs_diff_pow_lt, as_real, certify
+from .intervals import RationalInterval, as_fraction, iv_enclosure
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +64,7 @@ def seq_rule(values: Sequence[int], then: int | None = None) -> Rule:
         if n < len(vals):
             return vals[n]
         if then is None:
-            raise InputError(f"sequence rule exhausted at index {n}")
+            raise InputError(f"sequence rule exhausted at index {n} (it has {len(vals)} values)")
         return then
 
     return rule
@@ -297,7 +280,8 @@ def roth_scan(x, pq: PartialQuotients, epsilon, upto: int, coords=None) -> list[
         ok = True
         for i in which:
             target = Fraction(rows[n].A[i], C)
-            if not abs_diff_pow_lt(values[i], target, q, bound):
+            what = f"Roth test |x_{i + 1} - A_{n}/C_{n}|^{q} < 1/C_{n}^{2 * q + p}"
+            if not abs_diff_pow_lt(values[i], target, q, bound, what):
                 ok = False
                 break
         if ok:
@@ -407,6 +391,29 @@ def _log_ratio_string(lam: int, n_k: int) -> str:
         mp.dps = old
 
 
+def _log_ratio_le(lam: int, n: int, lam2: int, n2: int) -> bool:
+    """log(lam)/n <= log(lam2)/n2, that is lam^n2 <= lam2^n, decided exactly.
+
+    With a = n2/g, b = n/g (g = gcd), equality means lam = t^b and lam2 = t^a
+    for an integer t, tested by an integer root; otherwise a log(lam) - b log(lam2)
+    is nonzero and its enclosure separates from 0, so no giant power is formed.
+    """
+    g = math.gcd(n, n2)
+    a, b = n2 // g, n // g
+    t = _iroot_floor(lam, b) if b < lam.bit_length() else 1  # 2^b > lam forces t = 1
+    if t**b == lam and (t == 1 or a * (t.bit_length() - 1) <= lam2.bit_length()) and t**a == lam2:
+        return True
+
+    def attempt(level):
+        diff = iv_enclosure(64 << level, lambda: a * _iv.log(lam) - b * _iv.log(lam2))
+        if diff.hi < 0:
+            return True
+        if diff.lo > 0:
+            return False
+
+    return certify(f"order of log(lambda)/n at windows n = {n} and n = {n2}", attempt)
+
+
 def main1_check(spec: QuasiPeriodicSpec, d: int, c, depth: int) -> CriterionReport:
     """Hypotheses of the unbounded-quotient quasi-periodic criterion (m = 2):
 
@@ -443,7 +450,8 @@ def main1_check(spec: QuasiPeriodicSpec, d: int, c, depth: int) -> CriterionRepo
     )
     ratios = [_log_ratio_string(lam_k, n_k) for n_k, _, lam_k in spec.schedule]
     monotone = all(
-        mpf(ratios[i]) <= mpf(ratios[i + 1]) for i in range(len(ratios) - 1)
+        _log_ratio_le(lam, n, lam_next, n_next)
+        for (n, _, lam), (n_next, _, lam_next) in zip(spec.schedule, spec.schedule[1:])
     )
     return CriterionReport(
         criterion="quasi-periodic-main1",
@@ -466,12 +474,10 @@ _VARIANTS = ("statement", "lemma38", "proof18")
 
 
 def _log_enclosure_of_interval(iv_rat: RationalInterval, prec: int) -> RationalInterval:
-    def compute():
-        lo = _iv.log(_iv.mpf(iv_rat.lo.numerator) / iv_rat.lo.denominator)
-        hi = _iv.log(_iv.mpf(iv_rat.hi.numerator) / iv_rat.hi.denominator)
-        return _iv_to_interval(lo).hull(_iv_to_interval(hi))
+    def log_of(v: Fraction):
+        return lambda: _iv.log(_iv.mpf(v.numerator) / v.denominator)
 
-    return _with_iv_prec(prec, compute)
+    return iv_enclosure(prec, log_of(iv_rat.lo)).hull(iv_enclosure(prec, log_of(iv_rat.hi)))
 
 
 def main2_constant(M: int, variant: str = "statement", max_width=Fraction(1, 10**9)) -> RationalInterval:
@@ -492,26 +498,21 @@ def main2_constant(M: int, variant: str = "statement", max_width=Fraction(1, 10*
         raise InputError("M must be >= 1")
     max_width = as_fraction(max_width)
     factor = 18 if variant == "proof18" else 2
-    psi_poly = _TRIBONACCI_POLY if variant == "statement" else _PSI_POLY
-    if eta_poly(M) == psi_poly:
-        return RationalInterval.point(Fraction(factor - 1))
     eta_f = eta_field(M)
-    psi_f = (
-        # the statement's psi is the tribonacci constant; the lemma's is x^3 - x^2 - 1
-        eta_field(1) if variant == "statement" else psi_field()
-    )
-    width = Fraction(1, 1 << 64)
-    for _ in range(refinement_budget()):
-        eta_iv = eta_f.refine_root(width)
-        psi_iv = psi_f.refine_root(width)
-        prec = max(64, (width.denominator // max(width.numerator, 1)).bit_length() + 32)
-        log_eta = _log_enclosure_of_interval(eta_iv, prec)
-        log_psi = _log_enclosure_of_interval(psi_iv, prec)
+    # the statement's psi is the tribonacci constant; the lemma's is x^3 - x^2 - 1
+    psi_f = eta_field(1) if variant == "statement" else psi_field()
+    if eta_f.min_poly == psi_f.min_poly:
+        return RationalInterval.point(Fraction(factor - 1))
+
+    def attempt(level):
+        width = Fraction(1, 1 << (64 * (level + 1)))
+        prec = 64 * (level + 1) + 33  # the bits of 1/width, plus 32
+        log_eta = _log_enclosure_of_interval(eta_f.refine_root(width), prec)
+        log_psi = _log_enclosure_of_interval(psi_f.refine_root(width), prec)
         b_iv = log_eta * factor / log_psi - 1
-        if b_iv.width <= max_width:
-            return b_iv
-        width = width / (1 << 64)
-    raise NonTerminating("threshold constant enclosure did not converge")
+        return b_iv if b_iv.width <= max_width else None
+
+    return certify(f"threshold B({M}, {variant}) enclosure of width <= {max_width}", attempt)
 
 
 def main2_check(
@@ -577,12 +578,12 @@ def _ratio_exceeds(ratio: Fraction, M: int, variant: str, b_iv: RationalInterval
     """Certified strict comparison ratio > B, refining B's enclosure as needed."""
     if b_iv.is_point:
         return ratio > b_iv.lo
-    width = b_iv.width
-    for _ in range(refinement_budget()):
-        if ratio > b_iv.hi:
+
+    def attempt(level):
+        b = b_iv if not level else main2_constant(M, variant, b_iv.width / (1 << (32 * level)))
+        if ratio > b.hi:
             return True
-        if ratio <= b_iv.lo:
+        if ratio <= b.lo:
             return False
-        width = width / (1 << 32)
-        b_iv = main2_constant(M, variant, max_width=width)
-    raise NonTerminating("ratio comparison against B did not resolve")
+
+    return certify(f"comparison of the ratio {ratio} with B({M}, {variant})", attempt)

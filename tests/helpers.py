@@ -6,7 +6,8 @@ import contextlib
 import random
 import sys
 
-from mcf import PartialQuotients, PeriodicSpec, check_admissible, unroll
+from mcf.engine import PartialQuotients, check_admissible
+from mcf.periodic import PeriodicSpec, unroll
 
 
 def random_admissible_m2(rng: random.Random, length: int, max_q: int = 5,

@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from mcf import AlgebraicValue, RationalValue, as_real
 from mcf import polynomials as pol
 from mcf.convergents import column_table
 from mcf.engine import PartialQuotients
 from mcf.errors import DegenerateCubic, InputError
+from mcf.exact_reals import AlgebraicValue, RationalValue, as_real
 from mcf.periodic import PeriodicSpec, XMatrix, unroll, validate_spec
 
 

@@ -20,30 +20,33 @@ from helpers import (
 from references import det_int, matrix_products
 
 from mcf import (
-    PartialQuotients,
+    LiouvilleSpec,
     PeriodicSpec,
+    const_rule,
+    construct_liouville,
+    expand,
+    solve_periodic,
+    verify_liouville,
+)
+from mcf.convergents import (
     approx_witnesses,
     aux_stream,
-    check_admissible,
-    construct_liouville,
     conv_stream,
-    cubic_coeffs,
-    expand,
     growth_check,
     limit_values,
-    main2_constant,
-    roth_scan,
-    solve_periodic,
     tilde_stream,
-    unroll,
-    verify_liouville,
-    verify_quasiperiodic,
-    x_matrix,
 )
-from mcf import LiouvilleSpec, QuasiPeriodicSpec, const_rule
+from mcf.engine import PartialQuotients, check_admissible
+from mcf.periodic import cubic_coeffs, unroll, x_matrix
 from mcf.polynomials import height, poly_eval_interval
 from mcf.serialization import criterion_report_to_json, dumps_stable, growth_report_to_json
-from mcf.transcendence import build_quasiperiodic
+from mcf.transcendence import (
+    QuasiPeriodicSpec,
+    build_quasiperiodic,
+    main2_constant,
+    roth_scan,
+    verify_quasiperiodic,
+)
 
 
 def criterion(num, summary):
@@ -241,7 +244,7 @@ def test_criterion_10_report_stability():
             m=2, schedule=((2, 1, 5), (10, 1, 21)),
             base_rules=(const_rule(1), const_rule(0)),
         )
-        from mcf import main1_check, main2_check
+        from mcf.transcendence import main1_check, main2_check
 
         out.append(dumps_stable(criterion_report_to_json(
             main1_check(spec, d=2, c=Fraction(2), depth=16))))

@@ -6,14 +6,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 from helpers import int_digit_cap
 
 from mcf.cli import build_parser, run
+from mcf.convergents import k_interval
 from mcf.serialization import pq_from_json, pq_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -230,7 +233,8 @@ def test_bench_growth_liouville_geometric(files, tmp_path):
 
 def test_bench_growth_constant_quotients_rate(files):
     # bit length of C_n grows like n log2(psi) for the minimal sequence
-    from mcf import PartialQuotients, conv_stream
+    from mcf.convergents import conv_stream
+    from mcf.engine import PartialQuotients
 
     n = 400
     pq = PartialQuotients.from_lists([0] + [1] * n, [0] + [0] * n)
@@ -261,6 +265,96 @@ def test_malformed_numbers_in_files_exit_2(files):
     zero_den = files("zero_den.json", {"kind": "rational", "num": "1", "den": "0"})
     code, out, err = invoke(["expand", "--input", zero_den, "--steps", "2"])
     assert code == 2 and "denominator 0" in err
+
+
+def _malformed_cases(files):
+    base = files("base.json", {"m": 2, "seqs": [["1"] * 8, ["0"] * 8]})
+    sched = files("sched.json", {"schedule": [[1, 1, 2]]})
+    main1 = ["verify", "main1", "--base", base, "--d", "2", "--depth", "5"]
+    return {
+        "missing field": (["expand", "--input", files("r.json", {"kind": "rational", "num": "1"}),
+                           "--steps", "2"], "missing field 'den'"),
+        "sequence not a list": (["verify", "admissible", "--pq", files("q.json", {"seqs": [1, 2]})],
+                                "each sequence must be a list"),
+        "minpoly not a list": (["expand", "--steps", "2", "--input", files(
+            "a.json", {"kind": "algebraic", "minpoly": 5, "lo": "1", "hi": "2"})],
+                               "minpoly must be a list"),
+        "short schedule entry": (main1 + ["--c", "2", "--schedule",
+                                          files("s.json", {"schedule": [[1, 2]]})],
+                                 "schedule entry 0 must be [n, r, lambda]"),
+        "b-rule": (["construct", "liouville", "--b-rule", "const:x", "--depth", "3"],
+                   "malformed integer 'x'"),
+        "delta": (["verify", "liouville", "--pq", base, "--delta", "x"], "malformed rational 'x'"),
+        "c": (main1 + ["--c", "1/0", "--schedule", sched], "malformed rational '1/0'"),
+    }
+
+
+@pytest.mark.parametrize("case", ["missing field", "sequence not a list", "minpoly not a list",
+                                  "short schedule entry", "b-rule", "delta", "c"])
+def test_malformed_fields_and_flags_exit_2(files, case):
+    argv, message = _malformed_cases(files)[case]
+    code, out, err = invoke(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {message}") and err.count("\n") == 1
+
+
+# C_2 = a_2 C_1 + b_2 sits within 137 of exp(exp(K(40, 2))), inside K's first enclosure
+NEAR_TIE_A = ["0", "10000000000", "11246586545", "1"]
+
+
+@pytest.mark.parametrize("b2,below", [(321307467, True), (321307667, False)])
+def test_verify_growth_near_tie_refines_both_sides(files, b2, below):
+    c2 = 11246586545 * 10**10 + b2
+    k = k_interval(40, 2)
+    with mp.workprec(512):
+        loglog = mp.log(mp.log(c2))
+        k_lo, k_hi = (mp.mpf(v.numerator) / v.denominator for v in (k.lo, k.hi))
+        assert k_lo < loglog < k_hi
+        truth = loglog < mp.log(41) + mp.log(mp.mpf(41) / 40) + mp.log(mp.log(3))
+    assert truth == below
+    pq = files("tie.json", {"m": 2, "seqs": [NEAR_TIE_A, ["0", "0", str(b2), "0"]]})
+    start = time.perf_counter()
+    code, out, _ = invoke(["verify", "growth", "--pq", pq, "--d", "40"])
+    assert time.perf_counter() - start < 5
+    loglog_item = json.loads(out)["items"][1]
+    assert loglog_item["name"] == "loglog"
+    assert (code, loglog_item["ok"], loglog_item["first_violation"]) == (
+        (0, True, None) if below else (1, False, 1))
+
+
+def _deep_tie_pq(files):
+    """C_2 = 10 a_2 + b_2 is exp(exp(K(1000, 2))) cut to 400 bits: log log C_2 - K is
+    about 2^-400, so the comparison needs 512-bit enclosures of both sides."""
+
+    def k():
+        return mp.log(1001) + mp.log(mp.mpf(1001) / 1000) + mp.log(mp.log(3))
+
+    with mp.workprec(400):
+        c2 = int(mp.exp(mp.exp(k())))
+    with mp.workprec(4096):
+        below = mp.log(mp.log(c2)) < k()
+    seqs = [["0", "10", str(c2 // 10)], ["0", "0", str(c2 % 10)]]
+    return files("deep.json", {"m": 2, "seqs": seqs}), below
+
+
+def test_verify_growth_deep_tie_tightens_k(files):
+    pq, below = _deep_tie_pq(files)
+    code, out, _ = invoke(["verify", "growth", "--pq", pq, "--d", "1000"])
+    assert code == (0 if below else 1)
+    assert json.loads(out)["items"][1]["ok"] == below
+
+
+def test_budget_errors_name_query_and_levels(files):
+    pq, _ = _deep_tie_pq(files)
+    code, out, err = invoke(["verify", "growth", "--pq", pq, "--d", "1000"],
+                            env={"MCF_PRECISION_BUDGET": "1"})
+    assert (code, out) == (3, "")
+    assert err == "error: log log C_2 < K(1000, 2) * 1 not certified at levels 0..0\n"
+    dec = files("dec.json", [{"kind": "decimal", "digits": "2.00"}])
+    code, out, err = invoke(["expand", "--input", dec, "--steps", "1"],
+                            env={"MCF_PRECISION_BUDGET": "1"})
+    assert (code, out) == (3, "")
+    assert err == "error: floor of x_0^(1) not certified at levels 0..0\n"
 
 
 def test_unknown_flag_rejected():
@@ -331,8 +425,10 @@ def test_huge_integers_cross_the_wire_under_the_default_cap(files):
 
 
 def test_library_messages_and_literals_with_huge_integers():
-    from mcf import DecimalOracle, HypothesisViolated, PartialQuotients, check_admissible
-    from mcf import growth_check
+    from mcf import HypothesisViolated, OracleExhausted
+    from mcf.convergents import growth_check
+    from mcf.engine import PartialQuotients, check_admissible
+    from mcf.exact_reals import DecimalOracle
 
     big = 10**5000
     with int_digit_cap(0):
@@ -343,6 +439,9 @@ def test_library_messages_and_literals_with_huge_integers():
         report = check_admissible(PartialQuotients.from_lists([0, 1], [0, big]))
         assert text in report.violations[0].message
         assert DecimalOracle("0." + "3" * 5000).enclosure(0).width == Fraction(2, 10**5000)
+        with pytest.raises(OracleExhausted, match=r"no precision beyond 10\^-5000 ") as exc:
+            DecimalOracle("0." + "3" * 5000).enclosure(1)
+        assert len(str(exc.value)) < 200  # the literal is quoted, not echoed whole
         assert sys.get_int_max_str_digits() == 4300
 
 

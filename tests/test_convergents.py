@@ -10,28 +10,31 @@ from references import det_int, factor_matrix, matrix_products
 
 from mcf import (
     AlgebraicValue,
-    CertifiedPowers,
-    ConvergentLimitOracle,
     HypothesisViolated,
     NumberField,
-    PartialQuotients,
     PreconditionViolated,
     PrefixMismatch,
     RationalInterval,
+    expand,
+)
+from mcf.convergents import (
+    CertifiedPowers,
+    ConvergentLimitOracle,
+    ConvergentState,
     approx_witnesses,
     aux_stream,
     bound_checks,
     conv_stream,
     eta_field,
-    expand,
     growth_check,
     k_interval,
     limit_values,
     proximity_check,
     psi_field,
     tilde_stream,
+    tildes,
 )
-from mcf.convergents import ConvergentState, tildes
+from mcf.engine import PartialQuotients
 
 
 def cbrt2_pair():

@@ -7,20 +7,9 @@ import pytest
 
 from helpers import random_admissible, random_admissible_m2
 
-from mcf import (
-    AlgebraicValue,
-    DecimalOracle,
-    Interruption,
-    NumberField,
-    OracleValue,
-    PartialQuotients,
-    RationalInterval,
-    RationalValue,
-    check_admissible,
-    expand,
-    is_admissible,
-    jacobi_step,
-)
+from mcf import AlgebraicValue, Interruption, NumberField, RationalInterval, expand
+from mcf.engine import PartialQuotients, check_admissible, is_admissible, jacobi_step
+from mcf.exact_reals import DecimalOracle, OracleValue, RationalValue
 
 
 def test_jacobi_step_rational_examples():

@@ -11,21 +11,10 @@ from hypothesis import strategies as st
 
 from references import reference_expand, reference_step
 
-from mcf import (
-    AlgebraicValue,
-    FunctionOracle,
-    Interruption,
-    NonTerminating,
-    NumberField,
-    OracleValue,
-    PartialQuotients,
-    RationalInterval,
-    RationalValue,
-    SimplexOracle,
-    expand,
-    jacobi_step,
-    limit_values,
-)
+from mcf import AlgebraicValue, Interruption, NonTerminating, NumberField, RationalInterval, expand
+from mcf.convergents import limit_values
+from mcf.engine import PartialQuotients, jacobi_step
+from mcf.exact_reals import FunctionOracle, OracleValue, RationalValue, SimplexOracle
 from mcf.polynomials import poly_eval, refine_root
 
 PROPERTY = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -2,21 +2,25 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mcf
 from mcf import (
     AlgebraicValue,
-    DecimalOracle,
-    FunctionOracle,
     InputError,
     NonTerminating,
     NumberField,
     OracleExhausted,
-    OracleValue,
     RationalInterval,
-    RationalValue,
     UndecidableForOracle,
+)
+from mcf.exact_reals import (
+    DecimalOracle,
+    FunctionOracle,
+    OracleValue,
+    RationalValue,
     floor_exact,
     is_integer,
 )
@@ -197,6 +201,13 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("MCF_PRECISION_BUDGET", "zero")
     with pytest.raises(InputError):
         floor_exact(OracleValue(FunctionOracle(barely_shrinking)))
+
+
+def test_refinement_budget_is_read_only_in_exact_reals():
+    # every other module refines through exact_reals.certify / budget_levels
+    src = Path(mcf.__file__).parent
+    readers = {p.name for p in src.glob("*.py") if "refinement_budget(" in p.read_text()}
+    assert readers == {"exact_reals.py"}
 
 
 def test_real_value_wrappers():

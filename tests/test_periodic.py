@@ -15,17 +15,19 @@ from mcf import (
     DegenerateCubic,
     PeriodicSpec,
     PeriodMismatch,
-    XMatrix,
-    cubic_coeffs,
     expand,
-    conv_stream,
-    same_field_check,
     solve_periodic,
+)
+from mcf.convergents import conv_stream
+from mcf.periodic import (
+    XMatrix,
+    _explicit_coeffs,
+    cubic_coeffs,
+    same_field_check,
     unroll,
     validate_spec,
     x_matrix,
 )
-from mcf.periodic import _explicit_coeffs
 from mcf.polynomials import poly_eval_interval
 
 

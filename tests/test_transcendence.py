@@ -10,26 +10,25 @@ from mcf import (
     AdmissibilityError,
     InputError,
     LiouvilleSpec,
-    PartialQuotients,
-    QuasiPeriodicSpec,
     ScheduleOverlap,
-    approx_witnesses,
-    build_quasiperiodic,
-    check_admissible,
     const_rule,
     construct_liouville,
+    verify_liouville,
+)
+from mcf.convergents import approx_witnesses, conv_stream, limit_values, tilde_stream
+from mcf.engine import PartialQuotients, check_admissible
+from mcf.transcendence import (
+    QuasiPeriodicSpec,
+    _iroot_floor,
+    build_quasiperiodic,
     cycle_rule,
-    limit_values,
     main1_check,
     main2_check,
     main2_constant,
     roth_scan,
     seq_rule,
-    verify_liouville,
     verify_quasiperiodic,
 )
-from mcf.convergents import conv_stream, tilde_stream
-from mcf.transcendence import _iroot_floor
 
 
 def test_construct_liouville_hand_values():
@@ -180,6 +179,14 @@ def test_main1_check_ratio_trend_and_violations():
     floats = [float(s) for s in report.data["log_lambda_over_n"]]
     assert floats == sorted(floats) and floats[0] < floats[-1]
     assert report.data["monotone_nondecreasing"] == "true"
+    # decided as lambda_k^(n_(k+1)) <= lambda_(k+1)^(n_k), not on the 20-digit strings
+    for sched, flag in ((((1, 1, 2), (80, 1, 2**80 - 1)), "false"),
+                        (((1, 1, 2), (80, 1, 2**80)), "true"),
+                        (((1, 1, 2), (3, 1, 8)), "true")):
+        spec4 = QuasiPeriodicSpec(m=2, schedule=sched, base_rules=(const_rule(2), const_rule(1)))
+        data = main1_check(spec4, d=2, c=Fraction(2), depth=12).data
+        assert data["monotone_nondecreasing"] == flag
+    assert data["log_lambda_over_n"][0] == data["log_lambda_over_n"][1]
 
     # r_k = c n_k exactly violates the strict window hypothesis
     spec2 = QuasiPeriodicSpec(
