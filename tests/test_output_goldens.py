@@ -2,7 +2,9 @@
 
 Each `out_<name>.txt` under tests/golden/ is the stdout of one invocation on
 the committed inputs there; the Liouville verifications read the committed
-construction goldens back, so the pair also checks the round trip.
+construction goldens back, so the pair also checks the round trip.  Every
+case exits 0 except the admissibility report on an inadmissible pq, which
+exits 1 and still prints its report.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ from mcf.cli import run
 GOLDEN = Path(__file__).parent / "golden"
 PQ2 = str(GOLDEN / "pq_m2.json")
 PQ3 = str(GOLDEN / "pq_m3.json")
+SCHEDULE = str(GOLDEN / "schedule_m2.json")
 
 CASES = [
     ("convergents_m2_csv", ["convergents", "--pq", PQ2, "--depth", "39", "--emit", "csv"]),
@@ -35,7 +38,15 @@ CASES = [
                              "--pq", str(GOLDEN / "out_construct_liouville_m2.txt")]),
     ("verify_liouville_m3", ["verify", "liouville", "--delta", "1",
                              "--pq", str(GOLDEN / "out_construct_liouville_m3.txt")]),
+    ("verify_growth_m2", ["verify", "growth", "--pq", PQ2, "--M", "7", "--d", "2"]),
+    ("verify_main1_m2", ["verify", "main1", "--schedule", SCHEDULE, "--base", PQ2,
+                         "--d", "2", "--c", "1", "--depth", "30"]),
+    ("verify_main2_m2", ["verify", "main2", "--schedule", SCHEDULE, "--base", PQ2,
+                         "--M", "7", "--N", "3", "--depth", "30"]),
+    ("verify_admissible_violation", ["verify", "admissible",
+                                     "--pq", str(GOLDEN / "pq_m2_inadmissible.json")]),
 ]
+EXIT_CODES = {"verify_admissible_violation": 1}
 
 
 def stdout_of(argv) -> tuple[int, str]:
@@ -48,5 +59,5 @@ def stdout_of(argv) -> tuple[int, str]:
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
 def test_stdout_golden(name, argv):
     code, out = stdout_of(argv)
-    assert code == 0
+    assert code == EXIT_CODES.get(name, 0)
     assert out == (GOLDEN / f"out_{name}.txt").read_text()
