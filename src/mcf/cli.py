@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import serialization as ser
-from .convergents import aux_row, bound_checks, column_table, conv_stream, growth_check, loglog_lt
+from .convergents import bound_checks, column_table, growth_check, lag_product
 from .engine import check_admissible, expand
 from .errors import HypothesisViolated, InputError, MCFError, NonTerminating, unlimited_int_digits
 from .periodic import PeriodicSpec, solve_periodic
@@ -88,43 +87,31 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
+# The m = 2 lag products emitted beside each column n: (name, i, j, lag) is
+# lag_product(column n, column n - lag, i, j) over (A^(1), A^(2), C).
+AUX_M2 = (
+    ("ac1", 0, 2, 1), ("bc1", 1, 2, 1), ("ab1", 0, 1, 1),
+    ("ac2", 0, 2, 2), ("bc2", 1, 2, 2), ("ab2", 0, 1, 2),
+)
+
+
 def _cmd_convergents(args) -> int:
     if args.depth < 0:
         raise InputError("--depth must be >= 0")
     pq = ser.pq_from_json(_load_json(args.pq))
     cols, off = column_table(pq, args.depth)
-    rows = cols[off:]
-    aux = None
-    if pq.m == 2:
-        aux = [aux_row(cols[k], cols[k - 1], cols[k - 2]) for k in range(off, len(cols))]
+    aux = AUX_M2 if pq.m == 2 else ()
     if args.emit == "csv":
-        headers = ["n"] + [f"A{i + 1}" for i in range(pq.m)] + ["C"]
-        if aux is not None:
-            headers += ["ac1", "bc1", "ab1", "ac2", "bc2", "ab2"]
-        _print(",".join(headers))
-        for row in rows:
-            cells = [str(row.n)] + [ser.int_str(v) for v in row.A] + [ser.int_str(row.C)]
-            if aux is not None:
-                r = aux[row.n]
-                cells += [ser.int_str(v) for v in (r.ac1, r.bc1, r.ab1, r.ac2, r.bc2, r.ab2)]
-            _print(",".join(cells))
-    else:
-        for row in rows:
-            payload = {
-                "n": row.n,
-                "A": [ser.int_str(v) for v in row.A],
-                "C": ser.int_str(row.C),
-            }
-            if aux is not None:
-                r = aux[row.n]
-                payload["aux"] = {
-                    "ac1": ser.int_str(r.ac1),
-                    "bc1": ser.int_str(r.bc1),
-                    "ab1": ser.int_str(r.ab1),
-                    "ac2": ser.int_str(r.ac2),
-                    "bc2": ser.int_str(r.bc2),
-                    "ab2": ser.int_str(r.ab2),
-                }
+        _print(",".join(["n", *(f"A{i + 1}" for i in range(pq.m)), "C", *(row[0] for row in aux)]))
+    for k in range(off, len(cols)):
+        col = cols[k]
+        values = [ser.int_str(lag_product(col, cols[k - lag], i, j)) for _, i, j, lag in aux]
+        if args.emit == "csv":
+            _print(",".join([str(col.n), *map(ser.int_str, col.A), ser.int_str(col.C), *values]))
+        else:
+            payload = {"n": col.n, "A": [ser.int_str(v) for v in col.A], "C": ser.int_str(col.C)}
+            if aux:
+                payload["aux"] = {row[0]: v for row, v in zip(aux, values)}
             _print(ser.dumps_stable(payload))
     return EXIT_OK
 
@@ -227,25 +214,6 @@ def _cmd_verify_main2(args) -> int:
     )
     _print(ser.dumps_stable(ser.criterion_report_to_json(report)))
     return EXIT_OK if report.ok else EXIT_VIOLATION
-
-
-def _cmd_bench_growth(args) -> int:
-    pq = ser.pq_from_json(_load_json(args.pq))
-    depth = min(args.depth, pq.rect_len)
-    _print("n,C_bits,seconds")
-    state_rows = []
-    start = time.perf_counter()
-    for row in conv_stream(pq, depth - 1):
-        elapsed = time.perf_counter() - start
-        state_rows.append(row)
-        _print(f"{row.n},{row.C.bit_length()},{elapsed:.6f}")
-    if args.d is not None and depth > 1:
-        for n in range(1, depth - 1):
-            c_next = state_rows[n + 1].C
-            if c_next >= 2 and not loglog_lt(c_next, args.d, pq.m, n):
-                sys.stderr.write(f"growth bound violated at n={n}\n")
-                return EXIT_VIOLATION
-    return EXIT_OK
 
 
 # -- parser ---------------------------------------------------------------------
@@ -356,17 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="statement", help="which threshold-constant convention to use")
     v2.add_argument("--depth", type=int, default=64)
     v2.set_defaults(fn=_cmd_verify_main2)
-
-    p = sub.add_parser("bench", formatter_class=_Formatter,
-                       help="measure denominator growth")
-    bsub = p.add_subparsers(dest="bench_command", required=True)
-    bg = bsub.add_parser("growth", formatter_class=_Formatter,
-                         help="CSV of n, bit length of C_n, elapsed seconds")
-    bg.add_argument("--pq", required=True)
-    bg.add_argument("--depth", type=int, required=True)
-    bg.add_argument("--d", type=int, default=None,
-                    help="also assert log log C_(n+1) < K(d,m) n")
-    bg.set_defaults(fn=_cmd_bench_growth)
 
     return parser
 

@@ -146,55 +146,6 @@ def tildes(cur: Column, prev: Column) -> tuple[int, ...]:
     return tuple(lag_product(cur, prev, i, m) for i in range(m))
 
 
-@dataclass(frozen=True)
-class AuxRow:
-    """m = 2 auxiliary values at index n (lag-1 and lag-2 bilinear products)."""
-
-    n: int
-    ac1: int
-    bc1: int
-    ab1: int
-    ac2: int
-    bc2: int
-    ab2: int
-
-
-def aux_row(cur: Column, p1: Column, p2: Column) -> AuxRow:
-    """AuxRow at cur's index from the m = 2 columns at n, n-1 and n-2."""
-    return AuxRow(
-        n=cur.n,
-        ac1=lag_product(cur, p1, 0, 2),
-        bc1=lag_product(cur, p1, 1, 2),
-        ab1=lag_product(cur, p1, 0, 1),
-        ac2=lag_product(cur, p2, 0, 2),
-        bc2=lag_product(cur, p2, 1, 2),
-        ab2=lag_product(cur, p2, 0, 1),
-    )
-
-
-def aux_stream(pq: PartialQuotients, upto: int | None = None):
-    """Yield AuxRow for n >= 0 (m = 2).
-
-    The lag-1 values also satisfy the three-term recursion
-
-        ac1_n = -b_n ac1_{n-1} - a_{n-1} ac1_{n-2} + ac1_{n-3}
-
-    (initial values ac1 = 0, 0, -1 and bc1 = 1, 0, 0 at n = -2, -1, 0).
-    """
-    if pq.m != 2:
-        raise InputError("aux_stream is specific to m = 2; use tilde_stream")
-    cols, off = column_table(pq, upto)
-    for k in range(off, len(cols)):
-        yield aux_row(cols[k], cols[k - 1], cols[k - 2])
-
-
-def tilde_stream(pq: PartialQuotients, upto: int | None = None):
-    """Yield (n, (ac1 per coordinate)) for any m: A_n^(i) C_{n-1} - A_{n-1}^(i) C_n."""
-    cols, off = column_table(pq, upto)
-    for k in range(off, len(cols)):
-        yield cols[k].n, tildes(cols[k], cols[k - 1])
-
-
 # ---------------------------------------------------------------------------
 # Limit enclosures (the window mechanism) and approximation witnesses
 # ---------------------------------------------------------------------------
@@ -239,6 +190,20 @@ def limit_values(pq: PartialQuotients) -> tuple[OracleValue, ...]:
     return tuple(OracleValue(ConvergentLimitOracle(pq, i, cols)) for i in range(1, pq.m + 1))
 
 
+def scan_inputs(x, pq: PartialQuotients, last: int, coords=None) -> tuple[list, list[int]]:
+    """(values, 0-based coordinates) for a scan of x against pq's convergents
+    0..last; coords are 1-based (default: all)."""
+    values = [as_real(v) for v in (x if isinstance(x, (list, tuple)) else [x])]
+    if len(values) != pq.m:
+        raise InputError(f"need {pq.m} coordinate values")
+    which = list(range(pq.m)) if coords is None else [c - 1 for c in coords]
+    if any(not 0 <= i < pq.m for i in which):
+        raise InputError(f"coordinates must be in 1..{pq.m}")
+    if pq.rect_len <= last:
+        raise InputError(f"the scan needs convergents through index {last}; pq has {pq.rect_len}")
+    return values, which
+
+
 def approx_witnesses(x, pq: PartialQuotients, upto: int, coords=None) -> list[int]:
     """Indices n <= upto where the checked coordinates simultaneously satisfy
 
@@ -257,14 +222,7 @@ def approx_witnesses(x, pq: PartialQuotients, upto: int, coords=None) -> list[in
     past the scan range: keep upto <= rect_len - 4 or so, else the oracle
     exhausts.
     """
-    values = [as_real(v) for v in (x if isinstance(x, (list, tuple)) else [x])]
-    if len(values) != pq.m:
-        raise InputError(f"need {pq.m} coordinate values")
-    which = list(range(pq.m)) if coords is None else [c - 1 for c in coords]
-    if any(not 0 <= i < pq.m for i in which):
-        raise InputError(f"coordinates must be in 1..{pq.m}")
-    if pq.rect_len < upto + 2:
-        raise InputError("pq must be expanded to depth upto+1")
+    values, which = scan_inputs(x, pq, upto + 1, coords)
     rows = list(conv_stream(pq, upto + 1))
     witnesses = []
     for n in range(upto + 1):
@@ -289,11 +247,17 @@ def approx_witnesses(x, pq: PartialQuotients, upto: int, coords=None) -> list[in
 
 @dataclass(frozen=True)
 class CheckItem:
+    """One named bound or hypothesis checked over an index range; it holds
+    when no index violates it."""
+
     name: str
-    ok: bool
     first_violation: int | None
-    boundary_indices: tuple[int, ...]
     detail: str
+    boundary_indices: tuple[int, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.first_violation is None
 
 
 @dataclass(frozen=True)
@@ -355,7 +319,7 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Bou
         "A_n, B_n <= C_n" if strict_upper_is_lemma
         else f"{nbox} C_n <= A_n <= {nbox + 1} C_n and {mbox} C_n <= B_n <= {mbox + 1} C_n"
     )
-    items.append(CheckItem(name, first is None, first, tuple(boundary), detail))
+    items.append(CheckItem(name, first, detail, tuple(boundary)))
 
     first = None
     applied = []
@@ -371,9 +335,7 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Bou
     items.append(
         CheckItem(
             "tilde-quadratic",
-            first is None,
             first,
-            (),
             f"ac1_{{n+1}}, bc1_{{n+1}} < 3 C_n^2 at the {len(applied)} indices with a_{{n+1}} < C_n",
         )
     )
@@ -521,6 +483,22 @@ class CertifiedPowers:
         return certify(f"comparison of root^{e} with an integer", attempt)
 
 
+def lt_power(a: int, c: int, d: int) -> bool:
+    """a < c**d, exactly, for d >= 0.
+
+    For a >= 0 and c >= 1, 2^(d (bits(c) - 1)) <= c**d <= 2^(d bits(c)), so
+    the bit length of a decides unless it falls between those exponents;
+    only then, or for other signs, is c**d formed.
+    """
+    if a >= 0 and c >= 1:
+        a_bits, c_bits = a.bit_length(), c.bit_length()
+        if a_bits <= d * (c_bits - 1):
+            return True
+        if a_bits > d * c_bits:
+            return False
+    return a < c**d
+
+
 @functools.lru_cache(maxsize=64)
 def _k_enclosure(d: int, m: int, prec: int) -> RationalInterval:
     if d < 1 or m < 1:
@@ -621,10 +599,9 @@ def growth_check(
         items.append(
             CheckItem(
                 "psi-lower",
-                first is None,
                 first,
-                tuple(boundary),
                 "C_n > psi^(n-2) (boundary equality possible only at n = 2)",
+                tuple(boundary),
             )
         )
 
@@ -647,14 +624,14 @@ def growth_check(
                 first = n
                 break
         items.append(
-            CheckItem("eta-upper", first is None, first, (), f"C_n <= eta({M})^n")
+            CheckItem("eta-upper", first, f"C_n <= eta({M})^n")
         )
 
     if d is not None:
         if d < 1:
             raise InputError("d must be >= 1")
         for n in range(1, n_max):
-            if not pq.seqs[0][n + 1] < rows[n].C**d:
+            if not lt_power(pq.seqs[0][n + 1], rows[n].C, d):
                 raise HypothesisViolated(
                     f"a_{n + 1}^(1) = {pq.seqs[0][n + 1]} >= C_{n}^{d}", n + 1
                 )
@@ -667,9 +644,7 @@ def growth_check(
         items.append(
             CheckItem(
                 "loglog",
-                first is None,
                 first,
-                (),
                 f"log log C_(n+1) < K({d}, {pq.m}) n for 1 <= n <= {n_max - 1}",
             )
         )

@@ -197,10 +197,6 @@ def check_admissible(pq: PartialQuotients) -> AdmissibilityReport:
     return AdmissibilityReport(m=m, violations=violations)
 
 
-def is_admissible(pq: PartialQuotients) -> bool:
-    return check_admissible(pq).ok
-
-
 # ---------------------------------------------------------------------------
 # The matrix-form loop
 # ---------------------------------------------------------------------------

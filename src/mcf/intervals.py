@@ -14,8 +14,6 @@ from mpmath import iv
 
 from .errors import DivisionByZero
 
-Rat = Fraction
-
 
 def as_fraction(x) -> Fraction:
     """Coerce int/Fraction/decimal-string/'p/q'-string to an exact Fraction."""

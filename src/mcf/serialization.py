@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .convergents import BoundReport, GrowthReport, ProximityReport
+from .convergents import BoundReport, GrowthReport
 from .engine import AdmissibilityReport, ExpansionRecord, PartialQuotients
 from .errors import InputError, NonTerminating, unlimited_int_digits
 from .exact_reals import (
@@ -171,11 +171,7 @@ def expansion_jsonl(record: ExpansionRecord, trace: bool = False) -> list[str]:
 
 def _trace_value(rv: RealValue) -> dict:
     if isinstance(rv, RationalValue):
-        return {
-            "kind": "rational",
-            "num": int_str(rv.value.numerator),
-            "den": int_str(rv.value.denominator),
-        }
+        return real_to_json(rv)
     if isinstance(rv, AlgebraicValue):
         iv = rv.element.interval(Fraction(1, 10**30))
         return {"kind": "interval", "lo": frac_str(iv.lo), "hi": frac_str(iv.hi)}
@@ -266,18 +262,6 @@ def growth_report_to_json(report: GrowthReport) -> dict:
         "ok": report.ok,
         "items": _check_items_json(report.items),
         "constants": constants,
-    }
-
-
-def proximity_report_to_json(report: ProximityReport) -> dict:
-    return {
-        "n": report.n,
-        "prefix_bound": frac_str(report.prefix_bound),
-        "triangle_bound": frac_str(report.triangle_bound),
-        "tighter": report.tighter,
-        "prefix_certified": list(report.prefix_certified),
-        "triangle_certified": list(report.triangle_certified),
-        "ok": report.ok,
     }
 
 

@@ -31,10 +31,19 @@ from typing import Callable, Sequence
 from mpmath import iv as _iv
 from mpmath import mp, mpf, nstr
 
-from .convergents import ConvergentState, conv_stream, eta_field, psi_field, tildes
+from .convergents import (
+    CheckItem,
+    ConvergentState,
+    conv_stream,
+    eta_field,
+    lt_power,
+    psi_field,
+    scan_inputs,
+    tildes,
+)
 from .engine import PartialQuotients, check_admissible
 from .errors import AdmissibilityConflict, AdmissibilityError, InputError, ScheduleOverlap
-from .exact_reals import abs_diff_pow_lt, as_real, certify
+from .exact_reals import abs_diff_pow_lt, certify
 from .intervals import RationalInterval, as_fraction, iv_enclosure
 
 
@@ -76,14 +85,6 @@ def seq_rule(values: Sequence[int], then: int | None = None) -> Rule:
 
 
 @dataclass(frozen=True)
-class HypothesisCheck:
-    name: str
-    ok: bool
-    first_violation: int | None
-    detail: str
-
-
-@dataclass(frozen=True)
 class CriterionReport:
     """Finite-depth evidence for a criterion's hypotheses.
 
@@ -93,7 +94,7 @@ class CriterionReport:
 
     criterion: str
     depth: int
-    hypotheses: tuple[HypothesisCheck, ...]
+    hypotheses: tuple[CheckItem, ...]
     witnesses: tuple[int, ...] = ()
     data: dict = field(default_factory=dict)
 
@@ -105,8 +106,7 @@ class CriterionReport:
     def verdict(self) -> str:
         for h in self.hypotheses:
             if not h.ok:
-                where = h.first_violation if h.first_violation is not None else -1
-                return f"violated-at({where})"
+                return f"violated-at({h.first_violation})"
         return "hypotheses-hold-to-depth"
 
 
@@ -237,9 +237,8 @@ def verify_liouville(pq: PartialQuotients, delta, upto: int | None = None) -> Cr
             first = n
             break
     checks = (
-        HypothesisCheck(
+        CheckItem(
             "head-dominates-tilde",
-            first is None,
             first,
             f"a_n^(1) > max_i |tilde_i(n)| C_(n-1)^{delta} for 1 <= n <= {n_max}",
         ),
@@ -267,10 +266,7 @@ def roth_scan(x, pq: PartialQuotients, epsilon, upto: int, coords=None) -> list[
         )
     if epsilon < 0:
         raise InputError("epsilon must be positive")
-    values = [as_real(v) for v in (x if isinstance(x, (list, tuple)) else [x])]
-    if len(values) != pq.m:
-        raise InputError(f"need {pq.m} coordinate values")
-    which = list(range(pq.m)) if coords is None else [c - 1 for c in coords]
+    values, which = scan_inputs(x, pq, upto, coords)
     p, q = epsilon.numerator, epsilon.denominator
     rows = list(conv_stream(pq, upto))
     hits = []
@@ -369,9 +365,8 @@ def verify_quasiperiodic(pq: PartialQuotients, schedule) -> CriterionReport:
         if first is not None:
             break
     checks = (
-        HypothesisCheck(
+        CheckItem(
             "repetition-law",
-            first is None,
             first,
             f"a_(i+r_k) = a_i over scheduled ranges ({checked} positions checked)",
         ),
@@ -423,17 +418,18 @@ def main1_check(spec: QuasiPeriodicSpec, d: int, c, depth: int) -> CriterionRepo
     """
     if spec.m != 2:
         raise InputError("this criterion is specific to m = 2")
+    if d < 1:
+        raise InputError("d must be >= 1")
     c = as_fraction(c)
     pq = build_quasiperiodic(spec, depth + 1)
     rows = list(conv_stream(pq, depth))
     first = None
     for i in range(1, depth):
-        if not pq.seqs[0][i + 1] < rows[i].C**d:
+        if not lt_power(pq.seqs[0][i + 1], rows[i].C, d):
             first = i + 1
             break
-    h1 = HypothesisCheck(
+    h1 = CheckItem(
         "head-below-denominator-power",
-        first is None,
         first,
         f"a_(i+1) < C_i^{d} for 1 <= i <= {depth - 1}",
     )
@@ -442,9 +438,8 @@ def main1_check(spec: QuasiPeriodicSpec, d: int, c, depth: int) -> CriterionRepo
         if not Fraction(r_k) < c * n_k:
             first_r = idx
             break
-    h2 = HypothesisCheck(
+    h2 = CheckItem(
         "window-length-linear",
-        first_r is None,
         first_r,
         f"r_k < {c} n_k for every scheduled window (index = schedule position)",
     )
@@ -533,17 +528,14 @@ def main2_check(
         if pq.seqs[0][n] > M or pq.seqs[1][n] > M:
             first = n
             break
-    h1 = HypothesisCheck(
-        "quotients-bounded", first is None, first, f"a_k, b_k <= {M} for 0 <= k <= {depth}"
-    )
+    h1 = CheckItem("quotients-bounded", first, f"a_k, b_k <= {M} for 0 <= k <= {depth}")
     first_r = None
     for idx, (_, r_k, _) in enumerate(spec.schedule):
         if r_k > r_bound:
             first_r = idx
             break
-    h2 = HypothesisCheck(
+    h2 = CheckItem(
         "window-length-bounded",
-        first_r is None,
         first_r,
         f"r_k <= {r_bound} (index = schedule position)",
     )

@@ -30,11 +30,12 @@ from mcf import (
 )
 from mcf.convergents import (
     approx_witnesses,
-    aux_stream,
+    column_table,
     conv_stream,
     growth_check,
+    lag_product,
     limit_values,
-    tilde_stream,
+    tildes,
 )
 from mcf.engine import PartialQuotients, check_admissible
 from mcf.periodic import cubic_coeffs, unroll, x_matrix
@@ -85,20 +86,25 @@ def test_criterion_2_aux_suite():
     total = 0
     while total < 500:
         pq = random_admissible_m2(rng, 64)
-        rows = list(conv_stream(pq))
-        aux = list(aux_stream(pq))  # definitional lag products; the recursion is checked below
+        cols, off = column_table(pq)
+        # definitional lag products, checked against the three-term recursion
+        #   ac1_n = -b_n ac1_(n-1) - a_(n-1) ac1_(n-2) + ac1_(n-3)
+        # from ac1 = 0, 0, -1 and bc1 = 1, 0, 0 at n = -2, -1, 0
         hist_ac = [0, 0]  # values at n-2, n-1 relative to the next row
         hist_bc = [1, 0]
-        for r, row in zip(aux, rows):
-            assert abs(r.ac1) <= row.C and abs(r.bc1) <= row.C
-            assert abs(r.ac2) <= row.C and abs(r.bc2) <= row.C
-            if r.n >= 1:
-                b_n = pq.seqs[1][r.n]
-                a_prev = pq.seqs[0][r.n - 1]
-                assert r.ac1 == -b_n * hist_ac[-1] - a_prev * hist_ac[-2] + hist_ac[-3]
-                assert r.bc1 == -b_n * hist_bc[-1] - a_prev * hist_bc[-2] + hist_bc[-3]
-            hist_ac.append(r.ac1)
-            hist_bc.append(r.bc1)
+        for k in range(off, len(cols)):
+            n, C = cols[k].n, cols[k].C
+            ac1, bc1 = tildes(cols[k], cols[k - 1])
+            ac2, bc2 = (lag_product(cols[k], cols[k - 2], i, 2) for i in range(2))
+            assert abs(ac1) <= C and abs(bc1) <= C
+            assert abs(ac2) <= C and abs(bc2) <= C
+            if n >= 1:
+                b_n = pq.seqs[1][n]
+                a_prev = pq.seqs[0][n - 1]
+                assert ac1 == -b_n * hist_ac[-1] - a_prev * hist_ac[-2] + hist_ac[-3]
+                assert bc1 == -b_n * hist_bc[-1] - a_prev * hist_bc[-2] + hist_bc[-3]
+            hist_ac.append(ac1)
+            hist_bc.append(bc1)
             total += 1
 
 
@@ -199,7 +205,6 @@ def test_criterion_8_liouville_closed_loop():
 
     xs = limit_values(pq14)
     rows = list(conv_stream(pq14))
-    tildes = dict(tilde_stream(pq14))
     found_total = 0
     for coord in (1, 2):
         wit = approx_witnesses(xs, pq14, 10, coords=[coord])
@@ -207,7 +212,7 @@ def test_criterion_8_liouville_closed_loop():
         found_total += len(wit)
         hits = roth_scan(xs, pq14, delta, 10, coords=[coord])
         for n in wit:
-            t = abs(tildes[n + 1][coord - 1])
+            t = abs(tildes(rows[n + 1], rows[n])[coord - 1])
             # middle-to-right link of the chain, exact integers (delta = 1)
             assert t * rows[n].C ** 2 < rows[n + 1].C
             # left-to-right composition certified by the scan

@@ -16,7 +16,7 @@ from mpmath import mp
 from helpers import int_digit_cap
 
 from mcf.cli import build_parser, run
-from mcf.convergents import k_interval
+from mcf.convergents import conv_stream, k_interval
 from mcf.serialization import pq_from_json, pq_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -210,37 +210,16 @@ def test_construct_quasiperiodic_and_checks(files):
     assert json.loads(out)["data"]["proxy_exceeds_B"] == "true"
 
 
-def test_bench_growth_header_only(files):
-    pq = files("pq.json", {"m": 2, "seqs": [["1", "1"], ["0", "0"]]})
-    code, out, _ = invoke(["bench", "growth", "--pq", pq, "--depth", "0"])
-    assert code == 0
-    assert out == "n,C_bits,seconds\n"
-
-
-def test_bench_growth_liouville_geometric(files, tmp_path):
+def test_liouville_denominator_bits_grow_geometrically():
     code, out, _ = invoke([
         "construct", "liouville", "--m", "2", "--delta", "1",
         "--b-rule", "const:0", "--depth", "12",
     ])
-    pq_path = tmp_path / "li.json"
-    pq_path.write_text(out)
-    code, out, _ = invoke(["bench", "growth", "--pq", str(pq_path), "--depth", "13"])
     assert code == 0
-    bits = [int(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+    bits = [row.C.bit_length() for row in conv_stream(pq_from_json(json.loads(out)))]
+    assert len(bits) == 13
     for i in range(5, len(bits) - 1):
         assert bits[i + 1] >= 2 * bits[i]  # at least geometric growth
-
-
-def test_bench_growth_constant_quotients_rate(files):
-    # bit length of C_n grows like n log2(psi) for the minimal sequence
-    from mcf.convergents import conv_stream
-    from mcf.engine import PartialQuotients
-
-    n = 400
-    pq = PartialQuotients.from_lists([0] + [1] * n, [0] + [0] * n)
-    rows = list(conv_stream(pq))
-    predicted = n * 0.551574  # log2 of the real root of x^3 - x^2 - 1
-    assert abs(rows[n].C.bit_length() - predicted) <= 0.1 * predicted
 
 
 def test_input_error_exit_codes(files):
@@ -344,6 +323,29 @@ def test_verify_growth_deep_tie_tightens_k(files):
     assert json.loads(out)["items"][1]["ok"] == below
 
 
+def test_huge_d_power_hypotheses_answer_without_forming_the_power():
+    # a_(n+1) < C_n^d with d = 10^6: C_n^d has millions of bits, yet every
+    # C_n >= 2 for n >= 1 and every a_n < 2^d, so the hypothesis holds exactly
+    pq_path, sched = str(GOLDEN / "pq_m2.json"), str(GOLDEN / "schedule_m2.json")
+    pq = pq_from_json(json.loads(Path(pq_path).read_text()))
+    assert all(row.C >= 2 for row in conv_stream(pq) if row.n >= 1)
+    assert max(pq.seqs[0]) < 2**1_000_000
+    for argv, hypothesis in (
+        (["verify", "growth", "--pq", pq_path, "--d", "1000000"], None),
+        (["verify", "main1", "--schedule", sched, "--base", pq_path, "--d", "1000000",
+          "--c", "1", "--depth", "30"], "head-below-denominator-power"),
+    ):
+        start = time.perf_counter()
+        code, out, _ = invoke(argv)
+        assert time.perf_counter() - start < 5
+        doc = json.loads(out)
+        assert code == 0 and doc["ok"]
+        if hypothesis:
+            assert doc["hypotheses"][0] == {
+                "detail": "a_(i+1) < C_i^1000000 for 1 <= i <= 29",
+                "first_violation": None, "name": hypothesis, "ok": True}
+
+
 def test_budget_errors_name_query_and_levels(files):
     pq, _ = _deep_tie_pq(files)
     code, out, err = invoke(["verify", "growth", "--pq", pq, "--d", "1000"],
@@ -389,8 +391,6 @@ def test_output_determinism_across_runs_and_budgets(files):
     ("verify_liouville", ["verify", "liouville"]),
     ("verify_main1", ["verify", "main1"]),
     ("verify_main2", ["verify", "main2"]),
-    ("bench", ["bench"]),
-    ("bench_growth", ["bench", "growth"]),
 ])
 def test_help_golden(name, argv):
     buf = io.StringIO()

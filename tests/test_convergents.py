@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_admissible, random_admissible_m2
 from references import det_int, factor_matrix, matrix_products
@@ -17,21 +19,23 @@ from mcf import (
     RationalInterval,
     expand,
 )
+from mcf.cli import AUX_M2
 from mcf.convergents import (
     CertifiedPowers,
     ConvergentLimitOracle,
     ConvergentState,
     approx_witnesses,
-    aux_stream,
     bound_checks,
+    column_table,
     conv_stream,
     eta_field,
     growth_check,
     k_interval,
+    lag_product,
     limit_values,
+    lt_power,
     proximity_check,
     psi_field,
-    tilde_stream,
     tildes,
 )
 from mcf.engine import PartialQuotients
@@ -99,27 +103,39 @@ def test_matrix_columns_equal_stream_and_unit_determinant():
 
 def test_aux_stream_examples_and_bounds():
     pq = PartialQuotients.from_lists([1, 1, 1], [0, 0, 1])
-    aux = list(aux_stream(pq))
-    assert aux[0].ac1 == -1 and aux[0].bc1 == 0
-    assert aux[1].ac1 == 0  # A_1 C_0 - C_1 A_0 = 1 - 1
+    cols, off = column_table(pq)
+    assert tildes(cols[off], cols[off - 1]) == (-1, 0)  # (ac1, bc1) at n = 0
+    assert lag_product(cols[off + 1], cols[off], 0, 2) == 0  # A_1 C_0 - C_1 A_0 = 1 - 1
 
     rng = random.Random(8)
     total = 0
     while total < 500:
         pq = random_admissible_m2(rng, 60)
-        rows = list(conv_stream(pq))
-        for row_aux, row in zip(aux_stream(pq), rows):
-            for value in (row_aux.ac1, row_aux.bc1, row_aux.ac2, row_aux.bc2):
-                assert abs(value) <= row.C
+        cols, off = column_table(pq)
+        for k in range(off, len(cols)):
+            for i in range(2):
+                for lag in (1, 2):  # ac1, bc1, ac2, bc2
+                    assert abs(lag_product(cols[k], cols[k - lag], i, 2)) <= cols[k].C
             total += 1
 
 
 def test_tilde_stream_matches_aux_for_m2():
+    # tildes and the m = 2 table of the convergents command against the
+    # lag products written out, negative-index columns included
     rng = random.Random(10)
     pq = random_admissible_m2(rng, 30)
-    aux = {r.n: r for r in aux_stream(pq)}
-    for n, tl in tilde_stream(pq):
-        assert tl == (aux[n].ac1, aux[n].bc1)
+    cols, off = column_table(pq)
+    for k in range(off, len(cols)):
+        (A, B), C = cols[k].A, cols[k].C
+        expected = {}
+        for lag in (1, 2):
+            (A_, B_), C_ = cols[k - lag].A, cols[k - lag].C
+            expected[f"ac{lag}"] = A * C_ - A_ * C
+            expected[f"bc{lag}"] = B * C_ - B_ * C
+            expected[f"ab{lag}"] = A * B_ - A_ * B
+        table = {name: lag_product(cols[k], cols[k - lag], i, j) for name, i, j, lag in AUX_M2}
+        assert table == expected
+        assert tildes(cols[k], cols[k - 1]) == (expected["ac1"], expected["bc1"])
 
 
 def test_tilde_next_is_head_independent():
@@ -138,6 +154,17 @@ def test_tilde_next_is_head_independent():
                 products.append(tildes(probe.step((head,) + tail), prev))
             assert products[0] == products[1] == products[2]
             state.step(tuple(pq.seqs[j][n] for j in range(m)))
+
+
+def test_constant_quotients_denominator_growth_rate():
+    # bit length of C_n grows like n log2(psi) for the minimal sequence
+    n = 400
+    pq = PartialQuotients.from_lists([0] + [1] * n, [0] + [0] * n)
+    rows = list(conv_stream(pq))
+    predicted = n * 0.551574  # log2 of the real root of x^3 - x^2 - 1
+    assert abs(rows[n].C.bit_length() - predicted) <= 0.1 * predicted
+
+
 
 
 def test_limit_oracle_contains_algebraic_value():
@@ -286,6 +313,31 @@ def test_growth_check_eta_and_hypothesis():
         assert all(item.ok for item in report.items)
     with pytest.raises(HypothesisViolated):
         growth_check(PartialQuotients.from_lists([0, 3, 1], [0, 0, 0]), M=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(1 << 40), 1 << 80), st.integers(-3, 1 << 16), st.integers(0, 6),
+       st.integers(-2, 2))
+def test_lt_power_matches_exact_comparison(a, c, d, nudge):
+    assert lt_power(a, c, d) == (a < c**d)
+    near = c**d + nudge  # ties and their neighbours, where bit lengths cannot decide
+    assert lt_power(near, c, d) == (near < c**d)
+
+
+def test_lt_power_edge_cases():
+    cases = [
+        (0, 1, 9), (1, 1, 9), (2, 1, 9), (-5, 1, 3),  # c = 1: c**d = 1
+        (0, 7, 0), (1, 7, 0), (-1, 7, 0),  # d = 0
+        (-1, 2, 5), (-(1 << 100), 3, 2),  # negative a
+        (7, 2, 3), (8, 2, 3), (9, 2, 3),  # c a power of two, ties on both bounds
+        ((1 << 60) - 1, 1 << 20, 3), (1 << 60, 1 << 20, 3), (3**40 - 1, 3, 40), (3**40, 3, 40),
+        (5, 0, 2), (-5, -3, 3), (-27, -3, 3), (-28, -3, 3),  # other signs: exact
+    ]
+    for a, c, d in cases:
+        assert lt_power(a, c, d) == (a < c**d), (a, c, d)
+    # decided by bit lengths alone: 3**(10**9) is never formed
+    assert lt_power(10**100, 3, 10**9)
+    assert not lt_power(1 << 4_000_000, 3, 10**6)
 
 
 def test_growth_check_loglog():

@@ -8,7 +8,7 @@ import pytest
 from helpers import random_admissible, random_admissible_m2
 
 from mcf import AlgebraicValue, Interruption, NumberField, RationalInterval, expand
-from mcf.engine import PartialQuotients, check_admissible, is_admissible, jacobi_step
+from mcf.engine import PartialQuotients, check_admissible, jacobi_step
 from mcf.exact_reals import DecimalOracle, OracleValue, RationalValue
 
 
@@ -168,7 +168,7 @@ def test_interrupted_record_tie_does_not_leak_across_regimes():
 
 def test_check_admissible_examples():
     ok = PartialQuotients.from_lists([3, 2, 2, 2, 2], [1, 1, 1, 1, 1])
-    assert is_admissible(ok)
+    assert check_admissible(ok).ok
 
     # tie at index 5 must force b_6 >= 1
     bad = PartialQuotients.from_lists([1, 2, 3, 2, 2, 2, 2], [0, 1, 1, 1, 2, 2, 0])
@@ -193,7 +193,7 @@ def test_check_admissible_examples():
 
 
 def test_check_admissible_m1():
-    assert is_admissible(PartialQuotients.from_lists([0, 2, 1, 9]))
+    assert check_admissible(PartialQuotients.from_lists([0, 2, 1, 9])).ok
     report = check_admissible(PartialQuotients.from_lists([3, 0, 2]))
     assert not report.ok and report.violations[0].index == 1
 
@@ -202,10 +202,10 @@ def test_random_generators_produce_admissible():
     rng = random.Random(13)
     for _ in range(50):
         pq = random_admissible_m2(rng, 40)
-        assert is_admissible(pq)
+        assert check_admissible(pq).ok
     for m in (3, 4):
         for _ in range(20):
-            assert is_admissible(random_admissible(rng, m, 30))
+            assert check_admissible(random_admissible(rng, m, 30)).ok
 
 
 def test_traced_complete_quotients_exceed_one():
@@ -232,4 +232,4 @@ def test_mixed_rational_algebraic_inputs():
     # beta_0 = 1/2 -> b_0 = 0, alpha_1 = 2, beta_1 = 2 theta - 2
     assert rec.pq.seqs[0][0] == 1
     assert rec.pq.seqs[1][0] == 0
-    assert is_admissible(rec.pq)
+    assert check_admissible(rec.pq).ok

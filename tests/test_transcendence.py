@@ -15,7 +15,7 @@ from mcf import (
     construct_liouville,
     verify_liouville,
 )
-from mcf.convergents import approx_witnesses, conv_stream, limit_values, tilde_stream
+from mcf.convergents import approx_witnesses, column_table, limit_values, tildes
 from mcf.engine import PartialQuotients, check_admissible
 from mcf.transcendence import (
     QuasiPeriodicSpec,
@@ -50,11 +50,10 @@ def test_construct_liouville_m3():
     assert check_admissible(pq).ok
     assert verify_liouville(pq, Fraction(1), upto=12).ok
     # re-evaluate the inequality from the emitted quotients directly
-    rows = list(conv_stream(pq))
-    tildes = dict(tilde_stream(pq))
+    cols, off = column_table(pq)
     for n in range(1, 13):
-        t = max(abs(v) for v in tildes[n])
-        assert pq.seqs[0][n] > t * rows[n - 1].C
+        t = max(abs(v) for v in tildes(cols[off + n], cols[off + n - 1]))
+        assert pq.seqs[0][n] > t * cols[off + n - 1].C
 
 
 def test_construct_liouville_rational_delta():
@@ -90,6 +89,21 @@ def test_roth_scan_epsilon_validation():
         roth_scan([Fraction(1, 2), Fraction(1, 3)], pq, 0, 1)
     with pytest.raises(InputError):
         roth_scan([Fraction(1, 2), Fraction(1, 3)], pq, Fraction(-1, 2), 1)
+
+
+@pytest.mark.parametrize("coords,upto", [([0], 5), ([3], 5), (None, 12)],
+                         ids=["coordinate-0", "coordinate-past-m", "past-the-pq"])
+def test_scans_reject_bad_coordinates_and_ranges(coords, upto):
+    from mcf import AlgebraicValue, NumberField, RationalInterval, expand
+
+    theta = NumberField([-2, 0, 0, 1], RationalInterval(1, 2)).gen()
+    pair = [AlgebraicValue(theta), AlgebraicValue(theta * theta)]
+    pq = expand(pair, 12).pq
+    assert pq.rect_len == 12
+    with pytest.raises(InputError):
+        roth_scan(pair, pq, Fraction(1), upto, coords=coords)
+    with pytest.raises(InputError):
+        approx_witnesses(pair, pq, upto, coords=coords)
 
 
 def test_roth_scan_algebraic_regression():
