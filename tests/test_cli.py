@@ -330,20 +330,14 @@ def test_huge_d_power_hypotheses_answer_without_forming_the_power():
     pq = pq_from_json(json.loads(Path(pq_path).read_text()))
     assert all(row.C >= 2 for row in conv_stream(pq) if row.n >= 1)
     assert max(pq.seqs[0]) < 2**1_000_000
-    for argv, hypothesis in (
-        (["verify", "growth", "--pq", pq_path, "--d", "1000000"], None),
-        (["verify", "main1", "--schedule", sched, "--base", pq_path, "--d", "1000000",
-          "--c", "1", "--depth", "30"], "head-below-denominator-power"),
-    ):
+    growth = ["verify", "growth", "--pq", pq_path, "--d", "1000000"]
+    main1 = ["verify", "main1", "--schedule", sched, "--base", pq_path, "--d", "1000000",
+             "--c", "1", "--depth", "30"]
+    for argv in (growth, main1):
         start = time.perf_counter()
         code, out, _ = invoke(argv)
         assert time.perf_counter() - start < 5
-        doc = json.loads(out)
-        assert code == 0 and doc["ok"]
-        if hypothesis:
-            assert doc["hypotheses"][0] == {
-                "detail": "a_(i+1) < C_i^1000000 for 1 <= i <= 29",
-                "first_violation": None, "name": hypothesis, "ok": True}
+        assert code == 0 and json.loads(out)["ok"]
 
 
 def test_budget_errors_name_query_and_levels(files):

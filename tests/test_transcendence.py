@@ -219,6 +219,12 @@ def test_main1_check_ratio_trend_and_violations():
     assert not report3.ok
     assert report3.hypotheses[0].name == "head-below-denominator-power"
     assert report3.hypotheses[0].first_violation == 3
+    assert report3.verdict == "violated-at(3)"
+
+    # d < 1 is rejected as in growth_check (a negative d used to compare against a float)
+    for d in (0, -1):
+        with pytest.raises(InputError):
+            main1_check(spec3, d=d, c=Fraction(2), depth=8)
 
 
 def test_main2_constant_variants():
