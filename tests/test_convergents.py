@@ -165,8 +165,6 @@ def test_constant_quotients_denominator_growth_rate():
     assert abs(rows[n].C.bit_length() - predicted) <= 0.1 * predicted
 
 
-
-
 def test_limit_oracle_contains_algebraic_value():
     alpha, beta = cbrt2_pair()
     rec = expand([alpha, beta], 14)
