@@ -26,6 +26,7 @@ CASES = [
     ("convergents_m3_csv", ["convergents", "--pq", PQ3, "--depth", "29", "--emit", "csv"]),
     ("convergents_m3_jsonl", ["convergents", "--pq", PQ3, "--depth", "29", "--emit", "jsonl"]),
     ("verify_bounds_m2", ["verify", "bounds", "--pq", PQ2]),
+    ("verify_bounds_m2_box", ["verify", "bounds", "--pq", PQ2, "--box", "0,0"]),
     ("periodic_solve_pure", ["periodic", "solve", "--per-a", "2", "--per-b", "1", "--json"]),
     ("periodic_solve_pre", ["periodic", "solve", "--pre-a", "0", "2", "--pre-b", "0", "1",
                             "--per-a", "3", "1", "2", "--per-b", "1", "0", "2", "--json"]),
@@ -39,6 +40,7 @@ CASES = [
     ("verify_liouville_m3", ["verify", "liouville", "--delta", "1",
                              "--pq", str(GOLDEN / "out_construct_liouville_m3.txt")]),
     ("verify_growth_m2", ["verify", "growth", "--pq", PQ2, "--M", "7", "--d", "2"]),
+    ("verify_growth_m3_loglog", ["verify", "growth", "--pq", PQ3, "--d", "1"]),
     ("verify_main1_m2", ["verify", "main1", "--schedule", SCHEDULE, "--base", PQ2,
                          "--d", "2", "--c", "1", "--depth", "30"]),
     ("verify_main2_m2", ["verify", "main2", "--schedule", SCHEDULE, "--base", PQ2,
