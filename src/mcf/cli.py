@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import serialization as ser
-from .convergents import bound_checks, column_table, growth_check, lag_product
+from .convergents import bound_checks, growth_check, lag_stream
 from .engine import check_admissible, expand
 from .errors import HypothesisViolated, InputError, MCFError, NonTerminating, unlimited_int_digits
 from .periodic import PeriodicSpec, solve_periodic
@@ -99,13 +99,11 @@ def _cmd_convergents(args) -> int:
     if args.depth < 0:
         raise InputError("--depth must be >= 0")
     pq = ser.pq_from_json(_load_json(args.pq))
-    cols, off = column_table(pq, args.depth)
     aux = AUX_M2 if pq.m == 2 else ()
     if args.emit == "csv":
         _print(",".join(["n", *(f"A{i + 1}" for i in range(pq.m)), "C", *(row[0] for row in aux)]))
-    for k in range(off, len(cols)):
-        col = cols[k]
-        values = [ser.int_str(lag_product(col, cols[k - lag], i, j)) for _, i, j, lag in aux]
+    for col, lags in lag_stream(pq, {(i, j) for _, i, j, _ in aux}, args.depth):
+        values = [ser.int_str(lags[i, j][lag - 1]) for _, i, j, lag in aux]
         if args.emit == "csv":
             _print(",".join([str(col.n), *map(ser.int_str, col.A), ser.int_str(col.C), *values]))
         else:

@@ -26,6 +26,7 @@ bounded by C_n in absolute value.
 from __future__ import annotations
 
 import functools
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,10 +141,54 @@ def lag_product(u: Column, v: Column, i: int, j: int) -> int:
     return x[i] * y[j] - y[i] * x[j]
 
 
-def tildes(cur: Column, prev: Column) -> tuple[int, ...]:
-    """Lag-1 products A^(i) C' - A'^(i) C, i = 1..m, of a column and its predecessor."""
-    m = len(cur.A)
-    return tuple(lag_product(cur, prev, i, m) for i in range(m))
+class LagProducts:
+    """Rolling lag products L_l(n) = lag_product(col_n, col_(n-l), i, j), l = 1..m, of
+    chosen coordinate pairs (i, j): the 2x2 minors of W_n = [col_n | ... | col_(n-m)].
+
+    W_(n+1) = W_n S(a_(n+1)), where S has first column (a^(1), ..., a^(m), 1)
+    and shifts the rest, so by Cauchy-Binet each minor at n+1 combines minors
+    at n with coefficients 0, +-1 or one quotient (small x big products only):
+
+        L_q(n+1) = sum_(k<q) a^(k) L_(q-k)(n+1-k) - sum_(k>q) a^(k) L_(k-q)(n+1-q)
+                   - L_(m+1-q)(n+1-q).
+
+    W_(-1), of the negative-index columns, is the identity.  L_1(n+1) does not
+    involve a_(n+1)^(1) (peek_lag1).
+    """
+
+    __slots__ = ("m", "pairs", "_history")
+
+    def __init__(self, m: int, pairs):
+        self.m, self.pairs = m, tuple(pairs)
+        # _history[p][i, j][l - 1] is L_l(n - p) for p = 0..m-1, here at n = -1
+        self._history = deque(({(i, j): tuple(((i, j) == (p, p + l)) - ((j, i) == (p, p + l))
+                                              for l in range(1, m + 1)) for i, j in self.pairs}
+                               for p in range(m)), maxlen=m)
+
+    def _next(self, a, pair, q: int) -> int:
+        h, m = self._history, self.m
+        return (sum(a[k - 1] * h[k - 1][pair][q - k - 1] for k in range(1, q))
+                - sum(a[k - 1] * h[q - 1][pair][k - q - 1] for k in range(q + 1, m + 1))
+                - h[q - 1][pair][m - q])
+
+    def peek_lag1(self, tail) -> dict:
+        """L_1(n+1) of each pair from a_(n+1)^(2..m) alone, before a_(n+1)^(1) is chosen."""
+        return {pair: self._next((0, *tail), pair, 1) for pair in self.pairs}
+
+    def step(self, a) -> dict:
+        """(L_1, ..., L_m)(n+1) of each pair, from the quotients a_(n+1)^(1..m)."""
+        qs = range(1, self.m + 1)
+        lags = {pair: tuple(self._next(a, pair, q) for q in qs) for pair in self.pairs}
+        self._history.appendleft(lags)
+        return lags
+
+
+def lag_stream(pq: PartialQuotients, pairs, upto: int | None = None):
+    """Yield (Column, lags) for n = 0..upto (rectangular range only), where
+    lags[i, j][l - 1] is the lag-l product of coordinates (i, j) at n."""
+    lags = LagProducts(pq.m, pairs)
+    for col in conv_stream(pq, upto):
+        yield col, lags.step(tuple(pq.seqs[j][col.n] for j in range(pq.m)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +268,20 @@ def approx_witnesses(x, pq: PartialQuotients, upto: int, coords=None) -> list[in
     exhausts.
     """
     values, which = scan_inputs(x, pq, upto + 1, coords)
-    rows = list(conv_stream(pq, upto + 1))
-    witnesses = []
-    for n in range(upto + 1):
-        col, nxt = rows[n], rows[n + 1]
-        ok = True
+    stream = lag_stream(pq, [(i, pq.m) for i in which], upto + 1)
+    col, witnesses = next(stream)[0], []
+    for nxt, lags in stream:
+        n, ok = col.n, True
         for i in which:
             target = Fraction(col.A[i], col.C)
-            radius = Fraction(abs(lag_product(nxt, col, i, pq.m)), nxt.C * col.C)
+            radius = Fraction(abs(lags[i, pq.m][0]), nxt.C * col.C)
             what = f"witness test |x_{i + 1} - A_{n}/C_{n}| < |ac1_{n + 1}|/(C_{n + 1} C_{n})"
             if radius == 0 or not abs_diff_lt(values[i], target, radius, what):
                 ok = False
                 break
         if ok:
             witnesses.append(n)
+        col = nxt
     return witnesses
 
 
@@ -300,51 +345,32 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Bou
             )
         strict_upper_is_lemma = False
 
-    rows = list(conv_stream(pq, n_max))
-
-    items = []
-    first = None
+    first = first_quad = None
     boundary: list[int] = []
-    for row in rows:
+    applied, k_emp, C_prev = 0, 0, None
+    for row, lags in lag_stream(pq, ((0, 2), (1, 2)), n_max):
         A, B, C = row.A[0], row.A[1], row.C
-        lower_ok = nbox * C <= A and mbox * C <= B
-        upper_a, upper_b = (nbox + 1) * C, (mbox + 1) * C
-        if not lower_ok or A > upper_a or B > upper_b:
-            first = row.n
-            break
-        if not strict_upper_is_lemma and (A == upper_a or B == upper_b):
-            boundary.append(row.n)
+        if first is None:
+            upper_a, upper_b = (nbox + 1) * C, (mbox + 1) * C
+            if nbox * C > A or mbox * C > B or A > upper_a or B > upper_b:
+                first = row.n
+            elif not strict_upper_is_lemma and (A == upper_a or B == upper_b):
+                boundary.append(row.n)
+        # ac1_n, bc1_n < 3 C_(n-1)^2 where a_n < C_(n-1); bit lengths mostly decide
+        if row.n and first_quad is None and pq.seqs[0][row.n] < C_prev:
+            applied += 1
+            if not all(lt_power(v[0], C_prev, 2) or v[0] < 3 * C_prev**2 for v in lags.values()):
+                first_quad = row.n
+        k_emp = max(k_emp, -(-A // C), -(-B // C))  # ceil division
+        C_prev = C
     name = "num-le-den" if strict_upper_is_lemma else "box"
     detail = (
         "A_n, B_n <= C_n" if strict_upper_is_lemma
         else f"{nbox} C_n <= A_n <= {nbox + 1} C_n and {mbox} C_n <= B_n <= {mbox + 1} C_n"
     )
-    items.append(CheckItem(name, first, detail, tuple(boundary)))
-
-    first = None
-    applied = []
-    for n in range(n_max):
-        a_next = pq.seqs[0][n + 1]
-        C_n = rows[n].C
-        if a_next < C_n:
-            applied.append(n)
-            ac1, bc1 = tildes(rows[n + 1], rows[n])
-            if not (ac1 < 3 * C_n**2 and bc1 < 3 * C_n**2):
-                first = n + 1
-                break
-    items.append(
-        CheckItem(
-            "tilde-quadratic",
-            first,
-            f"ac1_{{n+1}}, bc1_{{n+1}} < 3 C_n^2 at the {len(applied)} indices with a_{{n+1}} < C_n",
-        )
-    )
-
-    k_emp = 0
-    for row in rows:
-        for i in range(2):
-            k_emp = max(k_emp, -(-row.A[i] // row.C))  # ceil division
-    return BoundReport(items=tuple(items), empirical_K=k_emp)
+    quad = f"ac1_{{n+1}}, bc1_{{n+1}} < 3 C_n^2 at the {applied} indices with a_{{n+1}} < C_n"
+    return BoundReport((CheckItem(name, first, detail, tuple(boundary)),
+                        CheckItem("tilde-quadratic", first_quad, quad)), k_emp)
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +465,10 @@ def eta_field(M: int) -> NumberField:
 class CertifiedPowers:
     """Outward-rounded enclosures of base^e for the real root of a field.
 
-    Multiplication chains are rounded outward to `bits` dyadic places each
-    step, so enclosures stay sound and endpoint sizes stay bounded; tighten()
-    doubles the working precision and rebuilds.
+    Enclosures are integer mantissas (lo, hi) over 2^s, s = bits + 16: each
+    chain step rounds lo * base_lo down and hi * base_hi up to s dyadic
+    places, so enclosures stay sound and endpoint sizes stay bounded, and no
+    gcd is taken.  tighten() doubles the working precision and rebuilds.
     """
 
     def __init__(self, field: NumberField, bits: int = 128):
@@ -450,21 +477,27 @@ class CertifiedPowers:
         self._rebuild()
 
     def _rebuild(self):
-        base = self._field.refine_root(Fraction(1, 1 << self._bits))
-        self._base = base.outward(self._bits + 16)
-        self._powers = [RationalInterval.point(1), self._base]
+        self._shift = s = self._bits + 16
+        base = self._field.refine_root(Fraction(1, 1 << self._bits)) * (1 << s)
+        self._chain = [(1 << s, 1 << s), (math.floor(base.lo), math.ceil(base.hi))]
 
     def tighten(self):
         self._bits *= 2
         self._rebuild()
 
+    def _mantissas(self, e: int) -> tuple[int, int]:
+        chain, s = self._chain, self._shift
+        b_lo, b_hi = chain[1]
+        while len(chain) <= e:
+            lo, hi = chain[-1]
+            chain.append((lo * b_lo >> s, -(-hi * b_hi >> s)))
+        return chain[e]
+
     def power(self, e: int) -> RationalInterval:
         if e < 0:
             raise InputError("only nonnegative exponents are tracked")
-        while len(self._powers) <= e:
-            nxt = (self._powers[-1] * self._base).outward(self._bits + 16)
-            self._powers.append(nxt)
-        return self._powers[e]
+        lo, hi = self._mantissas(e)
+        return RationalInterval(Fraction(lo, 1 << self._shift), Fraction(hi, 1 << self._shift))
 
     def cmp_int(self, e: int, value: int) -> int:
         """Certified comparison of base^e with an integer: -1, 0 (exact tie), +1."""
@@ -474,10 +507,11 @@ class CertifiedPowers:
         def attempt(level):
             if level:
                 self.tighten()
-            p = self.power(e)
-            if p.hi < value:
+            lo, hi = self._mantissas(e)
+            scaled = value << self._shift
+            if hi < scaled:
                 return -1
-            if p.lo > value:
+            if lo > scaled:
                 return 1
 
         return certify(f"comparison of root^{e} with an integer", attempt)
@@ -486,11 +520,13 @@ class CertifiedPowers:
 def lt_power(a: int, c: int, d: int) -> bool:
     """a < c**d, exactly, for d >= 0.
 
-    For a >= 0 and c >= 1, 2^(d (bits(c) - 1)) <= c**d <= 2^(d bits(c)), so
-    the bit length of a decides unless it falls between those exponents;
-    only then, or for other signs, is c**d formed.
+    For c >= 1, c**d >= 1 > a if a < 1, and 2^(d (bits(c) - 1)) <= c**d <= 2^(d bits(c)),
+    so the bit length of a decides unless it falls between those exponents;
+    only then, or for c < 1, is c**d formed.
     """
-    if a >= 0 and c >= 1:
+    if c >= 1:
+        if a < 1:
+            return True
         a_bits, c_bits = a.bit_length(), c.bit_length()
         if a_bits <= d * (c_bits - 1):
             return True
@@ -527,8 +563,18 @@ def loglog_interval(c: int, prec: int = 128) -> RationalInterval:
 
 
 def loglog_lt(c: int, d: int, m: int, n: int) -> bool:
-    """Certified strict comparison log log c < K(d, m) n for c = C_(n+1);
-    both sides are enclosed at 128 * 2^level bits, so a near tie resolves."""
+    """Certified strict comparison log log c < K(d, m) n for c = C_(n+1).
+
+    log log c < log bits(c) < bits(bits(c)), so bits(bits(c)) <= K n (K's first
+    enclosure) answers True at once.  At n = 1 it is c^d < (m+1)^((d+1)^2), equal
+    only if m+1 = t^d and c = t^((d+1)^2) (coprime exponents): tested exactly.
+    Else both sides are enclosed at 128 * 2^level bits, so a near tie resolves."""
+    k = _k_enclosure(d, m, 128).lo
+    if c >= 2 and c.bit_length().bit_length() * k.denominator <= k.numerator * n:
+        return True
+    if n == 1 and d < (m + 1).bit_length() and any(
+            t**d == m + 1 and c == t ** ((d + 1) ** 2) for t in range(2, m + 2)):
+        return False
 
     def attempt(level):
         lhs, rhs = loglog_interval(c, 128 << level), _k_enclosure(d, m, 128 << level) * n
@@ -581,18 +627,13 @@ def growth_check(
         first = None
         boundary = []
         for n in range(n_max + 1):
-            e = n - 2
-            C_n = rows[n].C
-            if e < 0:
-                ok = C_n >= 1  # psi^e < 1 <= C_n
-            elif e == 0:
-                if C_n == 1:
-                    boundary.append(n)
-                    ok = True
-                else:
-                    ok = C_n > 1
+            if n < 2:
+                ok = rows[n].C >= 1  # psi^(n-2) < 1 <= C_n
             else:
-                ok = psi.cmp_int(e, C_n) < 0
+                sign = psi.cmp_int(n - 2, rows[n].C)
+                if sign == 0:  # C_2 = 1 = psi^0
+                    boundary.append(n)
+                ok = sign <= 0
             if not ok:
                 first = n
                 break
@@ -615,12 +656,7 @@ def growth_check(
         constants["eta_enclosure"] = eta.power(1)
         first = None
         for n in range(n_max + 1):
-            C_n = rows[n].C
-            if n == 0:
-                ok = C_n == 1
-            else:
-                ok = eta.cmp_int(n, C_n) > 0
-            if not ok:
+            if eta.cmp_int(n, rows[n].C) < 0:
                 first = n
                 break
         items.append(

@@ -278,7 +278,7 @@ class _Image(SimplexOracle):
             return list(zip(*forms)) if min(forms[0]) > 0 else None
 
         return certify("separation of the quotient denominator from 0", attempt,
-                       budget_levels(level))
+                       budget_levels(level, budget=self._run.budget))
 
 
 class _Run:
@@ -291,6 +291,7 @@ class _Run:
 
     def __init__(self, values: list[RealValue]):
         self.kind, self.level, self.max_level = "rational", 0, None
+        self.budget = len(budget_levels())  # rounds per query, read once per run
         self._enclose, self._enc, self.field = None, (None, (0, [], [])), None
         algebraic = [v.element for v in values if isinstance(v, AlgebraicValue)]
         if any(isinstance(v, OracleValue) for v in values):
@@ -368,7 +369,7 @@ class _Run:
                 return None if k is None else (level, k, iv.width)
 
             self.level, k, width = certify(f"floor of x_{n}^({j})", attempt,
-                                           budget_levels(start, self.max_level))
+                                           budget_levels(start, self.max_level, self.budget))
             out.append((k, width))
         return out
 

@@ -49,9 +49,9 @@ def refinement_budget() -> int:
     return value
 
 
-def budget_levels(start: int = 0, cap: int | None = None) -> range:
-    """The levels a certified query tries: the budget counted from start, none past cap."""
-    stop = start + refinement_budget()
+def budget_levels(start: int = 0, cap: int | None = None, budget: int | None = None) -> range:
+    """The levels a query tries: budget (default: read now) rounds from start, none past cap."""
+    stop = start + (refinement_budget() if budget is None else budget)
     return range(start, stop if cap is None else min(stop, cap + 1))
 
 

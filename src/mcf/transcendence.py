@@ -34,12 +34,12 @@ from mpmath import mp, mpf, nstr
 from .convergents import (
     CheckItem,
     ConvergentState,
+    LagProducts,
     conv_stream,
     eta_field,
     lt_power,
     psi_field,
     scan_inputs,
-    tildes,
 )
 from .engine import PartialQuotients, check_admissible
 from .errors import AdmissibilityConflict, AdmissibilityError, InputError, ScheduleOverlap
@@ -173,38 +173,30 @@ class LiouvilleSpec:
 def construct_liouville(spec: LiouvilleSpec) -> PartialQuotients:
     """Build quotients for indices 0..depth satisfying the criterion strictly.
 
-    At each n >= 1 the lag products are those of the column stepped with
-    head 0: a_n^(1) adds a_n^(1) times column n-1 to column n, which cancels
-    in A_n C_{n-1} - A_{n-1} C_n.  The head quotient is then set just above
-    both the criterion threshold and the admissibility floor.
+    At each n >= 1 the lag-1 products do not involve the head: a_n^(1) adds
+    a_n^(1) times column n-1 to column n, which cancels in A_n C_{n-1} - A_{n-1} C_n,
+    so LagProducts.peek_lag1 gives them from the tail.  The head quotient is
+    then set just above both the criterion threshold and the admissibility floor.
     """
     m = spec.m
     seqs: list[list[int]] = [[] for _ in range(m)]
-    state = ConvergentState.initial(m)
-
-    tail0 = [rule(0) for rule in spec.tail_rules]
-    seqs[0].append(int(spec.head))
-    for j, v in enumerate(tail0):
-        seqs[j + 1].append(int(v))
-    state.step(tuple([spec.head] + tail0))
-
-    for n in range(1, spec.depth + 1):
+    state, lags = ConvergentState.initial(m), LagProducts(m, [(i, m) for i in range(m)])
+    for n in range(spec.depth + 1):
         tail = [int(rule(n)) for rule in spec.tail_rules]
-        if any(v < 0 for v in tail):
-            raise AdmissibilityConflict(
-                f"free entry a_{n}^(j) negative: {tail}", index=n
-            )
-        prev = state.window[0]
-        headless = ConvergentState(m, state.window, state.n).step(tuple([0] + tail))
-        t_max = max(abs(t) for t in tildes(headless, prev))
-        c_prev = prev.C
-        threshold = t_max * _ceil_rational_power(c_prev, spec.delta)
-        floor_adm = max([0] + tail)
-        head = max(threshold, floor_adm) + 1
-        seqs[0].append(head)
-        for j, v in enumerate(tail):
-            seqs[j + 1].append(v)
-        state.step(tuple([head] + tail))
+        if n == 0:
+            head = int(spec.head)
+        else:
+            if any(v < 0 for v in tail):
+                raise AdmissibilityConflict(f"free entry a_{n}^(j) negative: {tail}", index=n)
+            t_max = max(abs(t) for t in lags.peek_lag1(tail).values())
+            threshold = t_max * _ceil_rational_power(state.window[0].C, spec.delta)
+            head = max(threshold, max([0] + tail)) + 1
+        a = (head, *tail)
+        for j, v in enumerate(a):
+            seqs[j].append(v)
+        if n < spec.depth:  # the last column and its lag products feed nothing
+            state.step(a)
+            lags.step(a)
 
     pq = PartialQuotients(m, tuple(tuple(s) for s in seqs))
     report = check_admissible(pq)
@@ -227,15 +219,18 @@ def verify_liouville(pq: PartialQuotients, delta, upto: int | None = None) -> Cr
         raise InputError("delta must be positive")
     n_max = pq.rect_len - 1 if upto is None else min(upto, pq.rect_len - 1)
     p, q = delta.numerator, delta.denominator
-    rows = list(conv_stream(pq, n_max))
+    state, lags = ConvergentState.initial(pq.m), LagProducts(pq.m, [(i, pq.m) for i in range(pq.m)])
     first = None
-    for n in range(1, n_max + 1):
-        head = pq.seqs[0][n]
-        t_max = max(abs(t) for t in tildes(rows[n], rows[n - 1]))
-        c_prev = rows[n - 1].C
-        if not head**q > t_max**q * c_prev**p:
-            first = n
-            break
+    for n in range(n_max + 1):
+        a = tuple(pq.seqs[j][n] for j in range(pq.m))
+        if n >= 1:
+            t_max = max(abs(t) for t in lags.peek_lag1(a[1:]).values())
+            if not a[0]**q > t_max**q * state.window[0].C**p:
+                first = n
+                break
+        if n < n_max:  # column n_max and its lag products feed nothing
+            state.step(a)
+            lags.step(a)
     checks = (
         CheckItem(
             "head-dominates-tilde",

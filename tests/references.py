@@ -16,7 +16,11 @@ cubic coefficients by polynomial elimination, against the closed forms of
 `mcf.periodic.cubic_coeffs`.
 
 The convergent columns as columns of the product of the step matrices,
-against the recurrence of `mcf.convergents.conv_stream`.
+against the recurrence of `mcf.convergents.conv_stream`; the lag-1 products
+of two columns by definition, against the rolling `LagProducts`.
+
+The outward-rounded `Fraction` interval chain of base^e, against the integer
+mantissa chain of `mcf.convergents.CertifiedPowers`.
 """
 
 from __future__ import annotations
@@ -25,10 +29,11 @@ import math
 from fractions import Fraction
 
 from mcf import polynomials as pol
-from mcf.convergents import column_table
+from mcf.convergents import Column, column_table, lag_product
 from mcf.engine import PartialQuotients
 from mcf.errors import DegenerateCubic, InputError
-from mcf.exact_reals import AlgebraicValue, RationalValue, as_real
+from mcf.exact_reals import AlgebraicValue, NumberField, RationalValue, as_real
+from mcf.intervals import RationalInterval
 from mcf.periodic import PeriodicSpec, XMatrix, unroll, validate_spec
 
 
@@ -228,3 +233,32 @@ def det_int(mat) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def tildes(cur: Column, prev: Column) -> tuple[int, ...]:
+    """Lag-1 products A^(i) C' - A'^(i) C, i = 1..m, of a column and its predecessor."""
+    m = len(cur.A)
+    return tuple(lag_product(cur, prev, i, m) for i in range(m))
+
+
+class FractionPowers:
+    """base^e enclosures as a chain of `Fraction` intervals, each product
+    rounded outward to bits + 16 dyadic places (reduced by gcd every step)."""
+
+    def __init__(self, field: NumberField, bits: int = 128):
+        self._field, self._bits = field, bits
+        self._rebuild()
+
+    def _rebuild(self):
+        base = self._field.refine_root(Fraction(1, 1 << self._bits))
+        self._base = base.outward(self._bits + 16)
+        self._powers = [RationalInterval.point(1), self._base]
+
+    def tighten(self):
+        self._bits *= 2
+        self._rebuild()
+
+    def power(self, e: int) -> RationalInterval:
+        while len(self._powers) <= e:
+            self._powers.append((self._powers[-1] * self._base).outward(self._bits + 16))
+        return self._powers[e]

@@ -17,7 +17,7 @@ from helpers import (
     random_periodic_spec,
     random_pq_with_power_hypothesis,
 )
-from references import det_int, matrix_products
+from references import det_int, matrix_products, tildes
 
 from mcf import (
     LiouvilleSpec,
@@ -35,7 +35,6 @@ from mcf.convergents import (
     growth_check,
     lag_product,
     limit_values,
-    tildes,
 )
 from mcf.engine import PartialQuotients, check_admissible
 from mcf.periodic import cubic_coeffs, unroll, x_matrix

@@ -340,6 +340,41 @@ def test_huge_d_power_hypotheses_answer_without_forming_the_power():
         assert code == 0 and json.loads(out)["ok"]
 
 
+@pytest.mark.parametrize("seqs,d", [
+    ([["0", "5", "3"]], "1"),  # C_2 = 16 = 2^4
+    ([["0", "10", "8"], ["0", "0", "1"]], "1"),  # C_2 = 81 = 3^4
+    ([["0", "30", "17"], ["0", "0", "2"], ["0", "0", "0"]], "2"),  # C_2 = 512 = 2^9, m+1 = 2^2
+])
+def test_verify_growth_exact_loglog_tie_is_a_violation(files, seqs, d):
+    # C_2^d = (m+1)^((d+1)^2) makes log log C_2 = K(d, m) exactly: not strictly
+    # below, and no enclosure can separate the sides, so the tie is decided exactly
+    pq = files("exact_tie.json", {"m": len(seqs), "seqs": seqs})
+    start = time.perf_counter()
+    code, out, _ = invoke(["verify", "growth", "--pq", pq, "--d", d])
+    assert time.perf_counter() - start < 5
+    loglog_item = json.loads(out)["items"][-1]
+    assert (code, loglog_item["name"], loglog_item["first_violation"]) == (1, "loglog", 1)
+
+
+def test_loglog_rung_leaves_the_ties_to_enclosures(files, monkeypatch):
+    # on the near and deep ties the bit-length rung must not answer: each
+    # comparison of log log C_2 goes through its enclosures
+    from mcf import convergents
+
+    seen = []
+    enclose = convergents.loglog_interval
+    monkeypatch.setattr(convergents, "loglog_interval", lambda c, prec: seen.append(c) or enclose(c, prec))
+    cases = [(_deep_tie_pq(files)[0], "1000")]
+    for b2 in (321307467, 321307667):
+        cases.append((files(f"tie{b2}.json", {"m": 2, "seqs": [NEAR_TIE_A, ["0", "0", str(b2), "0"]]}),
+                      "40"))
+    for pq, d in cases:
+        seen.clear()
+        invoke(["verify", "growth", "--pq", pq, "--d", d])
+        c2 = list(conv_stream(pq_from_json(json.loads(Path(pq).read_text()))))[2].C
+        assert seen and set(seen) == {c2}
+
+
 def test_budget_errors_name_query_and_levels(files):
     pq, _ = _deep_tie_pq(files)
     code, out, err = invoke(["verify", "growth", "--pq", pq, "--d", "1000"],

@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from helpers import random_admissible, random_admissible_m2
-from references import det_int, factor_matrix, matrix_products
+from references import FractionPowers, det_int, factor_matrix, matrix_products, tildes
 
 from mcf import (
     AlgebraicValue,
@@ -19,11 +21,13 @@ from mcf import (
     RationalInterval,
     expand,
 )
+from mcf import convergents
 from mcf.cli import AUX_M2
 from mcf.convergents import (
     CertifiedPowers,
     ConvergentLimitOracle,
     ConvergentState,
+    LagProducts,
     approx_witnesses,
     bound_checks,
     column_table,
@@ -32,11 +36,12 @@ from mcf.convergents import (
     growth_check,
     k_interval,
     lag_product,
+    lag_stream,
     limit_values,
+    loglog_lt,
     lt_power,
     proximity_check,
     psi_field,
-    tildes,
 )
 from mcf.engine import PartialQuotients
 
@@ -120,12 +125,14 @@ def test_aux_stream_examples_and_bounds():
 
 
 def test_tilde_stream_matches_aux_for_m2():
-    # tildes and the m = 2 table of the convergents command against the
-    # lag products written out, negative-index columns included
+    # the rolling lag products of the convergents command's m = 2 table
+    # against the products written out, negative-index columns included
     rng = random.Random(10)
     pq = random_admissible_m2(rng, 30)
     cols, off = column_table(pq)
-    for k in range(off, len(cols)):
+    stream = lag_stream(pq, {(i, j) for _, i, j, _ in AUX_M2})
+    for k, (col, lags) in zip(range(off, len(cols)), stream):
+        assert col == cols[k]
         (A, B), C = cols[k].A, cols[k].C
         expected = {}
         for lag in (1, 2):
@@ -133,27 +140,56 @@ def test_tilde_stream_matches_aux_for_m2():
             expected[f"ac{lag}"] = A * C_ - A_ * C
             expected[f"bc{lag}"] = B * C_ - B_ * C
             expected[f"ab{lag}"] = A * B_ - A_ * B
-        table = {name: lag_product(cols[k], cols[k - lag], i, j) for name, i, j, lag in AUX_M2}
-        assert table == expected
-        assert tildes(cols[k], cols[k - 1]) == (expected["ac1"], expected["bc1"])
+        assert {name: lags[i, j][lag - 1] for name, i, j, lag in AUX_M2} == expected
 
 
 def test_tilde_next_is_head_independent():
-    # the head-0 lag-1 product equals the product after stepping with the
-    # real head and with head + 7 (what construct_liouville relies on)
+    # the lag-1 products peeked from the tail alone equal the products after
+    # stepping with the real head and with head + 7 (what construct_liouville
+    # relies on)
     rng = random.Random(12)
     for m in (2, 3):
         pq = random_admissible(rng, m, 12)
-        state = ConvergentState.initial(m)
+        state, lags = ConvergentState.initial(m), LagProducts(m, [(i, m) for i in range(m)])
         for n in range(10):
             tail = tuple(pq.seqs[j][n] for j in range(1, m))
             prev = state.window[0]
-            products = []
-            for head in (0, pq.seqs[0][n], pq.seqs[0][n] + 7):
+            peeked = tuple(lags.peek_lag1(tail)[i, m] for i in range(m))
+            for head in (pq.seqs[0][n], pq.seqs[0][n] + 7):
                 probe = ConvergentState(m, state.window, state.n)
-                products.append(tildes(probe.step((head,) + tail), prev))
-            assert products[0] == products[1] == products[2]
-            state.step(tuple(pq.seqs[j][n] for j in range(m)))
+                assert tildes(probe.step((head,) + tail), prev) == peeked
+            a = tuple(pq.seqs[j][n] for j in range(m))
+            state.step(a)
+            lags.step(a)
+
+
+@st.composite
+def quotient_rows(draw):
+    m = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(0, 9), st.integers(0, 1 << 80))
+    return m, draw(st.lists(st.tuples(*[entry] * m), min_size=1, max_size=24))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotient_rows())
+def test_lag_products_are_the_window_minors(case):
+    # every lag product of the rolling second compound equals lag_product on
+    # the columns (the negative-index ones included), the lag-1 products at
+    # n+1 are known before a_(n+1)^(1), and the window matrix is unimodular
+    m, quotients = case
+    pairs = [(i, j) for i in range(m + 1) for j in range(m + 1) if i != j]
+    state, lags = ConvergentState.initial(m), LagProducts(m, pairs)
+    cols = list(reversed(state.window))
+    for a in quotients:
+        before = lags.peek_lag1(a[1:])
+        cols.append(state.step(a))
+        after = lags.step(a)
+        window = cols[: -m - 2: -1]  # columns n, n-1, ..., n-m
+        assert abs(det_int([[(*c.A, c.C)[r] for c in window] for r in range(m + 1)])) == 1
+        for i, j in pairs:
+            assert before[i, j] == after[i, j][0]
+            assert after[i, j] == tuple(lag_product(window[0], window[lag], i, j)
+                                        for lag in range(1, m + 1))
 
 
 def test_constant_quotients_denominator_growth_rate():
@@ -277,6 +313,19 @@ def test_growth_constants():
     assert k12.lo <= ref <= k12.hi + Fraction(1, 10**10)
 
 
+@pytest.mark.parametrize("make_field", [psi_field, lambda: eta_field(1), lambda: eta_field(5)],
+                         ids=["psi", "eta1", "eta5"])
+def test_certified_powers_equal_the_fraction_chain(make_field):
+    # the integer mantissa chain gives exactly the outward-rounded Fraction
+    # enclosures, before and after tighten()
+    fast, ref = CertifiedPowers(make_field()), FractionPowers(make_field())
+    for _ in range(2):
+        for e in range(501):
+            assert fast.power(e) == ref.power(e)
+        fast.tighten()
+        ref.tighten()
+
+
 def test_certified_powers_comparisons():
     cp = CertifiedPowers(psi_field())
     assert cp.cmp_int(0, 1) == 0
@@ -348,6 +397,19 @@ def test_growth_check_loglog():
     with pytest.raises(HypothesisViolated):
         # all-ones: a_2 = 1 is not < C_1^1 = 1
         growth_check(PartialQuotients.from_lists([0, 1, 1, 1], [0, 0, 0, 0]), d=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 1 << 4096), st.integers(1, 50), st.integers(1, 4), st.integers(1, 40))
+def test_loglog_rung_agrees_with_512_bit_enclosures(c, d, m, n):
+    # whenever the bit-length rung answers (no log log enclosure is formed),
+    # a 512-bit evaluation of both sides agrees
+    with mock.patch.object(convergents, "loglog_interval", wraps=convergents.loglog_interval) as spy:
+        verdict = loglog_lt(c, d, m, n)
+    if not spy.called:
+        with mp.workprec(512):
+            k = mp.log(d + 1) + mp.log(mp.mpf(d + 1) / d) + mp.log(mp.log(m + 1))
+            assert verdict and mp.log(mp.log(c)) < k * n
 
 
 def test_long_window_oracle_witness_scan_completes():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import tildes
+
 from mcf import (
     AdmissibilityError,
     InputError,
@@ -15,7 +17,7 @@ from mcf import (
     construct_liouville,
     verify_liouville,
 )
-from mcf.convergents import approx_witnesses, column_table, limit_values, tildes
+from mcf.convergents import approx_witnesses, column_table, limit_values
 from mcf.engine import PartialQuotients, check_admissible
 from mcf.transcendence import (
     QuasiPeriodicSpec,
