@@ -160,7 +160,7 @@ class LagProducts:
 
     def __init__(self, m: int, pairs):
         self.m, self.pairs = m, tuple(pairs)
-        # _history[p][i, j][l - 1] is L_l(n - p) for p = 0..m-1, here at n = -1
+        # _history[p][i, j][l - 1] is L_l(n - p), p = 0..m-1; at n = -1, minors of the identity
         self._history = deque(({(i, j): tuple(((i, j) == (p, p + l)) - ((j, i) == (p, p + l))
                                               for l in range(1, m + 1)) for i, j in self.pairs}
                                for p in range(m)), maxlen=m)
