@@ -402,14 +402,17 @@ def test_growth_check_loglog():
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 1 << 4096), st.integers(1, 50), st.integers(1, 4), st.integers(1, 40))
 def test_loglog_rung_agrees_with_512_bit_enclosures(c, d, m, n):
-    # whenever the bit-length rung answers (no log log enclosure is formed),
-    # a 512-bit evaluation of both sides agrees
+    # an answer formed without enclosing log log c comes from the bit-length
+    # rung (True, and a 512-bit evaluation of both sides agrees) or from the
+    # exact tie at n = 1 (False, and c^d = (m+1)^((d+1)^2) in integers)
     with mock.patch.object(convergents, "loglog_interval", wraps=convergents.loglog_interval) as spy:
         verdict = loglog_lt(c, d, m, n)
-    if not spy.called:
+    if not spy.called and verdict:
         with mp.workprec(512):
             k = mp.log(d + 1) + mp.log(mp.mpf(d + 1) / d) + mp.log(mp.log(m + 1))
-            assert verdict and mp.log(mp.log(c)) < k * n
+            assert mp.log(mp.log(c)) < k * n
+    elif not spy.called:
+        assert n == 1 and c**d == (m + 1) ** ((d + 1) ** 2)
 
 
 def test_long_window_oracle_witness_scan_completes():
