@@ -12,26 +12,34 @@ budget (default 64 rounds per certified query).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 
-from . import serialization as ser
-from .convergents import bound_checks, growth_check, lag_stream
-from .engine import check_admissible, expand
 from .errors import HypothesisViolated, InputError, MCFError, NonTerminating, unlimited_int_digits
-from .periodic import PeriodicSpec, solve_periodic
-from .transcendence import (
-    LiouvilleSpec,
-    QuasiPeriodicSpec,
-    build_quasiperiodic,
-    const_rule,
-    construct_liouville,
-    cycle_rule,
-    main1_check,
-    main2_check,
-    seq_rule,
-    verify_liouville,
-)
+
+
+def _lazy(name: str):
+    """The layer mcf.<name>, registered now (unless imported already); its body
+    runs on first attribute access, so a command executes only what it touches."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Every layer is registered, also those reached only through others, so a tracer
+# wrapping them from outside (perfbench/tracer.py) finds each in sys.modules.
+# LazyLoader is not thread-safe on first access (CPython 3.11); the CLI is one thread.
+intervals, polynomials, radix, exact_reals, engine, convergents, periodic, transcendence, ser = map(
+    _lazy, ("intervals", "polynomials", "radix", "exact_reals", "engine", "convergents", "periodic",
+            "transcendence", "serialization"))
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -68,11 +76,11 @@ def _parse_int_list(text: str) -> list[int]:
 def _parse_rule(text: str):
     kind, _, payload = text.partition(":")
     if kind == "const":
-        return const_rule(ser.parse_int(payload))
+        return transcendence.const_rule(ser.parse_int(payload))
     if kind == "cycle":
-        return cycle_rule(_parse_int_list(payload))
+        return transcendence.cycle_rule(_parse_int_list(payload))
     if kind == "list":
-        return seq_rule(_parse_int_list(payload))
+        return transcendence.seq_rule(_parse_int_list(payload))
     raise InputError(f"unknown rule {text!r}; use const:K, cycle:V1,V2,... or list:V1,V2,...")
 
 
@@ -81,7 +89,7 @@ def _parse_rule(text: str):
 
 def _cmd_expand(args) -> int:
     values = ser.reals_from_file_payload(_load_json(args.input))
-    record = expand(values, args.steps, keep_trace=args.trace)
+    record = engine.expand(values, args.steps, keep_trace=args.trace)
     for line in ser.expansion_jsonl(record, trace=args.trace):
         _print(line)
     return EXIT_OK
@@ -102,7 +110,7 @@ def _cmd_convergents(args) -> int:
     aux = AUX_M2 if pq.m == 2 else ()
     if args.emit == "csv":
         _print(",".join(["n", *(f"A{i + 1}" for i in range(pq.m)), "C", *(row[0] for row in aux)]))
-    for col, lags in lag_stream(pq, {(i, j) for _, i, j, _ in aux}, args.depth):
+    for col, lags in convergents.lag_stream(pq, {(i, j) for _, i, j, _ in aux}, args.depth):
         values = [ser.int_str(lags[i, j][lag - 1]) for _, i, j, lag in aux]
         if args.emit == "csv":
             _print(",".join([str(col.n), *map(ser.int_str, col.A), ser.int_str(col.C), *values]))
@@ -115,11 +123,11 @@ def _cmd_convergents(args) -> int:
 
 
 def _cmd_periodic_solve(args) -> int:
-    spec = PeriodicSpec(
+    spec = periodic.PeriodicSpec(
         tuple(args.pre_a or ()), tuple(args.pre_b or ()),
         tuple(args.per_a), tuple(args.per_b),
     )
-    cert = solve_periodic(spec)
+    cert = periodic.solve_periodic(spec)
     payload = ser.certificate_to_json(cert)
     if args.json:
         _print(ser.dumps_stable(payload))
@@ -141,27 +149,27 @@ def _cmd_construct_liouville(args) -> int:
     rules = [_parse_rule(text) for text in args.b_rule]
     if len(rules) == 1 and args.m > 2:
         rules = rules * (args.m - 1)
-    spec = LiouvilleSpec(
+    spec = transcendence.LiouvilleSpec(
         m=args.m,
         delta=ser.parse_frac(args.delta),
         depth=args.depth,
         tail_rules=tuple(rules),
         head=args.a0,
     )
-    pq = construct_liouville(spec)
+    pq = transcendence.construct_liouville(spec)
     _print(ser.dumps_stable(ser.pq_to_json(pq)))
     return EXIT_OK
 
 
 def _cmd_construct_quasiperiodic(args) -> int:
-    pq = build_quasiperiodic(_quasi_spec(args), args.depth)
+    pq = transcendence.build_quasiperiodic(_quasi_spec(args), args.depth)
     _print(ser.dumps_stable(ser.pq_to_json(pq)))
     return EXIT_OK
 
 
 def _cmd_verify_admissible(args) -> int:
     pq = ser.pq_from_json(_load_json(args.pq))
-    report = check_admissible(pq)
+    report = engine.check_admissible(pq)
     _print(ser.dumps_stable(ser.admissibility_report_to_json(report)))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
@@ -174,40 +182,42 @@ def _cmd_verify_bounds(args) -> int:
         if len(parts) != 2:
             raise InputError("--box needs two integers N,M")
         box = (parts[0], parts[1])
-    report = bound_checks(pq, upto=args.depth, box=box)
+    report = convergents.bound_checks(pq, upto=args.depth, box=box)
     _print(ser.dumps_stable(ser.bound_report_to_json(report)))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
 def _cmd_verify_growth(args) -> int:
     pq = ser.pq_from_json(_load_json(args.pq))
-    report = growth_check(pq, upto=args.depth, d=args.d, M=args.M)
+    report = convergents.growth_check(pq, upto=args.depth, d=args.d, M=args.M)
     _print(ser.dumps_stable(ser.growth_report_to_json(report)))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
 def _cmd_verify_liouville(args) -> int:
     pq = ser.pq_from_json(_load_json(args.pq))
-    report = verify_liouville(pq, ser.parse_frac(args.delta), upto=args.depth)
+    report = transcendence.verify_liouville(pq, ser.parse_frac(args.delta), upto=args.depth)
     _print(ser.dumps_stable(ser.criterion_report_to_json(report)))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _quasi_spec(args) -> QuasiPeriodicSpec:
+def _quasi_spec(args) -> transcendence.QuasiPeriodicSpec:
     schedule = ser.schedule_from_json(_load_json(args.schedule))
     base_pq = ser.pq_from_json(_load_json(args.base))
-    return QuasiPeriodicSpec(m=base_pq.m, schedule=schedule,
-                             base_rules=tuple(seq_rule(s) for s in base_pq.seqs))
+    rules = tuple(transcendence.seq_rule(s) for s in base_pq.seqs)
+    return transcendence.QuasiPeriodicSpec(m=base_pq.m, schedule=schedule, base_rules=rules)
 
 
 def _cmd_verify_main1(args) -> int:
-    report = main1_check(_quasi_spec(args), d=args.d, c=ser.parse_frac(args.c), depth=args.depth)
+    report = transcendence.main1_check(
+        _quasi_spec(args), d=args.d, c=ser.parse_frac(args.c), depth=args.depth
+    )
     _print(ser.dumps_stable(ser.criterion_report_to_json(report)))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
 def _cmd_verify_main2(args) -> int:
-    report = main2_check(
+    report = transcendence.main2_check(
         _quasi_spec(args), M=args.M, r_bound=args.N, variant=args.variant, depth=args.depth
     )
     _print(ser.dumps_stable(ser.criterion_report_to_json(report)))

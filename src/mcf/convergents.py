@@ -31,8 +31,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv as _iv
-
 from .engine import PartialQuotients, expand
 from .errors import (
     HypothesisViolated,
@@ -48,6 +46,7 @@ from .exact_reals import (
     SimplexOracle,
     abs_diff_lt,
     as_real,
+    budget_levels,
     certify,
     enclosure_at,
     query_levels,
@@ -328,7 +327,7 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Bou
     """
     if pq.m != 2:
         raise InputError("bound_checks is specific to m = 2")
-    n_max = pq.rect_len - 1 if upto is None else min(upto, pq.rect_len - 1)
+    n_max = pq.last_index(upto)
     a0, b0 = pq.seqs[0][0], pq.seqs[1][0]
     if box is None:
         if (a0, b0) != (0, 0):
@@ -474,6 +473,7 @@ class CertifiedPowers:
     def __init__(self, field: NumberField, bits: int = 128):
         self._field = field
         self._bits = bits
+        self._levels = budget_levels()  # the refinement budget, read once per chain
         self._rebuild()
 
     def _rebuild(self):
@@ -514,7 +514,7 @@ class CertifiedPowers:
             if lo > scaled:
                 return 1
 
-        return certify(f"comparison of root^{e} with an integer", attempt)
+        return certify(f"comparison of root^{e} with an integer", attempt, self._levels)
 
 
 def lt_power(a: int, c: int, d: int) -> bool:
@@ -540,7 +540,7 @@ def _k_enclosure(d: int, m: int, prec: int) -> RationalInterval:
     if d < 1 or m < 1:
         raise InputError("need d >= 1 and m >= 1")
     return iv_enclosure(
-        prec, lambda: _iv.log(d + 1) + _iv.log(_iv.mpf(d + 1) / d) + _iv.log(_iv.log(m + 1))
+        prec, lambda iv: iv.log(d + 1) + iv.log(iv.mpf(d + 1) / d) + iv.log(iv.log(m + 1))
     )
 
 
@@ -559,7 +559,7 @@ def loglog_interval(c: int, prec: int = 128) -> RationalInterval:
     """Certified enclosure of log log c (c >= 2)."""
     if c < 2:
         raise InputError("log log requires c >= 2")
-    return iv_enclosure(prec, lambda: _iv.log(_iv.log(_iv.mpf(c))))
+    return iv_enclosure(prec, lambda iv: iv.log(iv.log(iv.mpf(c))))
 
 
 def loglog_lt(c: int, d: int, m: int, n: int) -> bool:
@@ -616,7 +616,7 @@ def growth_check(
     instance is unsatisfiable since C_0 = 1), then asserts the certified
     comparison log log C_{n+1} < K(d, m) n on the same range.
     """
-    n_max = pq.rect_len - 1 if upto is None else min(upto, pq.rect_len - 1)
+    n_max = pq.last_index(upto)
     rows = list(conv_stream(pq, n_max))
     items = []
     constants: dict = {}

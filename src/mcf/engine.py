@@ -94,6 +94,12 @@ class PartialQuotients:
         """Number of indices at which all m sequences are defined."""
         return min(len(s) for s in self.seqs)
 
+    def last_index(self, upto: int | None = None) -> int:
+        """The last index a check covers: upto (>= 0), clipped to the rectangular range."""
+        if upto is not None and upto < 0:
+            raise InputError(f"depth must be >= 0, got {upto}")
+        return self.rect_len - 1 if upto is None else min(upto, self.rect_len - 1)
+
     @property
     def is_rectangular(self) -> bool:
         return len({len(s) for s in self.seqs}) == 1

@@ -11,7 +11,6 @@ turns would-be infinite loops into ``NonTerminating``.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from fractions import Fraction
@@ -23,7 +22,6 @@ from .errors import (
     InputError,
     NonTerminating,
     OracleExhausted,
-    UndecidableForOracle,
 )
 from .intervals import RationalInterval, as_fraction
 from . import polynomials as pol
@@ -506,30 +504,6 @@ def query_levels(x: RealValue) -> range:
     level its oracle has memoized (enclosures are nested, so no answer changes)."""
     oracle = x.oracle if isinstance(x, OracleValue) else None
     return budget_levels(oracle.deepest_level() if isinstance(oracle, IntervalOracle) else 0)
-
-
-def floor_exact(x) -> int:
-    """Certified floor of a RealValue (or anything as_real accepts)."""
-    x = as_real(x)
-    if isinstance(x, RationalValue):
-        return math.floor(x.value)
-    if isinstance(x, AlgebraicValue):
-        return x.element.floor()
-    return certify("oracle floor", lambda level: x.oracle.enclosure(level).floor_certified(),
-                   query_levels(x))
-
-
-def is_integer(x) -> bool:
-    """Exact integrality test; rejected for oracles (undecidable)."""
-    x = as_real(x)
-    if isinstance(x, RationalValue):
-        return x.value.denominator == 1
-    if isinstance(x, AlgebraicValue):
-        el = x.element
-        if not el.is_rational():
-            return False
-        return el.as_fraction().denominator == 1
-    raise UndecidableForOracle("integrality of an oracle-backed value is undecidable")
 
 
 def enclosure_at(x, round_k: int) -> RationalInterval:

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from mpmath import iv
-
 from .errors import DivisionByZero
 
 
@@ -154,7 +152,9 @@ class RationalInterval:
 
 
 def iv_enclosure(prec: int, compute) -> RationalInterval:
-    """The exact endpoints of the mpmath.iv interval compute() returns at prec bits."""
+    """The exact endpoints of the mpmath.iv interval compute(iv) returns at prec
+    bits; mpmath is imported here, on the first logarithm a run takes."""
+    from mpmath import iv
 
     def to_frac(raw) -> Fraction:
         sign, man, exp, _ = raw  # a libmp tuple (sign, mantissa, exponent, bitcount)
@@ -164,7 +164,7 @@ def iv_enclosure(prec: int, compute) -> RationalInterval:
     old = iv.prec
     iv.prec = prec
     try:
-        lo, hi = compute()._mpi_
+        lo, hi = compute(iv)._mpi_
     finally:
         iv.prec = old
     return RationalInterval(to_frac(lo), to_frac(hi))

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .convergents import BoundReport, GrowthReport
-from .engine import AdmissibilityReport, ExpansionRecord, PartialQuotients
+from .engine import PartialQuotients
 from .errors import InputError, NonTerminating, unlimited_int_digits
 from .exact_reals import (
     AlgebraicValue,
@@ -27,9 +27,13 @@ from .exact_reals import (
     RealValue,
 )
 from .intervals import RationalInterval
-from .periodic import CubicCertificate, PeriodicSpec
 from .radix import int_to_str, quote, str_to_int
-from .transcendence import CriterionReport
+
+if TYPE_CHECKING:  # report types: only annotations name them, so encoding loads no checker
+    from .convergents import BoundReport, GrowthReport
+    from .engine import AdmissibilityReport, ExpansionRecord
+    from .periodic import CubicCertificate, PeriodicSpec
+    from .transcendence import CriterionReport
 
 
 def dumps_stable(obj) -> str:

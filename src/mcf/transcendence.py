@@ -28,9 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from mpmath import iv as _iv
-from mpmath import mp, mpf, nstr
-
 from .convergents import (
     CheckItem,
     ConvergentState,
@@ -217,7 +214,7 @@ def verify_liouville(pq: PartialQuotients, delta, upto: int | None = None) -> Cr
     delta = as_fraction(delta)
     if delta <= 0:
         raise InputError("delta must be positive")
-    n_max = pq.rect_len - 1 if upto is None else min(upto, pq.rect_len - 1)
+    n_max = pq.last_index(upto)
     p, q = delta.numerator, delta.denominator
     state, lags = ConvergentState.initial(pq.m), LagProducts(pq.m, [(i, pq.m) for i in range(pq.m)])
     first = None
@@ -372,6 +369,8 @@ def verify_quasiperiodic(pq: PartialQuotients, schedule) -> CriterionReport:
 
 
 def _log_ratio_string(lam: int, n_k: int) -> str:
+    from mpmath import mp, mpf, nstr
+
     old = mp.dps
     mp.dps = 30
     try:
@@ -395,7 +394,7 @@ def _log_ratio_le(lam: int, n: int, lam2: int, n2: int) -> bool:
         return True
 
     def attempt(level):
-        diff = iv_enclosure(64 << level, lambda: a * _iv.log(lam) - b * _iv.log(lam2))
+        diff = iv_enclosure(64 << level, lambda iv: a * iv.log(lam) - b * iv.log(lam2))
         if diff.hi < 0:
             return True
         if diff.lo > 0:
@@ -465,7 +464,7 @@ _VARIANTS = ("statement", "lemma38", "proof18")
 
 def _log_enclosure_of_interval(iv_rat: RationalInterval, prec: int) -> RationalInterval:
     def log_of(v: Fraction):
-        return lambda: _iv.log(_iv.mpf(v.numerator) / v.denominator)
+        return lambda iv: iv.log(iv.mpf(v.numerator) / v.denominator)
 
     return iv_enclosure(prec, log_of(iv_rat.lo)).hull(iv_enclosure(prec, log_of(iv_rat.hi)))
 

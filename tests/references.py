@@ -21,6 +21,9 @@ of two columns by definition, against the rolling `LagProducts`.
 
 The outward-rounded `Fraction` interval chain of base^e, against the integer
 mantissa chain of `mcf.convergents.CertifiedPowers`.
+
+The certified floor and integrality test of one real value of any kind, the
+single-value forms of what the engine certifies per index.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from fractions import Fraction
 from mcf import polynomials as pol
 from mcf.convergents import Column, column_table, lag_product
 from mcf.engine import PartialQuotients
-from mcf.errors import DegenerateCubic, InputError
-from mcf.exact_reals import AlgebraicValue, NumberField, RationalValue, as_real
+from mcf.errors import DegenerateCubic, InputError, UndecidableForOracle
+from mcf.exact_reals import AlgebraicValue, NumberField, RationalValue, as_real, certify, query_levels
 from mcf.intervals import RationalInterval
 from mcf.periodic import PeriodicSpec, XMatrix, unroll, validate_spec
 
@@ -262,3 +265,27 @@ class FractionPowers:
         while len(self._powers) <= e:
             self._powers.append((self._powers[-1] * self._base).outward(self._bits + 16))
         return self._powers[e]
+
+
+def floor_exact(x) -> int:
+    """Certified floor of a RealValue (or anything as_real accepts)."""
+    x = as_real(x)
+    if isinstance(x, RationalValue):
+        return math.floor(x.value)
+    if isinstance(x, AlgebraicValue):
+        return x.element.floor()
+    return certify("oracle floor", lambda level: x.oracle.enclosure(level).floor_certified(),
+                   query_levels(x))
+
+
+def is_integer(x) -> bool:
+    """Exact integrality test; rejected for oracles (undecidable)."""
+    x = as_real(x)
+    if isinstance(x, RationalValue):
+        return x.value.denominator == 1
+    if isinstance(x, AlgebraicValue):
+        el = x.element
+        if not el.is_rational():
+            return False
+        return el.as_fraction().denominator == 1
+    raise UndecidableForOracle("integrality of an oracle-backed value is undecidable")

@@ -375,6 +375,18 @@ def test_loglog_rung_leaves_the_ties_to_enclosures(files, monkeypatch):
         assert seen and set(seen) == {c2}
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "bounds", "--pq", str(GOLDEN / "pq_m2.json")],
+    ["verify", "growth", "--pq", str(GOLDEN / "pq_m2.json"), "--M", "7"],
+    ["verify", "liouville", "--pq", str(GOLDEN / "pq_m2.json"), "--delta", "1"],
+], ids=["bounds", "growth", "liouville"])
+def test_negative_depth_is_an_input_error(argv):
+    # an empty index range is not a pass: it used to print "ok": true, exit 0
+    code, out, err = invoke(argv + ["--depth", "-2"])
+    assert (code, out) == (2, "")
+    assert err == "input error: depth must be >= 0, got -2\n"
+
+
 def test_budget_errors_name_query_and_levels(files):
     pq, _ = _deep_tie_pq(files)
     code, out, err = invoke(["verify", "growth", "--pq", pq, "--d", "1000"],

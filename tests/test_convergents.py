@@ -1,7 +1,9 @@
 """Convergents, auxiliary sequences, witnesses, bounds, growth."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -21,7 +23,7 @@ from mcf import (
     RationalInterval,
     expand,
 )
-from mcf import convergents
+from mcf import convergents, exact_reals
 from mcf.cli import AUX_M2
 from mcf.convergents import (
     CertifiedPowers,
@@ -44,6 +46,9 @@ from mcf.convergents import (
     psi_field,
 )
 from mcf.engine import PartialQuotients
+from mcf.serialization import pq_from_json
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def cbrt2_pair():
@@ -331,6 +336,18 @@ def test_certified_powers_comparisons():
     assert cp.cmp_int(0, 1) == 0
     assert cp.cmp_int(10, 45) == 1   # psi^10 ~ 45.6
     assert cp.cmp_int(10, 46) == -1
+
+
+def test_certified_powers_read_the_budget_once_per_chain(monkeypatch):
+    pq = pq_from_json(json.loads((GOLDEN / "pq_m2.json").read_text()))
+    reads, chains = [], []
+    budget, init = exact_reals.refinement_budget, CertifiedPowers.__init__
+    monkeypatch.setattr(exact_reals, "refinement_budget", lambda: reads.append(1) or budget())
+    monkeypatch.setattr(CertifiedPowers, "__init__",
+                        lambda self, *args: chains.append(1) or init(self, *args))
+    report = growth_check(pq, M=7)
+    assert report.ok and len(chains) == 2  # psi and eta(7), 40 comparisons each
+    assert len(reads) == len(chains)
 
 
 def test_growth_check_psi_boundary():

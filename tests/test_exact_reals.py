@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from references import floor_exact, is_integer
+
 import mcf
 from mcf import (
     AlgebraicValue,
@@ -21,8 +23,6 @@ from mcf.exact_reals import (
     FunctionOracle,
     OracleValue,
     RationalValue,
-    floor_exact,
-    is_integer,
 )
 from mcf.errors import DivisionByZero, FieldMismatch
 
