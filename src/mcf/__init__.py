@@ -27,7 +27,6 @@ from .errors import (
     PrefixMismatch,
     RootSelectionAmbiguous,
     ScheduleOverlap,
-    UndecidableForOracle,
 )
 
 __version__ = "0.1.0"

@@ -104,21 +104,31 @@ AUX_M2 = (
 
 
 def _cmd_convergents(args) -> int:
+    import decimal
+
     if args.depth < 0:
         raise InputError("--depth must be >= 0")
     pq = ser.pq_from_json(_load_json(args.pq))
     aux = AUX_M2 if pq.m == 2 else ()
     if args.emit == "csv":
         _print(",".join(["n", *(f"A{i + 1}" for i in range(pq.m)), "C", *(row[0] for row in aux)]))
-    for col, lags in convergents.lag_stream(pq, {(i, j) for _, i, j, _ in aux}, args.depth):
-        values = [ser.int_str(lags[i, j][lag - 1]) for _, i, j, lag in aux]
-        if args.emit == "csv":
-            _print(",".join([str(col.n), *map(ser.int_str, col.A), ser.int_str(col.C), *values]))
-        else:
-            payload = {"n": col.n, "A": [ser.int_str(v) for v in col.A], "C": ser.int_str(col.C)}
-            if aux:
-                payload["aux"] = {row[0]: v for row, v in zip(aux, values)}
-            _print(ser.dumps_stable(payload))
+    # The table is computed in exact decimal (any rounding raises) and printed with
+    # str(), linear in the digits; the big ints are never built.
+    with decimal.localcontext(radix.EXACT):
+        state = convergents.ConvergentState.initial(pq.m)
+        lags = convergents.LagProducts(pq.m, {(i, j) for _, i, j, _ in aux})
+        for n in range(min(args.depth + 1, pq.rect_len)):
+            a = tuple(radix.to_decimal(s[n]) for s in pq.seqs)
+            *A, C = map(str, state.advance(a))
+            products = lags.step(a)
+            values = [str(products[i, j][lag - 1]) for _, i, j, lag in aux]
+            if args.emit == "csv":
+                _print(",".join([str(n), *A, C, *values]))
+            else:
+                payload = {"n": n, "A": A, "C": C}
+                if aux:
+                    payload["aux"] = {row[0]: v for row, v in zip(aux, values)}
+                _print(ser.dumps_stable(payload))
     return EXIT_OK
 
 

@@ -69,7 +69,8 @@ class Column:
 
 
 class ConvergentState:
-    """Rolling window of the last m+1 convergent columns."""
+    """Rolling window of the coordinate vectors (A^(1), ..., A^(m), C) of the
+    last m+1 convergent columns."""
 
     __slots__ = ("m", "window", "n")
 
@@ -80,29 +81,29 @@ class ConvergentState:
 
     @classmethod
     def initial(cls, m: int) -> "ConvergentState":
-        # window[j-1] holds index n-j; at n=0 these are the delta columns
-        cols = []
-        for j in range(1, m + 1):
-            cols.append(Column(-j, tuple(1 if i == j else 0 for i in range(1, m + 1)), 0))
-        cols.append(Column(-m - 1, tuple(0 for _ in range(m)), 1))
-        return cls(m, cols, 0)
+        # window[j-1] holds index n-j; at n=0 the columns of indices -1..-(m+1) are the identity
+        return cls(m, [tuple(int(i == j) for i in range(m + 1)) for j in range(m + 1)], 0)
+
+    def advance(self, a) -> tuple:
+        """The vector of index n from a_n^(1..m), pushed on the window; any exact number type."""
+        m, w = self.m, self.window
+        if len(a) != m:
+            raise InputError(f"step needs {m} quotients, got {len(a)}")
+        vec = []
+        for k in range(m + 1):
+            acc = w[m][k]
+            for q, x in zip(a, w):
+                acc += q * x[k]
+            vec.append(acc)
+        vec = tuple(vec)
+        w.appendleft(vec)
+        self.n += 1
+        return vec
 
     def step(self, a: tuple[int, ...]) -> Column:
-        if len(a) != self.m:
-            raise InputError(f"step needs {self.m} quotients, got {len(a)}")
-        A = []
-        for i in range(self.m):
-            acc = self.window[self.m].A[i]
-            for j in range(1, self.m + 1):
-                acc += a[j - 1] * self.window[j - 1].A[i]
-            A.append(acc)
-        C = self.window[self.m].C
-        for j in range(1, self.m + 1):
-            C += a[j - 1] * self.window[j - 1].C
-        col = Column(self.n, tuple(A), C)
-        self.window.appendleft(col)
-        self.n += 1
-        return col
+        """The Column of index n from the int quotients a_n^(1..m)."""
+        *A, C = self.advance(a)
+        return Column(self.n - 1, tuple(A), C)
 
 
 def conv_stream(pq: PartialQuotients, upto: int | None = None):
@@ -119,7 +120,8 @@ def column_table(pq: PartialQuotients, upto: int | None = None):
     One walk of the recurrence; like conv_stream, it stops at the end of the
     rectangular range.
     """
-    cols = list(reversed(ConvergentState.initial(pq.m).window))
+    m, init = pq.m, ConvergentState.initial(pq.m).window  # init[k] has index -1 - k
+    cols = [Column(-1 - k, init[k][:m], init[k][m]) for k in range(m, -1, -1)]
     cols.extend(conv_stream(pq, upto))
     return cols, pq.m + 1
 

@@ -266,8 +266,9 @@ def _vertex_interval(num: list[int], den: list[int]) -> RationalInterval | None:
 def _proportional(num: list[int], den: list[int]) -> tuple[int, int] | None:
     """(p, q) with num = (p / q) den when the rows are proportional, else None."""
     i = next(i for i, c in enumerate(den) if c)
-    p, q = num[i], den[i]
-    return (p, q) if all(x * q == y * p for x, y in zip(num, den)) else None
+    p, q = num[i], den[i]  # entry i agrees by construction, and den is 0 before it
+    ok = not any(num[:i]) and all(x * q == y * p for x, y in zip(num[i + 1:], den[i + 1:]))
+    return (p, q) if ok else None
 
 
 class _Image(SimplexOracle):

@@ -62,10 +62,6 @@ class OracleExhausted(NonTerminating):
     """An oracle cannot refine its enclosure any further (e.g. fixed decimal digits)."""
 
 
-class UndecidableForOracle(MCFError):
-    """Exact predicate (integrality, equality) asked of an oracle-backed value."""
-
-
 class Interruption(MCFError):
     """Trailing complete quotient is an integer; the expansion must drop a dimension."""
 

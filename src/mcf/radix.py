@@ -8,7 +8,9 @@ Computer Arithmetic* (2010), section 1.7:
 
 - int -> str splits the integer at a power of two and joins the halves as
   `decimal.Decimal`s, whose C multiplication is subquadratic; the digits of
-  the result are then read off in linear time.
+  the result are then read off in linear time.  `to_decimal` is that split
+  on its own: a caller that computes in `Decimal` under EXACT (`mcf
+  convergents`) never builds the big ints and prints with `str()`.
 - str -> int splits the digit string in half and joins with
   hi * 10**k + lo, where 10**k = 5**k << k (Karatsuba multiplication).
 
@@ -36,13 +38,18 @@ def quote(text: str) -> str:
     return f"{text[:40]!r}... ({len(text)} characters)"
 
 
-@unlimited_int_digits
-def int_to_str(v: int) -> str:
-    """str(v) for an int, subquadratic above CUTOFF_BITS."""
-    if v.bit_length() <= CUTOFF_BITS:
-        return str(v)
+# Exact decimal arithmetic on integers: any rounding raises instead of happening.
+EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
+
+
+def to_decimal(v: int) -> decimal.Decimal:
+    """Decimal(v), exponent 0, subquadratic above the leaf size; the result does not
+    depend on the caller's decimal context."""
     D = decimal.Decimal
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    n = abs(v)
+    if n.bit_length() <= _LEAF_BITS:
+        return D(v)
     powers = {}
 
     def pow2(w: int):
@@ -51,7 +58,7 @@ def int_to_str(v: int) -> str:
             if w <= _LEAF_BITS:
                 p = D(1 << w)
             else:
-                p = ctx.multiply(pow2(w >> 1), pow2(w - (w >> 1)))
+                p = EXACT.multiply(pow2(w >> 1), pow2(w - (w >> 1)))
             powers[w] = p
         return p
 
@@ -61,11 +68,16 @@ def int_to_str(v: int) -> str:
             return D(x)
         low = w >> 1
         hi = x >> low
-        return ctx.add(ctx.multiply(convert(hi, w - low), pow2(low)), convert(x - (hi << low), low))
+        return EXACT.add(EXACT.multiply(convert(hi, w - low), pow2(low)), convert(x - (hi << low), low))
 
-    n = abs(v)
-    digits = str(convert(n, n.bit_length()))
-    return "-" + digits if v < 0 else digits
+    d = convert(n, n.bit_length())
+    return d.copy_negate() if v < 0 else d
+
+
+@unlimited_int_digits
+def int_to_str(v: int) -> str:
+    """str(v) for an int, subquadratic above CUTOFF_BITS."""
+    return str(v) if v.bit_length() <= CUTOFF_BITS else str(to_decimal(v))
 
 
 @unlimited_int_digits

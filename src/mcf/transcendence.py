@@ -186,7 +186,7 @@ def construct_liouville(spec: LiouvilleSpec) -> PartialQuotients:
             if any(v < 0 for v in tail):
                 raise AdmissibilityConflict(f"free entry a_{n}^(j) negative: {tail}", index=n)
             t_max = max(abs(t) for t in lags.peek_lag1(tail).values())
-            threshold = t_max * _ceil_rational_power(state.window[0].C, spec.delta)
+            threshold = t_max * _ceil_rational_power(state.window[0][m], spec.delta)
             head = max(threshold, max([0] + tail)) + 1
         a = (head, *tail)
         for j, v in enumerate(a):
@@ -222,7 +222,7 @@ def verify_liouville(pq: PartialQuotients, delta, upto: int | None = None) -> Cr
         a = tuple(pq.seqs[j][n] for j in range(pq.m))
         if n >= 1:
             t_max = max(abs(t) for t in lags.peek_lag1(a[1:]).values())
-            if not a[0]**q > t_max**q * state.window[0].C**p:
+            if not a[0]**q > t_max**q * state.window[0][pq.m]**p:
                 first = n
                 break
         if n < n_max:  # column n_max and its lag products feed nothing

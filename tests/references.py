@@ -24,17 +24,25 @@ mantissa chain of `mcf.convergents.CertifiedPowers`.
 
 The certified floor and integrality test of one real value of any kind, the
 single-value forms of what the engine certifies per index.
+
+The proportionality test of two integer rows entry by entry, against
+`mcf.engine._proportional`, which skips the entry it divides by.
+
+The stdout of `mcf convergents` from int columns and lag products by
+definition, each printed with `str()`, against the CLI's exact-decimal table.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
 from mcf import polynomials as pol
+from mcf.cli import AUX_M2
 from mcf.convergents import Column, column_table, lag_product
 from mcf.engine import PartialQuotients
-from mcf.errors import DegenerateCubic, InputError, UndecidableForOracle
+from mcf.errors import DegenerateCubic, InputError, MCFError
 from mcf.exact_reals import AlgebraicValue, NumberField, RationalValue, as_real, certify, query_levels
 from mcf.intervals import RationalInterval
 from mcf.periodic import PeriodicSpec, XMatrix, unroll, validate_spec
@@ -278,6 +286,10 @@ def floor_exact(x) -> int:
                    query_levels(x))
 
 
+class UndecidableForOracle(MCFError):
+    """Exact predicate (integrality, equality) asked of an oracle-backed value."""
+
+
 def is_integer(x) -> bool:
     """Exact integrality test; rejected for oracles (undecidable)."""
     x = as_real(x)
@@ -289,3 +301,31 @@ def is_integer(x) -> bool:
             return False
         return el.as_fraction().denominator == 1
     raise UndecidableForOracle("integrality of an oracle-backed value is undecidable")
+
+
+def proportional(num: list[int], den: list[int]) -> tuple[int, int] | None:
+    """(p, q) with num = (p / q) den when the rows are proportional, else None; every entry checked."""
+    i = next(i for i, c in enumerate(den) if c)
+    p, q = num[i], den[i]
+    return (p, q) if all(x * q == y * p for x, y in zip(num, den)) else None
+
+
+def convergents_stdout(pq: PartialQuotients, depth: int, emit: str) -> str:
+    """What `mcf convergents --depth depth --emit emit` prints for pq (call with the
+    int digit cap lifted): conv_stream's int columns and, for m = 2, the AUX_M2
+    lag products by lag_product on the column table."""
+    aux = AUX_M2 if pq.m == 2 else ()
+    cols, off = column_table(pq, depth)
+    lines = []
+    if emit == "csv":
+        lines.append(",".join(["n", *(f"A{i + 1}" for i in range(pq.m)), "C", *(row[0] for row in aux)]))
+    for col in cols[off:]:
+        values = [str(lag_product(col, cols[col.n + off - lag], i, j)) for _, i, j, lag in aux]
+        if emit == "csv":
+            lines.append(",".join([str(col.n), *map(str, col.A), str(col.C), *values]))
+        else:
+            payload = {"n": col.n, "A": [str(v) for v in col.A], "C": str(col.C)}
+            if aux:
+                payload["aux"] = {row[0]: v for row, v in zip(aux, values)}
+            lines.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    return "".join(line + "\n" for line in lines)

@@ -6,17 +6,23 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from helpers import int_digit_cap
+from references import convergents_stdout
 
 from mcf.cli import build_parser, run
-from mcf.convergents import conv_stream, k_interval
+from mcf.convergents import ConvergentState, conv_stream, k_interval
+from mcf.engine import PartialQuotients
+from mcf.radix import CUTOFF_BITS
 from mcf.serialization import pq_from_json, pq_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -504,3 +510,62 @@ def test_liouville_past_the_radix_cutoff_round_trips(tmp_path):
     code, out, _ = invoke(["verify", "liouville", "--pq", str(path), "--delta", "1"])
     assert code == 0
     assert json.loads(out)["verdict"] == "hypotheses-hold-to-depth"
+
+
+@st.composite
+def table_pqs(draw):
+    """Ragged pqs, m = 1..4: small quotients of both signs, zeros included, and up to
+    two above the radix cutoff; a depth up to past the rectangular range."""
+    m = draw(st.sampled_from([1, 2, 3, 4]))
+    length = draw(st.integers(0, 7))
+    seqs = [draw(st.lists(st.integers(-4, 9), min_size=length, max_size=length + 2)) for _ in range(m)]
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        seq = seqs[rng.randrange(m)]
+        if seq:
+            seq[rng.randrange(len(seq))] = rng.choice([1, -1]) * rng.getrandbits(CUTOFF_BITS + rng.randrange(8000))
+    return PartialQuotients(m, tuple(map(tuple, seqs))), draw(st.integers(0, length + 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_pqs())
+@example((PartialQuotients(2, ((-3, 0, -(1 << CUTOFF_BITS) - 5, 2), (0, -1, 0))), 6))
+def test_convergents_table_equals_the_int_reference(case):
+    # the exact-decimal table prints exactly str() of the int columns and lag products
+    pq, depth = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pq.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(pq_to_json(pq), fh)
+        for emit in ("csv", "jsonl"):
+            code, out, _ = invoke(["convergents", "--pq", path, "--depth", str(depth), "--emit", emit])
+            assert code == 0
+            with int_digit_cap(0):
+                assert out == convergents_stdout(pq, depth, emit)
+            if emit == "csv":
+                cells = [c for line in out.splitlines() for c in line.split(",")]
+            else:
+                rows = [json.loads(line) for line in out.splitlines()]
+                cells = [v for r in rows for v in (*r["A"], r["C"], *r.get("aux", {}).values())]
+            assert "-0" not in cells  # Decimal 0 times a negative is -0
+
+
+def test_trace_bit_hook_on_step_sees_int_columns(monkeypatch):
+    # perfbench's tracer reads r.C.bit_length() after every ConvergentState.step
+    # (perfbench/tracer.py HOOKS); the CLI must only ever step int columns
+    step, bits = ConvergentState.step, []
+
+    def traced(self, a):
+        r = step(self, a)
+        bits.append(r.C.bit_length())
+        return r
+
+    monkeypatch.setattr(ConvergentState, "step", traced)
+    pq = str(GOLDEN / "pq_m2.json")
+    for argv in (["convergents", "--pq", pq, "--depth", "39", "--emit", "csv"],
+                 ["convergents", "--pq", pq, "--depth", "39", "--emit", "jsonl"],
+                 ["verify", "bounds", "--pq", pq],
+                 ["verify", "growth", "--pq", pq, "--M", "7", "--d", "2"]):
+        code, _, err = invoke(argv)
+        assert (code, err) == (0, "")
+    assert bits  # the verify commands step through the hook

@@ -27,6 +27,7 @@ from mcf import convergents, exact_reals
 from mcf.cli import AUX_M2
 from mcf.convergents import (
     CertifiedPowers,
+    Column,
     ConvergentLimitOracle,
     ConvergentState,
     LagProducts,
@@ -158,7 +159,7 @@ def test_tilde_next_is_head_independent():
         state, lags = ConvergentState.initial(m), LagProducts(m, [(i, m) for i in range(m)])
         for n in range(10):
             tail = tuple(pq.seqs[j][n] for j in range(1, m))
-            prev = state.window[0]
+            prev = Column(state.n - 1, state.window[0][:m], state.window[0][m])
             peeked = tuple(lags.peek_lag1(tail)[i, m] for i in range(m))
             for head in (pq.seqs[0][n], pq.seqs[0][n] + 7):
                 probe = ConvergentState(m, state.window, state.n)
@@ -184,7 +185,7 @@ def test_lag_products_are_the_window_minors(case):
     m, quotients = case
     pairs = [(i, j) for i in range(m + 1) for j in range(m + 1) if i != j]
     state, lags = ConvergentState.initial(m), LagProducts(m, pairs)
-    cols = list(reversed(state.window))
+    cols, _ = column_table(PartialQuotients(m, ((),) * m))  # the negative-index columns
     for a in quotients:
         before = lags.peek_lag1(a[1:])
         cols.append(state.step(a))

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from references import reference_expand, reference_step
+from references import proportional, reference_expand, reference_step
 
 from mcf import AlgebraicValue, Interruption, NonTerminating, NumberField, RationalInterval, expand
 from mcf.convergents import limit_values
-from mcf.engine import PartialQuotients, jacobi_step
+from mcf.engine import PartialQuotients, _proportional, jacobi_step
 from mcf.exact_reals import FunctionOracle, OracleValue, RationalValue, SimplexOracle
 from mcf.polynomials import poly_eval, refine_root
 
@@ -256,3 +256,29 @@ def test_refine_root_brackets_equal_fraction_bisection(case, bits):
     iv = RationalInterval(lo, hi)
     width = Fraction(1, 1 << bits)
     assert refine_root(poly, iv, width) == fraction_bisection(poly, iv, width)
+
+
+@st.composite
+def row_pairs(draw):
+    """(num, den): den has leading zeros and a nonzero entry; num is a multiple of
+    den, such a multiple with one entry changed (the leading ones included), or random."""
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(1 << 200), 1 << 200))
+    lead = draw(st.integers(0, 3))
+    rest = draw(st.lists(entry, min_size=0, max_size=4))
+    base = [0] * lead + [draw(entry.filter(bool))] + rest
+    p, q = draw(entry), draw(entry.filter(bool))
+    kind = draw(st.sampled_from(["multiple", "changed", "random"]))
+    if kind == "random":
+        num = draw(st.lists(entry, min_size=len(base), max_size=len(base)))
+    else:
+        num = [p * x for x in base]
+        if kind == "changed":
+            num[draw(st.integers(0, len(base) - 1))] += draw(entry.filter(bool))
+    return num, [q * x for x in base]
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_pairs())
+def test_proportional_agrees_with_the_every_entry_test(rows):
+    # _proportional skips the pivot entry, where the cross product is equal by construction
+    assert _proportional(*rows) == proportional(*rows)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from references import floor_exact, is_integer
+from references import UndecidableForOracle, floor_exact, is_integer
 
 import mcf
 from mcf import (
@@ -16,7 +16,6 @@ from mcf import (
     NumberField,
     OracleExhausted,
     RationalInterval,
-    UndecidableForOracle,
 )
 from mcf.exact_reals import (
     DecimalOracle,

@@ -18,6 +18,7 @@ from mcf.cli import run
 GOLDEN = Path(__file__).parent / "golden"
 PQ2 = str(GOLDEN / "pq_m2.json")
 PQ3 = str(GOLDEN / "pq_m3.json")
+PQ3_SIGNS = str(GOLDEN / "pq_m3_signs.json")  # ragged, negative a_0, zero quotients
 SCHEDULE = str(GOLDEN / "schedule_m2.json")
 
 CASES = [
@@ -25,6 +26,7 @@ CASES = [
     ("convergents_m2_jsonl", ["convergents", "--pq", PQ2, "--depth", "39", "--emit", "jsonl"]),
     ("convergents_m3_csv", ["convergents", "--pq", PQ3, "--depth", "29", "--emit", "csv"]),
     ("convergents_m3_jsonl", ["convergents", "--pq", PQ3, "--depth", "29", "--emit", "jsonl"]),
+    ("convergents_m3_signs_csv", ["convergents", "--pq", PQ3_SIGNS, "--depth", "9", "--emit", "csv"]),
     ("verify_bounds_m2", ["verify", "bounds", "--pq", PQ2]),
     ("verify_bounds_m2_box", ["verify", "bounds", "--pq", PQ2, "--box", "0,0"]),
     ("periodic_solve_pure", ["periodic", "solve", "--per-a", "2", "--per-b", "1", "--json"]),

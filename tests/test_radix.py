@@ -1,5 +1,6 @@
 """The decimal wire conversion: exactly str()/int(), on both sides of the cutoff."""
 
+import decimal
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import int_digit_cap
 
 from mcf import InputError
-from mcf.radix import CUTOFF_BITS
+from mcf.radix import CUTOFF_BITS, to_decimal
 from mcf.serialization import int_str, parse_int
 
 CUTOFF_DIGITS = CUTOFF_BITS * 30103 // 100000  # decimal digits of 2**CUTOFF_BITS, less one
@@ -48,6 +49,20 @@ def test_int_str_is_str_and_parse_int_inverts_it(v):
         back = parse_int(text)
     assert text == _plain(v)
     assert back == v
+
+
+@settings(max_examples=60, deadline=None)
+@given(wire_ints())
+@example(-1)
+@example((1 << 1024) - 1)
+@example(-(1 << 1024))
+@example(-(1 << CUTOFF_BITS) - 1)
+def test_to_decimal_is_exact_under_the_default_context(v):
+    # the D&C joins run in radix.EXACT, whatever context the caller has
+    with decimal.localcontext(decimal.Context()):
+        d = to_decimal(v)
+    assert d.as_tuple().exponent == 0
+    assert str(d) == _plain(v)
 
 
 SPACE = st.sampled_from(["", " ", "\t", "\n", "　"])
