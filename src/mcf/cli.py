@@ -16,7 +16,7 @@ import importlib.util
 import json
 import sys
 
-from .errors import HypothesisViolated, InputError, MCFError, NonTerminating, unlimited_int_digits
+from .errors import HypothesisViolated, InputError, MCFError, NonTerminating
 
 
 def _lazy(name: str):
@@ -55,11 +55,16 @@ class _Formatter(argparse.HelpFormatter):
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=radix.str_to_int)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def integer(text: str) -> int:
+    """The argparse type of the integer flags: int(text) for any length of text."""
+    return radix.str_to_int(text)
 
 
 def _print(line: str) -> None:
@@ -250,14 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", formatter_class=_Formatter,
                        help="expand a tuple of exact reals into partial quotients (JSON lines)")
     p.add_argument("--input", required=True, help="JSON file with a real value or list of them")
-    p.add_argument("--steps", type=int, required=True, help="number of indices to expand")
+    p.add_argument("--steps", type=integer, required=True, help="number of indices to expand")
     p.add_argument("--trace", action="store_true", help="include complete-quotient enclosures")
     p.set_defaults(fn=_cmd_expand)
 
     p = sub.add_parser("convergents", formatter_class=_Formatter,
                        help="stream convergent numerators/denominator (and m=2 aux values)")
     p.add_argument("--pq", required=True, help="JSON file with partial quotients")
-    p.add_argument("--depth", type=int, required=True, help="last index to emit")
+    p.add_argument("--depth", type=integer, required=True, help="last index to emit")
     p.add_argument("--emit", choices=("csv", "jsonl"), default="jsonl", help="output format")
     p.set_defaults(fn=_cmd_convergents)
 
@@ -266,10 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="periodic_command", required=True)
     ps = psub.add_parser("solve", formatter_class=_Formatter,
                          help="recover the exact cubic pair of a periodic expansion")
-    ps.add_argument("--pre-a", type=int, nargs="*", default=[], help="pre-period a block")
-    ps.add_argument("--pre-b", type=int, nargs="*", default=[], help="pre-period b block")
-    ps.add_argument("--per-a", type=int, nargs="+", required=True, help="period a block")
-    ps.add_argument("--per-b", type=int, nargs="+", required=True, help="period b block")
+    ps.add_argument("--pre-a", type=integer, nargs="*", default=[], help="pre-period a block")
+    ps.add_argument("--pre-b", type=integer, nargs="*", default=[], help="pre-period b block")
+    ps.add_argument("--per-a", type=integer, nargs="+", required=True, help="period a block")
+    ps.add_argument("--per-b", type=integer, nargs="+", required=True, help="period b block")
     ps.add_argument("--json", action="store_true", help="emit the full certificate as JSON")
     ps.set_defaults(fn=_cmd_periodic_solve)
 
@@ -278,18 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="construct_command", required=True)
     cl = csub.add_parser("liouville", formatter_class=_Formatter,
                          help="derive head quotients dominating the tilde values")
-    cl.add_argument("--m", type=int, default=2, help="dimension (default 2)")
+    cl.add_argument("--m", type=integer, default=2, help="dimension (default 2)")
     cl.add_argument("--delta", default="1", help="positive rational exponent delta (p/q)")
     cl.add_argument("--b-rule", action="append", required=True,
                     help="tail rule const:K | cycle:V1,V2 | list:V1,V2 (repeat for m > 2)")
-    cl.add_argument("--a0", type=int, default=0, help="index-0 head quotient")
-    cl.add_argument("--depth", type=int, required=True, help="last index to construct")
+    cl.add_argument("--a0", type=integer, default=0, help="index-0 head quotient")
+    cl.add_argument("--depth", type=integer, required=True, help="last index to construct")
     cl.set_defaults(fn=_cmd_construct_liouville)
     cq = csub.add_parser("quasiperiodic", formatter_class=_Formatter,
                          help="copy scheduled repetition windows over a base sequence")
     cq.add_argument("--schedule", required=True, help="JSON file with [n, r, lambda] windows")
     cq.add_argument("--base", required=True, help="JSON file with base partial quotients")
-    cq.add_argument("--depth", type=int, required=True, help="number of indices to build")
+    cq.add_argument("--depth", type=integer, required=True, help="number of indices to build")
     cq.set_defaults(fn=_cmd_construct_quasiperiodic)
 
     p = sub.add_parser("verify", formatter_class=_Formatter,
@@ -305,48 +310,47 @@ def build_parser() -> argparse.ArgumentParser:
                          help="numerator/denominator and tilde-quadratic bounds (m=2)")
     vb.add_argument("--pq", required=True)
     vb.add_argument("--box", help="N,M when the index-0 quotients are not zero")
-    vb.add_argument("--depth", type=int, default=None, help="last index to check")
+    vb.add_argument("--depth", type=integer, default=None, help="last index to check")
     vb.set_defaults(fn=_cmd_verify_bounds)
 
     vg = vsub.add_parser("growth", formatter_class=_Formatter,
                          help="certified denominator growth bounds")
     vg.add_argument("--pq", required=True)
-    vg.add_argument("--d", type=int, default=None, help="check log log C_(n+1) < K(d,m) n")
-    vg.add_argument("--M", type=int, default=None, help="check C_n <= eta(M)^n under a_n <= M")
-    vg.add_argument("--depth", type=int, default=None, help="last index to check")
+    vg.add_argument("--d", type=integer, default=None, help="check log log C_(n+1) < K(d,m) n")
+    vg.add_argument("--M", type=integer, default=None, help="check C_n <= eta(M)^n under a_n <= M")
+    vg.add_argument("--depth", type=integer, default=None, help="last index to check")
     vg.set_defaults(fn=_cmd_verify_growth)
 
     vl = vsub.add_parser("liouville", formatter_class=_Formatter,
                          help="check the head-dominates-tilde criterion inequality")
     vl.add_argument("--pq", required=True)
     vl.add_argument("--delta", required=True, help="positive rational exponent (p/q)")
-    vl.add_argument("--depth", type=int, default=None, help="last index to check")
+    vl.add_argument("--depth", type=integer, default=None, help="last index to check")
     vl.set_defaults(fn=_cmd_verify_liouville)
 
     v1 = vsub.add_parser("main1", formatter_class=_Formatter,
                          help="quasi-periodic criterion with growing quotients")
     v1.add_argument("--schedule", required=True)
     v1.add_argument("--base", required=True)
-    v1.add_argument("--d", type=int, required=True)
+    v1.add_argument("--d", type=integer, required=True)
     v1.add_argument("--c", required=True, help="rational constant in r_k < c n_k")
-    v1.add_argument("--depth", type=int, required=True)
+    v1.add_argument("--depth", type=integer, required=True)
     v1.set_defaults(fn=_cmd_verify_main1)
 
     v2 = vsub.add_parser("main2", formatter_class=_Formatter,
                          help="quasi-periodic criterion with bounded quotients")
     v2.add_argument("--schedule", required=True)
     v2.add_argument("--base", required=True)
-    v2.add_argument("--M", type=int, required=True, help="quotient bound")
-    v2.add_argument("--N", type=int, required=True, help="window length bound")
+    v2.add_argument("--M", type=integer, required=True, help="quotient bound")
+    v2.add_argument("--N", type=integer, required=True, help="window length bound")
     v2.add_argument("--variant", choices=("statement", "lemma38", "proof18"),
                     default="statement", help="which threshold-constant convention to use")
-    v2.add_argument("--depth", type=int, default=64)
+    v2.add_argument("--depth", type=integer, default=64)
     v2.set_defaults(fn=_cmd_verify_main2)
 
     return parser
 
 
-@unlimited_int_digits
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -38,7 +38,6 @@ from .errors import (
     OracleExhausted,
     PreconditionViolated,
     PrefixMismatch,
-    unlimited_int_digits,
 )
 from .exact_reals import (
     NumberField,
@@ -52,6 +51,7 @@ from .exact_reals import (
     query_levels,
 )
 from .intervals import RationalInterval, as_fraction, iv_enclosure
+from .radix import frac_to_str, int_to_str
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +333,16 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Bou
     a0, b0 = pq.seqs[0][0], pq.seqs[1][0]
     if box is None:
         if (a0, b0) != (0, 0):
-            raise PreconditionViolated(
-                f"bound check requires a_0 = b_0 = 0, got ({a0}, {b0}); pass box=(N, M)"
-            )
+            raise PreconditionViolated("bound check requires a_0 = b_0 = 0, got "
+                                       f"({int_to_str(a0)}, {int_to_str(b0)}); pass box=(N, M)")
         nbox, mbox = 0, 0
         strict_upper_is_lemma = True
     else:
         nbox, mbox = int(box[0]), int(box[1])
         if (a0, b0) != (nbox, mbox):
             raise PreconditionViolated(
-                f"box {box} does not match the index-0 quotients ({a0}, {b0})"
-            )
+                f"box ({int_to_str(nbox)}, {int_to_str(mbox)}) does not match the index-0"
+                f" quotients ({int_to_str(a0)}, {int_to_str(b0)})")
         strict_upper_is_lemma = False
 
     first = first_quad = None
@@ -367,7 +366,8 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Bou
     name = "num-le-den" if strict_upper_is_lemma else "box"
     detail = (
         "A_n, B_n <= C_n" if strict_upper_is_lemma
-        else f"{nbox} C_n <= A_n <= {nbox + 1} C_n and {mbox} C_n <= B_n <= {mbox + 1} C_n"
+        else f"{int_to_str(nbox)} C_n <= A_n <= {int_to_str(nbox + 1)} C_n and"
+        f" {int_to_str(mbox)} C_n <= B_n <= {int_to_str(mbox + 1)} C_n"
     )
     quad = f"ac1_{{n+1}}, bc1_{{n+1}} < 3 C_n^2 at the {applied} indices with a_{{n+1}} < C_n"
     return BoundReport((CheckItem(name, first, detail, tuple(boundary)),
@@ -554,7 +554,8 @@ def k_interval(d: int, m: int, max_width=Fraction(1, 10**6)) -> RationalInterval
         k = _k_enclosure(d, m, 64 << level)
         return k if k.width <= max_width else None
 
-    return certify(f"K({d}, {m}) enclosure of width <= {max_width}", attempt)
+    what = f"K({int_to_str(d)}, {m}) enclosure of width <= {frac_to_str(max_width)}"
+    return certify(what, attempt)
 
 
 def loglog_interval(c: int, prec: int = 128) -> RationalInterval:
@@ -585,7 +586,7 @@ def loglog_lt(c: int, d: int, m: int, n: int) -> bool:
         if lhs.lo > rhs.hi:
             return False
 
-    return certify(f"log log C_{n + 1} < K({d}, {m}) * {n}", attempt)
+    return certify(f"log log C_{n + 1} < K({int_to_str(d)}, {m}) * {n}", attempt)
 
 
 @dataclass(frozen=True)
@@ -598,7 +599,6 @@ class GrowthReport:
         return all(item.ok for item in self.items)
 
 
-@unlimited_int_digits
 def growth_check(
     pq: PartialQuotients,
     upto: int | None = None,
@@ -653,7 +653,9 @@ def growth_check(
             raise InputError("the bounded-quotient upper bound is specific to m = 2")
         for n in range(1, n_max + 1):
             if pq.seqs[0][n] > M:
-                raise HypothesisViolated(f"a_{n} = {pq.seqs[0][n]} > M = {M}", n)
+                raise HypothesisViolated(
+                    f"a_{n} = {int_to_str(pq.seqs[0][n])} > M = {int_to_str(M)}", n
+                )
         eta = CertifiedPowers(eta_field(M))
         constants["eta_enclosure"] = eta.power(1)
         first = None
@@ -662,7 +664,7 @@ def growth_check(
                 first = n
                 break
         items.append(
-            CheckItem("eta-upper", first, f"C_n <= eta({M})^n")
+            CheckItem("eta-upper", first, f"C_n <= eta({int_to_str(M)})^n")
         )
 
     if d is not None:
@@ -671,7 +673,8 @@ def growth_check(
         for n in range(1, n_max):
             if not lt_power(pq.seqs[0][n + 1], rows[n].C, d):
                 raise HypothesisViolated(
-                    f"a_{n + 1}^(1) = {pq.seqs[0][n + 1]} >= C_{n}^{d}", n + 1
+                    f"a_{n + 1}^(1) = {int_to_str(pq.seqs[0][n + 1])} >= C_{n}^{int_to_str(d)}",
+                    n + 1,
                 )
         constants["K"] = k_interval(d, pq.m)
         first = None
@@ -683,7 +686,7 @@ def growth_check(
             CheckItem(
                 "loglog",
                 first,
-                f"log log C_(n+1) < K({d}, {pq.m}) n for 1 <= n <= {n_max - 1}",
+                f"log log C_(n+1) < K({int_to_str(d)}, {pq.m}) n for 1 <= n <= {n_max - 1}",
             )
         )
 

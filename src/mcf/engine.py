@@ -39,12 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polynomials as pol
-from .errors import (
-    FieldMismatch,
-    InputError,
-    Interruption,
-    unlimited_int_digits,
-)
+from .errors import FieldMismatch, InputError, Interruption
 from .exact_reals import (
     _MAX_ALGEBRAIC_ROUNDS,
     AlgebraicValue,
@@ -59,6 +54,7 @@ from .exact_reals import (
     enclosure_at,
 )
 from .intervals import RationalInterval, as_fraction
+from .radix import int_to_str
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +73,7 @@ class PartialQuotients:
         if self.m < 1:
             raise InputError("dimension m must be >= 1")
         if len(self.seqs) != self.m:
-            raise InputError(f"expected {self.m} sequences, got {len(self.seqs)}")
+            raise InputError(f"expected {int_to_str(self.m)} sequences, got {len(self.seqs)}")
         object.__setattr__(self, "seqs", tuple(tuple(int(x) for x in s) for s in self.seqs))
 
     @staticmethod
@@ -97,7 +93,7 @@ class PartialQuotients:
     def last_index(self, upto: int | None = None) -> int:
         """The last index a check covers: upto (>= 0), clipped to the rectangular range."""
         if upto is not None and upto < 0:
-            raise InputError(f"depth must be >= 0, got {upto}")
+            raise InputError(f"depth must be >= 0, got {int_to_str(upto)}")
         return self.rect_len - 1 if upto is None else min(upto, self.rect_len - 1)
 
     @property
@@ -123,7 +119,6 @@ class AdmissibilityReport:
         return not self.violations
 
 
-@unlimited_int_digits
 def check_admissible(pq: PartialQuotients) -> AdmissibilityReport:
     """Validate the Perron admissibility conditions for n >= 1.
 
@@ -160,10 +155,10 @@ def check_admissible(pq: PartialQuotients) -> AdmissibilityReport:
         for j in range(1, m + 1):
             e = pq.entry(j, n)
             if e is not None and e < 0:
-                add(n, j, "negative-entry", f"a_{n}^({j}) = {e} < 0")
+                add(n, j, "negative-entry", f"a_{n}^({j}) = {int_to_str(e)} < 0")
         head = pq.entry(1, n)
         if head is not None and head < 1:
-            add(n, 1, "head-not-positive", f"a_{n}^(1) = {head} < 1")
+            add(n, 1, "head-not-positive", f"a_{n}^(1) = {int_to_str(head)} < 1")
         for i in range(2, active(n) + 1):
             p, q, k = i, 1, n
             while True:
@@ -176,7 +171,7 @@ def check_admissible(pq: PartialQuotients) -> AdmissibilityReport:
                         k,
                         p,
                         "lex-order",
-                        f"a_{k}^({p}) = {left} > a_{k}^({q}) = {right}"
+                        f"a_{k}^({p}) = {int_to_str(left)} > a_{k}^({q}) = {int_to_str(right)}"
                         f" (chain started at index {n}, coordinate {i})",
                     )
                     break
@@ -194,7 +189,7 @@ def check_admissible(pq: PartialQuotients) -> AdmissibilityReport:
                             k + 1,
                             q + 1,
                             "lex-terminal",
-                            f"a_{k+1}^({q+1}) = {term} < 1 after an all-tied chain"
+                            f"a_{k+1}^({q+1}) = {int_to_str(term)} < 1 after an all-tied chain"
                             f" from index {n}, coordinate {i}",
                         )
                     break

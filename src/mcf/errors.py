@@ -5,37 +5,9 @@ criterion/hypothesis violations are reported data (exit 1), everything
 else is a bug.
 
 Messages quote the offending quotients, which can run to millions of
-digits, so the functions that format or parse them run under
-`unlimited_int_digits`.
+digits, so they format them with `mcf.radix` (`int_to_str`, `frac_to_str`),
+which is not held to CPython's int -> str digit cap.
 """
-
-import functools
-import sys
-
-
-_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
-def unlimited_int_digits(fn):
-    """Run fn with CPython's int <-> decimal string digit cap lifted, then restore it.
-
-    Liouville-type quotients and denominators reach millions of digits, far
-    past the default cap of 4300; the rest of the process keeps its own
-    setting.
-    """
-
-    @functools.wraps(fn)
-    def lifted(*args, **kwargs):
-        old = _int_max_str_digits()
-        if not old:
-            return fn(*args, **kwargs)
-        sys.set_int_max_str_digits(0)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            sys.set_int_max_str_digits(old)
-
-    return lifted
 
 
 class MCFError(Exception):
@@ -66,7 +38,8 @@ class Interruption(MCFError):
     """Trailing complete quotient is an integer; the expansion must drop a dimension."""
 
     def __init__(self, value: int):
-        super().__init__(f"trailing complete quotient is the integer {value}")
+        from .radix import int_to_str  # radix imports this module
+        super().__init__(f"trailing complete quotient is the integer {int_to_str(value)}")
         self.value = value
 
 

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .intervals import RationalInterval, as_fraction
 from . import polynomials as pol
-from .radix import quote, str_to_int
+from .radix import int_to_str, quote, str_to_int
 
 DEFAULT_REFINEMENT_BUDGET = 64
 # Hard cap on refinement rounds for algebraic values: round k targets a root
@@ -39,9 +39,9 @@ def refinement_budget() -> int:
     if raw is None:
         return DEFAULT_REFINEMENT_BUDGET
     try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InputError(f"MCF_PRECISION_BUDGET must be an integer, got {raw!r}") from exc
+        value = str_to_int(raw)
+    except InputError as exc:
+        raise InputError(f"MCF_PRECISION_BUDGET must be an integer, got {quote(raw)}") from exc
     if value < 1:
         raise InputError("MCF_PRECISION_BUDGET must be >= 1")
     return value
@@ -160,7 +160,8 @@ class NumberField:
         )
 
     def __repr__(self):
-        return f"NumberField(min_poly={list(self.min_poly)}, root~{self._initial})"
+        coeffs = ", ".join(map(int_to_str, self.min_poly))
+        return f"NumberField(min_poly=[{coeffs}], root~{self._initial})"
 
 
 def _require_same_field(a: "FieldElement", b: "FieldElement") -> None:

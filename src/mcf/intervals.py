@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import floor
 
 from .errors import DivisionByZero
+from .radix import frac_to_str, str_to_frac
 
 
 def as_fraction(x) -> Fraction:
@@ -20,7 +21,7 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return str_to_frac(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -35,7 +36,7 @@ class RationalInterval:
         object.__setattr__(self, "lo", as_fraction(self.lo))
         object.__setattr__(self, "hi", as_fraction(self.hi))
         if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+            raise ValueError(f"interval endpoints out of order: {self}")
 
     @staticmethod
     def point(v) -> "RationalInterval":
@@ -98,7 +99,7 @@ class RationalInterval:
 
     def reciprocal(self) -> "RationalInterval":
         if self.lo <= 0 <= self.hi:
-            raise DivisionByZero(f"reciprocal of interval containing zero: [{self.lo}, {self.hi}]")
+            raise DivisionByZero(f"reciprocal of interval containing zero: {self}")
         return RationalInterval(1 / self.hi, 1 / self.lo)
 
     def __truediv__(self, other):
@@ -136,19 +137,8 @@ class RationalInterval:
     def hull(self, other: "RationalInterval") -> "RationalInterval":
         return RationalInterval(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    def outward(self, bits: int) -> "RationalInterval":
-        """Round endpoints outward to dyadic rationals with denominator 2**bits.
-
-        Keeps endpoint sizes bounded in long interval-product chains at the
-        cost of at most 2**-bits of extra width on each side.
-        """
-        scale = 1 << bits
-        lo = Fraction(floor(self.lo * scale), scale)
-        hi = Fraction(ceil(self.hi * scale), scale)
-        return RationalInterval(lo, hi)
-
     def __str__(self):
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{frac_to_str(self.lo)}, {frac_to_str(self.hi)}]"
 
 
 def iv_enclosure(prec: int, compute) -> RationalInterval:

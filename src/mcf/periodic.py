@@ -34,6 +34,7 @@ from .errors import (
 )
 from .exact_reals import AlgebraicValue, FieldElement, NumberField, certify
 from .intervals import RationalInterval, as_fraction
+from .radix import frac_to_str
 from . import polynomials as pol
 
 
@@ -265,7 +266,7 @@ def solve_periodic(
         rats = pol.rational_roots(poly)
         if rats:
             raise DegenerateCubic(
-                f"recovered {name} cubic has rational root {rats[0]}; "
+                f"recovered {name} cubic has rational root {frac_to_str(rats[0])}; "
                 "input is outside the cubic-irrational regime",
                 residual=poly,
             )

@@ -1,34 +1,33 @@
-"""Exact conversion between ints and decimal digit strings.
+"""Exact conversion between integers (and rationals) and decimal text.
 
-CPython 3.11 converts int <-> str in time quadratic in the number of digits,
-which dominates reading and writing the multi-Mbit quotients of the
-Liouville-type constructions.  Above CUTOFF_BITS both directions switch to
-the divide-and-conquer radix conversions of Brent & Zimmermann, *Modern
-Computer Arithmetic* (2010), section 1.7:
+This is the only code in mcf that converts numbers to or from decimal
+digits.  CPython caps its own int <-> str conversions (4300 digits by
+default, 640 at the least: the CVE-2020-10735 guard); mcf never reads or
+changes that cap.  The builtin `str`/`int` see only pieces under 640
+digits; longer numbers go through the subquadratic divide-and-conquer
+conversions of Brent & Zimmermann, *Modern Computer Arithmetic* (2010),
+section 1.7, where CPython 3.11's own are quadratic:
 
-- int -> str splits the integer at a power of two and joins the halves as
-  `decimal.Decimal`s, whose C multiplication is subquadratic; the digits of
-  the result are then read off in linear time.  `to_decimal` is that split
-  on its own: a caller that computes in `Decimal` under EXACT (`mcf
-  convergents`) never builds the big ints and prints with `str()`.
-- str -> int splits the digit string in half and joins with
-  hi * 10**k + lo, where 10**k = 5**k << k (Karatsuba multiplication).
+- int -> str splits the integer at powers of two and joins the halves as
+  `decimal.Decimal`s (`to_decimal`), whose digits are read off in linear
+  time; `mcf convergents` computes in `Decimal` under EXACT directly.
+- str -> int checks the text against `int()`'s grammar, then splits the
+  digits in half and joins with hi * 10**k + lo, 10**k = 5**k << k.
 
-Below the cutoff, and for strings that are not plain ASCII `[+-]?[0-9]+`,
-the builtin `str`/`int` are used, so output and accepted syntax are exactly
-theirs.
+The results are exactly `str(v)`, `int(s)`, `str(Fraction)` and
+`Fraction(s)` with the cap lifted; malformed text raises InputError.
 """
 
 from __future__ import annotations
 
 import decimal
+import re
+from fractions import Fraction
 
-from .errors import InputError, unlimited_int_digits
+from .errors import InputError
 
-CUTOFF_BITS = 1 << 15  # both directions break even between 24 and 32 kbit on CPython 3.11
-_CUTOFF_DIGITS = CUTOFF_BITS * 30103 // 100000  # decimal digits in CUTOFF_BITS bits
-_LEAF_BITS = 1024  # encode pieces converted by Decimal(int) directly
-_LEAF_DIGITS = 512  # decode pieces converted by int(str) directly
+_LEAF_BITS = 1024  # ints converted by str(int) or Decimal(int) directly: at most 309 digits
+_LEAF_DIGITS = 512  # digit strings converted by int(str) directly
 
 
 def quote(text: str) -> str:
@@ -74,25 +73,32 @@ def to_decimal(v: int) -> decimal.Decimal:
     return d.copy_negate() if v < 0 else d
 
 
-@unlimited_int_digits
 def int_to_str(v: int) -> str:
-    """str(v) for an int, subquadratic above CUTOFF_BITS."""
-    return str(v) if v.bit_length() <= CUTOFF_BITS else str(to_decimal(v))
+    """str(v) for an int of any size."""
+    return str(v) if v.bit_length() <= _LEAF_BITS else str(to_decimal(v))
 
 
-@unlimited_int_digits
+def frac_to_str(v) -> str:
+    """str(v) for a Fraction (or int) of any size: "p/q", or just p when q = 1."""
+    num = int_to_str(v.numerator)
+    return num if v.denominator == 1 else f"{num}/{int_to_str(v.denominator)}"
+
+
 def str_to_int(text: str) -> int:
-    """int(text), subquadratic for long plain digit strings; malformed text raises InputError."""
+    """int(text) for a string of any length; malformed text raises InputError."""
     s = text.strip()
-    if len(s) > _CUTOFF_DIGITS:
-        body = s[1:] if s[0] in "+-" else s
-        if body.isascii() and body.isdigit():
-            value = _join_digits(body)
-            return -value if s[0] == "-" else value
-    try:
-        return int(s)
-    except ValueError:
-        raise InputError(f"malformed integer {quote(text)}") from None
+    if len(s) <= _LEAF_DIGITS:
+        try:
+            return int(s)
+        except ValueError:
+            raise InputError(f"malformed integer {quote(text)}") from None
+    # int()'s grammar: an optional sign, then Unicode decimal digits with single
+    # underscores between them ("".isdecimal() is False, so no empty part passes)
+    parts = (s[1:] if s[0] in "+-" else s).split("_")
+    if not all(part.isdecimal() for part in parts):
+        raise InputError(f"malformed integer {quote(text)}")
+    value = _join_digits("".join(parts))
+    return -value if s[0] == "-" else value
 
 
 def _join_digits(s: str) -> int:
@@ -112,3 +118,22 @@ def _join_digits(s: str) -> int:
         return convert(a, mid) * pow10(b - mid) + convert(mid, b)
 
     return convert(0, len(s))
+
+
+# Fraction(str)'s grammar (CPython 3.11 fractions._RATIONAL_FORMAT): no space around "/"
+_RATIONAL = re.compile(r"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)"
+                       r"(?:/(?P<den>\d+(_\d+)*)|(?:\.(?P<dec>\d*|\d+(_\d+)*))?"
+                       r"(?:E(?P<exp>[-+]?\d+(_\d+)*))?)\s*", re.IGNORECASE)
+
+
+def str_to_frac(text: str) -> Fraction:
+    """Fraction(text) for a string of any length; malformed text or q = 0 raises InputError."""
+    match = _RATIONAL.fullmatch(text)
+    den = str_to_int(match["den"]) if match and match["den"] else 1
+    if match is None or den == 0:
+        raise InputError(f"malformed rational {quote(text)}; expected 'p/q' with q != 0")
+    dec = (match["dec"] or "").replace("_", "")
+    num = str_to_int(match["num"] or "0") * 10 ** len(dec) + str_to_int(dec or "0")
+    exp = str_to_int(match["exp"] or "0") - len(dec)  # value = num / den * 10**exp
+    num, den = (num * 10**exp, den) if exp >= 0 else (num, den * 10**-exp)
+    return Fraction(-num if match["sign"] == "-" else num, den)

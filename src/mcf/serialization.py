@@ -5,9 +5,9 @@ decimal strings so nothing is lost crossing 64-bit consumers; rationals are
 "p/q" strings; polynomials are coefficient lists, constant term first.
 Structural counters (m, n, depth) stay JSON numbers.  All document dumps are
 key-sorted and compact, so identical inputs give byte-identical output.
-Integers cross the wire through `mcf.radix` (exactly `str`/`int`, in
-subquadratic time for multi-Mbit values); malformed numbers raise
-InputError.
+Numbers cross the wire through `mcf.radix` (exactly `str`/`int` and
+`Fraction(str)`, under any int digit cap and in subquadratic time for
+multi-Mbit values); malformed numbers raise InputError.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .engine import PartialQuotients
-from .errors import InputError, NonTerminating, unlimited_int_digits
+from .errors import InputError, NonTerminating
 from .exact_reals import (
     AlgebraicValue,
     DecimalOracle,
@@ -27,7 +27,7 @@ from .exact_reals import (
     RealValue,
 )
 from .intervals import RationalInterval
-from .radix import int_to_str, quote, str_to_int
+from .radix import int_to_str, str_to_frac, str_to_int
 
 if TYPE_CHECKING:  # report types: only annotations name them, so encoding loads no checker
     from .convergents import BoundReport, GrowthReport
@@ -56,19 +56,15 @@ def parse_int(v) -> int:
         return v
     if isinstance(v, str):
         return str_to_int(v)
-    raise InputError(f"expected an integer (number or decimal string), got {v!r}")
+    raise InputError(f"expected an integer (number or decimal string), got {type(v).__name__}")
 
 
-@unlimited_int_digits
 def parse_frac(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        try:
-            return Fraction(v.strip())
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"malformed rational {quote(v)}; expected 'p/q' with q != 0") from None
-    raise InputError(f"expected a rational 'p/q' string, got {v!r}")
+        return str_to_frac(v)
+    raise InputError(f"expected a rational 'p/q' string, got {type(v).__name__}")
 
 
 def _field(obj: dict, key: str):
@@ -106,8 +102,13 @@ def real_from_json(obj) -> RealValue:
         coords = [parse_frac(c) for c in _list(obj.get("coords", ["0/1", "1/1"]), "coords")]
         return AlgebraicValue(field.element(coords))
     if kind == "decimal":
-        return OracleValue(DecimalOracle(str(_field(obj, "digits"))))
-    raise InputError(f"unknown real value kind {kind!r}")
+        digits = _field(obj, "digits")
+        if not isinstance(digits, (str, int, float)):
+            raise InputError(f"decimal digits must be a string, got {type(digits).__name__}")
+        text = int_to_str(digits) if isinstance(digits, int) else str(digits)
+        return OracleValue(DecimalOracle(text))
+    raise InputError(f"unknown real value kind {kind!r}" if isinstance(kind, str) else
+                     f"real value kind must be a string, got {type(kind).__name__}")
 
 
 def real_to_json(rv: RealValue) -> dict:
@@ -256,16 +257,10 @@ def bound_report_to_json(report: BoundReport) -> dict:
 
 
 def growth_report_to_json(report: GrowthReport) -> dict:
-    constants = {}
-    for name, value in report.constants.items():
-        if isinstance(value, RationalInterval):
-            constants[name] = interval_json(value)
-        else:
-            constants[name] = str(value)
     return {
         "ok": report.ok,
         "items": _check_items_json(report.items),
-        "constants": constants,
+        "constants": {name: interval_json(iv) for name, iv in report.constants.items()},
     }
 
 

@@ -42,6 +42,7 @@ from .engine import PartialQuotients, check_admissible
 from .errors import AdmissibilityConflict, AdmissibilityError, InputError, ScheduleOverlap
 from .exact_reals import abs_diff_pow_lt, certify
 from .intervals import RationalInterval, as_fraction, iv_enclosure
+from .radix import frac_to_str, int_to_str
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +165,8 @@ class LiouvilleSpec:
         if self.depth < 1:
             raise InputError("depth must be >= 1")
         if len(self.tail_rules) != self.m - 1:
-            raise InputError(f"need {self.m - 1} tail rules for m = {self.m}")
+            m = int_to_str(self.m)
+            raise InputError(f"need {int_to_str(self.m - 1)} tail rules for m = {m}")
 
 
 def construct_liouville(spec: LiouvilleSpec) -> PartialQuotients:
@@ -184,7 +186,8 @@ def construct_liouville(spec: LiouvilleSpec) -> PartialQuotients:
             head = int(spec.head)
         else:
             if any(v < 0 for v in tail):
-                raise AdmissibilityConflict(f"free entry a_{n}^(j) negative: {tail}", index=n)
+                shown = ", ".join(map(int_to_str, tail))
+                raise AdmissibilityConflict(f"free entry a_{n}^(j) negative: [{shown}]", index=n)
             t_max = max(abs(t) for t in lags.peek_lag1(tail).values())
             threshold = t_max * _ceil_rational_power(state.window[0][m], spec.delta)
             head = max(threshold, max([0] + tail)) + 1
@@ -232,14 +235,14 @@ def verify_liouville(pq: PartialQuotients, delta, upto: int | None = None) -> Cr
         CheckItem(
             "head-dominates-tilde",
             first,
-            f"a_n^(1) > max_i |tilde_i(n)| C_(n-1)^{delta} for 1 <= n <= {n_max}",
+            f"a_n^(1) > max_i |tilde_i(n)| C_(n-1)^{frac_to_str(delta)} for 1 <= n <= {n_max}",
         ),
     )
     return CriterionReport(
         criterion="liouville",
         depth=n_max,
         hypotheses=checks,
-        data={"delta": str(delta)},
+        data={"delta": frac_to_str(delta)},
     )
 
 
@@ -268,7 +271,8 @@ def roth_scan(x, pq: PartialQuotients, epsilon, upto: int, coords=None) -> list[
         ok = True
         for i in which:
             target = Fraction(rows[n].A[i], C)
-            what = f"Roth test |x_{i + 1} - A_{n}/C_{n}|^{q} < 1/C_{n}^{2 * q + p}"
+            what = (f"Roth test |x_{i + 1} - A_{n}/C_{n}|^{int_to_str(q)}"
+                    f" < 1/C_{n}^{int_to_str(2 * q + p)}")
             if not abs_diff_pow_lt(values[i], target, q, bound, what):
                 ok = False
                 break
@@ -310,7 +314,8 @@ class QuasiPeriodicSpec:
                 raise ScheduleOverlap("schedule starts must be strictly increasing")
             if prev_end is not None and n_k < prev_end:
                 raise ScheduleOverlap(
-                    f"window starting at {n_k} overlaps the previous one ending at {prev_end - 1}"
+                    f"window starting at {int_to_str(n_k)} overlaps the previous one ending at"
+                    f" {int_to_str(prev_end - 1)}"
                 )
             prev_n = n_k
             prev_end = n_k + lam_k * r_k
@@ -400,7 +405,8 @@ def _log_ratio_le(lam: int, n: int, lam2: int, n2: int) -> bool:
         if diff.lo > 0:
             return False
 
-    return certify(f"order of log(lambda)/n at windows n = {n} and n = {n2}", attempt)
+    windows = f"n = {int_to_str(n)} and n = {int_to_str(n2)}"
+    return certify(f"order of log(lambda)/n at windows {windows}", attempt)
 
 
 def main1_check(spec: QuasiPeriodicSpec, d: int, c, depth: int) -> CriterionReport:
@@ -425,7 +431,7 @@ def main1_check(spec: QuasiPeriodicSpec, d: int, c, depth: int) -> CriterionRepo
     h1 = CheckItem(
         "head-below-denominator-power",
         first,
-        f"a_(i+1) < C_i^{d} for 1 <= i <= {depth - 1}",
+        f"a_(i+1) < C_i^{int_to_str(d)} for 1 <= i <= {depth - 1}",
     )
     first_r = None
     for idx, (n_k, r_k, lam_k) in enumerate(spec.schedule):
@@ -435,7 +441,7 @@ def main1_check(spec: QuasiPeriodicSpec, d: int, c, depth: int) -> CriterionRepo
     h2 = CheckItem(
         "window-length-linear",
         first_r,
-        f"r_k < {c} n_k for every scheduled window (index = schedule position)",
+        f"r_k < {frac_to_str(c)} n_k for every scheduled window (index = schedule position)",
     )
     ratios = [_log_ratio_string(lam_k, n_k) for n_k, _, lam_k in spec.schedule]
     monotone = all(
@@ -449,8 +455,8 @@ def main1_check(spec: QuasiPeriodicSpec, d: int, c, depth: int) -> CriterionRepo
         data={
             "log_lambda_over_n": ratios,
             "monotone_nondecreasing": "true" if monotone else "false",
-            "d": str(d),
-            "c": str(c),
+            "d": int_to_str(d),
+            "c": frac_to_str(c),
         },
     )
 
@@ -501,7 +507,8 @@ def main2_constant(M: int, variant: str = "statement", max_width=Fraction(1, 10*
         b_iv = log_eta * factor / log_psi - 1
         return b_iv if b_iv.width <= max_width else None
 
-    return certify(f"threshold B({M}, {variant}) enclosure of width <= {max_width}", attempt)
+    what = f"threshold B({int_to_str(M)}, {variant}) enclosure of width <= {frac_to_str(max_width)}"
+    return certify(what, attempt)
 
 
 def main2_check(
@@ -522,7 +529,8 @@ def main2_check(
         if pq.seqs[0][n] > M or pq.seqs[1][n] > M:
             first = n
             break
-    h1 = CheckItem("quotients-bounded", first, f"a_k, b_k <= {M} for 0 <= k <= {depth}")
+    h1 = CheckItem("quotients-bounded", first,
+                   f"a_k, b_k <= {int_to_str(M)} for 0 <= k <= {depth}")
     first_r = None
     for idx, (_, r_k, _) in enumerate(spec.schedule):
         if r_k > r_bound:
@@ -531,7 +539,7 @@ def main2_check(
     h2 = CheckItem(
         "window-length-bounded",
         first_r,
-        f"r_k <= {r_bound} (index = schedule position)",
+        f"r_k <= {int_to_str(r_bound)} (index = schedule position)",
     )
 
     b_iv = main2_constant(M, variant)
@@ -550,10 +558,10 @@ def main2_check(
         hypotheses=(h1, h2),
         data={
             "variant": variant,
-            "B_lo": str(b_iv.lo),
-            "B_hi": str(b_iv.hi),
-            "ratios": [str(r) for r in ratios],
-            "max_ratio": str(running_max),
+            "B_lo": frac_to_str(b_iv.lo),
+            "B_hi": frac_to_str(b_iv.hi),
+            "ratios": [frac_to_str(r) for r in ratios],
+            "max_ratio": frac_to_str(running_max),
             "proxy_exceeds_B": "true" if exceed_at is not None else "false",
             "first_exceed_index": str(exceed_at) if exceed_at is not None else "none",
         },
@@ -572,4 +580,5 @@ def _ratio_exceeds(ratio: Fraction, M: int, variant: str, b_iv: RationalInterval
         if ratio <= b.lo:
             return False
 
-    return certify(f"comparison of the ratio {ratio} with B({M}, {variant})", attempt)
+    what = f"comparison of the ratio {frac_to_str(ratio)} with B({int_to_str(M)}, {variant})"
+    return certify(what, attempt)

@@ -252,6 +252,13 @@ def tildes(cur: Column, prev: Column) -> tuple[int, ...]:
     return tuple(lag_product(cur, prev, i, m) for i in range(m))
 
 
+def outward(iv: RationalInterval, bits: int) -> RationalInterval:
+    """iv with its endpoints rounded outward to dyadic rationals with denominator 2**bits."""
+    scale = 1 << bits
+    return RationalInterval(Fraction(math.floor(iv.lo * scale), scale),
+                            Fraction(math.ceil(iv.hi * scale), scale))
+
+
 class FractionPowers:
     """base^e enclosures as a chain of `Fraction` intervals, each product
     rounded outward to bits + 16 dyadic places (reduced by gcd every step)."""
@@ -262,7 +269,7 @@ class FractionPowers:
 
     def _rebuild(self):
         base = self._field.refine_root(Fraction(1, 1 << self._bits))
-        self._base = base.outward(self._bits + 16)
+        self._base = outward(base, self._bits + 16)
         self._powers = [RationalInterval.point(1), self._base]
 
     def tighten(self):
@@ -271,7 +278,7 @@ class FractionPowers:
 
     def power(self, e: int) -> RationalInterval:
         while len(self._powers) <= e:
-            self._powers.append((self._powers[-1] * self._base).outward(self._bits + 16))
+            self._powers.append(outward(self._powers[-1] * self._base, self._bits + 16))
         return self._powers[e]
 
 

@@ -22,10 +22,10 @@ from references import convergents_stdout
 from mcf.cli import build_parser, run
 from mcf.convergents import ConvergentState, conv_stream, k_interval
 from mcf.engine import PartialQuotients
-from mcf.radix import CUTOFF_BITS
 from mcf.serialization import pq_from_json, pq_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
+BIG_BITS = 1 << 15  # the size of the big quotients drawn below
 
 
 def invoke(argv, env=None):
@@ -494,14 +494,13 @@ def test_library_messages_and_literals_with_huge_integers():
 
 def test_liouville_past_the_radix_cutoff_round_trips(tmp_path):
     from mcf import LiouvilleSpec, const_rule, construct_liouville
-    from mcf.radix import CUTOFF_BITS
     from mcf.serialization import dumps_stable
 
     code, out, _ = invoke(["construct", "liouville", "--m", "2", "--delta", "1",
                            "--b-rule", "const:0", "--depth", "13"])
     assert code == 0
     pq = construct_liouville(LiouvilleSpec(2, Fraction(1), 13, (const_rule(0),)))
-    assert max(v.bit_length() for v in pq.seqs[0]) > CUTOFF_BITS
+    assert max(v.bit_length() for v in pq.seqs[0]) > BIG_BITS
     with int_digit_cap(0):
         plain = {"m": 2, "seqs": [[str(v) for v in s] for s in pq.seqs]}
     assert out == dumps_stable(plain) + "\n"
@@ -515,7 +514,7 @@ def test_liouville_past_the_radix_cutoff_round_trips(tmp_path):
 @st.composite
 def table_pqs(draw):
     """Ragged pqs, m = 1..4: small quotients of both signs, zeros included, and up to
-    two above the radix cutoff; a depth up to past the rectangular range."""
+    two of BIG_BITS bits or more; a depth up to past the rectangular range."""
     m = draw(st.sampled_from([1, 2, 3, 4]))
     length = draw(st.integers(0, 7))
     seqs = [draw(st.lists(st.integers(-4, 9), min_size=length, max_size=length + 2)) for _ in range(m)]
@@ -523,13 +522,13 @@ def table_pqs(draw):
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         seq = seqs[rng.randrange(m)]
         if seq:
-            seq[rng.randrange(len(seq))] = rng.choice([1, -1]) * rng.getrandbits(CUTOFF_BITS + rng.randrange(8000))
+            seq[rng.randrange(len(seq))] = rng.choice([1, -1]) * rng.getrandbits(BIG_BITS + rng.randrange(8000))
     return PartialQuotients(m, tuple(map(tuple, seqs))), draw(st.integers(0, length + 3))
 
 
 @settings(max_examples=60, deadline=None)
 @given(table_pqs())
-@example((PartialQuotients(2, ((-3, 0, -(1 << CUTOFF_BITS) - 5, 2), (0, -1, 0))), 6))
+@example((PartialQuotients(2, ((-3, 0, -(1 << BIG_BITS) - 5, 2), (0, -1, 0))), 6))
 def test_convergents_table_equals_the_int_reference(case):
     # the exact-decimal table prints exactly str() of the int columns and lag products
     pq, depth = case

@@ -150,3 +150,10 @@ def _mpmath_imports(path: Path) -> set[str]:
 def test_mpmath_is_imported_only_on_the_log_paths():
     importers = set().union(*(_mpmath_imports(p) for p in PACKAGE.glob("*.py")))
     assert importers == {"intervals.iv_enclosure", "transcendence._log_ratio_string"}
+
+
+def test_no_module_touches_the_int_digit_cap():
+    # mcf.radix converts numbers of any size under any cap, so no module reads or sets it
+    names = ("set_int_max_str_digits", "get_int_max_str_digits")
+    offenders = [p.name for p in PACKAGE.glob("*.py") if any(n in p.read_text() for n in names)]
+    assert offenders == []

@@ -1,4 +1,4 @@
-"""The decimal wire conversion: exactly str()/int(), on both sides of the cutoff."""
+"""The decimal wire conversion: exactly str()/int(), on both sides of the builtin leaf sizes."""
 
 import decimal
 
@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from helpers import int_digit_cap
 
 from mcf import InputError
-from mcf.radix import CUTOFF_BITS, to_decimal
+from mcf.radix import to_decimal
 from mcf.serialization import int_str, parse_int
 
-CUTOFF_DIGITS = CUTOFF_BITS * 30103 // 100000  # decimal digits of 2**CUTOFF_BITS, less one
+BIG_BITS = 1 << 15  # the size scale of the drawn integers
+BIG_DIGITS = BIG_BITS * 30103 // 100000  # decimal digits of 2**BIG_BITS, less one
 
 
 def _plain(v: int) -> str:
@@ -22,8 +23,8 @@ def _plain(v: int) -> str:
 
 @st.composite
 def wire_ints(draw):
-    """Random, power-of-2 and power-of-10 integers and their neighbours, both signs, up to 4x the cutoff."""
-    bits = draw(st.integers(0, 4 * CUTOFF_BITS))
+    """Random, power-of-2 and power-of-10 integers and their neighbours, both signs, up to 4 * BIG_BITS bits."""
+    bits = draw(st.integers(0, 4 * BIG_BITS))
     kind = draw(st.sampled_from(["random", "pow2", "pow10"]))
     if kind == "random":
         v = draw(st.randoms(use_true_random=False)).getrandbits(bits)
@@ -38,13 +39,19 @@ def wire_ints(draw):
 @settings(max_examples=60, deadline=None)
 @given(wire_ints())
 @example(0)
-@example((1 << CUTOFF_BITS) - 1)
-@example(1 << CUTOFF_BITS)
-@example(-(1 << CUTOFF_BITS) - 1)
-@example(10**CUTOFF_DIGITS)
-@example(-(10 ** (CUTOFF_DIGITS + 1)) + 1)
+@example((1 << BIG_BITS) - 1)
+@example(1 << BIG_BITS)
+@example(-(1 << BIG_BITS) - 1)
+@example(10**BIG_DIGITS)
+@example(-(10 ** (BIG_DIGITS + 1)) + 1)
+@example((1 << 1024) - 1)  # 1024 bits: the largest int str() converts whole
+@example(-(1 << 1024))  # 1025 bits
+@example(10**639)  # 640 digits: the smallest digit cap
+@example(-(10**640) + 1)
+@example(10**4299)  # 4300 digits: the default digit cap
+@example(10**4300 - 1)
 def test_int_str_is_str_and_parse_int_inverts_it(v):
-    with int_digit_cap(4300):
+    with int_digit_cap(640):
         text = int_str(v)
         back = parse_int(text)
     assert text == _plain(v)
@@ -56,7 +63,7 @@ def test_int_str_is_str_and_parse_int_inverts_it(v):
 @example(-1)
 @example((1 << 1024) - 1)
 @example(-(1 << 1024))
-@example(-(1 << CUTOFF_BITS) - 1)
+@example(-(1 << BIG_BITS) - 1)
 def test_to_decimal_is_exact_under_the_default_context(v):
     # the D&C joins run in radix.EXACT, whatever context the caller has
     with decimal.localcontext(decimal.Context()):
@@ -73,7 +80,7 @@ NON_ASCII = ["٠", "０", "०"]  # Arabic-Indic, fullwidth, Devanagari zeros
 def int_literals(draw):
     """Long digit strings in every syntax int() accepts."""
     rng = draw(st.randoms(use_true_random=False))
-    length = draw(st.integers(1, 4 * CUTOFF_DIGITS))
+    length = draw(st.integers(1, 4 * BIG_DIGITS))
     body = "0" * draw(st.integers(0, 30)) + "".join(rng.choice("0123456789") for _ in range(length))
     style = draw(st.sampled_from(["plain", "underscores", "non-ascii"]))
     if style == "underscores":
@@ -89,19 +96,28 @@ def int_literals(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(int_literals())
+@example("9" * 512)  # 512 characters: the longest string int() reads whole
+@example("9" * 513)
+@example(" -" + "1" * 511)
+@example("+" + "1" * 512 + "\n")
+@example("1_" * 320 + "1")  # 641 characters, 321 digits
+@example("0" * 639 + "7")  # 640 digits
+@example("٣" * 4300)  # 4300 non-ASCII digits
+@example("1" * 4301)
 def test_parse_int_is_int(text):
     with int_digit_cap(0):
         expected = int(text)
-    with int_digit_cap(4300):
+    with int_digit_cap(640):
         assert parse_int(text) == expected
 
 
-LONG = "7" * (2 * CUTOFF_DIGITS)
+LONG = "7" * (2 * BIG_DIGITS)
 
 
 @pytest.mark.parametrize("text", [
     "", " ", "+", "-", "1 2", "12a", "1__0", "_1", "1_", "0x10", "1.5", "1e3", "²", "+-1",
     LONG + "x", "x" + LONG, LONG + " " + LONG, LONG + "_", "²" + LONG,
+    "9" * 512 + "x", "_" + "9" * 600, "9" * 300 + "__" + "9" * 300, "+-" + "9" * 600, "-" * 600,
 ])
 def test_malformed_integers_raise_input_error(text):
     with pytest.raises(InputError) as exc:
