@@ -101,7 +101,7 @@ def _cmd_expand(args) -> int:
 
 
 # The m = 2 lag products emitted beside each column n: (name, i, j, lag) is
-# lag_product(column n, column n - lag, i, j) over (A^(1), A^(2), C).
+# x_i y_j - y_i x_j, x = column n and y = column n - lag over (A^(1), A^(2), C).
 AUX_M2 = (
     ("ac1", 0, 2, 1), ("bc1", 1, 2, 1), ("ab1", 0, 1, 1),
     ("ac2", 0, 2, 2), ("bc2", 1, 2, 2), ("ab2", 0, 1, 2),
@@ -161,14 +161,11 @@ def _cmd_periodic_solve(args) -> int:
 
 
 def _cmd_construct_liouville(args) -> int:
-    rules = [_parse_rule(text) for text in args.b_rule]
-    if len(rules) == 1 and args.m > 2:
-        rules = rules * (args.m - 1)
     spec = transcendence.LiouvilleSpec(
         m=args.m,
         delta=ser.parse_frac(args.delta),
         depth=args.depth,
-        tail_rules=tuple(rules),
+        tail_rules=tuple(_parse_rule(text) for text in args.b_rule),
         head=args.a0,
     )
     pq = transcendence.construct_liouville(spec)

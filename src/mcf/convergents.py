@@ -114,37 +114,15 @@ def conv_stream(pq: PartialQuotients, upto: int | None = None):
         yield state.step(tuple(pq.seqs[j][n] for j in range(pq.m)))
 
 
-def column_table(pq: PartialQuotients, upto: int | None = None):
-    """Columns for indices -(m+1)..upto as (list, offset): list[n + offset] has index n.
-
-    One walk of the recurrence; like conv_stream, it stops at the end of the
-    rectangular range.
-    """
-    m, init = pq.m, ConvergentState.initial(pq.m).window  # init[k] has index -1 - k
-    cols = [Column(-1 - k, init[k][:m], init[k][m]) for k in range(m, -1, -1)]
-    cols.extend(conv_stream(pq, upto))
-    return cols, pq.m + 1
-
-
 # ---------------------------------------------------------------------------
 # Lag products (the auxiliary or "tilde" sequences)
 # ---------------------------------------------------------------------------
 
 
-def lag_product(u: Column, v: Column, i: int, j: int) -> int:
-    """u_i v_j - v_i u_j over the coordinates (A^(1), ..., A^(m), C) of two columns.
-
-    Coordinate m is the denominator.  The columns may sit at any two
-    indices, the initial negative-index columns included; with v one index
-    before u and j = m this is the tilde value of coordinate i at u's index.
-    """
-    x, y = u.A + (u.C,), v.A + (v.C,)
-    return x[i] * y[j] - y[i] * x[j]
-
-
 class LagProducts:
-    """Rolling lag products L_l(n) = lag_product(col_n, col_(n-l), i, j), l = 1..m, of
-    chosen coordinate pairs (i, j): the 2x2 minors of W_n = [col_n | ... | col_(n-m)].
+    """Rolling lag products L_l(n) = x_i y_j - y_i x_j, x = col_n and y = col_(n-l)
+    over the coordinates (A^(1), ..., A^(m), C), l = 1..m, of chosen coordinate
+    pairs (i, j): the 2x2 minors of W_n = [col_n | ... | col_(n-m)].
 
     W_(n+1) = W_n S(a_(n+1)), where S has first column (a^(1), ..., a^(m), 1)
     and shifts the rest, so by Cauchy-Binet each minor at n+1 combines minors
@@ -157,7 +135,7 @@ class LagProducts:
     involve a_(n+1)^(1) (peek_lag1).
     """
 
-    __slots__ = ("m", "pairs", "_history")
+    __slots__ = ("m", "pairs", "_history", "_terms")
 
     def __init__(self, m: int, pairs):
         self.m, self.pairs = m, tuple(pairs)
@@ -165,21 +143,37 @@ class LagProducts:
         self._history = deque(({(i, j): tuple(((i, j) == (p, p + l)) - ((j, i) == (p, p + l))
                                               for l in range(1, m + 1)) for i, j in self.pairs}
                                for p in range(m)), maxlen=m)
+        # per lag q, the formula's terms as (quotient index, history slot, lag index):
+        # those added, those subtracted, and the (slot, lag index) of the quotient-free one
+        self._terms = tuple((tuple((k - 1, k - 1, q - k - 1) for k in range(1, q)),
+                             tuple((k - 1, q - 1, k - q - 1) for k in range(q + 1, m + 1)),
+                             (q - 1, m - q))
+                            for q in range(1, m + 1))
 
-    def _next(self, a, pair, q: int) -> int:
-        h, m = self._history, self.m
-        return (sum(a[k - 1] * h[k - 1][pair][q - k - 1] for k in range(1, q))
-                - sum(a[k - 1] * h[q - 1][pair][k - q - 1] for k in range(q + 1, m + 1))
-                - h[q - 1][pair][m - q])
+    def _lags(self, a, pair, terms) -> tuple:
+        rows = [held[pair] for held in self._history]
+        out = []
+        for added, subtracted, (slot, lag) in terms:
+            acc = -rows[slot][lag]
+            for k, p, l in added:
+                acc += a[k] * rows[p][l]
+            for k, p, l in subtracted:
+                acc -= a[k] * rows[p][l]
+            out.append(acc)
+        return tuple(out)
+
+    def held(self, p: int) -> dict:
+        """(L_1, ..., L_m)(n - p) of each pair, p = 0..m-1, n the last index stepped."""
+        return self._history[p]
 
     def peek_lag1(self, tail) -> dict:
         """L_1(n+1) of each pair from a_(n+1)^(2..m) alone, before a_(n+1)^(1) is chosen."""
-        return {pair: self._next((0, *tail), pair, 1) for pair in self.pairs}
+        a, lag1 = (0, *tail), self._terms[:1]
+        return {pair: self._lags(a, pair, lag1)[0] for pair in self.pairs}
 
     def step(self, a) -> dict:
         """(L_1, ..., L_m)(n+1) of each pair, from the quotients a_(n+1)^(1..m)."""
-        qs = range(1, self.m + 1)
-        lags = {pair: tuple(self._next(a, pair, q) for q in qs) for pair in self.pairs}
+        lags = {pair: self._lags(a, pair, self._terms) for pair in self.pairs}
         self._history.appendleft(lags)
         return lags
 

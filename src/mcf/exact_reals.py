@@ -25,7 +25,7 @@ from .errors import (
 )
 from .intervals import RationalInterval, as_fraction
 from . import polynomials as pol
-from .radix import int_to_str, quote, str_to_int
+from .radix import frac_to_str, int_to_str, quote, str_to_int
 
 DEFAULT_REFINEMENT_BUDGET = 64
 # Hard cap on refinement rounds for algebraic values: round k targets a root
@@ -331,7 +331,8 @@ class FieldElement:
                             RationalInterval.floor_certified)
 
     def __repr__(self):
-        return f"FieldElement({list(self.coords)} over deg-{self.field.degree} field)"
+        coords = ", ".join(map(frac_to_str, self.coords))
+        return f"FieldElement([{coords}] over deg-{self.field.degree} field)"
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +459,7 @@ class RationalValue(RealValue):
         self.value = as_fraction(value)
 
     def __repr__(self):
-        return f"RationalValue({self.value})"
+        return f"RationalValue({frac_to_str(self.value)})"
 
 
 class AlgebraicValue(RealValue):

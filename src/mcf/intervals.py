@@ -140,21 +140,22 @@ class RationalInterval:
     def __str__(self):
         return f"[{frac_to_str(self.lo)}, {frac_to_str(self.hi)}]"
 
+    def __repr__(self):
+        return f"RationalInterval({frac_to_str(self.lo)!r}, {frac_to_str(self.hi)!r})"
+
 
 def iv_enclosure(prec: int, compute) -> RationalInterval:
-    """The exact endpoints of the mpmath.iv interval compute(iv) returns at prec
-    bits; mpmath is imported here, on the first logarithm a run takes."""
-    from mpmath import iv
+    """The exact endpoints of the interval compute(iv) returns, iv a fresh mpmath
+    interval context at prec bits (mpmath's global iv is never touched); mpmath
+    is imported here, on the first logarithm a run takes."""
+    from mpmath.ctx_iv import MPIntervalContext
 
     def to_frac(raw) -> Fraction:
         sign, man, exp, _ = raw  # a libmp tuple (sign, mantissa, exponent, bitcount)
         mag = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
         return -mag if sign else mag
 
-    old = iv.prec
-    iv.prec = prec
-    try:
-        lo, hi = compute(iv)._mpi_
-    finally:
-        iv.prec = old
+    ctx = MPIntervalContext()
+    ctx.prec = prec
+    lo, hi = compute(ctx)._mpi_
     return RationalInterval(to_frac(lo), to_frac(hi))

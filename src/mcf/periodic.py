@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .convergents import Column, column_table, lag_product
+from .convergents import ConvergentState, LagProducts
 from .engine import PartialQuotients, check_admissible, expand
 from .errors import (
     AdmissibilityError,
@@ -114,31 +114,32 @@ class XMatrix:
         return max(abs(v) for row in self.rows for v in row)
 
 
-def x_matrix(spec: PeriodicSpec) -> XMatrix:
-    """X = W V^{-1} with V^{-1} assembled from the lag-product sequences."""
-    return _x_and_top(spec)[0]
-
-
-def _x_and_top(spec: PeriodicSpec) -> tuple[XMatrix, Column]:
-    """The X matrix and the column of index k+h-1, from one walk of the columns."""
+def x_matrix(spec: PeriodicSpec) -> tuple[XMatrix, int]:
+    """X = W V^{-1}, V^{-1} assembled from the lag products, and C_(k+h-1): one walk
+    of the columns through index k+h-1."""
     validate_spec(spec)
-    k, h = spec.k, spec.h
-    cols, off = column_table(unroll(spec, k + h))
+    k = spec.k
+    pairs = ((1, 2), (0, 2), (0, 1))
+    state, lags = ConvergentState.initial(2), LagProducts(2, pairs)
+    for n, a in enumerate(zip(spec.pre_a + spec.per_a, spec.pre_b + spec.per_b)):
+        state.step(a)
+        if n < k:  # V^{-1} needs the lag products through index k-1 only
+            lags.step(a)
 
-    def adjugate_row(n: int, lag: int, sign: int) -> tuple[int, int, int]:
-        u, v = cols[n + off], cols[n - lag + off]
-        b_c, a_c, a_b = lag_product(u, v, 1, 2), lag_product(u, v, 0, 2), lag_product(u, v, 0, 1)
+    def adjugate_row(held: dict, lag: int, sign: int) -> tuple[int, int, int]:
+        b_c, a_c, a_b = (held[pair][lag - 1] for pair in pairs)
         return (sign * b_c, -sign * a_c, sign * a_b)
 
-    # adjugate of the index-(k-1) column matrix (det = +1)
-    inv = (adjugate_row(k - 2, 1, 1), adjugate_row(k - 1, 2, -1), adjugate_row(k - 1, 1, 1))
-    # w[t][i] = W[i][t]: coordinate i of the column of index k+h-1-t
-    w = [c.A + (c.C,) for c in (cols[k + h - 1 - t + off] for t in range(3))]
+    # adjugate of V = [col_(k-1) | col_(k-2) | col_(k-3)] (det = +1), from the lag
+    # products held for indices k-1 (held(0)) and k-2 (held(1))
+    inv = (adjugate_row(lags.held(1), 1, 1), adjugate_row(lags.held(0), 2, -1),
+           adjugate_row(lags.held(0), 1, 1))
+    w = state.window  # w[t][i] = W[i][t]: coordinate i of the column of index k+h-1-t
     rows = tuple(
         tuple(sum(w[t][i] * inv[t][j] for t in range(3)) for j in range(3))
         for i in range(3)
     )
-    return XMatrix(rows), cols[k + h - 1 + off]
+    return XMatrix(rows), w[0][2]
 
 
 # ---------------------------------------------------------------------------
@@ -147,38 +148,24 @@ def _x_and_top(spec: PeriodicSpec) -> tuple[XMatrix, Column]:
 
 
 def _explicit_coeffs(x: XMatrix, target: str) -> tuple[int, int, int, int]:
-    """The verified closed-form coefficient lists, cubic in the X entries."""
-    x11, x12, x13 = x[1, 1], x[1, 2], x[1, 3]
-    x21, x22, x23 = x[2, 1], x[2, 2], x[2, 3]
-    x31, x32, x33 = x[3, 1], x[3, 2], x[3, 3]
-    if target == "beta":
-        a = x11 * x31 * x32 - x12 * x31**2 + x21 * x32**2 - x22 * x31 * x32
-        b = (
-            -x11 * x21 * x32 - x11 * x22 * x31 + x11 * x31 * x33 + 2 * x12 * x21 * x31
-            - x13 * x31**2 - x21 * x22 * x32 + 2 * x21 * x32 * x33 + x22**2 * x31
-            - x22 * x31 * x33 - x23 * x31 * x32
-        )
-        c = (
-            x11 * x21 * x22 - x11 * x21 * x33 - x11 * x23 * x31 - x12 * x21**2
-            + 2 * x13 * x21 * x31 - x21 * x22 * x33 - x21 * x23 * x32 + x21 * x33**2
-            + 2 * x22 * x23 * x31 - x23 * x31 * x33
-        )
-        d = x11 * x21 * x23 - x13 * x21**2 - x21 * x23 * x33 + x23**2 * x31
-    elif target == "alpha":
-        a = -x11 * x31 * x32 + x12 * x31**2 - x21 * x32**2 + x22 * x31 * x32
-        b = (
-            x11**2 * x32 - x11 * x12 * x31 - x11 * x22 * x32 - x11 * x32 * x33
-            + 2 * x12 * x21 * x32 - x12 * x22 * x31 + 2 * x12 * x31 * x33
-            - x13 * x31 * x32 + x22 * x32 * x33 - x23 * x32**2
-        )
-        c = (
-            x11 * x12 * x22 - x11 * x12 * x33 + 2 * x11 * x13 * x32 - x12**2 * x21
-            - x12 * x13 * x31 - x12 * x22 * x33 + 2 * x12 * x23 * x32 + x12 * x33**2
-            - x13 * x22 * x32 - x13 * x32 * x33
-        )
-        d = -(x12**2) * x23 + x12 * x13 * x22 - x12 * x13 * x33 + x13**2 * x32
-    else:
+    """The verified closed-form coefficient list of the beta cubic, cubic in the X
+    entries; the alpha cubic is the beta cubic of X with coordinates 1 and 2 swapped."""
+    order = {"alpha": (2, 1, 3), "beta": (1, 2, 3)}.get(target)
+    if order is None:
         raise InputError("target must be 'alpha' or 'beta'")
+    (x11, x12, x13), (x21, x22, x23), (x31, x32, x33) = ([x[i, j] for j in order] for i in order)
+    a = x11 * x31 * x32 - x12 * x31**2 + x21 * x32**2 - x22 * x31 * x32
+    b = (
+        -x11 * x21 * x32 - x11 * x22 * x31 + x11 * x31 * x33 + 2 * x12 * x21 * x31
+        - x13 * x31**2 - x21 * x22 * x32 + 2 * x21 * x32 * x33 + x22**2 * x31
+        - x22 * x31 * x33 - x23 * x31 * x32
+    )
+    c = (
+        x11 * x21 * x22 - x11 * x21 * x33 - x11 * x23 * x31 - x12 * x21**2
+        + 2 * x13 * x21 * x31 - x21 * x22 * x33 - x21 * x23 * x32 + x21 * x33**2
+        + 2 * x22 * x23 * x31 - x23 * x31 * x33
+    )
+    d = x11 * x21 * x23 - x13 * x21**2 - x21 * x23 * x33 + x23**2 * x31
     return (a, b, c, d)
 
 
@@ -230,10 +217,6 @@ class CubicCertificate:
     matched_steps: int
 
 
-def _descending_to_constant_first(quartet: tuple[int, int, int, int]) -> tuple[int, ...]:
-    return tuple(reversed(quartet))
-
-
 def _certified_small_residual(poly, iv: RationalInterval, width: Fraction) -> bool:
     image = pol.poly_eval_interval(poly, iv)
     return -width < image.lo and image.hi < width
@@ -255,12 +238,9 @@ def solve_periodic(
     residual_width = as_fraction(residual_width)
     k, h = spec.k, spec.h
     steps = 2 * (k + h) if match_steps is None else match_steps
-    x, top = _x_and_top(spec)
-
-    quartet_a = cubic_coeffs(x, "alpha")
-    quartet_b = cubic_coeffs(x, "beta")
-    poly_a = pol.primitive_part(_descending_to_constant_first(quartet_a))
-    poly_b = pol.primitive_part(_descending_to_constant_first(quartet_b))
+    x, c_top = x_matrix(spec)
+    poly_a = pol.primitive_part(tuple(reversed(cubic_coeffs(x, "alpha"))))
+    poly_b = pol.primitive_part(tuple(reversed(cubic_coeffs(x, "beta"))))
 
     for name, poly in (("alpha", poly_a), ("beta", poly_b)):
         rats = pol.rational_roots(poly)
@@ -273,7 +253,6 @@ def solve_periodic(
 
     height_a = pol.height(poly_a)
     height_b = pol.height(poly_b)
-    c_top = top.C
     a0, b0 = (spec.pre_a + spec.per_a)[0], (spec.pre_b + spec.per_b)[0]
     if (a0, b0) == (0, 0):
         bound, applicable = 3024 * c_top**9, True
@@ -390,21 +369,12 @@ def same_field_check(spec1: PeriodicSpec, spec2: PeriodicSpec) -> bool:
     fld = tau_alpha.field
 
     for spec in (spec1, spec2):
-        k = spec.k
-        pq = unroll(spec, max(k, 1))
-        cols, off = column_table(pq, k - 1)
-
-        def lift(col) -> tuple[FieldElement, FieldElement, FieldElement]:
-            return (
-                fld.element([col.A[0]]),
-                fld.element([col.A[1]]),
-                fld.element([col.C]),
-            )
-
-        c1, c2, c3 = (cols[k - 1 - j + off] for j in range(3))
-        a_num = lift(c1)[0] * tau_alpha + lift(c2)[0] * tau_beta + lift(c3)[0]
-        b_num = lift(c1)[1] * tau_alpha + lift(c2)[1] * tau_beta + lift(c3)[1]
-        den = lift(c1)[2] * tau_alpha + lift(c2)[2] * tau_beta + lift(c3)[2]
+        # the columns of indices k-1, k-2, k-3 are the window after the k pre-period steps
+        state = ConvergentState.initial(2)
+        for a in zip(spec.pre_a, spec.pre_b):
+            state.step(a)
+        c1, c2, c3 = ([fld.element([v]) for v in col] for col in state.window)
+        a_num, b_num, den = (c1[i] * tau_alpha + c2[i] * tau_beta + c3[i] for i in range(3))
         if den.is_zero():
             return False
         alpha0 = a_num / den

@@ -142,12 +142,18 @@ def _ceil_rational_power(base: int, expo: Fraction) -> int:
     return r if r**q == num else r + 1
 
 
+# The largest dimension of a Liouville construction: LagProducts holds m^3 lag
+# products of the m pairs (i, m), so the check comes before anything of size m.
+MAX_LIOUVILLE_M = 64
+
+
 @dataclass(frozen=True)
 class LiouvilleSpec:
-    """Free data for a Liouville-type construction.
+    """Free data for a Liouville-type construction, 2 <= m <= MAX_LIOUVILLE_M.
 
-    `tail_rules` supply a_n^(j) for j = 2..m at every index; `head` is
-    a_0^(1).  The leading quotients a_n^(1), n >= 1, are derived.
+    `tail_rules` supply a_n^(j) for j = 2..m at every index (one rule serves
+    them all); `head` is a_0^(1).  The leading quotients a_n^(1), n >= 1, are
+    derived.
     """
 
     m: int
@@ -158,15 +164,16 @@ class LiouvilleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", as_fraction(self.delta))
-        if self.m < 2:
-            raise InputError("Liouville constructions need m >= 2")
+        if not 2 <= self.m <= MAX_LIOUVILLE_M:
+            raise InputError(f"Liouville constructions need 2 <= m <= {MAX_LIOUVILLE_M}")
         if self.delta <= 0:
             raise InputError("delta must be positive")
         if self.depth < 1:
             raise InputError("depth must be >= 1")
+        if len(self.tail_rules) == 1:
+            object.__setattr__(self, "tail_rules", self.tail_rules * (self.m - 1))
         if len(self.tail_rules) != self.m - 1:
-            m = int_to_str(self.m)
-            raise InputError(f"need {int_to_str(self.m - 1)} tail rules for m = {m}")
+            raise InputError(f"need {self.m - 1} tail rules for m = {self.m}")
 
 
 def construct_liouville(spec: LiouvilleSpec) -> PartialQuotients:
@@ -374,15 +381,12 @@ def verify_quasiperiodic(pq: PartialQuotients, schedule) -> CriterionReport:
 
 
 def _log_ratio_string(lam: int, n_k: int) -> str:
-    from mpmath import mp, mpf, nstr
+    """log(lam)/n_k to 20 digits, in a fresh mpmath context at 30 digits."""
+    from mpmath import MPContext
 
-    old = mp.dps
-    mp.dps = 30
-    try:
-        val = mp.log(mpf(lam)) / n_k
-        return nstr(val, 20, strip_zeros=False)
-    finally:
-        mp.dps = old
+    ctx = MPContext()
+    ctx.dps = 30
+    return ctx.nstr(ctx.log(ctx.mpf(lam)) / n_k, 20, strip_zeros=False)
 
 
 def _log_ratio_le(lam: int, n: int, lam2: int, n2: int) -> bool:

@@ -11,13 +11,14 @@ representation.  `mcf.engine` never builds a complete quotient; the property
 tests compare it against this loop.
 
 The X matrix of a periodic spec by exact rational inversion of V, against
-`mcf.periodic.x_matrix`, which assembles V^{-1} from lag products; and the
-cubic coefficients by polynomial elimination, against the closed forms of
-`mcf.periodic.cubic_coeffs`.
+`mcf.periodic.x_matrix`, which assembles V^{-1} from the rolling lag
+products; and the cubic coefficients by polynomial elimination, against the
+closed form of `mcf.periodic.cubic_coeffs`.
 
 The convergent columns as columns of the product of the step matrices,
-against the recurrence of `mcf.convergents.conv_stream`; the lag-1 products
-of two columns by definition, against the rolling `LagProducts`.
+against the recurrence of `mcf.convergents.conv_stream`; the table of every
+column from index -(m+1) on (`column_table`), and the lag products of any two
+columns by definition (`lag_product`), against the rolling `LagProducts`.
 
 The outward-rounded `Fraction` interval chain of base^e, against the integer
 mantissa chain of `mcf.convergents.CertifiedPowers`.
@@ -40,7 +41,7 @@ from fractions import Fraction
 
 from mcf import polynomials as pol
 from mcf.cli import AUX_M2
-from mcf.convergents import Column, column_table, lag_product
+from mcf.convergents import Column, ConvergentState, conv_stream
 from mcf.engine import PartialQuotients
 from mcf.errors import DegenerateCubic, InputError, MCFError
 from mcf.exact_reals import AlgebraicValue, NumberField, RationalValue, as_real, certify, query_levels
@@ -108,6 +109,29 @@ def reference_step(alpha, beta):
     a, b = _floor(va), _floor(vb)
     inv = _inverse(vb - b)
     return a, b, inv, (va - a) * inv
+
+
+def column_table(pq: PartialQuotients, upto: int | None = None):
+    """Columns for indices -(m+1)..upto as (list, offset): list[n + offset] has index n.
+
+    The negative-index columns are the identity; like conv_stream, the table
+    stops at the end of the rectangular range.
+    """
+    m, init = pq.m, ConvergentState.initial(pq.m).window  # init[k] has index -1 - k
+    cols = [Column(-1 - k, init[k][:m], init[k][m]) for k in range(m, -1, -1)]
+    cols.extend(conv_stream(pq, upto))
+    return cols, pq.m + 1
+
+
+def lag_product(u: Column, v: Column, i: int, j: int) -> int:
+    """u_i v_j - v_i u_j over the coordinates (A^(1), ..., A^(m), C) of two columns.
+
+    Coordinate m is the denominator.  The columns may sit at any two
+    indices, the initial negative-index columns included; with v one index
+    before u and j = m this is the tilde value of coordinate i at u's index.
+    """
+    x, y = u.A + (u.C,), v.A + (v.C,)
+    return x[i] * y[j] - y[i] * x[j]
 
 
 def x_matrix_by_inverse(spec: PeriodicSpec) -> XMatrix:

@@ -17,7 +17,7 @@ from helpers import (
     random_periodic_spec,
     random_pq_with_power_hypothesis,
 )
-from references import det_int, matrix_products, tildes
+from references import column_table, det_int, lag_product, matrix_products, tildes
 
 from mcf import (
     LiouvilleSpec,
@@ -28,14 +28,7 @@ from mcf import (
     solve_periodic,
     verify_liouville,
 )
-from mcf.convergents import (
-    approx_witnesses,
-    column_table,
-    conv_stream,
-    growth_check,
-    lag_product,
-    limit_values,
-)
+from mcf.convergents import approx_witnesses, conv_stream, growth_check, limit_values
 from mcf.engine import PartialQuotients, check_admissible
 from mcf.periodic import cubic_coeffs, unroll, x_matrix
 from mcf.polynomials import height, poly_eval_interval
@@ -141,7 +134,7 @@ def test_criterion_5_height_bound():
     rng = random.Random(105)
     for _ in range(100):
         spec = random_periodic_spec(rng, k_max=3, h_max=4, zero_head=True)
-        x = x_matrix(spec)
+        x, _ = x_matrix(spec)
         rows = list(conv_stream(unroll(spec, spec.k + spec.h)))
         c_top = rows[spec.k + spec.h - 1].C
         assert x.max_abs() <= 6 * c_top**3

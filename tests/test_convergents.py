@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from helpers import random_admissible, random_admissible_m2
-from references import FractionPowers, det_int, factor_matrix, matrix_products, tildes
+from references import (
+    FractionPowers,
+    column_table,
+    det_int,
+    factor_matrix,
+    lag_product,
+    matrix_products,
+    tildes,
+)
 
 from mcf import (
     AlgebraicValue,
@@ -33,12 +41,10 @@ from mcf.convergents import (
     LagProducts,
     approx_witnesses,
     bound_checks,
-    column_table,
     conv_stream,
     eta_field,
     growth_check,
     k_interval,
-    lag_product,
     lag_stream,
     limit_values,
     loglog_lt,

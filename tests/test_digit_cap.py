@@ -9,6 +9,7 @@ other thread ever sees the cap lifted.
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import threading
@@ -22,10 +23,12 @@ from hypothesis import strategies as st
 from helpers import int_digit_cap
 from test_output_goldens import CASES, EXIT_CODES, GOLDEN, stdout_of
 
-from mcf import InputError, Interruption, PreconditionViolated
+from mcf import InputError, Interruption, NumberField, PreconditionViolated, RationalInterval
 from mcf.convergents import bound_checks
 from mcf.engine import PartialQuotients, check_admissible, jacobi_step
+from mcf.exact_reals import AlgebraicValue, RationalValue
 from mcf.serialization import parse_frac
+from mcf.transcendence import MAX_LIOUVILLE_M
 
 SRC = Path(__file__).parents[1] / "src"
 BIG = random.Random(5).randrange(10**4999, 10**5000)  # 5000 digits
@@ -70,6 +73,17 @@ def test_bound_checks_reject_a_huge_head_as_a_precondition():
     with int_digit_cap(4300), pytest.raises(PreconditionViolated) as exc:
         bound_checks(pq)
     assert BIG_TEXT in str(exc.value)
+
+
+def test_reprs_hold_every_digit():
+    small = Fraction(1, BIG)
+    field = NumberField([-2, 0, 0, 1], RationalInterval(1, 2))
+    element = field.element([small, 0, 1])
+    with int_digit_cap(4300):
+        assert repr(RationalInterval(small, 1)) == f"RationalInterval('1/{BIG_TEXT}', '1')"
+        assert repr(RationalValue(small)) == f"RationalValue(1/{BIG_TEXT})"
+        assert repr(element) == f"FieldElement([1/{BIG_TEXT}, 0, 1] over deg-3 field)"
+        assert repr(AlgebraicValue(element)) == f"AlgebraicValue({element!r})"
 
 
 # -- parse_frac is Fraction(str) ------------------------------------------------
@@ -213,6 +227,21 @@ def test_5000_digit_inputs_give_the_same_bytes_under_any_cap(name, big_inputs):
         lifted = stdout_of(argv)
     assert lifted[0] == code
     assert cli_under_cap(argv) == lifted
+
+
+def _address_space_of_1_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("m", ["1" + "0" * 5000, "1000000000"], ids=["10**5000", "10**9"])
+def test_construct_rejects_a_huge_dimension_before_building_anything(m):
+    # in a child capped at 1 GiB, so a list of length m could not be built unnoticed
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "mcf.cli", "construct", "liouville", "--m", m,
+                          "--b-rule", "const:1", "--depth", "3"], env=env, capture_output=True,
+                         text=True, timeout=60, preexec_fn=_address_space_of_1_gib)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == f"input error: Liouville constructions need 2 <= m <= {MAX_LIOUVILLE_M}\n"
 
 
 @pytest.mark.parametrize("delta", [f"{BIG_TEXT}/{BIG_TEXT}", "1." + "0" * 5000], ids=["p/q", "decimal"])

@@ -42,21 +42,26 @@ def test_spec_validation():
 
 
 def test_x_matrix_single_period():
-    x = x_matrix(PeriodicSpec((), (), (2,), (1,)))
+    x, c_top = x_matrix(PeriodicSpec((), (), (2,), (1,)))
     assert x.rows == ((2, 1, 0), (1, 0, 1), (1, 0, 0))
+    assert c_top == 1
 
 
-def test_x_matrix_matches_inverse_oracle():
-    rng = random.Random(21)
-    for _ in range(40):
-        spec = random_periodic_spec(rng, k_max=4, h_max=4)
-        assert x_matrix(spec).rows == x_matrix_by_inverse(spec).rows
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_x_matrix_matches_inverse_oracle(rng, zero_head):
+    # k = 0 and k = 1 read V^{-1} from the minors of the negative-index columns
+    spec = random_periodic_spec(rng, k_max=6, h_max=5, zero_head=zero_head)
+    x, c_top = x_matrix(spec)
+    assert x.rows == x_matrix_by_inverse(spec).rows
+    top = spec.k + spec.h - 1
+    assert c_top == list(conv_stream(unroll(spec, top + 1)))[top].C
 
 
 def test_cubic_coeffs_fixed_points():
-    x = x_matrix(PeriodicSpec((), (), (2,), (1,)))
+    x, _ = x_matrix(PeriodicSpec((), (), (2,), (1,)))
     assert cubic_coeffs(x, "alpha") == (1, -2, -1, -1)
-    x = x_matrix(PeriodicSpec((), (), (1,), (1,)))
+    x, _ = x_matrix(PeriodicSpec((), (), (1,), (1,)))
     assert cubic_coeffs(x, "alpha") == (1, -1, -1, -1)
 
 
@@ -156,7 +161,7 @@ def test_height_bound_zero_head():
         assert cert.bound == 3024 * cert.c_top**9
         assert cert.height_alpha <= cert.bound
         assert cert.height_beta <= cert.bound
-        assert x_matrix(spec).max_abs() <= 6 * cert.c_top**3
+        assert x_matrix(spec)[0].max_abs() <= 6 * cert.c_top**3
 
 
 def test_height_bound_general_box():

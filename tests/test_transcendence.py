@@ -1,12 +1,14 @@
 """Liouville-type and quasi-periodic constructions and their checkers."""
 
+import threading
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import tildes
+from references import column_table, tildes
 
 from mcf import (
     AdmissibilityError,
@@ -17,11 +19,12 @@ from mcf import (
     construct_liouville,
     verify_liouville,
 )
-from mcf.convergents import approx_witnesses, column_table, limit_values
+from mcf.convergents import approx_witnesses, k_interval, limit_values, loglog_interval
 from mcf.engine import PartialQuotients, check_admissible
 from mcf.transcendence import (
     QuasiPeriodicSpec,
     _iroot_floor,
+    _log_ratio_string,
     build_quasiperiodic,
     cycle_rule,
     main1_check,
@@ -227,6 +230,31 @@ def test_main1_check_ratio_trend_and_violations():
     for d in (0, -1):
         with pytest.raises(InputError):
             main1_check(spec3, d=d, c=Fraction(2), depth=8)
+
+
+def test_no_thread_sees_mpmath_precision_move():
+    # the certified logarithms and the ratio strings compute in private mpmath
+    # contexts, so another thread never sees the global iv.prec or mp.dps change
+    done = threading.Event()
+    seen = set()
+
+    def watch_elsewhere():
+        while not done.is_set():
+            seen.add((mpmath.iv.prec, mpmath.mp.dps))
+
+    before = (mpmath.iv.prec, mpmath.mp.dps)
+    other = threading.Thread(target=watch_elsewhere)
+    other.start()
+    try:
+        for n in range(1, 60):
+            k_interval(n, 2, Fraction(1, 10**30))
+            loglog_interval(3**n, 512)
+            _log_ratio_string(n + 1, n)
+    finally:
+        done.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert seen == {before}
 
 
 def test_main2_constant_variants():
