@@ -35,6 +35,7 @@ from .engine import PartialQuotients, expand
 from .errors import (
     HypothesisViolated,
     InputError,
+    NonTerminating,
     OracleExhausted,
     PreconditionViolated,
     PrefixMismatch,
@@ -404,9 +405,7 @@ def proximity_check(x, x_prime, n: int) -> ProximityReport:
             raise PrefixMismatch(
                 f"expansions disagree within indices 0..{n} in coordinate {j + 1}"
             )
-    rows = list(conv_stream(rec.pq, n))
-    C_n = rows[n].C
-    C_n2 = rows[n - 2].C
+    C_n2, _, C_n = deque((col.C for col in conv_stream(rec.pq, n)), maxlen=3)
     prefix_bound = Fraction(1, C_n2)
     triangle_bound = Fraction(2, C_n)
 
@@ -457,37 +456,43 @@ def eta_field(M: int) -> NumberField:
     return NumberField((-1, -M, -M, 1), RationalInterval(Fraction(M), Fraction(M + 1)))
 
 
+_POWER_BITS = 128  # working precision of a fresh CertifiedPowers, in bits
+
+
 class CertifiedPowers:
     """Outward-rounded enclosures of base^e for the real root of a field.
 
     Enclosures are integer mantissas (lo, hi) over 2^s, s = bits + 16: each
-    chain step rounds lo * base_lo down and hi * base_hi up to s dyadic
-    places, so enclosures stay sound and endpoint sizes stay bounded, and no
-    gcd is taken.  tighten() doubles the working precision and rebuilds.
+    step rounds lo * base_lo down and hi * base_hi up to s dyadic places, so
+    enclosures stay sound and endpoint sizes stay bounded, and no gcd is
+    taken.  Only the last power formed is held: a larger e steps on from it,
+    a smaller one restarts from base^0.  tighten() doubles the working
+    precision and restarts.
     """
 
-    def __init__(self, field: NumberField, bits: int = 128):
+    def __init__(self, field: NumberField):
         self._field = field
-        self._bits = bits
-        self._levels = budget_levels()  # the refinement budget, read once per chain
+        self._bits = _POWER_BITS
+        self._levels = budget_levels()  # the refinement budget, read once per instance
         self._rebuild()
 
     def _rebuild(self):
         self._shift = s = self._bits + 16
         base = self._field.refine_root(Fraction(1, 1 << self._bits)) * (1 << s)
-        self._chain = [(1 << s, 1 << s), (math.floor(base.lo), math.ceil(base.hi))]
+        self._base = (math.floor(base.lo), math.ceil(base.hi))
+        self._last = (0, 1 << s, 1 << s)  # (e, lo, hi) of the last power formed
 
     def tighten(self):
         self._bits *= 2
         self._rebuild()
 
     def _mantissas(self, e: int) -> tuple[int, int]:
-        chain, s = self._chain, self._shift
-        b_lo, b_hi = chain[1]
-        while len(chain) <= e:
-            lo, hi = chain[-1]
-            chain.append((lo * b_lo >> s, -(-hi * b_hi >> s)))
-        return chain[e]
+        (b_lo, b_hi), s = self._base, self._shift
+        last, lo, hi = self._last if e >= self._last[0] else (0, 1 << s, 1 << s)
+        for _ in range(e - last):
+            lo, hi = lo * b_lo >> s, -(-hi * b_hi >> s)
+        self._last = (e, lo, hi)
+        return lo, hi
 
     def power(self, e: int) -> RationalInterval:
         if e < 0:
@@ -611,77 +616,69 @@ def growth_check(
     With d: requires a_{n+1}^(1) < C_n^d for 1 <= n <= upto-1 (the n = 0
     instance is unsatisfiable since C_0 = 1), then asserts the certified
     comparison log log C_{n+1} < K(d, m) n on the same range.
+
+    Order: M's m = 2 requirement, the M hypothesis and d >= 1 come first.
+    Then one walk of the recurrence checks, at column n, the d hypothesis
+    a_n^(1) < C_(n-1)^d, then psi and eta at n and log log at n - 1.  An item
+    stops at its first violation, or at an error of its certification
+    (NonTerminating, or InputError for log log of C <= 1), which is raised
+    after the walk, in item order: a hypothesis violation wins over it.
     """
     n_max = pq.last_index(upto)
-    rows = list(conv_stream(pq, n_max))
-    items = []
-    constants: dict = {}
-
-    if pq.m == 2:
-        psi = CertifiedPowers(psi_field())
-        constants["psi_enclosure"] = psi.power(1)
-        first = None
-        boundary = []
-        for n in range(n_max + 1):
-            if n < 2:
-                ok = rows[n].C >= 1  # psi^(n-2) < 1 <= C_n
-            else:
-                sign = psi.cmp_int(n - 2, rows[n].C)
-                if sign == 0:  # C_2 = 1 = psi^0
-                    boundary.append(n)
-                ok = sign <= 0
-            if not ok:
-                first = n
-                break
-        items.append(
-            CheckItem(
-                "psi-lower",
-                first,
-                "C_n > psi^(n-2) (boundary equality possible only at n = 2)",
-                tuple(boundary),
-            )
-        )
-
     if M is not None:
         if pq.m != 2:
             raise InputError("the bounded-quotient upper bound is specific to m = 2")
         for n in range(1, n_max + 1):
             if pq.seqs[0][n] > M:
-                raise HypothesisViolated(
-                    f"a_{n} = {int_to_str(pq.seqs[0][n])} > M = {int_to_str(M)}", n
-                )
+                raise HypothesisViolated(f"a_{n} = {int_to_str(pq.seqs[0][n])} > M = {int_to_str(M)}", n)
+    if d is not None and d < 1:
+        raise InputError("d must be >= 1")
+
+    constants: dict = {}
+    items = []  # (name, detail, holds(n, C_n), lag, boundary): a violation at column n is at n - lag
+    if pq.m == 2:
+        psi = CertifiedPowers(psi_field())
+        constants["psi_enclosure"] = psi.power(1)
+        boundary: list[int] = []
+
+        def psi_lower(n: int, C: int) -> bool:
+            if n < 2:
+                return C >= 1  # psi^(n-2) < 1 <= C_n
+            sign = psi.cmp_int(n - 2, C)
+            if sign == 0:  # C_2 = 1 = psi^0
+                boundary.append(n)
+            return sign <= 0
+
+        items.append(("psi-lower", "C_n > psi^(n-2) (boundary equality possible only at n = 2)",
+                      psi_lower, 0, boundary))
+    if M is not None:
         eta = CertifiedPowers(eta_field(M))
         constants["eta_enclosure"] = eta.power(1)
-        first = None
-        for n in range(n_max + 1):
-            if eta.cmp_int(n, rows[n].C) < 0:
-                first = n
-                break
-        items.append(
-            CheckItem("eta-upper", first, f"C_n <= eta({int_to_str(M)})^n")
-        )
+        items.append(("eta-upper", f"C_n <= eta({int_to_str(M)})^n",
+                      lambda n, C: eta.cmp_int(n, C) >= 0, 0, ()))
+    if d is not None:
+        items.append(("loglog", f"log log C_(n+1) < K({int_to_str(d)}, {pq.m}) n for 1 <= n <= {n_max - 1}",
+                      lambda n, C: n < 2 or loglog_lt(C, d, pq.m, n - 1), 1, ()))
+
+    stopped: dict = {}  # name -> None, the first violating index, or the error of a certification
+    C_prev = None
+    for col in conv_stream(pq, n_max):
+        n = col.n
+        if d is not None and n >= 2 and not lt_power(pq.seqs[0][n], C_prev, d):
+            raise HypothesisViolated(
+                f"a_{n}^(1) = {int_to_str(pq.seqs[0][n])} >= C_{n - 1}^{int_to_str(d)}", n)
+        for name, _, holds, lag, _ in items:
+            if stopped.get(name) is None:
+                try:
+                    stopped[name] = None if holds(n, col.C) else n - lag
+                except (NonTerminating, InputError) as exc:
+                    stopped[name] = exc
+        C_prev = col.C
 
     if d is not None:
-        if d < 1:
-            raise InputError("d must be >= 1")
-        for n in range(1, n_max):
-            if not lt_power(pq.seqs[0][n + 1], rows[n].C, d):
-                raise HypothesisViolated(
-                    f"a_{n + 1}^(1) = {int_to_str(pq.seqs[0][n + 1])} >= C_{n}^{int_to_str(d)}",
-                    n + 1,
-                )
         constants["K"] = k_interval(d, pq.m)
-        first = None
-        for n in range(1, n_max):
-            if not loglog_lt(rows[n + 1].C, d, pq.m, n):
-                first = n
-                break
-        items.append(
-            CheckItem(
-                "loglog",
-                first,
-                f"log log C_(n+1) < K({int_to_str(d)}, {pq.m}) n for 1 <= n <= {n_max - 1}",
-            )
-        )
-
-    return GrowthReport(items=tuple(items), constants=constants)
+    for name, *_ in items:
+        if isinstance(stopped.get(name), Exception):
+            raise stopped[name]
+    return GrowthReport(tuple(CheckItem(name, stopped.get(name), detail, tuple(touches))
+                              for name, detail, _, _, touches in items), constants)

@@ -33,7 +33,7 @@ from .errors import (
     RootSelectionAmbiguous,
 )
 from .exact_reals import AlgebraicValue, FieldElement, NumberField, certify
-from .intervals import RationalInterval, as_fraction
+from .intervals import RationalInterval
 from .radix import frac_to_str
 from . import polynomials as pol
 
@@ -217,27 +217,24 @@ class CubicCertificate:
     matched_steps: int
 
 
-def _certified_small_residual(poly, iv: RationalInterval, width: Fraction) -> bool:
+_RESIDUAL_WIDTH = Fraction(1, 10**50)  # each cubic's residual on its root enclosure is below this
+
+
+def _certified_small_residual(poly, iv: RationalInterval) -> bool:
     image = pol.poly_eval_interval(poly, iv)
-    return -width < image.lo and image.hi < width
+    return -_RESIDUAL_WIDTH < image.lo and image.hi < _RESIDUAL_WIDTH
 
 
-def solve_periodic(
-    spec: PeriodicSpec,
-    residual_width=Fraction(1, 10**50),
-    match_steps: int | None = None,
-) -> CubicCertificate:
+def solve_periodic(spec: PeriodicSpec) -> CubicCertificate:
     """Full pipeline: X matrix, cubic coefficients, heights and bound, root
     selection by re-expansion, and interval residual certification.
 
     The root of the alpha-cubic is selected by re-expanding each candidate
-    pair exactly and matching at least `match_steps` (default 2(k+h))
-    quotients against the unrolled spec; the partner beta is the exact
-    rational function of alpha given by the first X-relation.
+    pair exactly and matching at least 2(k+h) quotients against the unrolled
+    spec; the partner beta is the exact rational function of alpha given by
+    the first X-relation.
     """
-    residual_width = as_fraction(residual_width)
-    k, h = spec.k, spec.h
-    steps = 2 * (k + h) if match_steps is None else match_steps
+    steps = 2 * (spec.k + spec.h)
     x, c_top = x_matrix(spec)
     poly_a = pol.primitive_part(tuple(reversed(cubic_coeffs(x, "alpha"))))
     poly_b = pol.primitive_part(tuple(reversed(cubic_coeffs(x, "beta"))))
@@ -311,13 +308,13 @@ def solve_periodic(
 
     def alpha_residual(level):
         alpha_iv = fld.root_interval()
-        if _certified_small_residual(poly_a, alpha_iv, residual_width):
+        if _certified_small_residual(poly_a, alpha_iv):
             return alpha_iv
         fld.refine_root(alpha_iv.width / (1 << 32))
 
     def beta_residual(level):
         beta_iv = beta_el.interval(Fraction(1, 10**10) / (1 << (32 * level)))
-        return beta_iv if _certified_small_residual(poly_b, beta_iv, residual_width) else None
+        return beta_iv if _certified_small_residual(poly_b, beta_iv) else None
 
     alpha_iv = certify("residual of the alpha cubic", alpha_residual)
     beta_iv = certify("residual of the beta cubic", beta_residual)

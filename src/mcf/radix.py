@@ -15,7 +15,9 @@ section 1.7, where CPython 3.11's own are quadratic:
   digits in half and joins with hi * 10**k + lo, 10**k = 5**k << k.
 
 The results are exactly `str(v)`, `int(s)`, `str(Fraction)` and
-`Fraction(s)` with the cap lifted; malformed text raises InputError.
+`Fraction(s)` with the cap lifted; malformed text raises InputError, and so
+does a rational whose exponent exceeds MAX_EXPONENT in absolute value, for
+which `Fraction(s)` would form 10**exp and not return.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import InputError
 
 _LEAF_BITS = 1024  # ints converted by str(int) or Decimal(int) directly: at most 309 digits
 _LEAF_DIGITS = 512  # digit strings converted by int(str) directly
+MAX_EXPONENT = 10**5  # |exp| of a rational "...e<exp>": 10**(10**5) takes milliseconds to form
 
 
 def quote(text: str) -> str:
@@ -127,13 +130,17 @@ _RATIONAL = re.compile(r"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)"
 
 
 def str_to_frac(text: str) -> Fraction:
-    """Fraction(text) for a string of any length; malformed text or q = 0 raises InputError."""
+    """Fraction(text) for a string of any length; malformed text, q = 0 or an
+    exponent beyond MAX_EXPONENT in absolute value raises InputError."""
     match = _RATIONAL.fullmatch(text)
     den = str_to_int(match["den"]) if match and match["den"] else 1
     if match is None or den == 0:
         raise InputError(f"malformed rational {quote(text)}; expected 'p/q' with q != 0")
+    written = str_to_int(match["exp"] or "0")
+    if abs(written) > MAX_EXPONENT:
+        raise InputError(f"exponent of rational {quote(text)} exceeds {MAX_EXPONENT} in absolute value")
     dec = (match["dec"] or "").replace("_", "")
     num = str_to_int(match["num"] or "0") * 10 ** len(dec) + str_to_int(dec or "0")
-    exp = str_to_int(match["exp"] or "0") - len(dec)  # value = num / den * 10**exp
+    exp = written - len(dec)  # value = num / den * 10**exp
     num, den = (num * 10**exp, den) if exp >= 0 else (num, den * 10**-exp)
     return Fraction(-num if match["sign"] == "-" else num, den)

@@ -279,7 +279,7 @@ def criterion_report_to_json(report: CriterionReport) -> dict:
             }
             for h in report.hypotheses
         ],
-        "witnesses": list(report.witnesses),
+        "witnesses": [],
         "data": report.data,
     }
 

@@ -93,7 +93,6 @@ class CriterionReport:
     criterion: str
     depth: int
     hypotheses: tuple[CheckItem, ...]
-    witnesses: tuple[int, ...] = ()
     data: dict = field(default_factory=dict)
 
     @property
@@ -270,14 +269,13 @@ def roth_scan(x, pq: PartialQuotients, epsilon, upto: int, coords=None) -> list[
         raise InputError("epsilon must be positive")
     values, which = scan_inputs(x, pq, upto, coords)
     p, q = epsilon.numerator, epsilon.denominator
-    rows = list(conv_stream(pq, upto))
     hits = []
-    for n in range(upto + 1):
-        C = rows[n].C
+    for col in conv_stream(pq, upto):
+        n, C = col.n, col.C
         bound = Fraction(1, C ** (2 * q + p))
         ok = True
         for i in which:
-            target = Fraction(rows[n].A[i], C)
+            target = Fraction(col.A[i], C)
             what = (f"Roth test |x_{i + 1} - A_{n}/C_{n}|^{int_to_str(q)}"
                     f" < 1/C_{n}^{int_to_str(2 * q + p)}")
             if not abs_diff_pow_lt(values[i], target, q, bound, what):
@@ -426,11 +424,10 @@ def main1_check(spec: QuasiPeriodicSpec, d: int, c, depth: int) -> CriterionRepo
         raise InputError("d must be >= 1")
     c = as_fraction(c)
     pq = build_quasiperiodic(spec, depth + 1)
-    rows = list(conv_stream(pq, depth))
     first = None
-    for i in range(1, depth):
-        if not lt_power(pq.seqs[0][i + 1], rows[i].C, d):
-            first = i + 1
+    for col in conv_stream(pq, depth - 1):
+        if col.n and not lt_power(pq.seqs[0][col.n + 1], col.C, d):
+            first = col.n + 1
             break
     h1 = CheckItem(
         "head-below-denominator-power",

@@ -21,7 +21,11 @@ column from index -(m+1) on (`column_table`), and the lag products of any two
 columns by definition (`lag_product`), against the rolling `LagProducts`.
 
 The outward-rounded `Fraction` interval chain of base^e, against the integer
-mantissa chain of `mcf.convergents.CertifiedPowers`.
+mantissas of `mcf.convergents.CertifiedPowers`, which hold only the last power.
+
+The growth check from a table of every column, one pass per item
+(`growth_check_by_table`), against the single walk of
+`mcf.convergents.growth_check`.
 
 The certified floor and integrality test of one real value of any kind, the
 single-value forms of what the engine certifies per index.
@@ -41,12 +45,25 @@ from fractions import Fraction
 
 from mcf import polynomials as pol
 from mcf.cli import AUX_M2
-from mcf.convergents import Column, ConvergentState, conv_stream
+from mcf.convergents import (
+    CertifiedPowers,
+    CheckItem,
+    Column,
+    ConvergentState,
+    GrowthReport,
+    conv_stream,
+    eta_field,
+    k_interval,
+    loglog_lt,
+    lt_power,
+    psi_field,
+)
 from mcf.engine import PartialQuotients
-from mcf.errors import DegenerateCubic, InputError, MCFError
+from mcf.errors import DegenerateCubic, HypothesisViolated, InputError, MCFError
 from mcf.exact_reals import AlgebraicValue, NumberField, RationalValue, as_real, certify, query_levels
 from mcf.intervals import RationalInterval
 from mcf.periodic import PeriodicSpec, XMatrix, unroll, validate_spec
+from mcf.radix import int_to_str
 
 
 def _lower(values):
@@ -304,6 +321,73 @@ class FractionPowers:
         while len(self._powers) <= e:
             self._powers.append(outward(self._powers[-1] * self._base, self._bits + 16))
         return self._powers[e]
+
+
+def growth_check_by_table(pq: PartialQuotients, upto: int | None = None, d: int | None = None,
+                          M: int | None = None) -> GrowthReport:
+    """`mcf.convergents.growth_check` from the list of every column: psi-lower,
+    then the M hypothesis and eta-upper, then the d hypothesis and loglog, each
+    in a pass of its own."""
+    n_max = pq.last_index(upto)
+    rows = list(conv_stream(pq, n_max))
+    items = []
+    constants: dict = {}
+
+    if pq.m == 2:
+        psi = CertifiedPowers(psi_field())
+        constants["psi_enclosure"] = psi.power(1)
+        first = None
+        boundary = []
+        for n in range(n_max + 1):
+            if n < 2:
+                ok = rows[n].C >= 1  # psi^(n-2) < 1 <= C_n
+            else:
+                sign = psi.cmp_int(n - 2, rows[n].C)
+                if sign == 0:  # C_2 = 1 = psi^0
+                    boundary.append(n)
+                ok = sign <= 0
+            if not ok:
+                first = n
+                break
+        items.append(CheckItem("psi-lower", first,
+                               "C_n > psi^(n-2) (boundary equality possible only at n = 2)",
+                               tuple(boundary)))
+
+    if M is not None:
+        if pq.m != 2:
+            raise InputError("the bounded-quotient upper bound is specific to m = 2")
+        for n in range(1, n_max + 1):
+            if pq.seqs[0][n] > M:
+                raise HypothesisViolated(
+                    f"a_{n} = {int_to_str(pq.seqs[0][n])} > M = {int_to_str(M)}", n)
+        eta = CertifiedPowers(eta_field(M))
+        constants["eta_enclosure"] = eta.power(1)
+        first = None
+        for n in range(n_max + 1):
+            if eta.cmp_int(n, rows[n].C) < 0:
+                first = n
+                break
+        items.append(CheckItem("eta-upper", first, f"C_n <= eta({int_to_str(M)})^n"))
+
+    if d is not None:
+        if d < 1:
+            raise InputError("d must be >= 1")
+        for n in range(1, n_max):
+            if not lt_power(pq.seqs[0][n + 1], rows[n].C, d):
+                raise HypothesisViolated(
+                    f"a_{n + 1}^(1) = {int_to_str(pq.seqs[0][n + 1])} >= C_{n}^{int_to_str(d)}",
+                    n + 1)
+        constants["K"] = k_interval(d, pq.m)
+        first = None
+        for n in range(1, n_max):
+            if not loglog_lt(rows[n + 1].C, d, pq.m, n):
+                first = n
+                break
+        items.append(CheckItem(
+            "loglog", first,
+            f"log log C_(n+1) < K({int_to_str(d)}, {pq.m}) n for 1 <= n <= {n_max - 1}"))
+
+    return GrowthReport(items=tuple(items), constants=constants)
 
 
 def floor_exact(x) -> int:

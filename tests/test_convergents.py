@@ -2,21 +2,23 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from helpers import random_admissible, random_admissible_m2
+from helpers import random_admissible, random_admissible_m2, random_pq_with_power_hypothesis
 from references import (
     FractionPowers,
     column_table,
     det_int,
     factor_matrix,
+    growth_check_by_table,
     lag_product,
     matrix_products,
     tildes,
@@ -53,7 +55,9 @@ from mcf.convergents import (
     psi_field,
 )
 from mcf.engine import PartialQuotients
+from mcf.errors import MCFError, NonTerminating
 from mcf.serialization import pq_from_json
+from mcf.transcendence import QuasiPeriodicSpec, main1_check, seq_rule
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -328,11 +332,13 @@ def test_growth_constants():
 @pytest.mark.parametrize("make_field", [psi_field, lambda: eta_field(1), lambda: eta_field(5)],
                          ids=["psi", "eta1", "eta5"])
 def test_certified_powers_equal_the_fraction_chain(make_field):
-    # the integer mantissa chain gives exactly the outward-rounded Fraction
-    # enclosures, before and after tighten()
+    # the integer mantissas give exactly the outward-rounded Fraction enclosures,
+    # before and after tighten(), for rising exponents and then in any order
+    # (a smaller exponent restarts from base^0)
     fast, ref = CertifiedPowers(make_field()), FractionPowers(make_field())
+    exponents = [*range(501), *random.Random(19).choices(range(501), k=40), 7, 7, 0, 1]
     for _ in range(2):
-        for e in range(501):
+        for e in exponents:
             assert fast.power(e) == ref.power(e)
         fast.tighten()
         ref.tighten()
@@ -386,6 +392,63 @@ def test_growth_check_eta_and_hypothesis():
         growth_check(PartialQuotients.from_lists([0, 3, 1], [0, 0, 0]), M=2)
 
 
+def _outcome(check, pq, **kwargs):
+    """The report, or (class, message, index) of the error; None when the budget ran out."""
+    try:
+        return check(pq, **kwargs)
+    except NonTerminating:
+        return None
+    except MCFError as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+@st.composite
+def growth_inputs(draw):
+    m = draw(st.sampled_from([2, 3]))
+    length = draw(st.integers(1, 12))
+    quotient = st.one_of(st.integers(1, 6), st.integers(-3, 0))
+    seqs = [draw(st.lists(quotient, min_size=length, max_size=length)) for _ in range(m)]
+    return (PartialQuotients.from_lists(*seqs),
+            {"upto": draw(st.none() | st.integers(0, 14)), "M": draw(st.none() | st.integers(1, 6)),
+             "d": draw(st.none() | st.integers(1, 3))})
+
+
+@settings(max_examples=250, deadline=None)
+@given(growth_inputs())
+@example((PartialQuotients.from_lists([0, 0, 1, 1], [0, 0, 0, 0]), {}))
+@example((PartialQuotients.from_lists([0, 1, 0, 1], [0, 0, 0, 0]), {"d": 1}))
+def test_growth_check_walk_matches_the_table(case):
+    # one walk against one pass per item over the list of every column, errors included.
+    # The examples: psi-lower fails at n = 1 (C_1 = 0), before any power is compared; and
+    # log log C_2 (C_2 = 0) cannot be formed, but the d hypothesis at index 3 wins
+    pq, kwargs = case
+    walked, table = _outcome(growth_check, pq, **kwargs), _outcome(growth_check_by_table, pq, **kwargs)
+    assume(walked is not None and table is not None)
+    assert walked == table
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkers_hold_a_window_not_every_column():
+    # 4000 columns of thousands of bits are megabytes as a list; the walks hold m + 1 of them
+    pq = random_pq_with_power_hypothesis(random.Random(3), d=1, length=4000, cap=5)
+    spec = QuasiPeriodicSpec(m=2, schedule=((12, 3, 4), (400, 5, 6)),
+                             base_rules=tuple(seq_rule(s) for s in pq.seqs))
+    calls = {"growth M=5": lambda: growth_check(pq, M=5), "growth d=1": lambda: growth_check(pq, d=1),
+             "main1": lambda: main1_check(spec, d=1, c=1, depth=3800)}
+    for call in calls.values():  # the first calls load mpmath and fill the K cache
+        call()
+    peaks = {name: _traced_peak(call) for name, call in calls.items()}
+    assert all(peak < 1 << 20 for peak in peaks.values()), peaks
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(-(1 << 40), 1 << 80), st.integers(-3, 1 << 16), st.integers(0, 6),
        st.integers(-2, 2))
@@ -412,8 +475,6 @@ def test_lt_power_edge_cases():
 
 
 def test_growth_check_loglog():
-    from helpers import random_pq_with_power_hypothesis
-
     rng = random.Random(18)
     pq = random_pq_with_power_hypothesis(rng, d=1, length=62)
     report = growth_check(pq, d=1)

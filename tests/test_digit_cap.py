@@ -6,6 +6,7 @@ under the smallest cap CPython accepts (640) as with the cap lifted, and no
 other thread ever sees the cap lifted.
 """
 
+import fractions
 import json
 import os
 import random
@@ -27,6 +28,7 @@ from mcf import InputError, Interruption, NumberField, PreconditionViolated, Rat
 from mcf.convergents import bound_checks
 from mcf.engine import PartialQuotients, check_admissible, jacobi_step
 from mcf.exact_reals import AlgebraicValue, RationalValue
+from mcf.radix import MAX_EXPONENT
 from mcf.serialization import parse_frac
 from mcf.transcendence import MAX_LIOUVILLE_M
 
@@ -118,13 +120,15 @@ def rational_literals(draw):
         body = draw(st.sampled_from(["", digits()])) + "." + draw(st.sampled_from(["", digits()]))
         if form == "exponent":
             zeros = "0" * draw(st.sampled_from([0, 700]))
+            exponent = draw(st.one_of(st.integers(0, 400),
+                                      st.sampled_from([MAX_EXPONENT, MAX_EXPONENT + 1, 10**1000])))
             body += draw(st.sampled_from(["e", "E"])) + draw(st.sampled_from(["", "+", "-"])) \
-                + zeros + str(draw(st.integers(0, 400)))
+                + zeros + str(exponent)
     space = st.sampled_from(["", " ", "\t", "　"])
     text = draw(space) + sign + body + draw(space)
-    if rng.random() < 0.15:  # one stray character; no "e", which could make a digit run an
-        at = rng.randrange(len(text) + 1)  # exponent that 10** cannot evaluate in any time
-        text = text[:at] + rng.choice(" _/.-x") + text[at:]
+    if rng.random() < 0.15:  # one stray character; an "e" can turn a digit run into an exponent
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(" _/.-xe") + text[at:]
     return text
 
 
@@ -142,10 +146,17 @@ def rational_literals(draw):
 @example("." + "3" * 700)
 @example("7" * 700 + "/" + "0" * 700)
 @example("-" + "1_" * 400 + "2/9")
+@example("1e" + "7" * 1000)
+@example(f"1e-{MAX_EXPONENT}")
+@example(f"1e{MAX_EXPONENT + 1}")
 def test_parse_frac_is_fraction_of_str(text):
+    # a strict subset of Fraction(str): an exponent beyond the cap is an input error,
+    # where Fraction(text) would form 10**exp and not return
     with int_digit_cap(0):
+        match = fractions._RATIONAL_FORMAT.match(text)  # Fraction(str)'s own grammar
+        beyond = bool(match and match["exp"]) and abs(int(match["exp"])) > MAX_EXPONENT
         try:
-            expected = Fraction(text)
+            expected = None if beyond else Fraction(text)
         except (ValueError, ZeroDivisionError):
             expected = None
     with int_digit_cap(640):
@@ -251,3 +262,10 @@ def test_long_forms_of_delta_one(delta):
               "--pq", str(GOLDEN / "out_construct_liouville_m3.txt")]
     assert cli_under_cap(construct) == (0, (GOLDEN / "out_construct_liouville_m3.txt").read_text())
     assert cli_under_cap(verify) == (0, (GOLDEN / "out_verify_liouville_m3.txt").read_text())
+
+
+@pytest.mark.parametrize("exponent", ["7" * 1000, f"-{MAX_EXPONENT + 1}"], ids=["1000-digit", "cap+1"])
+def test_delta_with_an_exponent_beyond_the_cap_is_an_input_error(exponent):
+    # Fraction(str) would form 10**exponent first, and never return for the 1000-digit one
+    rc, out = cli_under_cap(["construct", "liouville", "--delta", f"1e{exponent}", *LIOUVILLE_M3])
+    assert (rc, out) == (2, "")
