@@ -161,6 +161,8 @@ def _cmd_periodic_solve(args) -> int:
 
 
 def _cmd_construct_liouville(args) -> int:
+    import decimal
+
     spec = transcendence.LiouvilleSpec(
         m=args.m,
         delta=ser.parse_frac(args.delta),
@@ -168,8 +170,9 @@ def _cmd_construct_liouville(args) -> int:
         tail_rules=tuple(_parse_rule(text) for text in args.b_rule),
         head=args.a0,
     )
-    pq = transcendence.construct_liouville(spec)
-    _print(ser.dumps_stable(ser.pq_to_json(pq)))
+    with decimal.localcontext(radix.EXACT):  # as in _cmd_convergents: no big int is built
+        rows = transcendence.liouville_rows(spec, radix.to_decimal)
+        _print(ser.dumps_stable(ser.pq_to_json(rows)))
     return EXIT_OK
 
 
@@ -207,8 +210,11 @@ def _cmd_verify_growth(args) -> int:
 
 
 def _cmd_verify_liouville(args) -> int:
-    pq = ser.pq_from_json(_load_json(args.pq))
-    report = transcendence.verify_liouville(pq, ser.parse_frac(args.delta), upto=args.depth)
+    import decimal
+
+    with decimal.localcontext(radix.EXACT):  # as in construct: the digits are read as Decimals
+        rows = ser.pq_from_json(_load_json(args.pq), ser.parse_decimal, engine.QuotientRows)
+        report = transcendence.liouville_report(rows, ser.parse_frac(args.delta), upto=args.depth)
     _print(ser.dumps_stable(ser.criterion_report_to_json(report)))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 

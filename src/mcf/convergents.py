@@ -81,9 +81,9 @@ class ConvergentState:
         self.n = n
 
     @classmethod
-    def initial(cls, m: int) -> "ConvergentState":
-        # window[j-1] holds index n-j; at n=0 the columns of indices -1..-(m+1) are the identity
-        return cls(m, [tuple(int(i == j) for i in range(m + 1)) for j in range(m + 1)], 0)
+    def initial(cls, m: int, coords=None) -> "ConvergentState":
+        # window[j-1] holds index n-j at `coords` (default all: A^(1..m), C); at n=0 the identity
+        return cls(m, [tuple(int(i == j) for i in coords or range(m + 1)) for j in range(m + 1)], 0)
 
     def advance(self, a) -> tuple:
         """The vector of index n from a_n^(1..m), pushed on the window; any exact number type."""
@@ -91,7 +91,7 @@ class ConvergentState:
         if len(a) != m:
             raise InputError(f"step needs {m} quotients, got {len(a)}")
         vec = []
-        for k in range(m + 1):
+        for k in range(len(w[m])):
             acc = w[m][k]
             for q, x in zip(a, w):
                 acc += q * x[k]
@@ -571,8 +571,10 @@ def loglog_lt(c: int, d: int, m: int, n: int) -> bool:
     enclosure) answers True at once.  At n = 1 it is c^d < (m+1)^((d+1)^2), equal
     only if m+1 = t^d and c = t^((d+1)^2) (coprime exponents): tested exactly.
     Else both sides are enclosed at 128 * 2^level bits, so a near tie resolves."""
+    if c < 2:
+        raise InputError(f"log log C_{n + 1} needs C_{n + 1} >= 2, got C_{n + 1} = {int_to_str(c)}")
     k = _k_enclosure(d, m, 128).lo
-    if c >= 2 and c.bit_length().bit_length() * k.denominator <= k.numerator * n:
+    if c.bit_length().bit_length() * k.denominator <= k.numerator * n:
         return True
     if n == 1 and d < (m + 1).bit_length() and any(
             t**d == m + 1 and c == t ** ((d + 1) ** 2) for t in range(2, m + 2)):

@@ -63,22 +63,18 @@ from .radix import int_to_str
 
 
 @dataclass(frozen=True)
-class PartialQuotients:
-    """m integer sequences a^(1), ..., a^(m); lengths may differ after interruptions."""
+class QuotientRows:
+    """m sequences a^(1), ..., a^(m) of exact integers as given (ints, or integral Decimals
+    under radix.EXACT); lengths may differ after interruptions."""
 
     m: int
-    seqs: tuple[tuple[int, ...], ...]
+    seqs: tuple
 
     def __post_init__(self):
         if self.m < 1:
             raise InputError("dimension m must be >= 1")
         if len(self.seqs) != self.m:
             raise InputError(f"expected {int_to_str(self.m)} sequences, got {len(self.seqs)}")
-        object.__setattr__(self, "seqs", tuple(tuple(int(x) for x in s) for s in self.seqs))
-
-    @staticmethod
-    def from_lists(*seqs) -> "PartialQuotients":
-        return PartialQuotients(len(seqs), tuple(tuple(s) for s in seqs))
 
     def entry(self, dim: int, n: int) -> int | None:
         """Quotient a_n^(dim), 1-based dim, or None past the end of that sequence."""
@@ -101,6 +97,18 @@ class PartialQuotients:
         return len({len(s) for s in self.seqs}) == 1
 
 
+class PartialQuotients(QuotientRows):
+    """m int sequences a^(1), ..., a^(m): QuotientRows with each entry coerced by int()."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "seqs", tuple(tuple(int(x) for x in s) for s in self.seqs))
+
+    @staticmethod
+    def from_lists(*seqs) -> "PartialQuotients":
+        return PartialQuotients(len(seqs), tuple(tuple(s) for s in seqs))
+
+
 @dataclass(frozen=True)
 class Violation:
     index: int
@@ -119,7 +127,7 @@ class AdmissibilityReport:
         return not self.violations
 
 
-def check_admissible(pq: PartialQuotients) -> AdmissibilityReport:
+def check_admissible(pq: QuotientRows) -> AdmissibilityReport:
     """Validate the Perron admissibility conditions for n >= 1.
 
     For every n >= 1: all entries are >= 0 and the leading quotient a_n^(1)

@@ -10,9 +10,10 @@ section 1.7, where CPython 3.11's own are quadratic:
 
 - int -> str splits the integer at powers of two and joins the halves as
   `decimal.Decimal`s (`to_decimal`), whose digits are read off in linear
-  time; `mcf convergents` computes in `Decimal` under EXACT directly.
+  time; the `convergents` and Liouville commands compute in `Decimal` too.
 - str -> int checks the text against `int()`'s grammar, then splits the
-  digits in half and joins with hi * 10**k + lo, 10**k = 5**k << k.
+  digits in half and joins with hi * 10**k + lo, 10**k = 5**k << k;
+  str -> Decimal checks the same grammar and reads the digits in linear time.
 
 The results are exactly `str(v)`, `int(s)`, `str(Fraction)` and
 `Fraction(s)` with the cap lifted; malformed text raises InputError, and so
@@ -76,9 +77,14 @@ def to_decimal(v: int) -> decimal.Decimal:
     return d.copy_negate() if v < 0 else d
 
 
-def int_to_str(v: int) -> str:
-    """str(v) for an int of any size."""
-    return str(v) if v.bit_length() <= _LEAF_BITS else str(to_decimal(v))
+def int_to_str(v) -> str:
+    """str(v) for an int of any size, or for an integral Decimal of exponent 0."""
+    return str(v if isinstance(v, decimal.Decimal) or v.bit_length() <= _LEAF_BITS else to_decimal(v))
+
+
+def magnitude(v) -> tuple[int, int]:
+    """(b, e) with |v| < b**e: 2 and an int's bit length, or 10 and an integral Decimal's digit count."""
+    return (10, v.adjusted() + 1) if isinstance(v, decimal.Decimal) else (2, v.bit_length())
 
 
 def frac_to_str(v) -> str:
@@ -95,13 +101,21 @@ def str_to_int(text: str) -> int:
             return int(s)
         except ValueError:
             raise InputError(f"malformed integer {quote(text)}") from None
+    d = str_to_decimal(text)
+    value = _join_digits(str(d.copy_abs()))
+    return -value if d.is_signed() else value
+
+
+def str_to_decimal(text: str) -> decimal.Decimal:
+    """Decimal(str_to_int(text)), exponent 0 and never -0, in linear time; the same InputError."""
     # int()'s grammar: an optional sign, then Unicode decimal digits with single
     # underscores between them ("".isdecimal() is False, so no empty part passes)
-    parts = (s[1:] if s[0] in "+-" else s).split("_")
+    s = text.strip()
+    parts = (s[1:] if s[:1] in ("+", "-") else s).split("_")
     if not all(part.isdecimal() for part in parts):
         raise InputError(f"malformed integer {quote(text)}")
-    value = _join_digits("".join(parts))
-    return -value if s[0] == "-" else value
+    d = decimal.Decimal("".join(parts))  # exact: construction never rounds
+    return d.copy_negate() if s[:1] == "-" and d else d
 
 
 def _join_digits(s: str) -> int:

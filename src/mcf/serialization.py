@@ -12,11 +12,12 @@ multi-Mbit values); malformed numbers raise InputError.
 
 from __future__ import annotations
 
+import decimal
 import json
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .engine import PartialQuotients
+from .engine import PartialQuotients, QuotientRows
 from .errors import InputError, NonTerminating
 from .exact_reals import (
     AlgebraicValue,
@@ -27,7 +28,7 @@ from .exact_reals import (
     RealValue,
 )
 from .intervals import RationalInterval
-from .radix import int_to_str, str_to_frac, str_to_int
+from .radix import int_to_str, str_to_decimal, str_to_frac, str_to_int, to_decimal
 
 if TYPE_CHECKING:  # report types: only annotations name them, so encoding loads no checker
     from .convergents import BoundReport, GrowthReport
@@ -38,10 +39,6 @@ if TYPE_CHECKING:  # report types: only annotations name them, so encoding loads
 
 def dumps_stable(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def int_str(v: int) -> str:
-    return int_to_str(int(v))
 
 
 def frac_str(v) -> str:
@@ -57,6 +54,11 @@ def parse_int(v) -> int:
     if isinstance(v, str):
         return str_to_int(v)
     raise InputError(f"expected an integer (number or decimal string), got {type(v).__name__}")
+
+
+def parse_decimal(v) -> decimal.Decimal:
+    """parse_int(v) as an integral Decimal; a decimal string is read without building the int."""
+    return str_to_decimal(v) if isinstance(v, str) else to_decimal(parse_int(v))
 
 
 def parse_frac(v) -> Fraction:
@@ -115,15 +117,15 @@ def real_to_json(rv: RealValue) -> dict:
     if isinstance(rv, RationalValue):
         return {
             "kind": "rational",
-            "num": int_str(rv.value.numerator),
-            "den": int_str(rv.value.denominator),
+            "num": int_to_str(rv.value.numerator),
+            "den": int_to_str(rv.value.denominator),
         }
     if isinstance(rv, AlgebraicValue):
         field = rv.element.field
         init = field._initial
         return {
             "kind": "algebraic",
-            "minpoly": [int_str(c) for c in field.min_poly],
+            "minpoly": [int_to_str(c) for c in field.min_poly],
             "lo": frac_str(init.lo),
             "hi": frac_str(init.hi),
             "coords": [frac_str(c) for c in rv.element.coords],
@@ -147,16 +149,17 @@ def reals_from_file_payload(obj) -> list[RealValue]:
 # -- Partial quotients -------------------------------------------------------
 
 
-def pq_from_json(obj) -> PartialQuotients:
+def pq_from_json(obj, parse=parse_int, rows=PartialQuotients) -> QuotientRows:
+    """The quotients of obj, each read by `parse` and held in `rows` (ints by default)."""
     if not isinstance(obj, dict) or "seqs" not in obj:
         raise InputError("partial quotients must be an object with 'seqs'")
-    seqs = [[parse_int(v) for v in _list(s, "each sequence")] for s in _list(obj["seqs"], "seqs")]
+    seqs = [[parse(v) for v in _list(s, "each sequence")] for s in _list(obj["seqs"], "seqs")]
     m = parse_int(obj.get("m", len(seqs)))
-    return PartialQuotients(m, tuple(tuple(s) for s in seqs))
+    return rows(m, tuple(tuple(s) for s in seqs))
 
 
-def pq_to_json(pq: PartialQuotients) -> dict:
-    return {"m": pq.m, "seqs": [[int_str(v) for v in s] for s in pq.seqs]}
+def pq_to_json(pq: QuotientRows) -> dict:
+    return {"m": pq.m, "seqs": [[int_to_str(v) for v in s] for s in pq.seqs]}
 
 
 def expansion_jsonl(record: ExpansionRecord, trace: bool = False) -> list[str]:
@@ -165,7 +168,7 @@ def expansion_jsonl(record: ExpansionRecord, trace: bool = False) -> list[str]:
     interrupted_at = {ev.index for ev in record.interruptions}
     total = max((len(s) for s in record.pq.seqs), default=0)
     for n in range(total):
-        emitted = [int_str(s[n]) for s in record.pq.seqs if n < len(s)]
+        emitted = [int_to_str(s[n]) for s in record.pq.seqs if n < len(s)]
         event = "interruption" if n in interrupted_at else "step"
         payload = {"n": n, "a": emitted, "event": event}
         if trace and record.trace is not None and n < len(record.trace):
@@ -197,22 +200,22 @@ def _trace_value(rv: RealValue) -> dict:
 
 def periodic_spec_to_json(spec: PeriodicSpec) -> dict:
     return {
-        "pre_a": [int_str(v) for v in spec.pre_a],
-        "pre_b": [int_str(v) for v in spec.pre_b],
-        "per_a": [int_str(v) for v in spec.per_a],
-        "per_b": [int_str(v) for v in spec.per_b],
+        "pre_a": [int_to_str(v) for v in spec.pre_a],
+        "pre_b": [int_to_str(v) for v in spec.pre_b],
+        "per_a": [int_to_str(v) for v in spec.per_a],
+        "per_b": [int_to_str(v) for v in spec.per_b],
     }
 
 
 def certificate_to_json(cert: CubicCertificate) -> dict:
     return {
         "spec": periodic_spec_to_json(cert.spec),
-        "poly_alpha": [int_str(c) for c in cert.poly_alpha],
-        "poly_beta": [int_str(c) for c in cert.poly_beta],
-        "height_alpha": int_str(cert.height_alpha),
-        "height_beta": int_str(cert.height_beta),
-        "c_top": int_str(cert.c_top),
-        "bound": int_str(cert.bound) if cert.bound is not None else None,
+        "poly_alpha": [int_to_str(c) for c in cert.poly_alpha],
+        "poly_beta": [int_to_str(c) for c in cert.poly_beta],
+        "height_alpha": int_to_str(cert.height_alpha),
+        "height_beta": int_to_str(cert.height_beta),
+        "c_top": int_to_str(cert.c_top),
+        "bound": int_to_str(cert.bound) if cert.bound is not None else None,
         "bound_applicable": cert.bound_applicable,
         "alpha_interval": interval_json(cert.alpha_interval),
         "beta_interval": interval_json(cert.beta_interval),
@@ -252,7 +255,7 @@ def bound_report_to_json(report: BoundReport) -> dict:
     return {
         "ok": report.ok,
         "items": _check_items_json(report.items),
-        "empirical_K": int_str(report.empirical_K),
+        "empirical_K": int_to_str(report.empirical_K),
     }
 
 

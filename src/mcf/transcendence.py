@@ -38,11 +38,11 @@ from .convergents import (
     psi_field,
     scan_inputs,
 )
-from .engine import PartialQuotients, check_admissible
+from .engine import PartialQuotients, QuotientRows, check_admissible
 from .errors import AdmissibilityConflict, AdmissibilityError, InputError, ScheduleOverlap
 from .exact_reals import abs_diff_pow_lt, certify
 from .intervals import RationalInterval, as_fraction, iv_enclosure
-from .radix import frac_to_str, int_to_str
+from .radix import frac_to_str, int_to_str, magnitude
 
 
 # ---------------------------------------------------------------------------
@@ -112,18 +112,19 @@ class CriterionReport:
 # ---------------------------------------------------------------------------
 
 
-def _iroot_floor(x: int, n: int) -> int:
-    """Largest r >= 0 with r**n <= x, by integer Newton iteration.
+def _iroot_floor(x, n: int):
+    """Largest r >= 0 with r**n <= x, by integer Newton iteration in the type of x.
 
-    Starts above the root at 2**ceil(bits/n); the iterates then decrease
-    monotonically to the floor root, so the first that fails to decrease is
-    the answer (Brent & Zimmermann, Modern Computer Arithmetic, section 1.5).
+    Starts above the root, within a factor b of it, at b**ceil(e/n) for b**(e-1) <= x
+    < b**e (radix.magnitude); the iterates then decrease monotonically to the floor root,
+    so the first that fails to decrease is the answer (Brent & Zimmermann, section 1.5).
     """
     if x < 0 or n < 1:
         raise InputError("integer root needs x >= 0, n >= 1")
     if x in (0, 1) or n == 1:
         return x
-    r = 1 << -(-x.bit_length() // n)
+    b, e = magnitude(x)
+    r = type(x)(b) ** -(-e // n)
     while True:
         s = ((n - 1) * r + x // r ** (n - 1)) // n
         if s >= r:
@@ -131,7 +132,7 @@ def _iroot_floor(x: int, n: int) -> int:
         r = s
 
 
-def _ceil_rational_power(base: int, expo: Fraction) -> int:
+def _ceil_rational_power(base, expo: Fraction):
     """ceil(base**expo) for base >= 1 and a positive rational exponent, exactly."""
     if base < 1:
         raise InputError("base must be >= 1")
@@ -175,8 +176,9 @@ class LiouvilleSpec:
             raise InputError(f"need {self.m - 1} tail rules for m = {self.m}")
 
 
-def construct_liouville(spec: LiouvilleSpec) -> PartialQuotients:
-    """Build quotients for indices 0..depth satisfying the criterion strictly.
+def liouville_rows(spec: LiouvilleSpec, number=int) -> QuotientRows:
+    """Quotients for indices 0..depth satisfying the criterion strictly, computed in
+    the type `number` makes of an int (int, or radix.to_decimal under radix.EXACT).
 
     At each n >= 1 the lag-1 products do not involve the head: a_n^(1) adds
     a_n^(1) times column n-1 to column n, which cancels in A_n C_{n-1} - A_{n-1} C_n,
@@ -184,40 +186,44 @@ def construct_liouville(spec: LiouvilleSpec) -> PartialQuotients:
     then set just above both the criterion threshold and the admissibility floor.
     """
     m = spec.m
-    seqs: list[list[int]] = [[] for _ in range(m)]
-    state, lags = ConvergentState.initial(m), LagProducts(m, [(i, m) for i in range(m)])
+    seqs: list[list] = [[] for _ in range(m)]
+    state, lags = ConvergentState.initial(m, [m]), LagProducts(m, [(i, m) for i in range(m)])
     for n in range(spec.depth + 1):
         tail = [int(rule(n)) for rule in spec.tail_rules]
+        if n >= 1 and any(v < 0 for v in tail):
+            shown = ", ".join(map(int_to_str, tail))
+            raise AdmissibilityConflict(f"free entry a_{n}^(j) negative: [{shown}]", index=n)
+        tail = [number(v) for v in tail]
         if n == 0:
-            head = int(spec.head)
+            head = number(int(spec.head))
         else:
-            if any(v < 0 for v in tail):
-                shown = ", ".join(map(int_to_str, tail))
-                raise AdmissibilityConflict(f"free entry a_{n}^(j) negative: [{shown}]", index=n)
             t_max = max(abs(t) for t in lags.peek_lag1(tail).values())
-            threshold = t_max * _ceil_rational_power(state.window[0][m], spec.delta)
+            threshold = t_max * _ceil_rational_power(state.window[0][0], spec.delta)
             head = max(threshold, max([0] + tail)) + 1
         a = (head, *tail)
         for j, v in enumerate(a):
             seqs[j].append(v)
         if n < spec.depth:  # the last column and its lag products feed nothing
-            state.step(a)
+            state.advance(a)
             lags.step(a)
 
-    pq = PartialQuotients(m, tuple(tuple(s) for s in seqs))
-    report = check_admissible(pq)
+    rows = QuotientRows(m, tuple(tuple(s) for s in seqs))
+    report = check_admissible(rows)
     if not report.ok:
-        raise AdmissibilityConflict(
-            f"construction produced inadmissible output (bug): {report.violations[0]}",
-            index=report.violations[0].index,
-        )
-    return pq
+        v = report.violations[0]
+        raise AdmissibilityConflict(f"construction produced inadmissible output (bug): {v}", index=v.index)
+    return rows
 
 
-def verify_liouville(pq: PartialQuotients, delta, upto: int | None = None) -> CriterionReport:
+def construct_liouville(spec: LiouvilleSpec) -> PartialQuotients:
+    """Quotients for indices 0..depth satisfying the criterion strictly: liouville_rows in ints."""
+    return PartialQuotients(spec.m, liouville_rows(spec).seqs)
+
+
+def liouville_report(pq: QuotientRows, delta, upto: int | None = None) -> CriterionReport:
     """Check a_n^(1) > max_i |tilde_i(n)| * C_{n-1}^delta for 1 <= n <= upto.
 
-    The rational exponent delta = p/q is cleared exactly: the strict
+    The rational exponent delta = p/q is cleared exactly, in the quotients' type: the strict
     inequality is equivalent to (a_n^(1))^q > (max_i |tilde_i(n)|)^q * C_{n-1}^p.
     """
     delta = as_fraction(delta)
@@ -225,17 +231,17 @@ def verify_liouville(pq: PartialQuotients, delta, upto: int | None = None) -> Cr
         raise InputError("delta must be positive")
     n_max = pq.last_index(upto)
     p, q = delta.numerator, delta.denominator
-    state, lags = ConvergentState.initial(pq.m), LagProducts(pq.m, [(i, pq.m) for i in range(pq.m)])
+    state, lags = ConvergentState.initial(pq.m, [pq.m]), LagProducts(pq.m, [(i, pq.m) for i in range(pq.m)])
     first = None
     for n in range(n_max + 1):
         a = tuple(pq.seqs[j][n] for j in range(pq.m))
         if n >= 1:
             t_max = max(abs(t) for t in lags.peek_lag1(a[1:]).values())
-            if not a[0]**q > t_max**q * state.window[0][pq.m]**p:
+            if not a[0]**q > t_max**q * state.window[0][0]**p:
                 first = n
                 break
         if n < n_max:  # column n_max and its lag products feed nothing
-            state.step(a)
+            state.advance(a)
             lags.step(a)
     checks = (
         CheckItem(
@@ -250,6 +256,11 @@ def verify_liouville(pq: PartialQuotients, delta, upto: int | None = None) -> Cr
         hypotheses=checks,
         data={"delta": frac_to_str(delta)},
     )
+
+
+def verify_liouville(pq: PartialQuotients, delta, upto: int | None = None) -> CriterionReport:
+    """liouville_report on int quotients: the criterion inequality for 1 <= n <= upto."""
+    return liouville_report(pq, delta, upto)
 
 
 def roth_scan(x, pq: PartialQuotients, epsilon, upto: int, coords=None) -> list[int]:

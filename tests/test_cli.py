@@ -19,10 +19,13 @@ from mpmath import mp
 from helpers import int_digit_cap
 from references import convergents_stdout
 
+from mcf import InputError, LiouvilleSpec, const_rule, construct_liouville, verify_liouville
 from mcf.cli import build_parser, run
 from mcf.convergents import ConvergentState, conv_stream, k_interval
 from mcf.engine import PartialQuotients
-from mcf.serialization import pq_from_json, pq_to_json
+from mcf.radix import int_to_str, str_to_int
+from mcf.serialization import criterion_report_to_json, dumps_stable, pq_from_json, pq_to_json
+from mcf.transcendence import cycle_rule, seq_rule
 
 GOLDEN = Path(__file__).parent / "golden"
 BIG_BITS = 1 << 15  # the size of the big quotients drawn below
@@ -568,3 +571,122 @@ def test_trace_bit_hook_on_step_sees_int_columns(monkeypatch):
         code, _, err = invoke(argv)
         assert (code, err) == (0, "")
     assert bits  # the verify commands step through the hook
+
+
+def test_trace_bit_hooks_on_liouville_see_ints(monkeypatch, tmp_path):
+    # perfbench's tracer also reads .bit_length() on the heads of construct_liouville's
+    # result and of verify_liouville's first argument; the Liouville commands compute
+    # in Decimal, so no Decimal may reach any of the three hooked callables
+    from mcf import transcendence
+
+    bits = []
+
+    def hooked(fn, before, after):
+        def call(*args, **kwargs):
+            before(args)
+            result = fn(*args, **kwargs)
+            after(result)
+            return result
+        return call
+
+    def nothing(_):
+        pass
+
+    def heads(pq):
+        bits.extend(v.bit_length() for v in pq.seqs[0])
+
+    monkeypatch.setattr(ConvergentState, "step", hooked(
+        ConvergentState.step, nothing, lambda r: bits.append(r.C.bit_length())))
+    monkeypatch.setattr(transcendence, "construct_liouville", hooked(
+        transcendence.construct_liouville, nothing, heads))
+    monkeypatch.setattr(transcendence, "verify_liouville", hooked(
+        transcendence.verify_liouville, lambda args: heads(args[0]), nothing))
+    path = tmp_path / "li.json"
+    for delta in ("1", "3/2"):
+        code, out, err = invoke(["construct", "liouville", "--m", "2", "--delta", delta,
+                                 "--b-rule", "cycle:0,1", "--a0", "2", "--depth", "9"])
+        assert (code, err) == (0, "")
+        path.write_text(out)
+        code, _, err = invoke(["verify", "liouville", "--pq", str(path), "--delta", delta])
+        assert (code, err) == (0, "")
+    spec = LiouvilleSpec(2, Fraction(3, 2), 9, (cycle_rule([0, 1]),), head=2)
+    assert all(type(v) is int for s in transcendence.construct_liouville(spec).seqs for v in s)
+    assert bits  # the library call went through its hook
+
+
+def test_verify_growth_names_a_denominator_below_2_in_log_log(files):
+    # C_2 = 0 here and every d hypothesis holds, so log log C_2 cannot be formed
+    pq = files("c2_zero.json", {"m": 2, "seqs": [["0", "1", "0", "-1"], ["0", "0", "0", "0"]]})
+    code, out, err = invoke(["verify", "growth", "--pq", pq, "--d", "1"])
+    assert (code, out) == (2, "")
+    assert err == "input error: log log C_2 needs C_2 >= 2, got C_2 = 0\n"
+
+
+DELTAS = ["1", "2", "1/2", "3/2", "2/3"]
+
+
+@st.composite
+def liouville_cases(draw):
+    """CLI arguments of a construction: m = 2, 3, each tail rule const, cycle or list
+    (a short list runs out: an input error), a head a0 of either sign, and the
+    verify side's --depth and one head lowered by 1 (or none)."""
+    m = draw(st.sampled_from([2, 3]))
+    depth = draw(st.integers(1, 9))
+    rules = []
+    for _ in range(m - 1):
+        kind = draw(st.sampled_from(["const", "cycle", "list"]))
+        size = 1 if kind == "const" else draw(st.integers(1, depth + 2))
+        values = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        rules.append(f"{kind}:{','.join(map(str, values))}")
+    return {
+        "m": m, "delta": draw(st.sampled_from(DELTAS)), "depth": depth, "rules": rules,
+        "a0": draw(st.integers(-3, 3)),
+        "upto": draw(st.none() | st.integers(0, depth + 1)),
+        "lowered": draw(st.none() | st.integers(1, depth)),
+    }
+
+
+def _rule(text):
+    kind, _, payload = text.partition(":")
+    values = [int(v) for v in payload.split(",")]
+    return {"const": lambda: const_rule(values[0]), "cycle": lambda: cycle_rule(values),
+            "list": lambda: seq_rule(values)}[kind]()
+
+
+@settings(max_examples=60, deadline=None)
+@given(liouville_cases())
+@example({"m": 2, "delta": "1", "depth": 9, "rules": ["const:0"], "a0": 0, "upto": None, "lowered": 9})
+@example({"m": 3, "delta": "1/2", "depth": 9, "rules": ["cycle:1,0,2", "const:0"], "a0": -3,
+          "upto": 7, "lowered": 5})
+@example({"m": 2, "delta": "2/3", "depth": 9, "rules": ["list:0,1,1"], "a0": 1, "upto": None,
+          "lowered": None})
+def test_liouville_commands_match_the_library_int_route(case):
+    # the CLI computes in Decimal under EXACT; the library in ints.  Depths reach past
+    # 28 digits, where arithmetic outside EXACT would round.
+    spec = (case["m"], Fraction(case["delta"]), case["depth"], tuple(map(_rule, case["rules"])))
+    argv = ["construct", "liouville", "--m", str(case["m"]), "--delta", case["delta"],
+            "--depth", str(case["depth"]), "--a0", str(case["a0"])]
+    for rule in case["rules"]:
+        argv += ["--b-rule", rule]
+    code, out, err = invoke(argv)
+    try:
+        pq = construct_liouville(LiouvilleSpec(*spec, head=case["a0"]))
+    except InputError as exc:
+        assert (code, out, err) == (2, "", f"input error: {exc}\n")
+        return
+    assert (code, err) == (0, "")
+    assert out == dumps_stable(pq_to_json(pq)) + "\n"
+
+    doc = json.loads(out)
+    if case["lowered"] is not None:
+        k = case["lowered"]
+        doc["seqs"][0][k] = int_to_str(str_to_int(doc["seqs"][0][k]) - 1)
+    upto = case["upto"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "li.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(["verify", "liouville", "--pq", str(path), "--delta", case["delta"],
+                                 *([] if upto is None else ["--depth", str(upto)])])
+    report = verify_liouville(pq_from_json(doc), Fraction(case["delta"]), upto)
+    assert (code, out, err) == (0 if report.ok else 1,
+                                dumps_stable(criterion_report_to_json(report)) + "\n", "")

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from helpers import int_digit_cap
 
 from mcf import InputError
-from mcf.radix import to_decimal
-from mcf.serialization import int_str, parse_int
+from mcf.radix import int_to_str, str_to_decimal, str_to_int, to_decimal
+from mcf.serialization import parse_int
 
 BIG_BITS = 1 << 15  # the size scale of the drawn integers
 BIG_DIGITS = BIG_BITS * 30103 // 100000  # decimal digits of 2**BIG_BITS, less one
@@ -52,7 +52,7 @@ def wire_ints(draw):
 @example(10**4300 - 1)
 def test_int_str_is_str_and_parse_int_inverts_it(v):
     with int_digit_cap(640):
-        text = int_str(v)
+        text = int_to_str(v)
         back = parse_int(text)
     assert text == _plain(v)
     assert back == v
@@ -112,14 +112,35 @@ def test_parse_int_is_int(text):
 
 
 LONG = "7" * (2 * BIG_DIGITS)
-
-
-@pytest.mark.parametrize("text", [
+MALFORMED = [
     "", " ", "+", "-", "1 2", "12a", "1__0", "_1", "1_", "0x10", "1.5", "1e3", "²", "+-1",
     LONG + "x", "x" + LONG, LONG + " " + LONG, LONG + "_", "²" + LONG,
     "9" * 512 + "x", "_" + "9" * 600, "9" * 300 + "__" + "9" * 300, "+-" + "9" * 600, "-" * 600,
-])
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
 def test_malformed_integers_raise_input_error(text):
     with pytest.raises(InputError) as exc:
         parse_int(text)
     assert len(str(exc.value)) < 120  # the value is quoted cut short, not echoed whole
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(int_literals(), st.sampled_from(MALFORMED + [
+    "1e5", "1.0", "NaN", "-NaN", "Infinity", "-0", "+0", " -0_0 ", "-" + "0" * 600, "0" * 700, "-٠"])))
+@example("9" * 513)
+@example("-" + "1" * 600)
+def test_str_to_decimal_has_the_value_and_errors_of_str_to_int(text):
+    # the same grammar and messages; the Decimal is integral (exponent 0) and never -0
+    try:
+        expected = str_to_int(text)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            str_to_decimal(text)
+        assert str(got.value) == str(exc)
+        return
+    with decimal.localcontext(decimal.Context(prec=3)):  # reading rounds nothing in any context
+        d = str_to_decimal(text)
+    assert d.as_tuple().exponent == 0
+    assert str(d) == int_to_str(expected)

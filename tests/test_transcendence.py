@@ -1,5 +1,8 @@
 """Liouville-type and quasi-periodic constructions and their checkers."""
 
+import decimal
+import random
+import signal
 import threading
 from fractions import Fraction
 
@@ -21,6 +24,7 @@ from mcf import (
 )
 from mcf.convergents import approx_witnesses, k_interval, limit_values, loglog_interval
 from mcf.engine import PartialQuotients, check_admissible
+from mcf.radix import EXACT, int_to_str, to_decimal
 from mcf.transcendence import (
     QuasiPeriodicSpec,
     _iroot_floor,
@@ -302,10 +306,35 @@ def test_main2_check_threshold():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 1 << 4096), st.integers(1, 6))
-def test_iroot_floor_brackets_the_root(x, n):
-    r = _iroot_floor(x, n)
-    assert r**n <= x < (r + 1) ** n
+@given(st.integers(0, 1 << 4096), st.integers(1, 6), st.sampled_from([int, to_decimal]))
+def test_iroot_floor_brackets_the_root(x, n, number):
+    # an integral Decimal under EXACT gives the int root, as an integral Decimal
+    with decimal.localcontext(EXACT):
+        r = _iroot_floor(number(x), n)
+        assert r**n <= x < (r + 1) ** n
+    assert type(r) is type(number(x)) and int_to_str(r) == int_to_str(_iroot_floor(x, n))
+
+
+@pytest.mark.parametrize("number", [int, to_decimal])
+@pytest.mark.parametrize("n", [2, 3])
+def test_iroot_floor_of_a_200000_bit_value_starts_near_the_root(n, number):
+    # from a start far above the root, Newton's linear phase shrinks the iterate by
+    # about (n-1)/n per step, for minutes at this size; from within a factor b of the
+    # root (radix.magnitude) it takes a few steps
+    x = number(random.Random(n).getrandbits(200_000) | 1 << 199_999)
+
+    def expire(signum, frame):
+        raise TimeoutError("the integer root took more than 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    try:
+        with decimal.localcontext(EXACT):
+            r = _iroot_floor(x, n)
+            assert r**n <= x < (r + 1) ** n
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_liouville_delta_three_halves_depth_6():
