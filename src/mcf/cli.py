@@ -55,7 +55,7 @@ class _Formatter(argparse.HelpFormatter):
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_int=radix.str_to_int)
+            return json.load(fh, parse_int=radix.str_to_int, parse_float=ser.JSONFloat)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:

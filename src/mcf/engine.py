@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -97,12 +98,23 @@ class QuotientRows:
         return len({len(s) for s in self.seqs}) == 1
 
 
+def int_entries(seq, name: str) -> tuple[int, ...]:
+    """seq by operator.index, so nothing is truncated or parsed: a float, a string or a
+    bool raises InputError naming the sequence and the index."""
+    seq = tuple(seq)
+    for n, v in enumerate(seq):
+        if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+            raise InputError(f"entry {n} of {name} must be an integer, got {type(v).__name__}")
+    return tuple(map(operator.index, seq))
+
+
 class PartialQuotients(QuotientRows):
-    """m int sequences a^(1), ..., a^(m): QuotientRows with each entry coerced by int()."""
+    """m int sequences a^(1), ..., a^(m): QuotientRows whose entries pass int_entries."""
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "seqs", tuple(tuple(int(x) for x in s) for s in self.seqs))
+        seqs = tuple(int_entries(s, f"a^({j})") for j, s in enumerate(self.seqs, 1))
+        object.__setattr__(self, "seqs", seqs)
 
     @staticmethod
     def from_lists(*seqs) -> "PartialQuotients":

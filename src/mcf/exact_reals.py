@@ -77,6 +77,8 @@ class NumberField:
     ``root_interval`` (validated by a Sturm count; endpoint signs must be
     nonzero and opposite).  The isolating interval only ever shrinks; the
     cache is protected by a lock so concurrent refinement stays monotone.
+    This class is the one place in mcf that refines a root or decides
+    whether it is rational (``exact_root``).
     """
 
     __slots__ = ("min_poly", "_initial", "_interval", "_exact_root", "_lock")
@@ -100,21 +102,14 @@ class NumberField:
             raise InputError("root interval must isolate exactly one real root (Sturm count)")
         self.min_poly = tuple(int(c) for c in coeffs)
         self._initial = root_interval
-        self._interval = root_interval
-        self._exact_root: Fraction | None = None
         self._lock = threading.Lock()
-        # a rational root p/q has q | lead, so below 1/lead^2 only one
-        # candidate survives; detecting it now keeps every later floor/sign
-        # query exact even for reducible (squarefree) moduli
+        # a rational root p/q has q | lead, so below 1/lead^2 only one candidate survives,
+        # the simplest fraction in the bracket; deciding it now keeps every later floor or
+        # sign query exact even for reducible (squarefree) moduli
         lead = abs(self.min_poly[-1])
-        tight = pol.refine_root(self.min_poly, root_interval, Fraction(1, lead * lead + 1))
-        if tight.is_point:
-            self._exact_root = tight.lo
-        else:
-            cand = pol.simplest_in_interval(tight.lo, tight.hi)
-            if pol.poly_eval(self.min_poly, cand) == 0:
-                self._exact_root = cand
-        self._interval = tight
+        self._interval = pol.refine_root(self.min_poly, root_interval, Fraction(1, lead * lead + 1))
+        cand = pol.simplest_in_interval(self._interval.lo, self._interval.hi)
+        self._exact_root = cand if pol.poly_eval(self.min_poly, cand) == 0 else None
 
     @property
     def degree(self) -> int:
@@ -292,8 +287,7 @@ class FieldElement:
             iv = pol.poly_eval_interval(self.coords, self.field.root_interval())
             return iv if iv.width <= max_width else None
 
-        levels = range(_MAX_ALGEBRAIC_ROUNDS + refinement_budget())
-        return certify("field element enclosure to the requested width", attempt, levels)
+        return certify("field element enclosure to the requested width", attempt)
 
     def _exact_value(self) -> Fraction | None:
         root = self.field.exact_root()
@@ -313,7 +307,7 @@ class FieldElement:
                 return read(RationalInterval.point(exact))
             return read(pol.poly_eval_interval(self.coords, self.field.root_interval()))
 
-        return certify(what, attempt, range(min(refinement_budget(), _MAX_ALGEBRAIC_ROUNDS) + 1))
+        return certify(what, attempt, budget_levels(0, _MAX_ALGEBRAIC_ROUNDS))
 
     def sign(self) -> int:
         """Exact sign (-1, 0, +1), certified.

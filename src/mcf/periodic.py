@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .convergents import ConvergentState, LagProducts
-from .engine import PartialQuotients, check_admissible, expand
+from .engine import PartialQuotients, check_admissible, expand, int_entries
 from .errors import (
     AdmissibilityError,
     DegenerateCubic,
@@ -54,7 +54,7 @@ class PeriodicSpec:
 
     def __post_init__(self):
         for name in ("pre_a", "pre_b", "per_a", "per_b"):
-            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
+            object.__setattr__(self, name, int_entries(getattr(self, name), name))
         if len(self.pre_a) != len(self.pre_b):
             raise InputError("pre-period blocks must have equal length")
         if len(self.per_a) != len(self.per_b):
@@ -109,9 +109,6 @@ class XMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.rows[i - 1][j - 1]
-
-    def max_abs(self) -> int:
-        return max(abs(v) for row in self.rows for v in row)
 
 
 def x_matrix(spec: PeriodicSpec) -> tuple[XMatrix, int]:
@@ -225,31 +222,65 @@ def _certified_small_residual(poly, iv: RationalInterval) -> bool:
     return -_RESIDUAL_WIDTH < image.lo and image.hi < _RESIDUAL_WIDTH
 
 
+def _root_fields(name: str, poly: tuple[int, ...]) -> list[NumberField]:
+    """A NumberField on each real root of a recovered cubic, in increasing order; a
+    rational root raises DegenerateCubic naming the smallest.  A repeated root makes
+    every root rational (gcd(p, p') is rational); the modulus must be squarefree, so it is
+    then the squarefree part times x^2 + 1, which has the same real roots."""
+    sqf = pol.poly_divmod(poly, pol.poly_gcd(poly, pol.derivative(poly)))[0]
+    modulus = poly if len(sqf) == len(poly) else pol.primitive_part(pol.poly_mul(sqf, (1, 0, 1)))
+    fields = [NumberField(modulus, iv) for iv in pol.isolate_real_roots(poly)]
+    for fld in fields:
+        if fld.exact_root() is not None:
+            raise DegenerateCubic(
+                f"recovered {name} cubic has rational root {frac_to_str(fld.exact_root())}; "
+                "input is outside the cubic-irrational regime",
+                residual=poly,
+            )
+    return fields
+
+
+def _partner(fld: NumberField, x: XMatrix, poly_b, target: PartialQuotients) -> FieldElement | None:
+    """beta in Q(alpha), from the first X-relation, if (alpha, beta) re-expands to target.
+    Each way to fail repeats at a longer target: a zero denominator, a nonzero residual
+    of the beta cubic, NonTerminating in the expansion, or a quotient mismatch."""
+    theta = fld.gen()
+    den = fld.element([x[1, 2]]) - fld.element([x[3, 2]]) * theta
+    if den.is_zero():
+        return None
+    beta = (
+        fld.element([x[3, 1]]) * theta * theta
+        + fld.element([x[3, 3] - x[1, 1]]) * theta
+        - fld.element([x[1, 3]])
+    ) / den
+    if not pol.poly_eval(poly_b, beta).is_zero():
+        return None
+    probe = target.rect_len
+    try:
+        rec = expand([AlgebraicValue(theta), AlgebraicValue(beta)], probe)
+    except NonTerminating:
+        return None
+    if rec.pq.is_rectangular and all(s[:probe] == t for s, t in zip(rec.pq.seqs, target.seqs)):
+        return beta
+    return None
+
+
 def solve_periodic(spec: PeriodicSpec) -> CubicCertificate:
     """Full pipeline: X matrix, cubic coefficients, heights and bound, root
     selection by re-expansion, and interval residual certification.
 
     The root of the alpha-cubic is selected by re-expanding each candidate
     pair exactly and matching at least 2(k+h) quotients against the unrolled
-    spec; the partner beta is the exact rational function of alpha given by
-    the first X-relation.
+    spec; a candidate that fails is dropped, and while several match, the
+    survivors are matched again against twice as many quotients.
     """
     steps = 2 * (spec.k + spec.h)
     x, c_top = x_matrix(spec)
     poly_a = pol.primitive_part(tuple(reversed(cubic_coeffs(x, "alpha"))))
     poly_b = pol.primitive_part(tuple(reversed(cubic_coeffs(x, "beta"))))
+    fields = _root_fields("alpha", poly_a)
+    _root_fields("beta", poly_b)
 
-    for name, poly in (("alpha", poly_a), ("beta", poly_b)):
-        rats = pol.rational_roots(poly)
-        if rats:
-            raise DegenerateCubic(
-                f"recovered {name} cubic has rational root {frac_to_str(rats[0])}; "
-                "input is outside the cubic-irrational regime",
-                residual=poly,
-            )
-
-    height_a = pol.height(poly_a)
-    height_b = pol.height(poly_b)
     a0, b0 = (spec.pre_a + spec.per_a)[0], (spec.pre_b + spec.per_b)[0]
     if (a0, b0) == (0, 0):
         bound, applicable = 3024 * c_top**9, True
@@ -258,53 +289,20 @@ def solve_periodic(spec: PeriodicSpec) -> CubicCertificate:
     else:
         bound, applicable = None, False
 
-    candidates = pol.isolate_real_roots(poly_a)
-
     for attempt in range(4):
-        matched: list[tuple[RationalInterval, FieldElement, FieldElement]] = []
-        probe = steps * (2**attempt)
-        probe_target = unroll(spec, probe)
-        for iv in candidates:
-            try:
-                fld = NumberField(poly_a, iv)
-            except InputError:
-                continue
-            theta = fld.gen()
-            den = fld.element([x[1, 2]]) - fld.element([x[3, 2]]) * theta
-            if den.is_zero():
-                continue
-            beta_el = (
-                fld.element([x[3, 1]]) * theta * theta
-                + fld.element([x[3, 3] - x[1, 1]]) * theta
-                - fld.element([x[1, 3]])
-            ) / den
-            beta_residual = _field_poly_eval(poly_b, beta_el)
-            if not beta_residual.is_zero():
-                continue
-            try:
-                rec = expand([AlgebraicValue(theta), AlgebraicValue(beta_el)], probe)
-            except NonTerminating:
-                continue
-            if (
-                rec.pq.is_rectangular
-                and rec.pq.seqs[0][:probe] == probe_target.seqs[0]
-                and rec.pq.seqs[1][:probe] == probe_target.seqs[1]
-            ):
-                matched.append((iv, theta, beta_el))
+        probe = steps << attempt
+        target = unroll(spec, probe)
+        matched = [(fld, beta) for fld in fields
+                   if (beta := _partner(fld, x, poly_b, target)) is not None]
         if len(matched) == 1:
-            iv, theta, beta_el = matched[0]
             break
         if not matched:
-            raise RootSelectionAmbiguous(
-                "no real root of the recovered cubic reproduces the expansion"
-            )
-        # more than one candidate survived: probe deeper
+            raise RootSelectionAmbiguous("no real root of the recovered cubic reproduces the expansion")
+        # survivors only, in fresh fields, so no enclosure depends on an earlier probe
+        fields = [NumberField(poly_a, fld._initial) for fld, _ in matched]
     else:
-        raise RootSelectionAmbiguous(
-            f"{len(matched)} roots still reproduce the prefix after deepening"
-        )
-
-    fld = theta.field
+        raise RootSelectionAmbiguous(f"{len(matched)} roots still reproduce the prefix after deepening")
+    fld, beta_el = matched[0]
 
     def alpha_residual(level):
         alpha_iv = fld.root_interval()
@@ -323,25 +321,18 @@ def solve_periodic(spec: PeriodicSpec) -> CubicCertificate:
         spec=spec,
         poly_alpha=poly_a,
         poly_beta=poly_b,
-        height_alpha=height_a,
-        height_beta=height_b,
+        height_alpha=pol.height(poly_a),
+        height_beta=pol.height(poly_b),
         c_top=c_top,
         bound=bound,
         bound_applicable=applicable,
-        alpha=AlgebraicValue(theta),
+        alpha=AlgebraicValue(fld.gen()),
         beta=AlgebraicValue(beta_el),
         alpha_interval=alpha_iv,
         beta_interval=beta_iv,
         residual_ok=True,
         matched_steps=probe,
     )
-
-
-def _field_poly_eval(int_poly, el: FieldElement) -> FieldElement:
-    acc = el.field.zero()
-    for c in reversed(pol.normalize(int_poly)):
-        acc = acc * el + el.field.element([c])
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +365,8 @@ def same_field_check(spec1: PeriodicSpec, spec2: PeriodicSpec) -> bool:
         a_num, b_num, den = (c1[i] * tau_alpha + c2[i] * tau_beta + c3[i] for i in range(3))
         if den.is_zero():
             return False
-        alpha0 = a_num / den
-        beta0 = b_num / den
-        cert = solve_periodic(spec)
-        if not _field_poly_eval(cert.poly_alpha, alpha0).is_zero():
-            return False
-        if not _field_poly_eval(cert.poly_beta, beta0).is_zero():
-            return False
-        if alpha0.is_rational() or beta0.is_rational():
-            return False
+        cert = solve_periodic(spec)  # its cubics have no rational root, or it raised
+        for poly, num in ((cert.poly_alpha, a_num), (cert.poly_beta, b_num)):
+            if not pol.poly_eval(poly, num / den).is_zero():
+                return False
     return True

@@ -9,7 +9,7 @@ exact arithmetic, no floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 
 from .intervals import RationalInterval, as_fraction
 
@@ -29,8 +29,8 @@ def degree(p) -> int:
     return len(normalize(p)) - 1
 
 
-def poly_eval(p, x) -> Fraction:
-    x = as_fraction(x)
+def poly_eval(p, x):
+    """p(x) by Horner's rule in the arithmetic of x: a rational, or a field element."""
     acc = Fraction(0)
     for c in reversed(normalize(p)):
         acc = acc * x + c
@@ -297,47 +297,10 @@ def simplest_in_interval(lo, hi) -> Fraction:
         return Fraction(0)
     if hi < 0:
         return -simplest_in_interval(-hi, -lo)
-    from math import ceil as _ceil, floor as _floor
-
-    n = _ceil(lo)
+    n = ceil(lo)
     if n <= hi:
         return Fraction(n)
-    a = _floor(lo)
+    a = floor(lo)
     inner = simplest_in_interval(1 / (hi - a), 1 / (lo - a))
     return a + 1 / inner
 
-
-def rational_roots(p) -> list[Fraction]:
-    """All rational roots of an integer polynomial.
-
-    By the rational root theorem a root p/q has q dividing the leading
-    coefficient, so distinct candidates are at least 1/lead^2 apart: each
-    isolating interval is refined below that and the unique minimal-
-    denominator candidate inside is tested exactly.  No divisor enumeration,
-    so this stays fast for certificate-sized coefficients.
-    """
-    prim = list(primitive_part(p))
-    if len(prim) <= 1:
-        return []
-    roots: list[Fraction] = []
-    if prim[0] == 0:
-        roots.append(Fraction(0))
-        while prim and prim[0] == 0:
-            prim.pop(0)
-    if len(prim) <= 1:
-        return sorted(roots)
-    sqf = normalize(prim)
-    if not is_squarefree(sqf):
-        sqf = poly_divmod(sqf, poly_gcd(sqf, derivative(sqf)))[0]
-    sqf = primitive_part(sqf)
-    lead = abs(sqf[-1])
-    gap = Fraction(1, lead * lead + 1)
-    for iv in isolate_real_roots(sqf):
-        tight = refine_root(sqf, iv, gap)
-        if tight.is_point:
-            roots.append(tight.lo)
-            continue
-        cand = simplest_in_interval(tight.lo, tight.hi)
-        if poly_eval(sqf, cand) == 0:
-            roots.append(cand)
-    return sorted(roots)

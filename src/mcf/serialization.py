@@ -46,6 +46,15 @@ def frac_str(v) -> str:
     return f"{int_to_str(v.numerator)}/{int_to_str(v.denominator)}"
 
 
+class JSONFloat(float):
+    """A JSON number with a fraction part or an exponent, and `.text`, as it was written."""
+
+    def __new__(cls, text: str):
+        number = super().__new__(cls, text)
+        number.text = text
+        return number
+
+
 def parse_int(v) -> int:
     if isinstance(v, bool):
         raise InputError("expected an integer, got a boolean")
@@ -107,6 +116,8 @@ def real_from_json(obj) -> RealValue:
         digits = _field(obj, "digits")
         if not isinstance(digits, (str, int, float)):
             raise InputError(f"decimal digits must be a string, got {type(digits).__name__}")
+        if isinstance(digits, JSONFloat):
+            digits = digits.text  # the digits as written, not the float's repr
         text = int_to_str(digits) if isinstance(digits, int) else str(digits)
         return OracleValue(DecimalOracle(text))
     raise InputError(f"unknown real value kind {kind!r}" if isinstance(kind, str) else

@@ -118,12 +118,15 @@ def _iroot_floor(x, n: int):
     Starts above the root, within a factor b of it, at b**ceil(e/n) for b**(e-1) <= x
     < b**e (radix.magnitude); the iterates then decrease monotonically to the floor root,
     so the first that fails to decrease is the answer (Brent & Zimmermann, section 1.5).
+    When b**e <= 2**n the root is 1, and the start's (n-1)-th power is never formed.
     """
     if x < 0 or n < 1:
         raise InputError("integer root needs x >= 0, n >= 1")
     if x in (0, 1) or n == 1:
         return x
     b, e = magnitude(x)
+    if e * (b - 1).bit_length() <= n:  # x < b**e <= 2**n
+        return type(x)(1)
     r = type(x)(b) ** -(-e // n)
     while True:
         s = ((n - 1) * r + x // r ** (n - 1)) // n
@@ -407,7 +410,7 @@ def _log_ratio_le(lam: int, n: int, lam2: int, n2: int) -> bool:
     """
     g = math.gcd(n, n2)
     a, b = n2 // g, n // g
-    t = _iroot_floor(lam, b) if b < lam.bit_length() else 1  # 2^b > lam forces t = 1
+    t = _iroot_floor(lam, b)
     if t**b == lam and (t == 1 or a * (t.bit_length() - 1) <= lam2.bit_length()) and t**a == lam2:
         return True
 

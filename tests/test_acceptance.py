@@ -137,7 +137,7 @@ def test_criterion_5_height_bound():
         x, _ = x_matrix(spec)
         rows = list(conv_stream(unroll(spec, spec.k + spec.h)))
         c_top = rows[spec.k + spec.h - 1].C
-        assert x.max_abs() <= 6 * c_top**3
+        assert max(abs(v) for row in x.rows for v in row) <= 6 * c_top**3
         for target in ("alpha", "beta"):
             quartet = cubic_coeffs(x, target)
             h_val = height(tuple(reversed(quartet)))

@@ -20,6 +20,8 @@ from helpers import int_digit_cap
 from references import convergents_stdout
 
 from mcf import InputError, LiouvilleSpec, const_rule, construct_liouville, verify_liouville
+from mcf import cli
+from mcf import serialization as ser
 from mcf.cli import build_parser, run
 from mcf.convergents import ConvergentState, conv_stream, k_interval
 from mcf.engine import PartialQuotients
@@ -128,6 +130,30 @@ def test_expand_decimal_budget_exhaustion(files):
     code, _, err = invoke(["expand", "--input", path, "--steps", "30"])
     assert code == 3
     assert "decimal" in err or "budget" in err
+
+
+def test_decimal_digits_written_as_a_json_number_are_read_as_written(files, tmp_path):
+    written = "1.8836075983867565088995"  # the float nearest to it prints as 1.8836075983867564
+    number = str(tmp_path / "number.json")
+    Path(number).write_text('{"kind": "decimal", "digits": %s}' % written)
+    (value,) = ser.reals_from_file_payload(cli._load_json(number))
+    assert Fraction(written) in value.oracle.enclosure(0)
+    text = files("text.json", {"kind": "decimal", "digits": written})
+    assert invoke(["expand", "--input", number, "--steps", "40"]) == invoke(
+        ["expand", "--input", text, "--steps", "40"])
+
+
+def test_construct_liouville_with_a_tiny_delta_finishes():
+    # ceil(C^(1/10^9)) needs the 10^9-th root of C, which is 1: no 10^9-digit power is formed
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["construct", "liouville", "--m", "2", "--delta", "1/1000000000", "--b-rule", "const:0",
+            "--depth", "12"]
+    out = subprocess.run([sys.executable, "-m", "mcf.cli", *argv], env=env, capture_output=True,
+                         text=True, timeout=10)
+    assert out.returncode == 0, out.stderr
+    pq = pq_from_json(json.loads(out.stdout))
+    assert len(pq.seqs[0]) == 13 and pq.seqs[1] == (0,) * 13
 
 
 def test_periodic_solve_json():

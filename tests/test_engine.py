@@ -7,7 +7,7 @@ import pytest
 
 from helpers import random_admissible, random_admissible_m2
 
-from mcf import AlgebraicValue, Interruption, NumberField, RationalInterval, expand
+from mcf import AlgebraicValue, InputError, Interruption, NumberField, RationalInterval, expand
 from mcf.engine import PartialQuotients, check_admissible, jacobi_step
 from mcf.exact_reals import DecimalOracle, OracleValue, RationalValue
 
@@ -190,6 +190,20 @@ def test_check_admissible_examples():
     assert (1, "head-not-positive") in rules
     assert (1, "negative-entry") in rules
     assert all(idx != 0 for idx, _ in rules)
+
+
+def test_partial_quotients_take_integers_only():
+    class Index:  # any integer type with __index__, such as numpy's, is taken
+        def __index__(self):
+            return 2
+
+    assert PartialQuotients.from_lists([0, Index()], [0, 0]).seqs == ((0, 2), (0, 0))
+    with pytest.raises(InputError, match=r"^entry 1 of a\^\(1\) must be an integer, got float$"):
+        PartialQuotients.from_lists([0, 1.9, "2"], [0, 0.5, True])
+    with pytest.raises(InputError, match=r"^entry 2 of a\^\(1\) must be an integer, got str$"):
+        PartialQuotients.from_lists([0, 1, "2"], [0, 0, 1])
+    with pytest.raises(InputError, match=r"^entry 2 of a\^\(2\) must be an integer, got bool$"):
+        PartialQuotients.from_lists([0, 1, 2], [0, 0, True])
 
 
 def test_check_admissible_m1():

@@ -202,6 +202,20 @@ def test_budget_env_override(monkeypatch):
         floor_exact(OracleValue(FunctionOracle(barely_shrinking)))
 
 
+def test_field_element_queries_try_at_most_the_budget(monkeypatch):
+    theta = cbrt2_field().gen()
+    close, big = theta - Fraction(63, 50), 10**6 * theta * theta  # 2^(1/3) < 1.26
+    monkeypatch.setenv("MCF_PRECISION_BUDGET", "1")  # the cached root interval only
+    with pytest.raises(NonTerminating, match=r"not certified at levels 0\.\.0$"):
+        close.sign()
+    with pytest.raises(NonTerminating, match=r"not certified at levels 0\.\.0$"):
+        big.interval(Fraction(1, 10**40))
+    monkeypatch.setenv("MCF_PRECISION_BUDGET", "2")
+    assert close.sign() == -1
+    monkeypatch.delenv("MCF_PRECISION_BUDGET")
+    assert big.interval(Fraction(1, 10**40)).width <= Fraction(1, 10**40)
+
+
 def test_refinement_budget_is_read_only_in_exact_reals():
     # every other module refines through exact_reals.certify / budget_levels
     src = Path(mcf.__file__).parent

@@ -7,6 +7,8 @@ imported the whole package long before.
 """
 
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -18,6 +20,7 @@ import pytest
 SRC = Path(__file__).parents[1] / "src"
 PACKAGE = SRC / "mcf"
 GOLDEN = Path(__file__).parent / "golden"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 # after a probe: the executed mcf modules and whether mpmath was imported
@@ -128,17 +131,14 @@ else:
     assert probe("import mcf") == {"executed": ["mcf", "mcf.errors"], "mpmath": False}
 
 
-def _mpmath_imports(path: Path) -> set[str]:
-    """module.function (or module, at top level) of every import of mpmath in path."""
+def _scopes(path: Path, hit) -> set[str]:
+    """module.function (or module, at top level) of every node in path for which hit(node)."""
     found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
-        names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
-        if isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        if any(name.split(".")[0] == "mpmath" for name in names):
+        if hit(node):
             found.add(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -147,9 +147,52 @@ def _mpmath_imports(path: Path) -> set[str]:
     return found
 
 
+def _imports_mpmath(node) -> bool:
+    names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    return any(name.split(".")[0] == "mpmath" for name in names)
+
+
 def test_mpmath_is_imported_only_on_the_log_paths():
-    importers = set().union(*(_mpmath_imports(p) for p in PACKAGE.glob("*.py")))
+    importers = set().union(*(_scopes(p, _imports_mpmath) for p in PACKAGE.glob("*.py")))
     assert importers == {"intervals.iv_enclosure", "transcendence._log_ratio_string"}
+
+
+def _calls_root_helper(node) -> bool:
+    """A call of polynomials.refine_root or simplest_in_interval, as pol.<name> or <name>."""
+    func = node.func if isinstance(node, ast.Call) else None
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        name = func.attr if func.value.id in ("pol", "polynomials") else None
+    else:
+        name = func.id if isinstance(func, ast.Name) else None
+    return name in ("refine_root", "simplest_in_interval")
+
+
+def test_roots_are_refined_and_found_rational_only_in_number_field():
+    # NumberField refines every root and decides whether it is rational; the one other
+    # call is simplest_in_interval's own recursion
+    callers = set().union(*(_scopes(p, _calls_root_helper) for p in PACKAGE.glob("*.py")))
+    assert callers == {"exact_reals.NumberField.__init__", "exact_reals.NumberField.refine_root",
+                       "polynomials.simplest_in_interval"}
+
+
+def test_tracer_targets_absent_from_mcf_are_the_known_five():
+    # looked up as Tracer.install() does; these five name code removed earlier, which
+    # ROADMAP item 0 retargets, and a removal elsewhere must not add to them
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    absent = set()
+    for modname, attrs in tracer.TARGETS.values():
+        owner = importlib.import_module(modname)
+        for attr in attrs:
+            cls_name, _, meth = attr.rpartition(".")
+            if meth not in vars(getattr(owner, cls_name, object) if cls_name else owner):
+                absent.add(f"{modname}.{attr}")
+    assert absent == {"mcf.convergents.tilde_next", "mcf.convergents.aux_stream",
+                      "mcf.convergents.tilde_stream", "mcf.serialization.proximity_report_to_json",
+                      "mcf.intervals.RationalInterval.outward"}
 
 
 def test_no_module_touches_the_int_digit_cap():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,11 +14,16 @@ from references import _eliminate, x_matrix_by_inverse
 from mcf import (
     AdmissibilityError,
     DegenerateCubic,
+    InputError,
+    NonTerminating,
     PeriodicSpec,
     PeriodMismatch,
+    RootSelectionAmbiguous,
     expand,
     solve_periodic,
 )
+from mcf import periodic
+from mcf import polynomials as pol
 from mcf.convergents import conv_stream
 from mcf.periodic import (
     XMatrix,
@@ -161,7 +167,7 @@ def test_height_bound_zero_head():
         assert cert.bound == 3024 * cert.c_top**9
         assert cert.height_alpha <= cert.bound
         assert cert.height_beta <= cert.bound
-        assert x_matrix(spec)[0].max_abs() <= 6 * cert.c_top**3
+        assert max(abs(v) for row in x_matrix(spec)[0].rows for v in row) <= 6 * cert.c_top**3
 
 
 def test_height_bound_general_box():
@@ -193,3 +199,98 @@ def test_c_top_uses_standard_initial_conditions():
     cert2 = solve_periodic(spec)
     rows = list(conv_stream(unroll(spec, 4)))
     assert cert2.c_top == rows[3].C
+
+
+def test_spec_blocks_take_integers_only():
+    assert PeriodicSpec([], [], [2], [1]).per_a == (2,)
+    with pytest.raises(InputError, match=r"^entry 1 of per_a must be an integer, got float$"):
+        PeriodicSpec((), (), (2, 1.5), (1, 0))
+    with pytest.raises(InputError, match=r"^entry 0 of pre_b must be an integer, got bool$"):
+        PeriodicSpec((0,), (True,), (2,), (1,))
+
+
+# (1, 3) / (0, 0): the alpha cubic x^3 + x^2 - 2x - 1 has three real roots; alpha is the largest
+SEPTIC = PeriodicSpec((), (), (1, 3), (0, 0))
+
+
+@pytest.mark.parametrize("target", ["alpha", "beta"])
+@pytest.mark.parametrize("coeffs, root", [
+    ((1, -1, -2, 2), "1"),     # (x - 1)(x^2 - 2)
+    ((1, -7, 15, -9), "1"),    # (x - 3)^2 (x - 1), not squarefree
+    ((1, -6, 12, -8), "2"),    # (x - 2)^3
+    ((2, 1, -6, -3), "-1/2"),  # (2x + 1)(x^2 - 3)
+    ((1, 0, -2, 0), "0"),      # x (x^2 - 2)
+])
+def test_a_rational_root_of_a_recovered_cubic_is_degenerate(monkeypatch, target, coeffs, root):
+    recover = periodic.cubic_coeffs
+    monkeypatch.setattr(periodic, "cubic_coeffs",
+                        lambda x, name: coeffs if name == target else recover(x, name))
+    with pytest.raises(DegenerateCubic) as err:
+        solve_periodic(PeriodicSpec((), (), (2,), (1,)))
+    assert str(err.value) == (f"recovered {target} cubic has rational root {root}; "
+                              "input is outside the cubic-irrational regime")
+    assert err.value.residual == tuple(reversed(coeffs))
+
+
+def test_solve_periodic_isolates_each_cubic_once(monkeypatch):
+    calls, isolate = [], pol.isolate_real_roots
+    monkeypatch.setattr(pol, "isolate_real_roots", lambda p: calls.append(p) or isolate(p))
+    cert = solve_periodic(SEPTIC)
+    assert calls == [cert.poly_alpha, cert.poly_beta]
+
+
+def scripted_expand(monkeypatch, script):
+    """Replace the expansions of root selection: script(probe, call) gives a spec (its
+    quotients are the expansion), "real", or an exception to raise; probes are logged."""
+    real, probes = periodic.expand, []
+
+    def fake(values, steps):
+        probes.append(steps)
+        verdict = script(steps, probes.count(steps))
+        if isinstance(verdict, PeriodicSpec):
+            return SimpleNamespace(pq=unroll(verdict, steps))
+        if verdict == "real":
+            return real(values, steps)
+        raise verdict
+
+    monkeypatch.setattr(periodic, "expand", fake)
+    return probes
+
+
+def test_root_selection_deepens_while_several_roots_match(monkeypatch):
+    probes = scripted_expand(monkeypatch, lambda steps, call: SEPTIC if steps == 4 else "real")
+    cert = solve_periodic(SEPTIC)
+    assert probes == [4, 4, 4, 8, 8, 8]
+    assert cert.matched_steps == 8
+    assert cert.poly_alpha == (-1, -2, 1, 1)
+    assert expand([cert.alpha, cert.beta], 12).pq.seqs == unroll(SEPTIC, 12).seqs
+    assert cert.alpha_interval.lo > 1  # the largest root, 2 cos(2 pi / 7)
+
+
+def test_a_root_that_fails_a_probe_is_not_expanded_again(monkeypatch):
+    # the smallest root fails at 4 quotients; only the other two are expanded at 8
+    def script(steps, call):
+        if steps > 4:
+            return "real"
+        return NonTerminating("made to fail") if call == 1 else SEPTIC
+
+    probes = scripted_expand(monkeypatch, script)
+    assert solve_periodic(SEPTIC).matched_steps == 8
+    assert probes == [4, 4, 4, 8, 8]
+
+
+def test_root_selection_ambiguous_after_deepening(monkeypatch):
+    probes = scripted_expand(monkeypatch, lambda steps, call: SEPTIC)
+    with pytest.raises(RootSelectionAmbiguous) as err:
+        solve_periodic(SEPTIC)
+    assert str(err.value) == "3 roots still reproduce the prefix after deepening"
+    assert probes == [4] * 3 + [8] * 3 + [16] * 3 + [32] * 3
+
+
+@pytest.mark.parametrize("failure", [NonTerminating("made to fail"), PeriodicSpec((), (), (2,), (1,))])
+def test_root_selection_without_a_matching_root(monkeypatch, failure):
+    probes = scripted_expand(monkeypatch, lambda steps, call: failure)
+    with pytest.raises(RootSelectionAmbiguous) as err:
+        solve_periodic(SEPTIC)
+    assert str(err.value) == "no real root of the recovered cubic reproduces the expansion"
+    assert probes == [4, 4, 4]

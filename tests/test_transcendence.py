@@ -306,8 +306,10 @@ def test_main2_check_threshold():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 1 << 4096), st.integers(1, 6), st.sampled_from([int, to_decimal]))
+@given(st.integers(0, 1 << 4096), st.one_of(st.integers(1, 6), st.integers(4000, 17000)),
+       st.sampled_from([int, to_decimal]))
 def test_iroot_floor_brackets_the_root(x, n, number):
+    # n past 4096 (bits) and 4 * 1234 (digits) takes the root-is-1 shortcut
     # an integral Decimal under EXACT gives the int root, as an integral Decimal
     with decimal.localcontext(EXACT):
         r = _iroot_floor(number(x), n)
