@@ -22,7 +22,6 @@ from .errors import (
     MCFError,
     NonTerminating,
     OracleExhausted,
-    PeriodMismatch,
     PreconditionViolated,
     PrefixMismatch,
     RootSelectionAmbiguous,

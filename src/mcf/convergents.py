@@ -44,7 +44,7 @@ from .exact_reals import (
     NumberField,
     OracleValue,
     SimplexOracle,
-    abs_diff_lt,
+    abs_diff_pow_lt,
     as_real,
     budget_levels,
     certify,
@@ -272,7 +272,7 @@ def approx_witnesses(x, pq: PartialQuotients, upto: int, coords=None) -> list[in
             target = Fraction(col.A[i], col.C)
             radius = Fraction(abs(lags[i, pq.m][0]), nxt.C * col.C)
             what = f"witness test |x_{i + 1} - A_{n}/C_{n}| < |ac1_{n + 1}|/(C_{n + 1} C_{n})"
-            if radius == 0 or not abs_diff_lt(values[i], target, radius, what):
+            if radius == 0 or not abs_diff_pow_lt(values[i], target, 1, radius, what):
                 ok = False
                 break
         if ok:

@@ -85,7 +85,3 @@ class DegenerateCubic(MCFError):
 
 class RootSelectionAmbiguous(MCFError):
     """More than one real root reproduces the expansion prefix at the probed depth."""
-
-
-class PeriodMismatch(InputError):
-    """Two periodic specs were expected to share their period blocks but do not."""

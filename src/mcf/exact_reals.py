@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import threading
 from fractions import Fraction
+from math import ceil
 from typing import Callable, Sequence
 
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .intervals import RationalInterval, as_fraction
 from . import polynomials as pol
-from .radix import frac_to_str, int_to_str, quote, str_to_int
+from .radix import frac_to_str, int_to_str, quote, str_to_frac, str_to_int
 
 DEFAULT_REFINEMENT_BUDGET = 64
 # Hard cap on refinement rounds for algebraic values: round k targets a root
@@ -78,7 +79,10 @@ class NumberField:
     nonzero and opposite).  The isolating interval only ever shrinks; the
     cache is protected by a lock so concurrent refinement stays monotone.
     This class is the one place in mcf that refines a root or decides
-    whether it is rational (``exact_root``).
+    whether it is rational (``exact_root``).  A rational root p/q of an
+    integer polynomial has q | lead, so it is a multiple of 1/lead; the
+    constructor refines the bracket below width 1/lead, where at most one
+    multiple is left, and tests that one candidate exactly.
     """
 
     __slots__ = ("min_poly", "_initial", "_interval", "_exact_root", "_lock")
@@ -103,13 +107,14 @@ class NumberField:
         self.min_poly = tuple(int(c) for c in coeffs)
         self._initial = root_interval
         self._lock = threading.Lock()
-        # a rational root p/q has q | lead, so below 1/lead^2 only one candidate survives,
-        # the simplest fraction in the bracket; deciding it now keeps every later floor or
-        # sign query exact even for reducible (squarefree) moduli
+        # the one multiple of 1/lead a bracket of width 1/(lead^2 + 1) < 1/lead can hold is
+        # k/lead, k = ceil(lo * lead); deciding it now keeps every later floor or sign query
+        # exact even for reducible (squarefree) moduli
         lead = abs(self.min_poly[-1])
-        self._interval = pol.refine_root(self.min_poly, root_interval, Fraction(1, lead * lead + 1))
-        cand = pol.simplest_in_interval(self._interval.lo, self._interval.hi)
-        self._exact_root = cand if pol.poly_eval(self.min_poly, cand) == 0 else None
+        iv = pol.refine_root(self.min_poly, root_interval, Fraction(1, lead * lead + 1))
+        cand = Fraction(ceil(iv.lo * lead), lead)
+        self._interval = iv
+        self._exact_root = cand if cand <= iv.hi and pol.poly_eval(self.min_poly, cand) == 0 else None
 
     @property
     def degree(self) -> int:
@@ -139,9 +144,6 @@ class NumberField:
 
     def element(self, coords) -> "FieldElement":
         return FieldElement(self, coords)
-
-    def zero(self) -> "FieldElement":
-        return self.element([0])
 
     def one(self) -> "FieldElement":
         return self.element([1])
@@ -188,14 +190,6 @@ class FieldElement:
         if self.field.exact_root() is not None:
             return True
         return all(c == 0 for c in self.coords[1:])
-
-    def as_fraction(self) -> Fraction:
-        root = self.field.exact_root()
-        if root is not None:
-            return pol.poly_eval(self.coords, root)
-        if not self.is_rational():
-            raise InputError("element is not rational")
-        return self.coords[0]
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -382,20 +376,6 @@ class SimplexOracle(IntervalOracle):
         return RationalInterval(min(vals), max(vals))
 
 
-class FunctionOracle(IntervalOracle):
-    """Wrap a user callable level -> RationalInterval; nesting is enforced."""
-
-    def __init__(self, fn: Callable[[int], RationalInterval]):
-        super().__init__()
-        self._fn = fn
-
-    def _compute(self, level: int) -> RationalInterval:
-        iv = self._fn(level)
-        if not isinstance(iv, RationalInterval):
-            raise InputError("oracle callable must return a RationalInterval")
-        return iv
-
-
 class DecimalOracle(IntervalOracle):
     """A decimal literal read as an approximation with +-1 ulp uncertainty.
 
@@ -407,22 +387,12 @@ class DecimalOracle(IntervalOracle):
     def __init__(self, digits: str):
         super().__init__()
         text = digits.strip()
-        sign = 1
-        if text.startswith(("+", "-")):
-            sign = -1 if text[0] == "-" else 1
-            text = text[1:]
-        if not text or not text.replace(".", "", 1).isdecimal():
+        unsigned = text[1:] if text.startswith(("+", "-")) else text
+        if not unsigned or not unsigned.replace(".", "", 1).isdecimal():
             raise InputError(f"malformed decimal literal {quote(digits)}")
-        if "." in text:
-            int_part, frac_part = text.split(".")
-            places = len(frac_part)
-            value = Fraction(sign * str_to_int(int_part + frac_part), 10**places)
-        else:
-            places = 0
-            value = Fraction(sign * str_to_int(text))
         self.digits = digits
-        self._value = value
-        self._places = places
+        self._value = str_to_frac(text)
+        self._places = len(unsigned.partition(".")[2])
 
     def _compute(self, level: int) -> RationalInterval:
         if level > 0:
@@ -440,13 +410,10 @@ class DecimalOracle(IntervalOracle):
 
 
 class RealValue:
-    """Tagged union: Rational | Algebraic | Oracle."""
-
-    kind = "abstract"
+    """Union of the input kinds, told apart by class: Rational | Algebraic | Oracle."""
 
 
 class RationalValue(RealValue):
-    kind = "rational"
     __slots__ = ("value",)
 
     def __init__(self, value):
@@ -457,7 +424,6 @@ class RationalValue(RealValue):
 
 
 class AlgebraicValue(RealValue):
-    kind = "algebraic"
     __slots__ = ("element",)
 
     def __init__(self, element: FieldElement):
@@ -470,7 +436,6 @@ class AlgebraicValue(RealValue):
 
 
 class OracleValue(RealValue):
-    kind = "oracle"
     __slots__ = ("oracle",)
 
     def __init__(self, oracle: IntervalOracle):
@@ -544,8 +509,3 @@ def abs_diff_pow_lt(x, center, q: int, bound, what: str = "comparison |x - c|^q 
             return False
 
     return certify(what, attempt, query_levels(x))
-
-
-def abs_diff_lt(x, center, bound, what: str = "comparison |x - c| < bound") -> bool:
-    """Certified strict test |x - center| < bound."""
-    return abs_diff_pow_lt(x, center, 1, bound, what)

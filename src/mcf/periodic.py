@@ -29,7 +29,6 @@ from .errors import (
     DegenerateCubic,
     InputError,
     NonTerminating,
-    PeriodMismatch,
     RootSelectionAmbiguous,
 )
 from .exact_reals import AlgebraicValue, FieldElement, NumberField, certify
@@ -104,7 +103,8 @@ class XMatrix:
     def __post_init__(self):
         if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
             raise InputError("XMatrix is 3x3")
-        object.__setattr__(self, "rows", tuple(tuple(int(v) for v in r) for r in self.rows))
+        rows = tuple(int_entries(r, f"X row {i}") for i, r in enumerate(self.rows))
+        object.__setattr__(self, "rows", rows)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -333,40 +333,3 @@ def solve_periodic(spec: PeriodicSpec) -> CubicCertificate:
         residual_ok=True,
         matched_steps=probe,
     )
-
-
-# ---------------------------------------------------------------------------
-# Same-cubic-field check
-# ---------------------------------------------------------------------------
-
-
-def same_field_check(spec1: PeriodicSpec, spec2: PeriodicSpec) -> bool:
-    """Verify that two specs sharing their period blocks generate the same cubic field.
-
-    Solves the shared purely periodic tail once (field Q(tau)), maps each
-    spec's limits through the exact fractional-linear expressions in the
-    tail pair, and checks that each spec's independently recovered cubic
-    annihilates the mapped element exactly.
-    """
-    if spec1.per_a != spec2.per_a or spec1.per_b != spec2.per_b:
-        raise PeriodMismatch("specs do not share identical period blocks")
-    pure = PeriodicSpec((), (), spec1.per_a, spec1.per_b)
-    cert_tail = solve_periodic(pure)
-    tau_alpha = cert_tail.alpha.element
-    tau_beta = cert_tail.beta.element
-    fld = tau_alpha.field
-
-    for spec in (spec1, spec2):
-        # the columns of indices k-1, k-2, k-3 are the window after the k pre-period steps
-        state = ConvergentState.initial(2)
-        for a in zip(spec.pre_a, spec.pre_b):
-            state.step(a)
-        c1, c2, c3 = ([fld.element([v]) for v in col] for col in state.window)
-        a_num, b_num, den = (c1[i] * tau_alpha + c2[i] * tau_beta + c3[i] for i in range(3))
-        if den.is_zero():
-            return False
-        cert = solve_periodic(spec)  # its cubics have no rational root, or it raised
-        for poly, num in ((cert.poly_alpha, a_num), (cert.poly_beta, b_num)):
-            if not pol.poly_eval(poly, num / den).is_zero():
-                return False
-    return True

@@ -9,7 +9,7 @@ exact arithmetic, no floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 
 from .intervals import RationalInterval, as_fraction
 
@@ -132,26 +132,14 @@ def is_squarefree(p) -> bool:
     return degree(poly_gcd(p, derivative(p))) <= 0
 
 
-def content(p) -> int:
-    """GCD of integer coefficients (0 for the zero polynomial)."""
-    g = 0
-    for c in p:
-        if c != int(c):
-            raise ValueError("content is defined for integer polynomials")
-        g = gcd(g, abs(int(c)))
-    return g
-
-
 def primitive_part(p) -> tuple[int, ...]:
     """Primitive integer polynomial with positive leading coefficient."""
     p = normalize(p)
     if not p:
         return ()
-    den_lcm = 1
-    for c in p:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    den_lcm = lcm(*(c.denominator for c in p))
     ints = [int(c * den_lcm) for c in p]
-    g = content(ints)
+    g = gcd(*ints)
     ints = [c // g for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]
@@ -205,21 +193,19 @@ def root_bound(p) -> Fraction:
 def isolate_real_roots(p) -> list[RationalInterval]:
     """Disjoint isolating intervals, one simple real root each, in increasing order.
 
-    Works on the squarefree part; each returned interval has nonzero opposite
-    polynomial signs at its endpoints, so plain bisection refines it.
+    Works on the squarefree part.  No endpoint is a root and each interval
+    holds exactly one root, a simple one, so the endpoint signs are nonzero and
+    opposite and plain bisection refines it.
     """
     p = normalize(p)
     if degree(p) < 1:
         return []
-    sqfree = poly_divmod(p, poly_gcd(p, derivative(p)))[0] if not is_squarefree(p) else p
+    sqfree = poly_divmod(p, poly_gcd(p, derivative(p)))[0]
     chain = sturm_chain(sqfree)
     bound = root_bound(sqfree) + 1
 
-    def endpoint_ok(x: Fraction) -> bool:
-        return poly_eval(sqfree, x) != 0
-
     def nudge(x: Fraction, step: Fraction) -> Fraction:
-        while not endpoint_ok(x):
+        while poly_eval(sqfree, x) == 0:
             x += step
         return x
 
@@ -231,15 +217,7 @@ def isolate_real_roots(p) -> list[RationalInterval]:
         if n == 0:
             continue
         if n == 1:
-            llo, lhi = lo, hi
-            # shrink until the endpoints certify a sign change
-            while poly_eval(sqfree, llo) * poly_eval(sqfree, lhi) > 0:
-                mid = nudge((llo + lhi) / 2, (lhi - llo) / 16)
-                if count_roots(sqfree, llo, mid, chain) == 1:
-                    lhi = mid
-                else:
-                    llo = mid
-            isolated.append(RationalInterval(llo, lhi))
+            isolated.append(RationalInterval(lo, hi))
             continue
         mid = nudge((lo + hi) / 2, (hi - lo) / 16)
         stack.append((lo, mid))
@@ -284,23 +262,4 @@ def refine_root(p, iv: RationalInterval, max_width: Fraction) -> RationalInterva
         else:
             hi = mid
     return RationalInterval(Fraction(lo, q), Fraction(hi, q))
-
-
-def simplest_in_interval(lo, hi) -> Fraction:
-    """The fraction of smallest denominator in the closed interval [lo, hi]."""
-    lo, hi = as_fraction(lo), as_fraction(hi)
-    if lo > hi:
-        raise ValueError("empty interval")
-    if lo == hi:
-        return lo
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -simplest_in_interval(-hi, -lo)
-    n = ceil(lo)
-    if n <= hi:
-        return Fraction(n)
-    a = floor(lo)
-    inner = simplest_in_interval(1 / (hi - a), 1 / (lo - a))
-    return a + 1 / inner
 

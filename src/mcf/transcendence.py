@@ -64,15 +64,13 @@ def cycle_rule(values: Sequence[int]) -> Rule:
     return lambda n: vals[n % len(vals)]
 
 
-def seq_rule(values: Sequence[int], then: int | None = None) -> Rule:
+def seq_rule(values: Sequence[int]) -> Rule:
     vals = [int(v) for v in values]
 
     def rule(n: int) -> int:
         if n < len(vals):
             return vals[n]
-        if then is None:
-            raise InputError(f"sequence rule exhausted at index {n} (it has {len(vals)} values)")
-        return then
+        raise InputError(f"sequence rule exhausted at index {n} (it has {len(vals)} values)")
 
     return rule
 
@@ -361,35 +359,6 @@ def build_quasiperiodic(spec: QuasiPeriodicSpec, depth: int) -> PartialQuotients
         v = report.violations[0]
         raise AdmissibilityError(f"assembled sequence not admissible: {v.message}", v.index)
     return pq
-
-
-def verify_quasiperiodic(pq: PartialQuotients, schedule) -> CriterionReport:
-    """Independent re-scan of the repetition law a^(j)_(i+r_k) = a^(j)_i over
-    every scheduled range (restricted to the built depth)."""
-    first = None
-    checked = 0
-    depth = pq.rect_len
-    for n_k, r_k, lam_k in schedule:
-        end = min(n_k + (lam_k - 1) * r_k, max(n_k, depth - r_k))
-        for i in range(n_k, end):
-            if i + r_k >= depth:
-                break
-            checked += 1
-            if any(pq.seqs[j][i + r_k] != pq.seqs[j][i] for j in range(pq.m)):
-                first = i
-                break
-        if first is not None:
-            break
-    checks = (
-        CheckItem(
-            "repetition-law",
-            first,
-            f"a_(i+r_k) = a_i over scheduled ranges ({checked} positions checked)",
-        ),
-    )
-    return CriterionReport(
-        criterion="quasi-periodic-structure", depth=depth - 1, hypotheses=checks
-    )
 
 
 def _log_ratio_string(lam: int, n_k: int) -> str:

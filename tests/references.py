@@ -35,6 +35,18 @@ The proportionality test of two integer rows entry by entry, against
 
 The stdout of `mcf convergents` from int columns and lag products by
 definition, each printed with `str()`, against the CLI's exact-decimal table.
+
+The fraction of smallest denominator in a closed interval
+(`simplest_in_interval`), against the rational-root lattice test of
+`mcf.exact_reals.NumberField`; the exact rational value of a field element
+(`as_fraction`) and the zero of a field (`zero`).
+
+An interval oracle from any callable (`FunctionOracle`), for inputs the
+engine never builds itself; a sequence rule continued by a constant
+(`seq_rule`); an independent re-scan of the repetition law of a built
+quasi-periodic sequence (`verify_quasiperiodic`); and a check that two
+periodic specs with the same period blocks generate the same cubic field
+(`same_field_check`).
 """
 
 from __future__ import annotations
@@ -60,9 +72,18 @@ from mcf.convergents import (
 )
 from mcf.engine import PartialQuotients
 from mcf.errors import DegenerateCubic, HypothesisViolated, InputError, MCFError
-from mcf.exact_reals import AlgebraicValue, NumberField, RationalValue, as_real, certify, query_levels
+from mcf.exact_reals import (
+    AlgebraicValue,
+    IntervalOracle,
+    NumberField,
+    RationalValue,
+    as_real,
+    certify,
+    query_levels,
+)
 from mcf.intervals import RationalInterval
-from mcf.periodic import PeriodicSpec, XMatrix, unroll, validate_spec
+from mcf.periodic import PeriodicSpec, XMatrix, solve_periodic, unroll, validate_spec
+from mcf.transcendence import CriterionReport, seq_rule as mcf_seq_rule
 from mcf.radix import int_to_str
 
 
@@ -77,8 +98,8 @@ def _lower(values):
 def _integer(v) -> int | None:
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else None
-    if v.is_rational() and v.as_fraction().denominator == 1:
-        return int(v.as_fraction())
+    if v.is_rational() and as_fraction(v).denominator == 1:
+        return int(as_fraction(v))
     return None
 
 
@@ -414,7 +435,7 @@ def is_integer(x) -> bool:
         el = x.element
         if not el.is_rational():
             return False
-        return el.as_fraction().denominator == 1
+        return as_fraction(el).denominator == 1
     raise UndecidableForOracle("integrality of an oracle-backed value is undecidable")
 
 
@@ -444,3 +465,117 @@ def convergents_stdout(pq: PartialQuotients, depth: int, emit: str) -> str:
                 payload["aux"] = {row[0]: v for row, v in zip(aux, values)}
             lines.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     return "".join(line + "\n" for line in lines)
+
+
+def simplest_in_interval(lo, hi) -> Fraction:
+    """The fraction of smallest denominator in the closed interval [lo, hi]."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ValueError("empty interval")
+    if lo == hi:
+        return lo
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    if hi < 0:
+        return -simplest_in_interval(-hi, -lo)
+    n = math.ceil(lo)
+    if n <= hi:
+        return Fraction(n)
+    a = math.floor(lo)
+    inner = simplest_in_interval(1 / (hi - a), 1 / (lo - a))
+    return a + 1 / inner
+
+
+def as_fraction(el) -> Fraction:
+    """A field element's value as an exact rational; InputError when it is irrational."""
+    root = el.field.exact_root()
+    if root is not None:
+        return pol.poly_eval(el.coords, root)
+    if not el.is_rational():
+        raise InputError("element is not rational")
+    return el.coords[0]
+
+
+def zero(field: NumberField):
+    return field.element([0])
+
+
+class FunctionOracle(IntervalOracle):
+    """Wrap a user callable level -> RationalInterval; nesting is enforced."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self._fn = fn
+
+    def _compute(self, level: int) -> RationalInterval:
+        iv = self._fn(level)
+        if not isinstance(iv, RationalInterval):
+            raise InputError("oracle callable must return a RationalInterval")
+        return iv
+
+
+def seq_rule(values, then: int | None = None):
+    """mcf.transcendence.seq_rule, continued by the constant `then` past its values."""
+    head = mcf_seq_rule(values)
+    return head if then is None else (lambda n: head(n) if n < len(values) else then)
+
+
+def verify_quasiperiodic(pq: PartialQuotients, schedule) -> CriterionReport:
+    """Independent re-scan of the repetition law a^(j)_(i+r_k) = a^(j)_i over
+    every scheduled range (restricted to the built depth)."""
+    first = None
+    checked = 0
+    depth = pq.rect_len
+    for n_k, r_k, lam_k in schedule:
+        end = min(n_k + (lam_k - 1) * r_k, max(n_k, depth - r_k))
+        for i in range(n_k, end):
+            if i + r_k >= depth:
+                break
+            checked += 1
+            if any(pq.seqs[j][i + r_k] != pq.seqs[j][i] for j in range(pq.m)):
+                first = i
+                break
+        if first is not None:
+            break
+    checks = (
+        CheckItem(
+            "repetition-law",
+            first,
+            f"a_(i+r_k) = a_i over scheduled ranges ({checked} positions checked)",
+        ),
+    )
+    return CriterionReport(
+        criterion="quasi-periodic-structure", depth=depth - 1, hypotheses=checks
+    )
+
+
+def same_field_check(spec1: PeriodicSpec, spec2: PeriodicSpec) -> bool:
+    """Verify that two specs sharing their period blocks generate the same cubic field.
+
+    Solves the shared purely periodic tail once (field Q(tau)), maps each
+    spec's limits through the exact fractional-linear expressions in the
+    tail pair, and checks that each spec's independently recovered cubic
+    annihilates the mapped element exactly.
+    """
+    if spec1.per_a != spec2.per_a or spec1.per_b != spec2.per_b:
+        raise InputError("specs do not share identical period blocks")
+    pure = PeriodicSpec((), (), spec1.per_a, spec1.per_b)
+    cert_tail = solve_periodic(pure)
+    tau_alpha = cert_tail.alpha.element
+    tau_beta = cert_tail.beta.element
+    fld = tau_alpha.field
+
+    for spec in (spec1, spec2):
+        # the columns of indices k-1, k-2, k-3 are the window after the k pre-period steps
+        state = ConvergentState.initial(2)
+        for a in zip(spec.pre_a, spec.pre_b):
+            state.step(a)
+        c1, c2, c3 = ([fld.element([v]) for v in col] for col in state.window)
+        a_num, b_num, den = (c1[i] * tau_alpha + c2[i] * tau_beta + c3[i] for i in range(3))
+        if den.is_zero():
+            return False
+        cert = solve_periodic(spec)  # its cubics have no rational root, or it raised
+        for poly, num in ((cert.poly_alpha, a_num), (cert.poly_beta, b_num)):
+            if not pol.poly_eval(poly, num / den).is_zero():
+                return False
+    return True

@@ -17,7 +17,14 @@ from helpers import (
     random_periodic_spec,
     random_pq_with_power_hypothesis,
 )
-from references import column_table, det_int, lag_product, matrix_products, tildes
+from references import (
+    column_table,
+    det_int,
+    lag_product,
+    matrix_products,
+    tildes,
+    verify_quasiperiodic,
+)
 
 from mcf import (
     LiouvilleSpec,
@@ -38,7 +45,6 @@ from mcf.transcendence import (
     build_quasiperiodic,
     main2_constant,
     roth_scan,
-    verify_quasiperiodic,
 )
 
 

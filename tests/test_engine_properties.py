@@ -9,12 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from references import proportional, reference_expand, reference_step
+from references import FunctionOracle, proportional, reference_expand, reference_step
 
 from mcf import AlgebraicValue, Interruption, NonTerminating, NumberField, RationalInterval, expand
 from mcf.convergents import limit_values
 from mcf.engine import PartialQuotients, _proportional, jacobi_step
-from mcf.exact_reals import FunctionOracle, OracleValue, RationalValue, SimplexOracle
+from mcf.exact_reals import OracleValue, RationalValue, SimplexOracle
 from mcf.polynomials import poly_eval, refine_root
 
 PROPERTY = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -5,8 +5,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from references import UndecidableForOracle, floor_exact, is_integer
+from references import (
+    FunctionOracle,
+    UndecidableForOracle,
+    floor_exact,
+    is_integer,
+    simplest_in_interval,
+    zero,
+)
 
 import mcf
 from mcf import (
@@ -19,10 +28,10 @@ from mcf import (
 )
 from mcf.exact_reals import (
     DecimalOracle,
-    FunctionOracle,
     OracleValue,
     RationalValue,
 )
+from mcf import polynomials as pol
 from mcf.errors import DivisionByZero, FieldMismatch
 
 
@@ -79,7 +88,7 @@ def test_field_inverse_random():
         count += 1
         assert x.inverse() * x == one
     with pytest.raises(DivisionByZero):
-        field.zero().inverse()
+        zero(field).inverse()
 
 
 def test_field_mismatch():
@@ -149,6 +158,54 @@ def test_rational_root_field_is_exact():
     assert el.floor() == 3
     assert is_integer(AlgebraicValue(el))
 
+
+
+def _fibonacci_ratio(n: int) -> Fraction:
+    a, b = 0, 1  # F_0, F_1
+    for _ in range(n):
+        a, b = b, a + b
+    return Fraction(a, b)  # F_n / F_(n+1)
+
+
+def _times_x2_minus_2(r: Fraction) -> list[int]:
+    """(b x - a)(x^2 - 2) for r = a/b, constant term first."""
+    a, b = r.numerator, r.denominator
+    return [2 * a, -2 * b, -a, b]
+
+
+def test_rational_root_with_a_long_continued_fraction():
+    # F_2000/F_2001 has about 2000 partial quotients, so a search by the continued
+    # fraction of its bracket would recurse about 2000 times; the lattice test does not
+    r = _fibonacci_ratio(2000)
+    field = NumberField(_times_x2_minus_2(r), RationalInterval(Fraction(1, 2), Fraction(7, 10)))
+    assert field.exact_root() == r
+    assert field.root_interval().lo <= r <= field.root_interval().hi
+
+
+def test_irrational_root_beside_a_large_rational_factor():
+    r = _fibonacci_ratio(2000)
+    field = NumberField(_times_x2_minus_2(r), RationalInterval(Fraction(13, 10), Fraction(3, 2)))
+    assert field.exact_root() is None
+    bracket = field.root_interval()
+    assert bracket.lo**2 < 2 < bracket.hi**2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-40, 40), st.integers(1, 40), st.integers(1, 9), st.integers(-30, 30),
+       st.integers(-30, 30))
+def test_exact_root_agrees_with_the_simplest_fraction(a, b, e, c, d):
+    # (b x - a)(e x^2 + c x + d): the lattice test against the simplest fraction of the
+    # same refined bracket, which a rational root must be
+    p = pol.primitive_part(pol.poly_mul((-a, b), (d, c, e)))
+    if not pol.is_squarefree(p):
+        return
+    for iv in pol.isolate_real_roots(p):
+        field = NumberField(p, iv)
+        bracket = field.root_interval()
+        cand = simplest_in_interval(bracket.lo, bracket.hi)
+        assert field.exact_root() == (cand if pol.poly_eval(p, cand) == 0 else None)
+        if iv.lo < Fraction(a, b) < iv.hi:
+            assert field.exact_root() == Fraction(a, b)
 
 def test_decimal_oracle():
     orc = DecimalOracle("1.2599")
@@ -224,7 +281,8 @@ def test_refinement_budget_is_read_only_in_exact_reals():
 
 
 def test_real_value_wrappers():
-    assert RationalValue(Fraction(1, 2)).kind == "rational"
+    assert RationalValue(Fraction(1, 2)).value == Fraction(1, 2)
     field = cbrt2_field()
-    assert AlgebraicValue(field.gen()).kind == "algebraic"
-    assert OracleValue(DecimalOracle("3.0")).kind == "oracle"
+    assert AlgebraicValue(field.gen()).element == field.gen()
+    oracle = DecimalOracle("3.0")
+    assert OracleValue(oracle).oracle is oracle

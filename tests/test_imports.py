@@ -170,11 +170,9 @@ def _calls_root_helper(node) -> bool:
 
 
 def test_roots_are_refined_and_found_rational_only_in_number_field():
-    # NumberField refines every root and decides whether it is rational; the one other
-    # call is simplest_in_interval's own recursion
+    # NumberField refines every root and decides whether it is rational
     callers = set().union(*(_scopes(p, _calls_root_helper) for p in PACKAGE.glob("*.py")))
-    assert callers == {"exact_reals.NumberField.__init__", "exact_reals.NumberField.refine_root",
-                       "polynomials.simplest_in_interval"}
+    assert callers == {"exact_reals.NumberField.__init__", "exact_reals.NumberField.refine_root"}
 
 
 def test_tracer_targets_absent_from_mcf_are_the_known_five():
@@ -194,6 +192,57 @@ def test_tracer_targets_absent_from_mcf_are_the_known_five():
                       "mcf.convergents.tilde_stream", "mcf.serialization.proximity_report_to_json",
                       "mcf.intervals.RationalInterval.outward"}
 
+
+
+def _mcf_references(path: Path) -> set[str]:
+    """The dotted mcf names a file imports, and each attribute chain it reads off one
+    of them (as `exact_reals.FieldElement.floor` or `mcf.cli.run`), without running it."""
+    def in_mcf(module) -> bool:
+        return module is not None and module.split(".")[0] == "mcf"
+
+    tree = ast.parse(path.read_text())
+    bound, refs = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and in_mcf(node.module):
+            bound.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if in_mcf(a.name):
+                    refs.add(a.name)
+                    bound[a.asname or "mcf"] = a.name if a.asname else "mcf"
+    refs.update(bound.values())
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            refs.add(".".join([bound[node.id], *chain]))
+    return refs
+
+
+def _resolves(dotted: str) -> bool:
+    """Each step is an attribute of the one before, or a submodule importable under it."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        try:
+            obj = getattr(obj, part)
+        except AttributeError:
+            try:
+                obj = importlib.import_module(".".join(parts[:i]))
+            except ImportError:
+                return False
+    return True
+
+
+def test_every_mcf_name_perfbench_uses_resolves():
+    # the benchmark's library routes (runner.py) and the vetting tool (vet_pairs.py) name
+    # mcf code that no test calls through them; a deletion in mcf must not break them
+    refs = set().union(*(_mcf_references(p) for p in PERFBENCH.glob("*.py")))
+    assert {"mcf.convergents.approx_witnesses", "mcf.transcendence.roth_scan", "mcf.cli.run",
+            "mcf.NumberField", "mcf.exact_reals.FieldElement.floor"} <= refs
+    assert sorted(ref for ref in refs if not _resolves(ref)) == []
 
 def test_no_module_touches_the_int_digit_cap():
     # mcf.radix converts numbers of any size under any cap, so no module reads or sets it

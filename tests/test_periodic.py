@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import pq_prefix_equal, random_periodic_spec
-from references import _eliminate, x_matrix_by_inverse
+from references import _eliminate, same_field_check, x_matrix_by_inverse
 
 from mcf import (
     AdmissibilityError,
@@ -17,7 +17,6 @@ from mcf import (
     InputError,
     NonTerminating,
     PeriodicSpec,
-    PeriodMismatch,
     RootSelectionAmbiguous,
     expand,
     solve_periodic,
@@ -29,7 +28,6 @@ from mcf.periodic import (
     XMatrix,
     _explicit_coeffs,
     cubic_coeffs,
-    same_field_check,
     unroll,
     validate_spec,
     x_matrix,
@@ -187,7 +185,7 @@ def test_same_field_check():
     s2 = PeriodicSpec((0,), (0,), (2,), (1,))
     s3 = PeriodicSpec((1,), (1,), (2,), (1,))
     assert same_field_check(s2, s3)
-    with pytest.raises(PeriodMismatch):
+    with pytest.raises(InputError):
         same_field_check(s1, PeriodicSpec((), (), (3,), (1,)))
 
 
@@ -208,6 +206,14 @@ def test_spec_blocks_take_integers_only():
     with pytest.raises(InputError, match=r"^entry 0 of pre_b must be an integer, got bool$"):
         PeriodicSpec((0,), (True,), (2,), (1,))
 
+
+
+@pytest.mark.parametrize("entry, kind", [(1.9, "float"), ("3", "str"), (True, "bool")])
+def test_x_matrix_takes_integers_only(entry, kind):
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    rows[1][2] = entry
+    with pytest.raises(InputError, match=rf"^entry 2 of X row 1 must be an integer, got {kind}$"):
+        XMatrix(tuple(map(tuple, rows)))
 
 # (1, 3) / (0, 0): the alpha cubic x^3 + x^2 - 2x - 1 has three real roots; alpha is the largest
 SEPTIC = PeriodicSpec((), (), (1, 3), (0, 0))

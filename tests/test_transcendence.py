@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import column_table, tildes
+from references import column_table, seq_rule, tildes, verify_quasiperiodic
 
 from mcf import (
     AdmissibilityError,
@@ -35,8 +35,6 @@ from mcf.transcendence import (
     main2_check,
     main2_constant,
     roth_scan,
-    seq_rule,
-    verify_quasiperiodic,
 )
 
 
