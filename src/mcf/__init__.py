@@ -18,7 +18,6 @@ from .errors import (
     FieldMismatch,
     HypothesisViolated,
     InputError,
-    Interruption,
     MCFError,
     NonTerminating,
     OracleExhausted,

@@ -113,17 +113,17 @@ def _cmd_convergents(args) -> int:
 
     if args.depth < 0:
         raise InputError("--depth must be >= 0")
-    pq = ser.pq_from_json(_load_json(args.pq))
-    aux = AUX_M2 if pq.m == 2 else ()
-    if args.emit == "csv":
-        _print(",".join(["n", *(f"A{i + 1}" for i in range(pq.m)), "C", *(row[0] for row in aux)]))
-    # The table is computed in exact decimal (any rounding raises) and printed with
-    # str(), linear in the digits; the big ints are never built.
+    # The quotients are read as Decimals and the table is computed in exact decimal (any
+    # rounding raises) and printed with str(), linear in the digits; no big int is built.
     with decimal.localcontext(radix.EXACT):
+        pq = ser.pq_from_json(_load_json(args.pq), ser.parse_decimal, engine.QuotientRows)
+        aux = AUX_M2 if pq.m == 2 else ()
+        if args.emit == "csv":
+            _print(",".join(["n", *(f"A{i + 1}" for i in range(pq.m)), "C", *(row[0] for row in aux)]))
         state = convergents.ConvergentState.initial(pq.m)
         lags = convergents.LagProducts(pq.m, {(i, j) for _, i, j, _ in aux})
         for n in range(min(args.depth + 1, pq.rect_len)):
-            a = tuple(radix.to_decimal(s[n]) for s in pq.seqs)
+            a = tuple(s[n] for s in pq.seqs)
             *A, C = map(str, state.advance(a))
             products = lags.step(a)
             values = [str(products[i, j][lag - 1]) for _, i, j, lag in aux]

@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import PartialQuotients, expand
+from .engine import PartialQuotients, expand, int_entries
 from .errors import (
     HypothesisViolated,
     InputError,
@@ -333,7 +333,7 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Bou
         nbox, mbox = 0, 0
         strict_upper_is_lemma = True
     else:
-        nbox, mbox = int(box[0]), int(box[1])
+        nbox, mbox = int_entries(box, "box")
         if (a0, b0) != (nbox, mbox):
             raise PreconditionViolated(
                 f"box ({int_to_str(nbox)}, {int_to_str(mbox)}) does not match the index-0"

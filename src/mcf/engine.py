@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polynomials as pol
-from .errors import FieldMismatch, InputError, Interruption
+from .errors import FieldMismatch, InputError
 from .exact_reals import (
     _MAX_ALGEBRAIC_ROUNDS,
     AlgebraicValue,
@@ -287,7 +287,7 @@ def _proportional(num: list[int], den: list[int]) -> tuple[int, int] | None:
 
 
 class _Image(SimplexOracle):
-    """x^(j) = L_j / L_0 at one index: the input's enclosure mapped by N_n (traces, jacobi_step)."""
+    """x^(j) = L_j / L_0 at one index: the input's enclosure mapped by N_n (traces)."""
 
     def __init__(self, run: "_Run", rows: list[list[int]], j: int):
         super().__init__(id(rows), j)  # rows is held and never mutated: its id names the point
@@ -424,25 +424,9 @@ class InterruptionEvent:
 class ExpansionRecord:
     pq: PartialQuotients
     interruptions: tuple[InterruptionEvent, ...]
-    steps_requested: int
     terminated: bool
     trace: tuple[tuple[RealValue, ...], ...] | None = None
     floor_widths: tuple[tuple[Fraction | None, ...], ...] = field(default=None)
-
-
-def jacobi_step(alpha, beta):
-    """One exact Jacobi step: (a, b, alpha', beta') with a = floor(alpha), b = floor(beta).
-
-    Raises Interruption when beta is an integer (decidable kinds); oracle
-    inputs instead exhaust their budget if beta is secretly integral.
-    """
-    run = _Run([as_real(alpha), as_real(beta)])
-    value = run.trailing_integer()
-    if value is not None:
-        raise Interruption(value)
-    (a, _), (b, _) = run.floors(0)
-    run.advance([a, b])
-    return a, b, run.value(1), run.value(2)
 
 
 def expand(inputs, steps: int, keep_trace: bool = False) -> ExpansionRecord:
@@ -495,7 +479,6 @@ def expand(inputs, steps: int, keep_trace: bool = False) -> ExpansionRecord:
     return ExpansionRecord(
         pq=pq,
         interruptions=tuple(interruptions),
-        steps_requested=steps,
         terminated=terminated,
         trace=tuple(trace) if keep_trace else None,
         floor_widths=tuple(tuple(w) for w in widths),

@@ -34,15 +34,6 @@ class OracleExhausted(NonTerminating):
     """An oracle cannot refine its enclosure any further (e.g. fixed decimal digits)."""
 
 
-class Interruption(MCFError):
-    """Trailing complete quotient is an integer; the expansion must drop a dimension."""
-
-    def __init__(self, value: int):
-        from .radix import int_to_str  # radix imports this module
-        super().__init__(f"trailing complete quotient is the integer {int_to_str(value)}")
-        self.value = value
-
-
 class AdmissibilityError(InputError):
     """Partial-quotient sequences violate the admissibility conditions."""
 

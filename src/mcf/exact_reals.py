@@ -81,8 +81,11 @@ class NumberField:
     This class is the one place in mcf that refines a root or decides
     whether it is rational (``exact_root``).  A rational root p/q of an
     integer polynomial has q | lead, so it is a multiple of 1/lead; the
-    constructor refines the bracket below width 1/lead, where at most one
-    multiple is left, and tests that one candidate exactly.
+    constructor refines the bracket to width 1/(lead^2 + 1), below 1/lead,
+    where at most one multiple is left, and tests that one candidate exactly.
+    Any width below 1/lead would do; this one is kept because later
+    refinement starts from the bracket it leaves, so ``root_interval`` and
+    ``periodic solve``'s ``alpha_interval`` keep their bytes.
     """
 
     __slots__ = ("min_poly", "_initial", "_interval", "_exact_root", "_lock")

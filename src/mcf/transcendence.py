@@ -38,7 +38,7 @@ from .convergents import (
     psi_field,
     scan_inputs,
 )
-from .engine import PartialQuotients, QuotientRows, check_admissible
+from .engine import PartialQuotients, QuotientRows, check_admissible, int_entries
 from .errors import AdmissibilityConflict, AdmissibilityError, InputError, ScheduleOverlap
 from .exact_reals import abs_diff_pow_lt, certify
 from .intervals import RationalInterval, as_fraction, iv_enclosure
@@ -53,19 +53,19 @@ Rule = Callable[[int], int]
 
 
 def const_rule(value: int) -> Rule:
-    v = int(value)
+    (v,) = int_entries([value], "const rule")
     return lambda n: v
 
 
 def cycle_rule(values: Sequence[int]) -> Rule:
-    vals = [int(v) for v in values]
+    vals = int_entries(values, "cycle rule")
     if not vals:
         raise InputError("cycle rule needs at least one value")
     return lambda n: vals[n % len(vals)]
 
 
 def seq_rule(values: Sequence[int]) -> Rule:
-    vals = [int(v) for v in values]
+    vals = int_entries(values, "sequence rule")
 
     def rule(n: int) -> int:
         if n < len(vals):
@@ -165,6 +165,7 @@ class LiouvilleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", as_fraction(self.delta))
+        object.__setattr__(self, "head", int_entries([self.head], "a^(1)")[0])
         if not 2 <= self.m <= MAX_LIOUVILLE_M:
             raise InputError(f"Liouville constructions need 2 <= m <= {MAX_LIOUVILLE_M}")
         if self.delta <= 0:
@@ -185,18 +186,20 @@ def liouville_rows(spec: LiouvilleSpec, number=int) -> QuotientRows:
     a_n^(1) times column n-1 to column n, which cancels in A_n C_{n-1} - A_{n-1} C_n,
     so LagProducts.peek_lag1 gives them from the tail.  The head quotient is
     then set just above both the criterion threshold and the admissibility floor.
+    The output is admissible by construction: for n >= 1 every tail entry is >= 0
+    and below the head, so each lexicographic chain ends at its first comparison.
     """
     m = spec.m
     seqs: list[list] = [[] for _ in range(m)]
     state, lags = ConvergentState.initial(m, [m]), LagProducts(m, [(i, m) for i in range(m)])
     for n in range(spec.depth + 1):
-        tail = [int(rule(n)) for rule in spec.tail_rules]
+        tail = int_entries([rule(n) for rule in spec.tail_rules], f"the tail at index {n}")
         if n >= 1 and any(v < 0 for v in tail):
             shown = ", ".join(map(int_to_str, tail))
             raise AdmissibilityConflict(f"free entry a_{n}^(j) negative: [{shown}]", index=n)
         tail = [number(v) for v in tail]
         if n == 0:
-            head = number(int(spec.head))
+            head = number(spec.head)
         else:
             t_max = max(abs(t) for t in lags.peek_lag1(tail).values())
             threshold = t_max * _ceil_rational_power(state.window[0][0], spec.delta)
@@ -208,12 +211,7 @@ def liouville_rows(spec: LiouvilleSpec, number=int) -> QuotientRows:
             state.advance(a)
             lags.step(a)
 
-    rows = QuotientRows(m, tuple(tuple(s) for s in seqs))
-    report = check_admissible(rows)
-    if not report.ok:
-        v = report.violations[0]
-        raise AdmissibilityConflict(f"construction produced inadmissible output (bug): {v}", index=v.index)
-    return rows
+    return QuotientRows(m, tuple(tuple(s) for s in seqs))
 
 
 def construct_liouville(spec: LiouvilleSpec) -> PartialQuotients:
@@ -221,11 +219,20 @@ def construct_liouville(spec: LiouvilleSpec) -> PartialQuotients:
     return PartialQuotients(spec.m, liouville_rows(spec).seqs)
 
 
+def _head_exceeds(a, t, C, p: int, q: int) -> bool:
+    """a > t * C^(p/q) over the reals, for t >= 0, cleared to a^q > t^q C^p: equivalent for
+    odd q, or when a and C are >= 0.  For even q a negative a fails, and so does a negative
+    C, whose C^(p/q) is not real."""
+    if q % 2 == 0 and (a < 0 or C < 0):
+        return False
+    return a**q > t**q * C**p
+
+
 def liouville_report(pq: QuotientRows, delta, upto: int | None = None) -> CriterionReport:
     """Check a_n^(1) > max_i |tilde_i(n)| * C_{n-1}^delta for 1 <= n <= upto.
 
-    The rational exponent delta = p/q is cleared exactly, in the quotients' type: the strict
-    inequality is equivalent to (a_n^(1))^q > (max_i |tilde_i(n)|)^q * C_{n-1}^p.
+    The rational exponent delta = p/q is cleared exactly, in the quotients' type
+    (_head_exceeds).
     """
     delta = as_fraction(delta)
     if delta <= 0:
@@ -238,7 +245,7 @@ def liouville_report(pq: QuotientRows, delta, upto: int | None = None) -> Criter
         a = tuple(pq.seqs[j][n] for j in range(pq.m))
         if n >= 1:
             t_max = max(abs(t) for t in lags.peek_lag1(a[1:]).values())
-            if not a[0]**q > t_max**q * state.window[0][0]**p:
+            if not _head_exceeds(a[0], t_max, state.window[0][0], p, q):
                 first = n
                 break
         if n < n_max:  # column n_max and its lag products feed nothing
@@ -320,7 +327,7 @@ class QuasiPeriodicSpec:
             raise InputError("dimension m must be >= 1")
         if len(self.base_rules) != self.m:
             raise InputError(f"need {self.m} base rules")
-        sched = tuple((int(n), int(r), int(lam)) for n, r, lam in self.schedule)
+        sched = tuple(int_entries(w, f"schedule window {k}") for k, w in enumerate(self.schedule))
         object.__setattr__(self, "schedule", sched)
         prev_end = None
         prev_n = None
@@ -343,7 +350,8 @@ def build_quasiperiodic(spec: QuasiPeriodicSpec, depth: int) -> PartialQuotients
     window's initial block copied lambda_k - 1 more times (truncated at depth)."""
     if depth < 1:
         raise InputError("depth must be >= 1")
-    values = [[int(spec.base_rules[j](n)) for n in range(depth)] for j in range(spec.m)]
+    values = [list(int_entries(map(rule, range(depth)), f"a^({j})"))
+              for j, rule in enumerate(spec.base_rules, 1)]
     for n_k, r_k, lam_k in spec.schedule:
         # repetitions that start past the built depth copy nothing
         rep_cap = min(lam_k, max(0, (depth - 1 - n_k) // r_k + 1))

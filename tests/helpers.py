@@ -5,8 +5,10 @@ from __future__ import annotations
 import contextlib
 import random
 import sys
+from fractions import Fraction
 
-from mcf.engine import PartialQuotients, check_admissible
+from mcf.engine import PartialQuotients, check_admissible, expand
+from mcf.exact_reals import RationalValue
 from mcf.periodic import PeriodicSpec, unroll
 
 
@@ -80,6 +82,22 @@ def random_periodic_spec(rng: random.Random, k_max: int = 3, h_max: int = 4,
         if check_admissible(probe).ok:
             return spec
     raise AssertionError("rejection sampling failed to find an admissible spec")
+
+
+def first_step(values):
+    """expand's first step on an exact pair, in the shape of references.reference_step:
+    ((a, b, alpha', beta'), interruptions) from expand(values, 2, keep_trace=True).
+
+    (a, b) are the quotients at index 0.  Each complete quotient at index 1 is read off
+    trace[1] or, when it was integral and its coordinate dropped, off the quotient that
+    expand emitted for it at index 1.  An integral beta at index 0 has no first step.
+    """
+    rec = expand(values, 2, keep_trace=True)
+    assert not any(e.index == 0 for e in rec.interruptions), "beta is integral"
+    live = rec.trace[1] if len(rec.trace) > 1 else ()
+    after = [v.value if isinstance(v, RationalValue) else v.element for v in live]
+    after += [Fraction(s[1]) for s in rec.pq.seqs[len(live):]]
+    return (rec.pq.seqs[0][0], rec.pq.seqs[1][0], *after), rec.interruptions
 
 
 def pq_prefix_equal(x: PartialQuotients, y: PartialQuotients, upto: int) -> bool:

@@ -20,6 +20,11 @@ against the recurrence of `mcf.convergents.conv_stream`; the table of every
 column from index -(m+1) on (`column_table`), and the lag products of any two
 columns by definition (`lag_product`), against the rolling `LagProducts`.
 
+The Liouville inequality a > t C^delta decided over the reals by signs and
+magnitudes (`exceeds_rational_power`), and its first failure along a table of
+every column (`liouville_first_violation`), against
+`mcf.transcendence.liouville_report`, which clears delta's denominator.
+
 The outward-rounded `Fraction` interval chain of base^e, against the integer
 mantissas of `mcf.convergents.CertifiedPowers`, which hold only the last power.
 
@@ -312,6 +317,36 @@ def tildes(cur: Column, prev: Column) -> tuple[int, ...]:
     """Lag-1 products A^(i) C' - A'^(i) C, i = 1..m, of a column and its predecessor."""
     m = len(cur.A)
     return tuple(lag_product(cur, prev, i, m) for i in range(m))
+
+
+def exceeds_rational_power(a: int, t: int, C: int, delta: Fraction) -> bool:
+    """a > t * C^delta over the reals, for t >= 0 and delta = p/q > 0 in lowest terms.
+
+    For odd q, C^delta is the real q-th root of C to the p: |C|^delta, negative when C < 0
+    and p is odd.  For even q and C < 0 it is not real, and the inequality fails.  The
+    sides are compared by sign first, and by q-th powers of magnitudes only when they
+    share one.
+    """
+    p, q = delta.numerator, delta.denominator
+    if C < 0 and q % 2 == 0:
+        return False
+    power = t**q * abs(C) ** p  # |t * C^delta|^q
+    if power == 0:
+        return a > 0
+    if C > 0 or p % 2 == 0:  # t * C^delta > 0
+        return a > 0 and a**q > power
+    return a >= 0 or (-a) ** q < power  # t * C^delta < 0
+
+
+def liouville_first_violation(pq: PartialQuotients, delta: Fraction, upto: int | None = None):
+    """The first n >= 1 where a_n^(1) > max_i |tilde_i(n)| C_(n-1)^delta fails over the reals
+    (exceeds_rational_power on a table of every column), or None."""
+    cols, off = column_table(pq, upto)
+    for n in range(1, len(cols) - off):
+        t = max(abs(v) for v in tildes(cols[off + n], cols[off + n - 1]))
+        if not exceeds_rational_power(pq.seqs[0][n], t, cols[off + n - 1].C, delta):
+            return n
+    return None
 
 
 def outward(iv: RationalInterval, bits: int) -> RationalInterval:

@@ -220,6 +220,14 @@ def test_construct_and_verify_liouville_round_trip(files, tmp_path):
     assert doc["verdict"] == "hypotheses-hold-to-depth"
 
 
+def test_verify_liouville_fails_a_negative_head_under_an_even_root(files):
+    # a_1 = -3, max |tilde_i(1)| = 2, C_0 = 1: -3 > 2 * 1^(1/2) fails, though 9 > 4 * 1
+    path = files("pq.json", {"m": 2, "seqs": [["0", "-3"], ["0", "2"]]})
+    code, out, _ = invoke(["verify", "liouville", "--pq", path, "--delta", "1/2"])
+    assert code == 1
+    assert json.loads(out)["verdict"] == "violated-at(1)"
+
+
 def test_construct_quasiperiodic_and_checks(files):
     sched = files("sched.json", {"schedule": [[1, 2, 3], [8, 3, 4]]})
     base = files("base.json", {"m": 2, "seqs": [[2] * 30, [1] * 30]})

@@ -24,12 +24,12 @@ from hypothesis import strategies as st
 from helpers import int_digit_cap
 from test_output_goldens import CASES, EXIT_CODES, GOLDEN, stdout_of
 
-from mcf import InputError, Interruption, NumberField, PreconditionViolated, RationalInterval
+from mcf import InputError, NumberField, PreconditionViolated, RationalInterval
 from mcf.convergents import bound_checks
-from mcf.engine import PartialQuotients, check_admissible, jacobi_step
+from mcf.engine import PartialQuotients, check_admissible, expand
 from mcf.exact_reals import AlgebraicValue, RationalValue
 from mcf.radix import MAX_EXPONENT
-from mcf.serialization import parse_frac
+from mcf.serialization import expansion_jsonl, parse_frac
 from mcf.transcendence import MAX_LIOUVILLE_M
 
 SRC = Path(__file__).parents[1] / "src"
@@ -63,11 +63,12 @@ def test_no_thread_sees_the_digit_cap_lifted():
     assert outcomes["refused"] > 0
 
 
-def test_interruption_message_holds_every_digit():
-    with int_digit_cap(4300), pytest.raises(Interruption) as exc:
-        jacobi_step(Fraction(1, 3), BIG)
-    assert exc.value.value == BIG
-    assert str(exc.value) == f"trailing complete quotient is the integer {BIG_TEXT}"
+def test_interruption_entry_holds_every_digit():
+    with int_digit_cap(4300):
+        record = expand([Fraction(1, 3), BIG], 1)
+        lines = expansion_jsonl(record)
+    assert [(e.index, e.dimension_after, e.value) for e in record.interruptions] == [(0, 1, BIG)]
+    assert lines == [f'{{"a":["0","{BIG_TEXT}"],"event":"interruption","n":0}}']
 
 
 def test_bound_checks_reject_a_huge_head_as_a_precondition():

@@ -5,36 +5,38 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_admissible, random_admissible_m2
-from references import as_fraction
+from helpers import first_step, random_admissible, random_admissible_m2
+from references import as_fraction, reference_step
 
-from mcf import AlgebraicValue, InputError, Interruption, NumberField, RationalInterval, expand
-from mcf.engine import PartialQuotients, check_admissible, jacobi_step
+from mcf import AlgebraicValue, InputError, NumberField, RationalInterval, expand
+from mcf.engine import PartialQuotients, check_admissible
 from mcf.exact_reals import DecimalOracle, OracleValue, RationalValue
 
 
 def test_jacobi_step_rational_examples():
-    a, b, alpha, beta = jacobi_step(Fraction(7, 5), Fraction(3, 5))
-    assert (a, b) == (1, 0)
-    assert (alpha.value, beta.value) == (Fraction(5, 3), Fraction(2, 3))
+    values = [Fraction(7, 5), Fraction(3, 5)]
+    step, events = first_step(values)
+    assert step == reference_step(*values) == (1, 0, Fraction(5, 3), Fraction(2, 3))
+    assert events == ()
 
-    a, b, alpha, beta = jacobi_step(Fraction(5, 3), Fraction(2, 3))
-    assert (a, b) == (1, 0)
-    assert (alpha.value, beta.value) == (Fraction(3, 2), Fraction(1))
-
-    with pytest.raises(Interruption):
-        jacobi_step(alpha, beta)  # beta = 1 is integral
+    values = [Fraction(5, 3), Fraction(2, 3)]
+    step, events = first_step(values)
+    assert step == reference_step(*values) == (1, 0, Fraction(3, 2), 1)
+    # beta' = 1 is integral: expand emits it at index 1 and goes on with alpha' alone
+    assert [(e.index, e.dimension_after, e.value) for e in events] == [(1, 1, 1)]
 
 
 def test_jacobi_step_algebraic():
     field = NumberField([-2, 0, 0, 1], RationalInterval(1, 2))
     theta = field.gen()
-    a, b, alpha, beta = jacobi_step(AlgebraicValue(theta), AlgebraicValue(theta * theta))
-    assert (a, b) == (1, 1)
+    values = [AlgebraicValue(theta), AlgebraicValue(theta * theta)]
+    (a, b, alpha, beta), events = first_step(values)
+    assert (a, b, alpha, beta) == reference_step(*values)
+    assert (a, b) == (1, 1) and events == ()
     # alpha_1 = 1/(theta^2 - 1) exactly
-    assert as_fraction(alpha.element * (theta * theta - 1)) == 1
+    assert as_fraction(alpha * (theta * theta - 1)) == 1
     # beta_1 = (theta - 1)/(theta^2 - 1) = 1/(theta + 1)
-    assert as_fraction(beta.element * (theta + 1)) == 1
+    assert as_fraction(beta * (theta + 1)) == 1
 
 
 def test_expand_interruption_trace():
@@ -78,11 +80,14 @@ def test_expand_immediate_interruption():
 def test_jacobi_step_oracle_inputs():
     x = OracleValue(DecimalOracle("1.40"))
     y = OracleValue(DecimalOracle("0.60"))
-    a, b, alpha, beta = jacobi_step(x, y)
-    assert (a, b) == (1, 0)
-    assert isinstance(alpha, OracleValue) and isinstance(beta, OracleValue)
-    enc = alpha.oracle.enclosure(0)
-    assert enc.lo <= Fraction(1, Fraction(6, 10)) <= enc.hi
+    rec = expand([x, y], 2, keep_trace=True)
+    a, b, alpha, beta = reference_step(Fraction(14, 10), Fraction(6, 10))
+    assert (rec.pq.seqs[0][0], rec.pq.seqs[1][0]) == (a, b) == (1, 0)
+    assert rec.interruptions == ()
+    assert all(isinstance(v, OracleValue) for v in rec.trace[1])
+    for value, exact in zip(rec.trace[1], (alpha, beta)):
+        enc = value.oracle.enclosure(0)
+        assert enc.lo <= exact <= enc.hi
 
 
 def test_expand_floor_width_audit():

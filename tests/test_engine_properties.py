@@ -9,11 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from references import FunctionOracle, proportional, reference_expand, reference_step
+from helpers import first_step
+from references import (FunctionOracle, floor_exact, is_integer, proportional, reference_expand,
+                        reference_step)
 
-from mcf import AlgebraicValue, Interruption, NonTerminating, NumberField, RationalInterval, expand
+from mcf import AlgebraicValue, NonTerminating, NumberField, RationalInterval, expand
 from mcf.convergents import limit_values
-from mcf.engine import PartialQuotients, _proportional, jacobi_step
+from mcf.engine import PartialQuotients, _proportional
 from mcf.exact_reals import OracleValue, RationalValue, SimplexOracle
 from mcf.polynomials import poly_eval, refine_root
 
@@ -141,17 +143,15 @@ def test_simplex_and_box_enclosures_agree(pq):
 @given(st.one_of(st.lists(rationals.map(RationalValue), min_size=2, max_size=2),
                  radical_tuple().filter(lambda v: len(v) == 2)))
 def test_jacobi_step_is_the_first_step_of_expand(values):
-    first = expand(values, 1)
-    if first.interruptions:
-        with pytest.raises(Interruption):
-            jacobi_step(*values)
+    if is_integer(values[1]):  # no step: expand drops beta at index 0
+        events = expand(values, 1).interruptions
+        assert [(e.index, e.dimension_after, e.value) for e in events] == [(0, 1, floor_exact(values[1]))]
         return
-    a, b, alpha, beta = reference_step(*values)
-    assert (a, b) == (first.pq.seqs[0][0], first.pq.seqs[1][0])
-    got = jacobi_step(*values)
-    assert got[:2] == (a, b)
-    exact = [v.value if isinstance(v, RationalValue) else v.element for v in got[2:]]
-    assert exact == [alpha, beta]
+    step, events = first_step(values)
+    assert step == reference_step(*values)
+    beta = step[3]  # an integral beta' is dropped at index 1, the one interruption
+    integral = [(1, 1, floor_exact(beta))] if is_integer(beta) else []
+    assert [(e.index, e.dimension_after, e.value) for e in events] == integral
 
 
 @settings(max_examples=10, deadline=None)

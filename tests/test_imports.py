@@ -249,3 +249,39 @@ def test_no_module_touches_the_int_digit_cap():
     names = ("set_int_max_str_digits", "get_int_max_str_digits")
     offenders = [p.name for p in PACKAGE.glob("*.py") if any(n in p.read_text() for n in names)]
     assert offenders == []
+
+
+def _raised_names(path: Path) -> set[str]:
+    """The names a file raises, as `raise Name(...)`, `raise Name` or `raise mod.Name(...)`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_error_class_is_raised_or_a_base_of_one_that_is():
+    classes = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+               for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    raised = set().union(*(_raised_names(p) for p in PACKAGE.glob("*.py"))) & set(classes)
+    used, todo = set(), list(raised)
+    while todo:  # the raised classes and every base above them
+        name = todo.pop()
+        if name not in used:
+            used.add(name)
+            todo.extend(b for b in classes[name] if b in classes)
+    assert sorted(set(classes) - used) == []
+
+
+def test_every_exported_error_is_defined_in_errors():
+    defined = {node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    exported = {a.name for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "errors"
+                for a in node.names}
+    assert exported and sorted(exported - defined) == []

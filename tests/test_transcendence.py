@@ -1,6 +1,8 @@
 """Liouville-type and quasi-periodic constructions and their checkers."""
 
 import decimal
+import itertools
+import math
 import random
 import signal
 import threading
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import column_table, seq_rule, tildes, verify_quasiperiodic
+from references import (column_table, exceeds_rational_power, liouville_first_violation, seq_rule,
+                        tildes, verify_quasiperiodic)
 
 from mcf import (
     AdmissibilityError,
@@ -22,11 +25,12 @@ from mcf import (
     construct_liouville,
     verify_liouville,
 )
-from mcf.convergents import approx_witnesses, k_interval, limit_values, loglog_interval
+from mcf.convergents import approx_witnesses, bound_checks, k_interval, limit_values, loglog_interval
 from mcf.engine import PartialQuotients, check_admissible
 from mcf.radix import EXACT, int_to_str, to_decimal
 from mcf.transcendence import (
     QuasiPeriodicSpec,
+    _head_exceeds,
     _iroot_floor,
     _log_ratio_string,
     build_quasiperiodic,
@@ -35,6 +39,7 @@ from mcf.transcendence import (
     main2_check,
     main2_constant,
     roth_scan,
+    seq_rule as mcf_seq_rule,
 )
 
 
@@ -363,5 +368,58 @@ def test_liouville_construction_passes_its_verifier(data):
         tail_rules=tuple(data.draw(tail_rules) for _ in range(m - 1)),
         head=data.draw(st.integers(0, 3)),
     )
-    report = verify_liouville(construct_liouville(spec), delta)
-    assert report.verdict == "hypotheses-hold-to-depth"
+    pq = construct_liouville(spec)
+    assert check_admissible(pq).ok  # the construction does not re-check its output
+    assert verify_liouville(pq, delta).verdict == "hypotheses-hold-to-depth"
+
+
+def signed_liouville_pq(rng: random.Random, delta: Fraction, length: int) -> PartialQuotients:
+    """m = 2 quotients with signed tails and each head near +-t_n |C_(n-1)|^delta, so that
+    checks pass often enough to decide heads of either sign further on."""
+    heads, tails = [rng.randint(-3, 3)], [rng.randint(-3, 3)]
+    for n in range(1, length):
+        tails.append(rng.choice([rng.randint(-3, 3), rng.randint(-10**3, 10**3)]))
+        cols, off = column_table(PartialQuotients.from_lists(heads + [0], tails))
+        t = max(abs(v) for v in tildes(cols[off + n], cols[off + n - 1]))
+        root = _iroot_floor(abs(cols[off + n - 1].C) ** delta.numerator, delta.denominator)
+        near = t * root + rng.randint(-3, 3)
+        heads.append(near if rng.random() < 0.7 else -near)
+    return PartialQuotients.from_lists(heads, tails)
+
+
+def test_liouville_report_decides_signed_heads_over_the_reals():
+    rng = random.Random(17)
+    deltas = [Fraction(p, q) for q in (1, 2, 3) for p in range(1, 5) if math.gcd(p, q) == 1]
+    decided = set()
+    for _ in range(600):
+        delta = rng.choice(deltas)
+        pq = signed_liouville_pq(rng, delta, rng.randint(2, 5))
+        first = liouville_first_violation(pq, delta)
+        assert verify_liouville(pq, delta).hypotheses[0].first_violation == first
+        for n in range(1, (first or pq.rect_len - 1) + 1):  # the indices the check decides
+            decided.add((delta.denominator, pq.seqs[0][n] < 0))
+    assert decided == {(q, h) for q in (1, 2, 3) for h in (False, True)}
+
+
+def test_head_exceeds_decides_signed_heads_and_denominators_over_the_reals():
+    # the cleared comparison of liouville_report at every sign of a and C, ties included
+    for q in (1, 2, 3):
+        for p in (p for p in range(1, 5) if math.gcd(p, q) == 1):
+            for a, t, C in itertools.product(range(-9, 10), range(4), range(-9, 10)):
+                assert _head_exceeds(a, t, C, p, q) == exceeds_rational_power(a, t, C, Fraction(p, q))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: const_rule(1.9),
+    lambda: cycle_rule([2.5, "3"]),
+    lambda: mcf_seq_rule([True, 2.7]),
+    lambda: LiouvilleSpec(2, 1, 3, (const_rule(0),), head=2.9),
+    lambda: construct_liouville(LiouvilleSpec(2, 1, 3, (lambda n: 0.9,))),
+    lambda: QuasiPeriodicSpec(2, ((1.9, "2", True),), (const_rule(1), const_rule(0))),
+    lambda: build_quasiperiodic(QuasiPeriodicSpec(2, (), (const_rule(1), lambda n: 0.0)), 3),
+    lambda: bound_checks(PartialQuotients.from_lists([1, 2], [1, 0]), box=(1.5, "1")),
+], ids=["const_rule", "cycle_rule", "seq_rule", "liouville_head", "liouville_tail_rule",
+        "schedule", "base_rule", "bound_checks_box"])
+def test_library_integer_inputs_are_never_truncated(build):
+    with pytest.raises(InputError, match=r"^entry \d+ of .+ must be an integer, got (float|bool|str)$"):
+        build()
