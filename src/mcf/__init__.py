@@ -5,8 +5,9 @@ and constructive generation plus finite-depth verification of Liouville-type
 and quasi-periodic transcendence criteria.
 
 The package exports the README quick-tour API and the exception classes;
-everything else is imported from its submodule (mcf.exact_reals, mcf.engine,
-mcf.convergents, mcf.periodic, mcf.transcendence, mcf.serialization)."""
+everything else is imported from its submodule (mcf.recurrence, mcf.liouville,
+mcf.exact_reals, mcf.engine, mcf.convergents, mcf.periodic, mcf.transcendence,
+mcf.serialization)."""
 
 import importlib
 
@@ -36,7 +37,7 @@ _EXPORTS = {
     "exact_reals": ("AlgebraicValue", "NumberField"),
     "engine": ("expand",),
     "periodic": ("PeriodicSpec", "solve_periodic"),
-    "transcendence": ("LiouvilleSpec", "const_rule", "construct_liouville", "verify_liouville"),
+    "liouville": ("LiouvilleSpec", "const_rule", "construct_liouville", "verify_liouville"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -37,9 +37,10 @@ def _lazy(name: str):
 # Every layer is registered, also those reached only through others, so a tracer
 # wrapping them from outside (perfbench/tracer.py) finds each in sys.modules.
 # LazyLoader is not thread-safe on first access (CPython 3.11); the CLI is one thread.
-intervals, polynomials, radix, exact_reals, engine, convergents, periodic, transcendence, ser = map(
-    _lazy, ("intervals", "polynomials", "radix", "exact_reals", "engine", "convergents", "periodic",
-            "transcendence", "serialization"))
+(intervals, polynomials, radix, recurrence, liouville, exact_reals, engine, convergents, periodic,
+ transcendence, ser) = map(_lazy, ("intervals", "polynomials", "radix", "recurrence", "liouville",
+                                   "exact_reals", "engine", "convergents", "periodic", "transcendence",
+                                   "serialization"))
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -81,11 +82,11 @@ def _parse_int_list(text: str) -> list[int]:
 def _parse_rule(text: str):
     kind, _, payload = text.partition(":")
     if kind == "const":
-        return transcendence.const_rule(ser.parse_int(payload))
+        return liouville.const_rule(ser.parse_int(payload))
     if kind == "cycle":
-        return transcendence.cycle_rule(_parse_int_list(payload))
+        return liouville.cycle_rule(_parse_int_list(payload))
     if kind == "list":
-        return transcendence.seq_rule(_parse_int_list(payload))
+        return liouville.seq_rule(_parse_int_list(payload))
     raise InputError(f"unknown rule {text!r}; use const:K, cycle:V1,V2,... or list:V1,V2,...")
 
 
@@ -116,12 +117,12 @@ def _cmd_convergents(args) -> int:
     # The quotients are read as Decimals and the table is computed in exact decimal (any
     # rounding raises) and printed with str(), linear in the digits; no big int is built.
     with decimal.localcontext(radix.EXACT):
-        pq = ser.pq_from_json(_load_json(args.pq), ser.parse_decimal, engine.QuotientRows)
+        pq = ser.pq_from_json(_load_json(args.pq), ser.parse_decimal, recurrence.QuotientRows)
         aux = AUX_M2 if pq.m == 2 else ()
         if args.emit == "csv":
             _print(",".join(["n", *(f"A{i + 1}" for i in range(pq.m)), "C", *(row[0] for row in aux)]))
-        state = convergents.ConvergentState.initial(pq.m)
-        lags = convergents.LagProducts(pq.m, {(i, j) for _, i, j, _ in aux})
+        state = recurrence.ConvergentState.initial(pq.m)
+        lags = recurrence.LagProducts(pq.m, {(i, j) for _, i, j, _ in aux})
         for n in range(min(args.depth + 1, pq.rect_len)):
             a = tuple(s[n] for s in pq.seqs)
             *A, C = map(str, state.advance(a))
@@ -163,7 +164,7 @@ def _cmd_periodic_solve(args) -> int:
 def _cmd_construct_liouville(args) -> int:
     import decimal
 
-    spec = transcendence.LiouvilleSpec(
+    spec = liouville.LiouvilleSpec(
         m=args.m,
         delta=ser.parse_frac(args.delta),
         depth=args.depth,
@@ -171,7 +172,7 @@ def _cmd_construct_liouville(args) -> int:
         head=args.a0,
     )
     with decimal.localcontext(radix.EXACT):  # as in _cmd_convergents: no big int is built
-        rows = transcendence.liouville_rows(spec, radix.to_decimal)
+        rows = liouville.liouville_rows(spec, radix.to_decimal)
         _print(ser.dumps_stable(ser.pq_to_json(rows)))
     return EXIT_OK
 
@@ -184,7 +185,7 @@ def _cmd_construct_quasiperiodic(args) -> int:
 
 def _cmd_verify_admissible(args) -> int:
     pq = ser.pq_from_json(_load_json(args.pq))
-    report = engine.check_admissible(pq)
+    report = recurrence.check_admissible(pq)
     _print(ser.dumps_stable(ser.admissibility_report_to_json(report)))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
@@ -213,8 +214,8 @@ def _cmd_verify_liouville(args) -> int:
     import decimal
 
     with decimal.localcontext(radix.EXACT):  # as in construct: the digits are read as Decimals
-        rows = ser.pq_from_json(_load_json(args.pq), ser.parse_decimal, engine.QuotientRows)
-        report = transcendence.liouville_report(rows, ser.parse_frac(args.delta), upto=args.depth)
+        rows = ser.pq_from_json(_load_json(args.pq), ser.parse_decimal, recurrence.QuotientRows)
+        report = liouville.liouville_report(rows, ser.parse_frac(args.delta), upto=args.depth)
     _print(ser.dumps_stable(ser.criterion_report_to_json(report)))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
@@ -222,7 +223,7 @@ def _cmd_verify_liouville(args) -> int:
 def _quasi_spec(args) -> transcendence.QuasiPeriodicSpec:
     schedule = ser.schedule_from_json(_load_json(args.schedule))
     base_pq = ser.pq_from_json(_load_json(args.base))
-    rules = tuple(transcendence.seq_rule(s) for s in base_pq.seqs)
+    rules = tuple(liouville.seq_rule(s) for s in base_pq.seqs)
     return transcendence.QuasiPeriodicSpec(m=base_pq.m, schedule=schedule, base_rules=rules)
 
 

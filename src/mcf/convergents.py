@@ -1,15 +1,5 @@
-"""Convergents of a multidimensional continued fraction and their certified
-bound and growth checks.
-
-Given partial quotients a_n^(1..m), the convergent numerators and common
-denominator satisfy the (m+1)-term recurrences
-
-    A_n^(i) = sum_j a_n^(j) A_{n-j}^(i) + A_{n-m-1}^(i),
-    C_n     = sum_j a_n^(j) C_{n-j}   + C_{n-m-1},
-
-with A_{-n}^(i) = delta_{in} (n = 1..m+1), C_{-m-1} = 1 and C_{-n} = 0 for
-n = 1..m.  The same data is the column set of the product of the step
-matrices.
+"""Limit enclosures, approximation witnesses, and the certified bound and
+growth checks of the convergents (the recurrence itself is mcf.recurrence).
 
 The auxiliary ("tilde") sequences are the bilinear lag products
 
@@ -31,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import PartialQuotients, expand, int_entries
+from .engine import expand
 from .errors import (
     HypothesisViolated,
     InputError,
@@ -53,138 +43,8 @@ from .exact_reals import (
 )
 from .intervals import RationalInterval, as_fraction, iv_enclosure
 from .radix import frac_to_str, int_to_str
-
-
-# ---------------------------------------------------------------------------
-# The convergent stream
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Column:
-    """Convergent column of index n: numerators A^(1..m) and denominator C."""
-
-    n: int
-    A: tuple[int, ...]
-    C: int
-
-
-class ConvergentState:
-    """Rolling window of the coordinate vectors (A^(1), ..., A^(m), C) of the
-    last m+1 convergent columns."""
-
-    __slots__ = ("m", "window", "n")
-
-    def __init__(self, m: int, window, n: int):
-        self.m = m
-        self.window = deque(window, maxlen=m + 1)
-        self.n = n
-
-    @classmethod
-    def initial(cls, m: int, coords=None) -> "ConvergentState":
-        # window[j-1] holds index n-j at `coords` (default all: A^(1..m), C); at n=0 the identity
-        return cls(m, [tuple(int(i == j) for i in coords or range(m + 1)) for j in range(m + 1)], 0)
-
-    def advance(self, a) -> tuple:
-        """The vector of index n from a_n^(1..m), pushed on the window; any exact number type."""
-        m, w = self.m, self.window
-        if len(a) != m:
-            raise InputError(f"step needs {m} quotients, got {len(a)}")
-        vec = []
-        for k in range(len(w[m])):
-            acc = w[m][k]
-            for q, x in zip(a, w):
-                acc += q * x[k]
-            vec.append(acc)
-        vec = tuple(vec)
-        w.appendleft(vec)
-        self.n += 1
-        return vec
-
-    def step(self, a: tuple[int, ...]) -> Column:
-        """The Column of index n from the int quotients a_n^(1..m)."""
-        *A, C = self.advance(a)
-        return Column(self.n - 1, tuple(A), C)
-
-
-def conv_stream(pq: PartialQuotients, upto: int | None = None):
-    """Yield the Column of each index n = 0..upto (rectangular range only)."""
-    limit = pq.rect_len if upto is None else min(upto + 1, pq.rect_len)
-    state = ConvergentState.initial(pq.m)
-    for n in range(limit):
-        yield state.step(tuple(pq.seqs[j][n] for j in range(pq.m)))
-
-
-# ---------------------------------------------------------------------------
-# Lag products (the auxiliary or "tilde" sequences)
-# ---------------------------------------------------------------------------
-
-
-class LagProducts:
-    """Rolling lag products L_l(n) = x_i y_j - y_i x_j, x = col_n and y = col_(n-l)
-    over the coordinates (A^(1), ..., A^(m), C), l = 1..m, of chosen coordinate
-    pairs (i, j): the 2x2 minors of W_n = [col_n | ... | col_(n-m)].
-
-    W_(n+1) = W_n S(a_(n+1)), where S has first column (a^(1), ..., a^(m), 1)
-    and shifts the rest, so by Cauchy-Binet each minor at n+1 combines minors
-    at n with coefficients 0, +-1 or one quotient (small x big products only):
-
-        L_q(n+1) = sum_(k<q) a^(k) L_(q-k)(n+1-k) - sum_(k>q) a^(k) L_(k-q)(n+1-q)
-                   - L_(m+1-q)(n+1-q).
-
-    W_(-1), of the negative-index columns, is the identity.  L_1(n+1) does not
-    involve a_(n+1)^(1) (peek_lag1).
-    """
-
-    __slots__ = ("m", "pairs", "_history", "_terms")
-
-    def __init__(self, m: int, pairs):
-        self.m, self.pairs = m, tuple(pairs)
-        # _history[p][i, j][l - 1] is L_l(n - p), p = 0..m-1; at n = -1, minors of the identity
-        self._history = deque(({(i, j): tuple(((i, j) == (p, p + l)) - ((j, i) == (p, p + l))
-                                              for l in range(1, m + 1)) for i, j in self.pairs}
-                               for p in range(m)), maxlen=m)
-        # per lag q, the formula's terms as (quotient index, history slot, lag index):
-        # those added, those subtracted, and the (slot, lag index) of the quotient-free one
-        self._terms = tuple((tuple((k - 1, k - 1, q - k - 1) for k in range(1, q)),
-                             tuple((k - 1, q - 1, k - q - 1) for k in range(q + 1, m + 1)),
-                             (q - 1, m - q))
-                            for q in range(1, m + 1))
-
-    def _lags(self, a, pair, terms) -> tuple:
-        rows = [held[pair] for held in self._history]
-        out = []
-        for added, subtracted, (slot, lag) in terms:
-            acc = -rows[slot][lag]
-            for k, p, l in added:
-                acc += a[k] * rows[p][l]
-            for k, p, l in subtracted:
-                acc -= a[k] * rows[p][l]
-            out.append(acc)
-        return tuple(out)
-
-    def held(self, p: int) -> dict:
-        """(L_1, ..., L_m)(n - p) of each pair, p = 0..m-1, n the last index stepped."""
-        return self._history[p]
-
-    def peek_lag1(self, tail) -> dict:
-        """L_1(n+1) of each pair from a_(n+1)^(2..m) alone, before a_(n+1)^(1) is chosen."""
-        a, lag1 = (0, *tail), self._terms[:1]
-        return {pair: self._lags(a, pair, lag1)[0] for pair in self.pairs}
-
-    def step(self, a) -> dict:
-        """(L_1, ..., L_m)(n+1) of each pair, from the quotients a_(n+1)^(1..m)."""
-        lags = {pair: self._lags(a, pair, self._terms) for pair in self.pairs}
-        self._history.appendleft(lags)
-        return lags
-
-
-def lag_stream(pq: PartialQuotients, pairs, upto: int | None = None):
-    """Yield (Column, lags) for n = 0..upto (rectangular range only), where
-    lags[i, j][l - 1] is the lag-l product of coordinates (i, j) at n."""
-    lags = LagProducts(pq.m, pairs)
-    for col in conv_stream(pq, upto):
-        yield col, lags.step(tuple(pq.seqs[j][col.n] for j in range(pq.m)))
+from .recurrence import CheckItem, PartialQuotients, conv_stream, int_entries, lag_stream
+from .recurrence import ConvergentState  # noqa: F401  (perfbench/tracer.py's convergents.ConvergentState.step)
 
 
 # ---------------------------------------------------------------------------
@@ -287,21 +147,6 @@ def approx_witnesses(x, pq: PartialQuotients, upto: int, coords=None) -> list[in
 
 
 @dataclass(frozen=True)
-class CheckItem:
-    """One named bound or hypothesis checked over an index range; it holds
-    when no index violates it."""
-
-    name: str
-    first_violation: int | None
-    detail: str
-    boundary_indices: tuple[int, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.first_violation is None
-
-
-@dataclass(frozen=True)
 class BoundReport:
     items: tuple[CheckItem, ...]
     empirical_K: int
@@ -333,7 +178,7 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Bou
         nbox, mbox = 0, 0
         strict_upper_is_lemma = True
     else:
-        nbox, mbox = int_entries(box, "box")
+        nbox, mbox = int_entries(box, "box", 2)
         if (a0, b0) != (nbox, mbox):
             raise PreconditionViolated(
                 f"box ({int_to_str(nbox)}, {int_to_str(mbox)}) does not match the index-0"

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -55,167 +54,8 @@ from .exact_reals import (
     enclosure_at,
 )
 from .intervals import RationalInterval, as_fraction
-from .radix import int_to_str
-
-
-# ---------------------------------------------------------------------------
-# Partial quotients and admissibility
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuotientRows:
-    """m sequences a^(1), ..., a^(m) of exact integers as given (ints, or integral Decimals
-    under radix.EXACT); lengths may differ after interruptions."""
-
-    m: int
-    seqs: tuple
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise InputError("dimension m must be >= 1")
-        if len(self.seqs) != self.m:
-            raise InputError(f"expected {int_to_str(self.m)} sequences, got {len(self.seqs)}")
-
-    def entry(self, dim: int, n: int) -> int | None:
-        """Quotient a_n^(dim), 1-based dim, or None past the end of that sequence."""
-        s = self.seqs[dim - 1]
-        return s[n] if 0 <= n < len(s) else None
-
-    @property
-    def rect_len(self) -> int:
-        """Number of indices at which all m sequences are defined."""
-        return min(len(s) for s in self.seqs)
-
-    def last_index(self, upto: int | None = None) -> int:
-        """The last index a check covers: upto (>= 0), clipped to the rectangular range."""
-        if upto is not None and upto < 0:
-            raise InputError(f"depth must be >= 0, got {int_to_str(upto)}")
-        return self.rect_len - 1 if upto is None else min(upto, self.rect_len - 1)
-
-    @property
-    def is_rectangular(self) -> bool:
-        return len({len(s) for s in self.seqs}) == 1
-
-
-def int_entries(seq, name: str) -> tuple[int, ...]:
-    """seq by operator.index, so nothing is truncated or parsed: a float, a string or a
-    bool raises InputError naming the sequence and the index."""
-    seq = tuple(seq)
-    for n, v in enumerate(seq):
-        if isinstance(v, bool) or not hasattr(type(v), "__index__"):
-            raise InputError(f"entry {n} of {name} must be an integer, got {type(v).__name__}")
-    return tuple(map(operator.index, seq))
-
-
-class PartialQuotients(QuotientRows):
-    """m int sequences a^(1), ..., a^(m): QuotientRows whose entries pass int_entries."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        seqs = tuple(int_entries(s, f"a^({j})") for j, s in enumerate(self.seqs, 1))
-        object.__setattr__(self, "seqs", seqs)
-
-    @staticmethod
-    def from_lists(*seqs) -> "PartialQuotients":
-        return PartialQuotients(len(seqs), tuple(tuple(s) for s in seqs))
-
-
-@dataclass(frozen=True)
-class Violation:
-    index: int
-    dim: int | None
-    rule: str
-    message: str
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    m: int
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_admissible(pq: QuotientRows) -> AdmissibilityReport:
-    """Validate the Perron admissibility conditions for n >= 1.
-
-    For every n >= 1: all entries are >= 0 and the leading quotient a_n^(1)
-    is >= 1.  For each index n and coordinate i in 2..d(n) (d(n) = number of
-    sequences still running at n), the comparison chain
-
-        a_{n+t}^(i+t) <= a_{n+t}^(1+t),   t = 0, 1, ...
-
-    must not fail; when the chain ties up to the step whose trailing active
-    coordinate is reached, the entry after it must be >= 1.  For a
-    rectangular m-dimensional prefix this is the standard lexicographic
-    family (for m = 2: a_n >= b_n, and b_{n+1} >= 1 whenever a_n = b_n).
-    Across an interruption the dimension shrinks and any chain that would
-    propagate through the dropped coordinate's fractional part is void,
-    since the algorithm never divides by it.  Index 0 is unconstrained,
-    references past a sequence end are skipped, and an empty report
-    certifies realizability by some real input.
-    """
-    m = pq.m
-    found: dict[tuple[int, int | None, str], Violation] = {}
-
-    def add(index: int, dim: int | None, rule: str, message: str) -> None:
-        key = (index, dim, rule)
-        if key not in found:
-            found[key] = Violation(index, dim, rule, message)
-
-    max_len = max(len(s) for s in pq.seqs)
-
-    def active(n: int) -> int:
-        return sum(1 for s in pq.seqs if n < len(s))
-
-    for n in range(1, max_len):
-        for j in range(1, m + 1):
-            e = pq.entry(j, n)
-            if e is not None and e < 0:
-                add(n, j, "negative-entry", f"a_{n}^({j}) = {int_to_str(e)} < 0")
-        head = pq.entry(1, n)
-        if head is not None and head < 1:
-            add(n, 1, "head-not-positive", f"a_{n}^(1) = {int_to_str(head)} < 1")
-        for i in range(2, active(n) + 1):
-            p, q, k = i, 1, n
-            while True:
-                left = pq.entry(p, k)
-                right = pq.entry(q, k)
-                if left is None or right is None or p > active(k):
-                    break
-                if left > right:
-                    add(
-                        k,
-                        p,
-                        "lex-order",
-                        f"a_{k}^({p}) = {int_to_str(left)} > a_{k}^({q}) = {int_to_str(right)}"
-                        f" (chain started at index {n}, coordinate {i})",
-                    )
-                    break
-                if left < right:
-                    break
-                # tie: propagate through the step k -> k+1, whose active
-                # trailing coordinate is r; a pair beyond r is unconstrained
-                r = active(k + 1)
-                if r == 0 or p > r:
-                    break
-                if p == r:
-                    term = pq.entry(q + 1, k + 1)
-                    if term is not None and term < 1:
-                        add(
-                            k + 1,
-                            q + 1,
-                            "lex-terminal",
-                            f"a_{k+1}^({q+1}) = {int_to_str(term)} < 1 after an all-tied chain"
-                            f" from index {n}, coordinate {i}",
-                        )
-                    break
-                p, q, k = p + 1, q + 1, k + 1
-    violations = tuple(sorted(found.values(), key=lambda v: (v.index, v.dim or 0, v.rule)))
-    return AdmissibilityReport(m=m, violations=violations)
+from .recurrence import PartialQuotients
+from .recurrence import check_admissible  # noqa: F401  (perfbench/tracer.py's engine.check_admissible)
 
 
 # ---------------------------------------------------------------------------

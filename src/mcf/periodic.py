@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .convergents import ConvergentState, LagProducts
-from .engine import PartialQuotients, check_admissible, expand, int_entries
+from .engine import expand
 from .errors import (
     AdmissibilityError,
     DegenerateCubic,
@@ -34,6 +33,7 @@ from .errors import (
 from .exact_reals import AlgebraicValue, FieldElement, NumberField, certify
 from .intervals import RationalInterval
 from .radix import frac_to_str
+from .recurrence import ConvergentState, LagProducts, PartialQuotients, check_admissible, int_entries
 from . import polynomials as pol
 
 

@@ -87,6 +87,13 @@ def magnitude(v) -> tuple[int, int]:
     return (10, v.adjusted() + 1) if isinstance(v, decimal.Decimal) else (2, v.bit_length())
 
 
+def drop_digits(v, k: int):
+    """v // b**k for v >= 0 and magnitude's base b, by a shift: linear in the digits."""
+    if isinstance(v, decimal.Decimal):
+        return EXACT.scaleb(v, -k).to_integral_value(decimal.ROUND_FLOOR)
+    return v >> k
+
+
 def frac_to_str(v) -> str:
     """str(v) for a Fraction (or int) of any size: "p/q", or just p when q = 1."""
     num = int_to_str(v.numerator)

@@ -17,24 +17,18 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .engine import PartialQuotients, QuotientRows
+from . import exact_reals  # through the module, so decoding a pq executes no field code
 from .errors import InputError, NonTerminating
-from .exact_reals import (
-    AlgebraicValue,
-    DecimalOracle,
-    NumberField,
-    OracleValue,
-    RationalValue,
-    RealValue,
-)
 from .intervals import RationalInterval
 from .radix import int_to_str, str_to_decimal, str_to_frac, str_to_int, to_decimal
+from .recurrence import PartialQuotients, QuotientRows
 
 if TYPE_CHECKING:  # report types: only annotations name them, so encoding loads no checker
     from .convergents import BoundReport, GrowthReport
-    from .engine import AdmissibilityReport, ExpansionRecord
+    from .engine import ExpansionRecord
+    from .liouville import CriterionReport
     from .periodic import CubicCertificate, PeriodicSpec
-    from .transcendence import CriterionReport
+    from .recurrence import AdmissibilityReport
 
 
 def dumps_stable(obj) -> str:
@@ -97,7 +91,7 @@ def interval_json(iv: RationalInterval) -> dict:
 # -- RealValue ---------------------------------------------------------------
 
 
-def real_from_json(obj) -> RealValue:
+def real_from_json(obj) -> exact_reals.RealValue:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("real value must be an object with a 'kind' field")
     kind = obj["kind"]
@@ -105,13 +99,13 @@ def real_from_json(obj) -> RealValue:
         num, den = parse_int(_field(obj, "num")), parse_int(_field(obj, "den"))
         if den == 0:
             raise InputError("rational value with denominator 0")
-        return RationalValue(Fraction(num, den))
+        return exact_reals.RationalValue(Fraction(num, den))
     if kind == "algebraic":
         minpoly = [parse_int(c) for c in _list(_field(obj, "minpoly"), "minpoly")]
         lo, hi = parse_frac(_field(obj, "lo")), parse_frac(_field(obj, "hi"))
-        field = NumberField(minpoly, RationalInterval(lo, hi))
+        field = exact_reals.NumberField(minpoly, RationalInterval(lo, hi))
         coords = [parse_frac(c) for c in _list(obj.get("coords", ["0/1", "1/1"]), "coords")]
-        return AlgebraicValue(field.element(coords))
+        return exact_reals.AlgebraicValue(field.element(coords))
     if kind == "decimal":
         digits = _field(obj, "digits")
         if not isinstance(digits, (str, int, float)):
@@ -119,19 +113,19 @@ def real_from_json(obj) -> RealValue:
         if isinstance(digits, JSONFloat):
             digits = digits.text  # the digits as written, not the float's repr
         text = int_to_str(digits) if isinstance(digits, int) else str(digits)
-        return OracleValue(DecimalOracle(text))
+        return exact_reals.OracleValue(exact_reals.DecimalOracle(text))
     raise InputError(f"unknown real value kind {kind!r}" if isinstance(kind, str) else
                      f"real value kind must be a string, got {type(kind).__name__}")
 
 
-def real_to_json(rv: RealValue) -> dict:
-    if isinstance(rv, RationalValue):
+def real_to_json(rv: exact_reals.RealValue) -> dict:
+    if isinstance(rv, exact_reals.RationalValue):
         return {
             "kind": "rational",
             "num": int_to_str(rv.value.numerator),
             "den": int_to_str(rv.value.denominator),
         }
-    if isinstance(rv, AlgebraicValue):
+    if isinstance(rv, exact_reals.AlgebraicValue):
         field = rv.element.field
         init = field._initial
         return {
@@ -141,12 +135,12 @@ def real_to_json(rv: RealValue) -> dict:
             "hi": frac_str(init.hi),
             "coords": [frac_str(c) for c in rv.element.coords],
         }
-    if isinstance(rv, OracleValue) and isinstance(rv.oracle, DecimalOracle):
+    if isinstance(rv, exact_reals.OracleValue) and isinstance(rv.oracle, exact_reals.DecimalOracle):
         return {"kind": "decimal", "digits": rv.oracle.digits}
     raise InputError("derived oracle values cannot be serialized")
 
 
-def reals_from_file_payload(obj) -> list[RealValue]:
+def reals_from_file_payload(obj) -> list[exact_reals.RealValue]:
     """Accept a bare real-value object, a list of them, or {'inputs': [...]}."""
     if isinstance(obj, dict) and "inputs" in obj:
         obj = obj["inputs"]
@@ -188,10 +182,10 @@ def expansion_jsonl(record: ExpansionRecord, trace: bool = False) -> list[str]:
     return lines
 
 
-def _trace_value(rv: RealValue) -> dict:
-    if isinstance(rv, RationalValue):
+def _trace_value(rv: exact_reals.RealValue) -> dict:
+    if isinstance(rv, exact_reals.RationalValue):
         return real_to_json(rv)
-    if isinstance(rv, AlgebraicValue):
+    if isinstance(rv, exact_reals.AlgebraicValue):
         iv = rv.element.interval(Fraction(1, 10**30))
         return {"kind": "interval", "lo": frac_str(iv.lo), "hi": frac_str(iv.hi)}
     iv = None

@@ -1,21 +1,10 @@
-"""Constructions and finite-depth checkers for the transcendence criteria.
+"""Finite-depth checkers for the transcendence criteria beyond Liouville's
+(mcf.liouville): the Roth-excess scanner, and quasi-periodic sequences.
 
-Two families are supported:
-
-* Liouville-type sequences: all quotients except the leading a_n^(1) are
-  free; since the lag products at index n do not involve a_n^(1), the head
-  can be chosen as
-
-      a_n^(1) = max(max_i |tilde_i(n)| * ceil(C_{n-1}^delta), floor) + 1
-
-  which makes the criterion inequality a_n^(1) > max_i |tilde_i(n)| C_{n-1}^delta
-  hold strictly at every n >= 1 while staying admissible.  Rational
-  exponents are compared exactly by clearing to integer powers.
-
-* Quasi-periodic sequences: scheduled windows (n_k, r_k, lambda_k) in which
-  a block of r_k quotients repeats lambda_k times; checkers validate the
-  boundedness/growth hypotheses and compare the finite ratio proxies
-  against the certified threshold constant.
+Quasi-periodic sequences have scheduled windows (n_k, r_k, lambda_k) in which
+a block of r_k quotients repeats lambda_k times; checkers validate the
+boundedness/growth hypotheses and compare the finite ratio proxies against
+the certified threshold constant.
 
 Verdicts are always about hypothesis satisfaction at finite depth; no
 checker ever claims transcendence (a statement about limits).
@@ -24,251 +13,17 @@ checker ever claims transcendence (a statement about limits).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
 
-from .convergents import (
-    CheckItem,
-    ConvergentState,
-    LagProducts,
-    conv_stream,
-    eta_field,
-    lt_power,
-    psi_field,
-    scan_inputs,
-)
-from .engine import PartialQuotients, QuotientRows, check_admissible, int_entries
-from .errors import AdmissibilityConflict, AdmissibilityError, InputError, ScheduleOverlap
+from .convergents import eta_field, lt_power, psi_field, scan_inputs
+from .errors import AdmissibilityError, InputError, ScheduleOverlap
 from .exact_reals import abs_diff_pow_lt, certify
 from .intervals import RationalInterval, as_fraction, iv_enclosure
-from .radix import frac_to_str, int_to_str, magnitude
-
-
-# ---------------------------------------------------------------------------
-# Quotient rules (free entries for the constructions)
-# ---------------------------------------------------------------------------
-
-Rule = Callable[[int], int]
-
-
-def const_rule(value: int) -> Rule:
-    (v,) = int_entries([value], "const rule")
-    return lambda n: v
-
-
-def cycle_rule(values: Sequence[int]) -> Rule:
-    vals = int_entries(values, "cycle rule")
-    if not vals:
-        raise InputError("cycle rule needs at least one value")
-    return lambda n: vals[n % len(vals)]
-
-
-def seq_rule(values: Sequence[int]) -> Rule:
-    vals = int_entries(values, "sequence rule")
-
-    def rule(n: int) -> int:
-        if n < len(vals):
-            return vals[n]
-        raise InputError(f"sequence rule exhausted at index {n} (it has {len(vals)} values)")
-
-    return rule
-
-
-# ---------------------------------------------------------------------------
-# Reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CriterionReport:
-    """Finite-depth evidence for a criterion's hypotheses.
-
-    The verdict is either "hypotheses-hold-to-depth" or "violated-at(i)";
-    it never asserts transcendence.
-    """
-
-    criterion: str
-    depth: int
-    hypotheses: tuple[CheckItem, ...]
-    data: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(h.ok for h in self.hypotheses)
-
-    @property
-    def verdict(self) -> str:
-        for h in self.hypotheses:
-            if not h.ok:
-                return f"violated-at({h.first_violation})"
-        return "hypotheses-hold-to-depth"
-
-
-# ---------------------------------------------------------------------------
-# Liouville-type constructions
-# ---------------------------------------------------------------------------
-
-
-def _iroot_floor(x, n: int):
-    """Largest r >= 0 with r**n <= x, by integer Newton iteration in the type of x.
-
-    Starts above the root, within a factor b of it, at b**ceil(e/n) for b**(e-1) <= x
-    < b**e (radix.magnitude); the iterates then decrease monotonically to the floor root,
-    so the first that fails to decrease is the answer (Brent & Zimmermann, section 1.5).
-    When b**e <= 2**n the root is 1, and the start's (n-1)-th power is never formed.
-    """
-    if x < 0 or n < 1:
-        raise InputError("integer root needs x >= 0, n >= 1")
-    if x in (0, 1) or n == 1:
-        return x
-    b, e = magnitude(x)
-    if e * (b - 1).bit_length() <= n:  # x < b**e <= 2**n
-        return type(x)(1)
-    r = type(x)(b) ** -(-e // n)
-    while True:
-        s = ((n - 1) * r + x // r ** (n - 1)) // n
-        if s >= r:
-            return r
-        r = s
-
-
-def _ceil_rational_power(base, expo: Fraction):
-    """ceil(base**expo) for base >= 1 and a positive rational exponent, exactly."""
-    if base < 1:
-        raise InputError("base must be >= 1")
-    p, q = expo.numerator, expo.denominator
-    num = base**p
-    r = _iroot_floor(num, q)
-    return r if r**q == num else r + 1
-
-
-# The largest dimension of a Liouville construction: LagProducts holds m^3 lag
-# products of the m pairs (i, m), so the check comes before anything of size m.
-MAX_LIOUVILLE_M = 64
-
-
-@dataclass(frozen=True)
-class LiouvilleSpec:
-    """Free data for a Liouville-type construction, 2 <= m <= MAX_LIOUVILLE_M.
-
-    `tail_rules` supply a_n^(j) for j = 2..m at every index (one rule serves
-    them all); `head` is a_0^(1).  The leading quotients a_n^(1), n >= 1, are
-    derived.
-    """
-
-    m: int
-    delta: Fraction
-    depth: int
-    tail_rules: tuple[Rule, ...]
-    head: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", as_fraction(self.delta))
-        object.__setattr__(self, "head", int_entries([self.head], "a^(1)")[0])
-        if not 2 <= self.m <= MAX_LIOUVILLE_M:
-            raise InputError(f"Liouville constructions need 2 <= m <= {MAX_LIOUVILLE_M}")
-        if self.delta <= 0:
-            raise InputError("delta must be positive")
-        if self.depth < 1:
-            raise InputError("depth must be >= 1")
-        if len(self.tail_rules) == 1:
-            object.__setattr__(self, "tail_rules", self.tail_rules * (self.m - 1))
-        if len(self.tail_rules) != self.m - 1:
-            raise InputError(f"need {self.m - 1} tail rules for m = {self.m}")
-
-
-def liouville_rows(spec: LiouvilleSpec, number=int) -> QuotientRows:
-    """Quotients for indices 0..depth satisfying the criterion strictly, computed in
-    the type `number` makes of an int (int, or radix.to_decimal under radix.EXACT).
-
-    At each n >= 1 the lag-1 products do not involve the head: a_n^(1) adds
-    a_n^(1) times column n-1 to column n, which cancels in A_n C_{n-1} - A_{n-1} C_n,
-    so LagProducts.peek_lag1 gives them from the tail.  The head quotient is
-    then set just above both the criterion threshold and the admissibility floor.
-    The output is admissible by construction: for n >= 1 every tail entry is >= 0
-    and below the head, so each lexicographic chain ends at its first comparison.
-    """
-    m = spec.m
-    seqs: list[list] = [[] for _ in range(m)]
-    state, lags = ConvergentState.initial(m, [m]), LagProducts(m, [(i, m) for i in range(m)])
-    for n in range(spec.depth + 1):
-        tail = int_entries([rule(n) for rule in spec.tail_rules], f"the tail at index {n}")
-        if n >= 1 and any(v < 0 for v in tail):
-            shown = ", ".join(map(int_to_str, tail))
-            raise AdmissibilityConflict(f"free entry a_{n}^(j) negative: [{shown}]", index=n)
-        tail = [number(v) for v in tail]
-        if n == 0:
-            head = number(spec.head)
-        else:
-            t_max = max(abs(t) for t in lags.peek_lag1(tail).values())
-            threshold = t_max * _ceil_rational_power(state.window[0][0], spec.delta)
-            head = max(threshold, max([0] + tail)) + 1
-        a = (head, *tail)
-        for j, v in enumerate(a):
-            seqs[j].append(v)
-        if n < spec.depth:  # the last column and its lag products feed nothing
-            state.advance(a)
-            lags.step(a)
-
-    return QuotientRows(m, tuple(tuple(s) for s in seqs))
-
-
-def construct_liouville(spec: LiouvilleSpec) -> PartialQuotients:
-    """Quotients for indices 0..depth satisfying the criterion strictly: liouville_rows in ints."""
-    return PartialQuotients(spec.m, liouville_rows(spec).seqs)
-
-
-def _head_exceeds(a, t, C, p: int, q: int) -> bool:
-    """a > t * C^(p/q) over the reals, for t >= 0, cleared to a^q > t^q C^p: equivalent for
-    odd q, or when a and C are >= 0.  For even q a negative a fails, and so does a negative
-    C, whose C^(p/q) is not real."""
-    if q % 2 == 0 and (a < 0 or C < 0):
-        return False
-    return a**q > t**q * C**p
-
-
-def liouville_report(pq: QuotientRows, delta, upto: int | None = None) -> CriterionReport:
-    """Check a_n^(1) > max_i |tilde_i(n)| * C_{n-1}^delta for 1 <= n <= upto.
-
-    The rational exponent delta = p/q is cleared exactly, in the quotients' type
-    (_head_exceeds).
-    """
-    delta = as_fraction(delta)
-    if delta <= 0:
-        raise InputError("delta must be positive")
-    n_max = pq.last_index(upto)
-    p, q = delta.numerator, delta.denominator
-    state, lags = ConvergentState.initial(pq.m, [pq.m]), LagProducts(pq.m, [(i, pq.m) for i in range(pq.m)])
-    first = None
-    for n in range(n_max + 1):
-        a = tuple(pq.seqs[j][n] for j in range(pq.m))
-        if n >= 1:
-            t_max = max(abs(t) for t in lags.peek_lag1(a[1:]).values())
-            if not _head_exceeds(a[0], t_max, state.window[0][0], p, q):
-                first = n
-                break
-        if n < n_max:  # column n_max and its lag products feed nothing
-            state.advance(a)
-            lags.step(a)
-    checks = (
-        CheckItem(
-            "head-dominates-tilde",
-            first,
-            f"a_n^(1) > max_i |tilde_i(n)| C_(n-1)^{frac_to_str(delta)} for 1 <= n <= {n_max}",
-        ),
-    )
-    return CriterionReport(
-        criterion="liouville",
-        depth=n_max,
-        hypotheses=checks,
-        data={"delta": frac_to_str(delta)},
-    )
-
-
-def verify_liouville(pq: PartialQuotients, delta, upto: int | None = None) -> CriterionReport:
-    """liouville_report on int quotients: the criterion inequality for 1 <= n <= upto."""
-    return liouville_report(pq, delta, upto)
+from .liouville import CriterionReport, Rule, _iroot_floor
+from .liouville import construct_liouville, verify_liouville  # noqa: F401  (perfbench/tracer.py's targets)
+from .radix import frac_to_str, int_to_str
+from .recurrence import CheckItem, PartialQuotients, check_admissible, conv_stream, int_entries
 
 
 def roth_scan(x, pq: PartialQuotients, epsilon, upto: int, coords=None) -> list[int]:
@@ -327,7 +82,7 @@ class QuasiPeriodicSpec:
             raise InputError("dimension m must be >= 1")
         if len(self.base_rules) != self.m:
             raise InputError(f"need {self.m} base rules")
-        sched = tuple(int_entries(w, f"schedule window {k}") for k, w in enumerate(self.schedule))
+        sched = tuple(int_entries(w, f"schedule window {k}", 3) for k, w in enumerate(self.schedule))
         object.__setattr__(self, "schedule", sched)
         prev_end = None
         prev_n = None
@@ -348,6 +103,7 @@ class QuasiPeriodicSpec:
 def build_quasiperiodic(spec: QuasiPeriodicSpec, depth: int) -> PartialQuotients:
     """Quotients for indices 0..depth-1: base values, with each scheduled
     window's initial block copied lambda_k - 1 more times (truncated at depth)."""
+    (depth,) = int_entries([depth], "depth")
     if depth < 1:
         raise InputError("depth must be >= 1")
     values = [list(int_entries(map(rule, range(depth)), f"a^({j})"))

@@ -7,9 +7,10 @@ import random
 import sys
 from fractions import Fraction
 
-from mcf.engine import PartialQuotients, check_admissible, expand
+from mcf.engine import expand
 from mcf.exact_reals import RationalValue
 from mcf.periodic import PeriodicSpec, unroll
+from mcf.recurrence import PartialQuotients, check_admissible
 
 
 def random_admissible_m2(rng: random.Random, length: int, max_q: int = 5,
@@ -109,7 +110,7 @@ def pq_prefix_equal(x: PartialQuotients, y: PartialQuotients, upto: int) -> bool
 def random_pq_with_power_hypothesis(rng: random.Random, d: int, length: int,
                                     cap: int = 6) -> PartialQuotients:
     """Random admissible m=2 sequences with a_(n+1) < C_n^d for all n >= 1."""
-    from mcf.convergents import ConvergentState
+    from mcf.recurrence import ConvergentState
 
     a, b = [0, 2], [0, 0]
     state = ConvergentState.initial(2)

@@ -16,14 +16,14 @@ products; and the cubic coefficients by polynomial elimination, against the
 closed form of `mcf.periodic.cubic_coeffs`.
 
 The convergent columns as columns of the product of the step matrices,
-against the recurrence of `mcf.convergents.conv_stream`; the table of every
+against the recurrence of `mcf.recurrence.conv_stream`; the table of every
 column from index -(m+1) on (`column_table`), and the lag products of any two
 columns by definition (`lag_product`), against the rolling `LagProducts`.
 
 The Liouville inequality a > t C^delta decided over the reals by signs and
 magnitudes (`exceeds_rational_power`), and its first failure along a table of
 every column (`liouville_first_violation`), against
-`mcf.transcendence.liouville_report`, which clears delta's denominator.
+`mcf.liouville.liouville_report`, which clears delta's denominator.
 
 The outward-rounded `Fraction` interval chain of base^e, against the integer
 mantissas of `mcf.convergents.CertifiedPowers`, which hold only the last power.
@@ -64,18 +64,13 @@ from mcf import polynomials as pol
 from mcf.cli import AUX_M2
 from mcf.convergents import (
     CertifiedPowers,
-    CheckItem,
-    Column,
-    ConvergentState,
     GrowthReport,
-    conv_stream,
     eta_field,
     k_interval,
     loglog_lt,
     lt_power,
     psi_field,
 )
-from mcf.engine import PartialQuotients
 from mcf.errors import DegenerateCubic, HypothesisViolated, InputError, MCFError
 from mcf.exact_reals import (
     AlgebraicValue,
@@ -87,9 +82,10 @@ from mcf.exact_reals import (
     query_levels,
 )
 from mcf.intervals import RationalInterval
+from mcf.liouville import CriterionReport, seq_rule as mcf_seq_rule
 from mcf.periodic import PeriodicSpec, XMatrix, solve_periodic, unroll, validate_spec
-from mcf.transcendence import CriterionReport, seq_rule as mcf_seq_rule
 from mcf.radix import int_to_str
+from mcf.recurrence import CheckItem, Column, ConvergentState, PartialQuotients, conv_stream
 
 
 def _lower(values):
@@ -550,7 +546,7 @@ class FunctionOracle(IntervalOracle):
 
 
 def seq_rule(values, then: int | None = None):
-    """mcf.transcendence.seq_rule, continued by the constant `then` past its values."""
+    """mcf.liouville.seq_rule, continued by the constant `then` past its values."""
     head = mcf_seq_rule(values)
     return head if then is None else (lambda n: head(n) if n < len(values) else then)
 

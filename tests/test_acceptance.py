@@ -35,10 +35,10 @@ from mcf import (
     solve_periodic,
     verify_liouville,
 )
-from mcf.convergents import approx_witnesses, conv_stream, growth_check, limit_values
-from mcf.engine import PartialQuotients, check_admissible
+from mcf.convergents import approx_witnesses, growth_check, limit_values
 from mcf.periodic import cubic_coeffs, unroll, x_matrix
 from mcf.polynomials import height, poly_eval_interval
+from mcf.recurrence import PartialQuotients, check_admissible, conv_stream
 from mcf.serialization import criterion_report_to_json, dumps_stable, growth_report_to_json
 from mcf.transcendence import (
     QuasiPeriodicSpec,

@@ -23,11 +23,11 @@ from mcf import InputError, LiouvilleSpec, const_rule, construct_liouville, veri
 from mcf import cli
 from mcf import serialization as ser
 from mcf.cli import build_parser, run
-from mcf.convergents import ConvergentState, conv_stream, k_interval
-from mcf.engine import PartialQuotients
+from mcf.convergents import k_interval
+from mcf.liouville import cycle_rule, seq_rule
 from mcf.radix import int_to_str, str_to_int
+from mcf.recurrence import ConvergentState, PartialQuotients, conv_stream
 from mcf.serialization import criterion_report_to_json, dumps_stable, pq_from_json, pq_to_json
-from mcf.transcendence import cycle_rule, seq_rule
 
 GOLDEN = Path(__file__).parent / "golden"
 BIG_BITS = 1 << 15  # the size of the big quotients drawn below
@@ -511,8 +511,8 @@ def test_huge_integers_cross_the_wire_under_the_default_cap(files):
 def test_library_messages_and_literals_with_huge_integers():
     from mcf import HypothesisViolated, OracleExhausted
     from mcf.convergents import growth_check
-    from mcf.engine import PartialQuotients, check_admissible
     from mcf.exact_reals import DecimalOracle
+    from mcf.recurrence import PartialQuotients, check_admissible
 
     big = 10**5000
     with int_digit_cap(0):
@@ -611,7 +611,7 @@ def test_trace_bit_hooks_on_liouville_see_ints(monkeypatch, tmp_path):
     # perfbench's tracer also reads .bit_length() on the heads of construct_liouville's
     # result and of verify_liouville's first argument; the Liouville commands compute
     # in Decimal, so no Decimal may reach any of the three hooked callables
-    from mcf import transcendence
+    from mcf import liouville
 
     bits = []
 
@@ -631,10 +631,10 @@ def test_trace_bit_hooks_on_liouville_see_ints(monkeypatch, tmp_path):
 
     monkeypatch.setattr(ConvergentState, "step", hooked(
         ConvergentState.step, nothing, lambda r: bits.append(r.C.bit_length())))
-    monkeypatch.setattr(transcendence, "construct_liouville", hooked(
-        transcendence.construct_liouville, nothing, heads))
-    monkeypatch.setattr(transcendence, "verify_liouville", hooked(
-        transcendence.verify_liouville, lambda args: heads(args[0]), nothing))
+    monkeypatch.setattr(liouville, "construct_liouville", hooked(
+        liouville.construct_liouville, nothing, heads))
+    monkeypatch.setattr(liouville, "verify_liouville", hooked(
+        liouville.verify_liouville, lambda args: heads(args[0]), nothing))
     path = tmp_path / "li.json"
     for delta in ("1", "3/2"):
         code, out, err = invoke(["construct", "liouville", "--m", "2", "--delta", delta,
@@ -644,7 +644,7 @@ def test_trace_bit_hooks_on_liouville_see_ints(monkeypatch, tmp_path):
         code, _, err = invoke(["verify", "liouville", "--pq", str(path), "--delta", delta])
         assert (code, err) == (0, "")
     spec = LiouvilleSpec(2, Fraction(3, 2), 9, (cycle_rule([0, 1]),), head=2)
-    assert all(type(v) is int for s in transcendence.construct_liouville(spec).seqs for v in s)
+    assert all(type(v) is int for s in liouville.construct_liouville(spec).seqs for v in s)
     assert bits  # the library call went through its hook
 
 

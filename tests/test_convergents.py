@@ -37,27 +37,23 @@ from mcf import convergents, exact_reals
 from mcf.cli import AUX_M2
 from mcf.convergents import (
     CertifiedPowers,
-    Column,
     ConvergentLimitOracle,
-    ConvergentState,
-    LagProducts,
     approx_witnesses,
     bound_checks,
-    conv_stream,
     eta_field,
     growth_check,
     k_interval,
-    lag_stream,
     limit_values,
     loglog_lt,
     lt_power,
     proximity_check,
     psi_field,
 )
-from mcf.engine import PartialQuotients
 from mcf.errors import MCFError, NonTerminating
+from mcf.liouville import seq_rule
+from mcf.recurrence import Column, ConvergentState, LagProducts, PartialQuotients, conv_stream, lag_stream
 from mcf.serialization import pq_from_json
-from mcf.transcendence import QuasiPeriodicSpec, main1_check, seq_rule
+from mcf.transcendence import QuasiPeriodicSpec, main1_check
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -26,11 +26,12 @@ from test_output_goldens import CASES, EXIT_CODES, GOLDEN, stdout_of
 
 from mcf import InputError, NumberField, PreconditionViolated, RationalInterval
 from mcf.convergents import bound_checks
-from mcf.engine import PartialQuotients, check_admissible, expand
+from mcf.engine import expand
 from mcf.exact_reals import AlgebraicValue, RationalValue
+from mcf.liouville import MAX_LIOUVILLE_M
 from mcf.radix import MAX_EXPONENT
+from mcf.recurrence import PartialQuotients, check_admissible
 from mcf.serialization import expansion_jsonl, parse_frac
-from mcf.transcendence import MAX_LIOUVILLE_M
 
 SRC = Path(__file__).parents[1] / "src"
 BIG = random.Random(5).randrange(10**4999, 10**5000)  # 5000 digits

@@ -9,8 +9,8 @@ from helpers import first_step, random_admissible, random_admissible_m2
 from references import as_fraction, reference_step
 
 from mcf import AlgebraicValue, InputError, NumberField, RationalInterval, expand
-from mcf.engine import PartialQuotients, check_admissible
 from mcf.exact_reals import DecimalOracle, OracleValue, RationalValue
+from mcf.recurrence import PartialQuotients, check_admissible
 
 
 def test_jacobi_step_rational_examples():

@@ -15,9 +15,10 @@ from references import (FunctionOracle, floor_exact, is_integer, proportional, r
 
 from mcf import AlgebraicValue, NonTerminating, NumberField, RationalInterval, expand
 from mcf.convergents import limit_values
-from mcf.engine import PartialQuotients, _proportional
+from mcf.engine import _proportional
 from mcf.exact_reals import OracleValue, RationalValue, SimplexOracle
 from mcf.polynomials import poly_eval, refine_root
+from mcf.recurrence import PartialQuotients
 
 PROPERTY = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 

@@ -73,7 +73,7 @@ def test_expand_executes_the_engine_layers_only(tmp_path):
     report = run_command(["expand", "--input", str(path), "--steps", "5"])
     assert report == {
         "executed": layers("engine", "exact_reals", "intervals", "polynomials", "radix",
-                           "serialization"),
+                           "recurrence", "serialization"),
         "mpmath": False,
     }
 
@@ -93,6 +93,24 @@ WITH_LOGS = {
     "verify main1": ["verify", "main1", *SCHEDULE, "--d", "2", "--c", "1", "--depth", "30"],
     "verify main2": ["verify", "main2", *SCHEDULE, "--M", "7", "--N", "3", "--depth", "30"],
 }
+LIOUVILLE_PQ = str(GOLDEN / "out_construct_liouville_m2.txt")
+LIGHT = ("intervals", "radix", "recurrence", "serialization")
+LIGHT_COMMANDS = {
+    "convergents": (["convergents", "--pq", PQ2, "--depth", "10", "--emit", "csv"], LIGHT),
+    "verify admissible": (["verify", "admissible", "--pq", PQ2], LIGHT),
+    "construct liouville": (["construct", "liouville", "--delta", "3/2", "--b-rule", "const:1",
+                             "--depth", "5"], (*LIGHT, "liouville")),
+    "verify liouville": (["verify", "liouville", "--pq", LIOUVILLE_PQ, "--delta", "3/2"],
+                         (*LIGHT, "liouville")),
+}
+
+
+@pytest.mark.parametrize("name", LIGHT_COMMANDS)
+def test_light_commands_execute_only_the_recurrence_layers(name):
+    # no field, engine, convergents or transcendence code: a pq is decoded through
+    # serialization's module reference to exact_reals, which stays unexecuted
+    argv, modules = LIGHT_COMMANDS[name]
+    assert run_command(argv) == {"executed": layers(*modules), "mpmath": False}
 
 
 @pytest.mark.parametrize("name", WITHOUT_LOGS)
@@ -129,6 +147,43 @@ else:
 """)
     assert "mcf.engine" in report["executed"]
     assert probe("import mcf") == {"executed": ["mcf", "mcf.errors"], "mpmath": False}
+
+
+def test_the_liouville_exports_execute_only_the_light_layers():
+    report = probe("""
+import mcf
+assert mcf.construct_liouville is __import__("mcf.liouville").liouville.construct_liouville
+""")
+    assert report == {"executed": ["mcf", "mcf.errors", "mcf.intervals", "mcf.liouville",
+                                   "mcf.radix", "mcf.recurrence"], "mpmath": False}
+
+
+def _module_level_imports(path: Path) -> set[str]:
+    """The modules a file imports when it is executed (not in a function body), mcf's as `.name`."""
+    found = set()
+
+    def visit(node):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):  # from .name import ..., or from . import name
+            found.update([f".{node.module}"] if node.module else (f".{a.name}" for a in node.names))
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for child in ast.iter_child_nodes(node):
+                visit(child)
+
+    visit(ast.parse(path.read_text()))
+    return found
+
+
+@pytest.mark.parametrize("module", ["recurrence", "liouville"])
+def test_the_light_layers_import_only_light_modules(module):
+    # the Liouville commands, convergents and verify admissible run on these two: an
+    # import of certify, the engine or the checkers here would execute them all again
+    light = {".errors", ".radix", ".intervals", ".recurrence"}
+    imports = _module_level_imports(PACKAGE / f"{module}.py")
+    assert sorted(imports - light - set(sys.stdlib_module_names)) == []
 
 
 def _scopes(path: Path, hit) -> set[str]:

@@ -23,7 +23,6 @@ from mcf import (
 )
 from mcf import periodic
 from mcf import polynomials as pol
-from mcf.convergents import conv_stream
 from mcf.periodic import (
     XMatrix,
     _explicit_coeffs,
@@ -33,6 +32,7 @@ from mcf.periodic import (
     x_matrix,
 )
 from mcf.polynomials import poly_eval_interval
+from mcf.recurrence import conv_stream
 
 
 def test_spec_validation():

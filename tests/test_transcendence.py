@@ -4,6 +4,7 @@ import decimal
 import itertools
 import math
 import random
+import re
 import signal
 import threading
 from fractions import Fraction
@@ -26,20 +27,17 @@ from mcf import (
     verify_liouville,
 )
 from mcf.convergents import approx_witnesses, bound_checks, k_interval, limit_values, loglog_interval
-from mcf.engine import PartialQuotients, check_admissible
+from mcf.liouville import _head_exceeds, _iroot_floor, cycle_rule, seq_rule as mcf_seq_rule
 from mcf.radix import EXACT, int_to_str, to_decimal
+from mcf.recurrence import PartialQuotients, check_admissible
 from mcf.transcendence import (
     QuasiPeriodicSpec,
-    _head_exceeds,
-    _iroot_floor,
     _log_ratio_string,
     build_quasiperiodic,
-    cycle_rule,
     main1_check,
     main2_check,
     main2_constant,
     roth_scan,
-    seq_rule as mcf_seq_rule,
 )
 
 
@@ -320,12 +318,26 @@ def test_iroot_floor_brackets_the_root(x, n, number):
     assert type(r) is type(number(x)) and int_to_str(r) == int_to_str(_iroot_floor(x, n))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 10**5), st.sampled_from([-1, 0, 1, None]),
+       st.randoms(use_true_random=False), st.sampled_from([int, to_decimal]))
+def test_iroot_floor_brackets_the_root_of_values_up_to_100000_bits(n, bits, offset, rng, number):
+    # random values, and perfect powers and their neighbours, where a start or a Newton
+    # step one off the root would show; the root of the top digits seeds each level
+    r = rng.getrandbits(max(1, bits // n))
+    x = rng.getrandbits(bits) if offset is None else max(0, r**n + offset)
+    with decimal.localcontext(EXACT):
+        r = _iroot_floor(number(x), n)
+        assert r**n <= x < (r + 1) ** n
+    assert type(r) is type(number(x))
+
+
 @pytest.mark.parametrize("number", [int, to_decimal])
 @pytest.mark.parametrize("n", [2, 3])
 def test_iroot_floor_of_a_200000_bit_value_starts_near_the_root(n, number):
     # from a start far above the root, Newton's linear phase shrinks the iterate by
-    # about (n-1)/n per step, for minutes at this size; from within a factor b of the
-    # root (radix.magnitude) it takes a few steps
+    # about (n-1)/n per step, for minutes at this size; from the root of the top
+    # digits it takes one or two steps at each doubling of the precision
     x = number(random.Random(n).getrandbits(200_000) | 1 << 199_999)
 
     def expire(signum, frame):
@@ -418,8 +430,23 @@ def test_head_exceeds_decides_signed_heads_and_denominators_over_the_reals():
     lambda: QuasiPeriodicSpec(2, ((1.9, "2", True),), (const_rule(1), const_rule(0))),
     lambda: build_quasiperiodic(QuasiPeriodicSpec(2, (), (const_rule(1), lambda n: 0.0)), 3),
     lambda: bound_checks(PartialQuotients.from_lists([1, 2], [1, 0]), box=(1.5, "1")),
+    lambda: LiouvilleSpec(2.0, 1, 3, (const_rule(0),)),
+    lambda: construct_liouville(LiouvilleSpec(2, 1, 2.5, (const_rule(0),))),
+    lambda: build_quasiperiodic(QuasiPeriodicSpec(2, (), (const_rule(1), const_rule(0))), 3.5),
 ], ids=["const_rule", "cycle_rule", "seq_rule", "liouville_head", "liouville_tail_rule",
-        "schedule", "base_rule", "bound_checks_box"])
+        "schedule", "base_rule", "bound_checks_box", "liouville_m", "liouville_depth",
+        "quasiperiodic_depth"])
 def test_library_integer_inputs_are_never_truncated(build):
     with pytest.raises(InputError, match=r"^entry \d+ of .+ must be an integer, got (float|bool|str)$"):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: QuasiPeriodicSpec(2, ((1, 2),), (const_rule(1), const_rule(0))),
+     "schedule window 0 needs 3 entries, got 2"),
+    (lambda: bound_checks(PartialQuotients.from_lists([1, 2], [1, 0]), box=(1,)),
+     "box needs 2 entries, got 1"),
+], ids=["schedule_window", "bound_checks_box"])
+def test_library_integer_tuples_of_the_wrong_length_are_input_errors(build, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         build()
