@@ -222,9 +222,10 @@ def _certified_small_residual(poly, iv: RationalInterval) -> bool:
     return -_RESIDUAL_WIDTH < image.lo and image.hi < _RESIDUAL_WIDTH
 
 
-def _root_fields(name: str, poly: tuple[int, ...]) -> list[NumberField]:
-    """A NumberField on each real root of a recovered cubic, in increasing order; a
-    rational root raises DegenerateCubic naming the smallest.  A repeated root makes
+def _root_fields(poly: tuple[int, ...]) -> list[NumberField]:
+    """A NumberField on each real root of the alpha cubic, in increasing order; a rational
+    root raises DegenerateCubic naming the smallest, so each field returned is Q(alpha), a
+    cubic field (a cubic without a rational root is irreducible).  A repeated root makes
     every root rational (gcd(p, p') is rational); the modulus must be squarefree, so it is
     then the squarefree part times x^2 + 1, which has the same real roots."""
     sqf = pol.poly_divmod(poly, pol.poly_gcd(poly, pol.derivative(poly)))[0]
@@ -232,12 +233,13 @@ def _root_fields(name: str, poly: tuple[int, ...]) -> list[NumberField]:
     fields = [NumberField(modulus, iv) for iv in pol.isolate_real_roots(poly)]
     for fld in fields:
         if fld.exact_root() is not None:
-            raise DegenerateCubic(
-                f"recovered {name} cubic has rational root {frac_to_str(fld.exact_root())}; "
-                "input is outside the cubic-irrational regime",
-                residual=poly,
-            )
+            raise _degenerate("alpha", fld.exact_root(), poly)
     return fields
+
+
+def _degenerate(name: str, root: Fraction, poly: tuple[int, ...]) -> DegenerateCubic:
+    return DegenerateCubic(f"recovered {name} cubic has rational root {frac_to_str(root)}; "
+                           "input is outside the cubic-irrational regime", residual=poly)
 
 
 def _partner(fld: NumberField, x: XMatrix, poly_b, target: PartialQuotients) -> FieldElement | None:
@@ -245,14 +247,10 @@ def _partner(fld: NumberField, x: XMatrix, poly_b, target: PartialQuotients) -> 
     Each way to fail repeats at a longer target: a zero denominator, a nonzero residual
     of the beta cubic, NonTerminating in the expansion, or a quotient mismatch."""
     theta = fld.gen()
-    den = fld.element([x[1, 2]]) - fld.element([x[3, 2]]) * theta
+    den = x[1, 2] - x[3, 2] * theta
     if den.is_zero():
         return None
-    beta = (
-        fld.element([x[3, 1]]) * theta * theta
-        + fld.element([x[3, 3] - x[1, 1]]) * theta
-        - fld.element([x[1, 3]])
-    ) / den
+    beta = (x[3, 1] * theta * theta + (x[3, 3] - x[1, 1]) * theta - x[1, 3]) / den
     if not pol.poly_eval(poly_b, beta).is_zero():
         return None
     probe = target.rect_len
@@ -278,8 +276,7 @@ def solve_periodic(spec: PeriodicSpec) -> CubicCertificate:
     x, c_top = x_matrix(spec)
     poly_a = pol.primitive_part(tuple(reversed(cubic_coeffs(x, "alpha"))))
     poly_b = pol.primitive_part(tuple(reversed(cubic_coeffs(x, "beta"))))
-    fields = _root_fields("alpha", poly_a)
-    _root_fields("beta", poly_b)
+    fields = _root_fields(poly_a)
 
     a0, b0 = (spec.pre_a + spec.per_a)[0], (spec.pre_b + spec.per_b)[0]
     if (a0, b0) == (0, 0):
@@ -298,11 +295,12 @@ def solve_periodic(spec: PeriodicSpec) -> CubicCertificate:
             break
         if not matched:
             raise RootSelectionAmbiguous("no real root of the recovered cubic reproduces the expansion")
-        # survivors only, in fresh fields, so no enclosure depends on an earlier probe
-        fields = [NumberField(poly_a, fld._initial) for fld, _ in matched]
+        fields = [fld for fld, _ in matched]
     else:
         raise RootSelectionAmbiguous(f"{len(matched)} roots still reproduce the prefix after deepening")
     fld, beta_el = matched[0]
+    if beta_el.is_rational():  # beta in the cubic field Q(alpha) is rational or cubic
+        raise _degenerate("beta", beta_el.coords[0], poly_b)
 
     def alpha_residual(level):
         alpha_iv = fld.root_interval()

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 from . import exact_reals  # through the module, so decoding a pq executes no field code
 from .errors import InputError, NonTerminating
 from .intervals import RationalInterval
-from .radix import int_to_str, str_to_decimal, str_to_frac, str_to_int, to_decimal
+from .radix import int_to_str, quote, str_to_decimal, str_to_frac, str_to_int, to_decimal
 from .recurrence import PartialQuotients, QuotientRows
 
 if TYPE_CHECKING:  # report types: only annotations name them, so encoding loads no checker
@@ -49,6 +49,11 @@ class JSONFloat(float):
         return number
 
 
+def _kind(v) -> str:
+    """An unexpected value as an error names it: a JSON number as written, else its type."""
+    return f"the number {quote(v.text)}" if isinstance(v, JSONFloat) else type(v).__name__
+
+
 def parse_int(v) -> int:
     if isinstance(v, bool):
         raise InputError("expected an integer, got a boolean")
@@ -56,7 +61,7 @@ def parse_int(v) -> int:
         return v
     if isinstance(v, str):
         return str_to_int(v)
-    raise InputError(f"expected an integer (number or decimal string), got {type(v).__name__}")
+    raise InputError(f"expected an integer (number or decimal string), got {_kind(v)}")
 
 
 def parse_decimal(v) -> decimal.Decimal:
@@ -65,11 +70,11 @@ def parse_decimal(v) -> decimal.Decimal:
 
 
 def parse_frac(v) -> Fraction:
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
         return str_to_frac(v)
-    raise InputError(f"expected a rational 'p/q' string, got {type(v).__name__}")
+    raise InputError(f"expected a rational 'p/q' string, got {_kind(v)}")
 
 
 def _field(obj: dict, key: str):
@@ -108,7 +113,7 @@ def real_from_json(obj) -> exact_reals.RealValue:
         return exact_reals.AlgebraicValue(field.element(coords))
     if kind == "decimal":
         digits = _field(obj, "digits")
-        if not isinstance(digits, (str, int, float)):
+        if not isinstance(digits, (str, int, float)) or isinstance(digits, bool):
             raise InputError(f"decimal digits must be a string, got {type(digits).__name__}")
         if isinstance(digits, JSONFloat):
             digits = digits.text  # the digits as written, not the float's repr
@@ -141,9 +146,7 @@ def real_to_json(rv: exact_reals.RealValue) -> dict:
 
 
 def reals_from_file_payload(obj) -> list[exact_reals.RealValue]:
-    """Accept a bare real-value object, a list of them, or {'inputs': [...]}."""
-    if isinstance(obj, dict) and "inputs" in obj:
-        obj = obj["inputs"]
+    """Accept a bare real-value object or a list of them."""
     if isinstance(obj, dict):
         return [real_from_json(obj)]
     if isinstance(obj, list):
@@ -302,8 +305,6 @@ def schedule_from_json(obj) -> tuple[tuple[int, int, int], ...]:
         raise InputError("schedule file must hold a list under 'schedule'")
     out = []
     for k, entry in enumerate(obj):
-        if isinstance(entry, dict):
-            entry = [_field(entry, key) for key in ("n", "r", "lam")]
         if not isinstance(entry, list) or len(entry) != 3:
             raise InputError(f"schedule entry {k} must be [n, r, lambda]")
         out.append(tuple(parse_int(v) for v in entry))

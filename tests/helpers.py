@@ -85,6 +85,19 @@ def random_periodic_spec(rng: random.Random, k_max: int = 3, h_max: int = 4,
     raise AssertionError("rejection sampling failed to find an admissible spec")
 
 
+def long_periodic_spec(rng: random.Random, k_min: int, k_max: int, h_max: int = 3,
+                       max_q: int = 3) -> PeriodicSpec:
+    """Random admissible spec with a pre-period of k_min..k_max entries, drawn admissible by
+    random_admissible_m2; only the period block is rejection-sampled (junction and wrap)."""
+    pre = random_admissible_m2(rng, rng.randint(k_min, k_max), max_q)
+    for _ in range(10_000):
+        per = random_admissible_m2(rng, rng.randint(1, h_max) + 1, max_q).seqs
+        spec = PeriodicSpec(*pre.seqs, per[0][1:], per[1][1:])
+        if check_admissible(unroll(spec, spec.k + 2 * spec.h + 2)).ok:
+            return spec
+    raise AssertionError("rejection sampling failed to find an admissible period")
+
+
 def first_step(values):
     """expand's first step on an exact pair, in the shape of references.reference_step:
     ((a, b, alpha', beta'), interruptions) from expand(values, 2, keep_trace=True).

@@ -19,7 +19,7 @@ from mpmath import mp
 from helpers import int_digit_cap
 from references import convergents_stdout
 
-from mcf import InputError, LiouvilleSpec, const_rule, construct_liouville, verify_liouville
+from mcf import InputError, LiouvilleSpec, const_rule, construct_liouville, expand, verify_liouville
 from mcf import cli
 from mcf import serialization as ser
 from mcf.cli import build_parser, run
@@ -124,6 +124,24 @@ def test_expand_trace_output(files):
     assert [t["kind"] for t in doc["trace"]] == ["interval", "interval"]
 
 
+def test_expand_trace_encloses_the_algebraic_complete_quotients(files):
+    # (theta, theta^2), theta = 2^(1/3): no interruption, so every line carries a trace
+    pair = [{"kind": "algebraic", "minpoly": ["-2", "0", "0", "1"], "lo": "1/1", "hi": "2/1",
+             "coords": coords} for coords in (["0/1", "1/1", "0/1"], ["0/1", "0/1", "1/1"])]
+    argv = ["expand", "--input", files("alg.json", pair), "--steps", "6", "--trace"]
+    code, out, _ = invoke(argv)
+    assert code == 0 and invoke(argv)[1] == out
+    exact = expand(ser.reals_from_file_payload(pair), 6, keep_trace=True).trace
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == len(exact) == 6
+    for line, values in zip(lines, exact):
+        assert len(line["trace"]) == len(values) == 2
+        for shown, value in zip(line["trace"], values):
+            lo, hi = Fraction(shown["lo"]), Fraction(shown["hi"])
+            assert shown["kind"] == "interval" and hi - lo <= Fraction(1, 10**30)
+            assert (value.element - lo).sign() >= 0 and (hi - value.element).sign() >= 0
+
+
 def test_expand_decimal_budget_exhaustion(files):
     path = files("dec.json", [{"kind": "decimal", "digits": "1.41"},
                               {"kind": "decimal", "digits": "1.25"}])
@@ -170,6 +188,13 @@ def test_periodic_solve_human():
     assert code == 0
     assert "'-1', '-1', '-1', '1'" in out
     assert "alpha ~ 1.8392867" in out
+
+
+def test_periodic_solve_human_with_a_negative_index_0_quotient():
+    code, out, _ = invoke(["periodic", "solve", "--pre-a", "-1", "--pre-b", "0",
+                           "--per-a", "2", "--per-b", "1"])
+    assert code == 0
+    assert "height bound: not applicable\n" in out
 
 
 def test_verify_admissible_exit_codes(files):
@@ -293,6 +318,7 @@ def _malformed_cases(files):
     base = files("base.json", {"m": 2, "seqs": [["1"] * 8, ["0"] * 8]})
     sched = files("sched.json", {"schedule": [[1, 1, 2]]})
     main1 = ["verify", "main1", "--base", base, "--d", "2", "--depth", "5"]
+    not_int = "expected an integer (number or decimal string), got the number"
     return {
         "missing field": (["expand", "--input", files("r.json", {"kind": "rational", "num": "1"}),
                            "--steps", "2"], "missing field 'den'"),
@@ -308,11 +334,34 @@ def _malformed_cases(files):
                    "malformed integer 'x'"),
         "delta": (["verify", "liouville", "--pq", base, "--delta", "x"], "malformed rational 'x'"),
         "c": (main1 + ["--c", "1/0", "--schedule", sched], "malformed rational '1/0'"),
+        # JSON true is not the rational 1, though Python's bool is an int
+        "boolean rational": (["expand", "--steps", "2", "--input", files("t.json", {
+            "kind": "algebraic", "minpoly": ["-2", "0", "1"], "lo": True, "hi": "2"})],
+                             "expected a rational 'p/q' string, got bool"),
+        "boolean digits": (["expand", "--steps", "2", "--input", files(
+            "d.json", {"kind": "decimal", "digits": True})], "decimal digits must be a string, got bool"),
+        # a JSON number with a fraction part or exponent is named as written
+        "fractional quotient": (["verify", "admissible", "--pq", files(
+            "f.json", {"seqs": [["1", 1.5], ["0", "0"]]})], f"{not_int} '1.5'"),
+        "fractional m": (["verify", "admissible", "--pq", files(
+            "fm.json", {"m": 2.0, "seqs": [["1"], ["0"]]})], f"{not_int} '2.0'"),
+        "exponent in a schedule": (main1 + ["--c", "2", "--schedule", files(
+            "e.json", {"schedule": [[1, 1, 1e20]]})], f"{not_int} '1e+20'"),
+        # shapes no format documents
+        "inputs wrapper": (["expand", "--steps", "2", "--input", files(
+            "w.json", {"inputs": [{"kind": "rational", "num": "1", "den": "2"}]})],
+                           "real value must be an object with a 'kind' field"),
+        "schedule entry object": (main1 + ["--c", "2", "--schedule", files(
+            "o.json", {"schedule": [{"n": 1, "r": 1, "lam": 2}]})],
+                                  "schedule entry 0 must be [n, r, lambda]"),
     }
 
 
 @pytest.mark.parametrize("case", ["missing field", "sequence not a list", "minpoly not a list",
-                                  "short schedule entry", "b-rule", "delta", "c"])
+                                  "short schedule entry", "b-rule", "delta", "c",
+                                  "boolean rational", "boolean digits", "fractional quotient",
+                                  "fractional m", "exponent in a schedule", "inputs wrapper",
+                                  "schedule entry object"])
 def test_malformed_fields_and_flags_exit_2(files, case):
     argv, message = _malformed_cases(files)[case]
     code, out, err = invoke(argv)

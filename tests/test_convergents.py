@@ -359,6 +359,20 @@ def test_certified_powers_read_the_budget_once_per_chain(monkeypatch):
     assert len(reads) == len(chains)
 
 
+def test_certified_powers_tighten_to_the_default_report(monkeypatch):
+    # C_n = psi^(n-2) times a constant near 1: 2 starting bits decide no comparison for long.
+    # The constants are psi^1 and eta^1 at the starting precision, so they only enclose
+    pq = PartialQuotients.from_lists([0] + [1] * 30, [0] * 31)
+    default = growth_check(pq, M=1)
+    tightened, tighten = [], CertifiedPowers.tighten
+    monkeypatch.setattr(convergents, "_POWER_BITS", 2)
+    monkeypatch.setattr(CertifiedPowers, "tighten", lambda self: tightened.append(1) or tighten(self))
+    report = growth_check(pq, M=1)
+    assert tightened and (report.ok, report.items) == (default.ok, default.items)
+    for name, iv in report.constants.items():
+        assert iv.lo <= default.constants[name].lo and default.constants[name].hi <= iv.hi
+
+
 def test_growth_check_psi_boundary():
     pq = PartialQuotients.from_lists([0] + [1] * 30, [0] + [0] * 30)
     report = growth_check(pq)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import pq_prefix_equal, random_periodic_spec
+from helpers import long_periodic_spec, pq_prefix_equal, random_periodic_spec
 from references import _eliminate, same_field_check, x_matrix_by_inverse
 
 from mcf import (
@@ -146,14 +146,23 @@ def test_round_trip_reexpansion():
         assert pq_prefix_equal(rec.pq, unroll(spec, steps), steps - 1)
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.randoms(use_true_random=False), st.booleans())
-def test_periodic_spec_round_trip(rng, zero_head):
-    spec = random_periodic_spec(rng, zero_head=zero_head)
+def assert_round_trip(spec):
     cert = solve_periodic(spec)
     steps = 3 * (spec.k + spec.h)
     rec = expand([cert.alpha, cert.beta], steps)
     assert rec.pq.seqs == unroll(spec, steps).seqs
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_periodic_spec_round_trip(rng, zero_head):
+    assert_round_trip(random_periodic_spec(rng, zero_head=zero_head))
+
+
+@settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.randoms(use_true_random=False))
+def test_long_pre_period_round_trip(rng):
+    assert_round_trip(long_periodic_spec(rng, 200, 400))
 
 
 def test_height_bound_zero_head():
@@ -219,7 +228,7 @@ def test_x_matrix_takes_integers_only(entry, kind):
 SEPTIC = PeriodicSpec((), (), (1, 3), (0, 0))
 
 
-@pytest.mark.parametrize("target", ["alpha", "beta"])
+@pytest.mark.parametrize("target", ["alpha"])  # beta: test_a_rational_beta_is_degenerate
 @pytest.mark.parametrize("coeffs, root", [
     ((1, -1, -2, 2), "1"),     # (x - 1)(x^2 - 2)
     ((1, -7, 15, -9), "1"),    # (x - 3)^2 (x - 1), not squarefree
@@ -238,11 +247,33 @@ def test_a_rational_root_of_a_recovered_cubic_is_degenerate(monkeypatch, target,
     assert err.value.residual == tuple(reversed(coeffs))
 
 
+def test_a_rational_beta_is_degenerate(monkeypatch):
+    # Q(alpha) is a cubic field, so the beta cubic has a rational root exactly when the
+    # selected beta is rational; the closed forms give no such spec, so _partner is patched
+    spec = PeriodicSpec((), (), (2,), (1,))
+    poly_beta = solve_periodic(spec).poly_beta
+    monkeypatch.setattr(periodic, "_partner", lambda fld, *_: fld.element([Fraction(-3, 2)]))
+    with pytest.raises(DegenerateCubic) as err:
+        solve_periodic(spec)
+    assert str(err.value) == ("recovered beta cubic has rational root -3/2; "
+                              "input is outside the cubic-irrational regime")
+    assert err.value.residual == poly_beta
+
+
 def test_solve_periodic_isolates_each_cubic_once(monkeypatch):
+    # only the alpha cubic: beta's degeneracy is decided in Q(alpha)
     calls, isolate = [], pol.isolate_real_roots
     monkeypatch.setattr(pol, "isolate_real_roots", lambda p: calls.append(p) or isolate(p))
     cert = solve_periodic(SEPTIC)
-    assert calls == [cert.poly_alpha, cert.poly_beta]
+    assert calls == [cert.poly_alpha]
+
+
+@pytest.mark.parametrize("pre_a, pre_b", [((-1,), (0,)), ((0,), (-1,)), ((-3,), (5,))])
+def test_a_negative_index_0_quotient_makes_the_bound_inapplicable(pre_a, pre_b):
+    spec = PeriodicSpec(pre_a, pre_b, (2,), (1,))
+    cert = solve_periodic(spec)
+    assert (cert.bound, cert.bound_applicable) == (None, False)
+    assert expand([cert.alpha, cert.beta], 12).pq.seqs == unroll(spec, 12).seqs
 
 
 def scripted_expand(monkeypatch, script):

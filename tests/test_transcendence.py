@@ -306,6 +306,15 @@ def test_main2_check_threshold():
     assert report3.verdict == "violated-at(0)"
 
 
+def test_main2_check_names_the_first_window_longer_than_r_bound():
+    spec = QuasiPeriodicSpec(m=2, schedule=((2, 1, 5), (10, 3, 2), (40, 4, 3)),
+                             base_rules=(const_rule(1), const_rule(0)))
+    report = main2_check(spec, M=1, r_bound=2, variant="statement", depth=60)
+    window = report.hypotheses[1]
+    assert (window.name, window.ok, window.first_violation) == ("window-length-bounded", False, 1)
+    assert not report.ok
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 1 << 4096), st.one_of(st.integers(1, 6), st.integers(4000, 17000)),
        st.sampled_from([int, to_decimal]))
