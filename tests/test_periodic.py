@@ -228,7 +228,7 @@ def test_x_matrix_takes_integers_only(entry, kind):
 SEPTIC = PeriodicSpec((), (), (1, 3), (0, 0))
 
 
-@pytest.mark.parametrize("target", ["alpha"])  # beta: test_a_rational_beta_is_degenerate
+@pytest.mark.parametrize("target", ["alpha", "beta"])
 @pytest.mark.parametrize("coeffs, root", [
     ((1, -1, -2, 2), "1"),     # (x - 1)(x^2 - 2)
     ((1, -7, 15, -9), "1"),    # (x - 3)^2 (x - 1), not squarefree
@@ -240,24 +240,16 @@ def test_a_rational_root_of_a_recovered_cubic_is_degenerate(monkeypatch, target,
     recover = periodic.cubic_coeffs
     monkeypatch.setattr(periodic, "cubic_coeffs",
                         lambda x, name: coeffs if name == target else recover(x, name))
+    if target == "beta":
+        # Q(alpha) is a cubic field, so the beta cubic has a rational root exactly when the
+        # selected beta is rational; the closed forms give no such spec, so _partner is
+        # patched to select the rational root
+        monkeypatch.setattr(periodic, "_partner", lambda fld, *_: fld.element([Fraction(root)]))
     with pytest.raises(DegenerateCubic) as err:
         solve_periodic(PeriodicSpec((), (), (2,), (1,)))
     assert str(err.value) == (f"recovered {target} cubic has rational root {root}; "
                               "input is outside the cubic-irrational regime")
     assert err.value.residual == tuple(reversed(coeffs))
-
-
-def test_a_rational_beta_is_degenerate(monkeypatch):
-    # Q(alpha) is a cubic field, so the beta cubic has a rational root exactly when the
-    # selected beta is rational; the closed forms give no such spec, so _partner is patched
-    spec = PeriodicSpec((), (), (2,), (1,))
-    poly_beta = solve_periodic(spec).poly_beta
-    monkeypatch.setattr(periodic, "_partner", lambda fld, *_: fld.element([Fraction(-3, 2)]))
-    with pytest.raises(DegenerateCubic) as err:
-        solve_periodic(spec)
-    assert str(err.value) == ("recovered beta cubic has rational root -3/2; "
-                              "input is outside the cubic-irrational regime")
-    assert err.value.residual == poly_beta
 
 
 def test_solve_periodic_isolates_each_cubic_once(monkeypatch):
