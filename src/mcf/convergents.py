@@ -21,7 +21,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import expand
 from .errors import (
     HypothesisViolated,
     InputError,
@@ -60,15 +59,15 @@ class ConvergentLimitOracle(SimplexOracle):
     columns); the simplices shrink monotonically.  Keyed by the pq.
 
     `cols` is the list of vertex vectors (C_n, A_n^(1), ..., A_n^(m)) for
-    n = 0..rect_len-1; pass it to share one walk of the recurrence between
-    the coordinates of one pq.
+    n = 0..rect_len-1, read off one walk of the recurrence (limit_values
+    shares it between the coordinates of one pq).
     """
 
-    def __init__(self, pq: PartialQuotients, coord: int, cols: list | None = None):
+    def __init__(self, pq: PartialQuotients, coord: int, cols: list[tuple[int, ...]]):
         if not 1 <= coord <= pq.m:
             raise InputError(f"coordinate must be in 1..{pq.m}")
         super().__init__(pq, coord)
-        self._cols = _vertex_vectors(pq) if cols is None else cols
+        self._cols = cols
         self._m = pq.m
 
     def vertices(self, level: int) -> list[tuple[int, ...]]:
@@ -81,13 +80,9 @@ class ConvergentLimitOracle(SimplexOracle):
         return self._cols[level:top + 1]
 
 
-def _vertex_vectors(pq: PartialQuotients) -> list[tuple[int, ...]]:
-    return [(col.C, *col.A) for col in conv_stream(pq)]
-
-
 def limit_values(pq: PartialQuotients) -> tuple[OracleValue, ...]:
     """Oracle-backed RealValues for the limit tuple of an admissible pq (one walk of the recurrence)."""
-    cols = _vertex_vectors(pq)
+    cols = [(col.C, *col.A) for col in conv_stream(pq)]
     return tuple(OracleValue(ConvergentLimitOracle(pq, i, cols)) for i in range(1, pq.m + 1))
 
 
@@ -241,6 +236,8 @@ def proximity_check(x, x_prime, n: int) -> ProximityReport:
     x_prime = list(x_prime)
     if n < 2:
         raise InputError("proximity bounds need a shared prefix through index n >= 2")
+    from .engine import expand  # here, so the checkers that never expand execute no engine
+
     rec = expand(x, n + 1)
     rec_p = expand(x_prime, n + 1)
     if rec.pq.m != 2 or rec_p.pq.m != 2:

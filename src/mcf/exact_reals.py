@@ -60,11 +60,15 @@ def certify(what: str, attempt: Callable[[int], object], levels: range | None = 
     Each attempt reads every enclosure its query needs at that level, so
     both sides of a comparison tighten together.  levels defaults to the
     budget counted from 0; running out raises NonTerminating naming `what`
-    and the levels tried.
+    and the levels tried.  An oracle that runs out in an attempt raises its
+    OracleExhausted again, prefixed with `what` and the level.
     """
     levels = budget_levels() if levels is None else levels
     for level in levels:
-        verdict = attempt(level)
+        try:
+            verdict = attempt(level)
+        except OracleExhausted as exc:
+            raise type(exc)(f"{what} at level {level}: {exc}") from exc
         if verdict is not None:
             return verdict
     raise NonTerminating(f"{what} not certified at levels {levels.start}..{levels.stop - 1}")
@@ -139,11 +143,8 @@ class NumberField:
                 return self._interval
             if self._interval.width <= max_width:
                 return self._interval
-            refined = pol.refine_root(self.min_poly, self._interval, max_width)
-            if refined.is_point:
-                self._exact_root = refined.lo
-            self._interval = refined
-            return refined
+            self._interval = pol.refine_root(self.min_poly, self._interval, max_width)
+            return self._interval
 
     def element(self, coords) -> "FieldElement":
         return FieldElement(self, coords)
@@ -250,9 +251,6 @@ class FieldElement:
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:

@@ -112,14 +112,14 @@ def _iroot_floor(x, n: int):
             return r - 1
 
 
-def _ceil_rational_power(base, expo: Fraction):
-    """ceil(base**expo) for base >= 1 and a positive rational exponent, exactly."""
+def _rational_root(base, p: int, q: int):
+    """(r, exact): r = floor(base^(p/q)) for base >= 1 and p, q >= 1, and whether
+    r = base^(p/q), exactly, in the type of base."""
     if base < 1:
         raise InputError("base must be >= 1")
-    p, q = expo.numerator, expo.denominator
     num = base**p
     r = _iroot_floor(num, q)
-    return r if r**q == num else r + 1
+    return r, r**q == num
 
 
 # The largest dimension of a Liouville construction: LagProducts holds m^3 lag
@@ -183,7 +183,8 @@ def liouville_rows(spec: LiouvilleSpec, number=int) -> QuotientRows:
             head = number(spec.head)
         else:
             t_max = max(abs(t) for t in lags.peek_lag1(tail).values())
-            threshold = t_max * _ceil_rational_power(state.window[0][0], spec.delta)
+            r, exact = _rational_root(state.window[0][0], *spec.delta.as_integer_ratio())
+            threshold = t_max * (r if exact else r + 1)
             head = max(threshold, max([0] + tail)) + 1
         a = (head, *tail)
         for j, v in enumerate(a):
@@ -201,10 +202,18 @@ def construct_liouville(spec: LiouvilleSpec) -> PartialQuotients:
 
 
 def _head_exceeds(a, t, C, p: int, q: int) -> bool:
-    """a > t * C^(p/q) over the reals, for t >= 0, cleared to a^q > t^q C^p: equivalent for
-    odd q, or when a and C are >= 0.  For even q a negative a fails, and so does a negative
-    C, whose C^(p/q) is not real."""
-    if q % 2 == 0 and (a < 0 or C < 0):
+    """a > t * C^(p/q) over the reals, for t >= 0.
+
+    For a >= 0 and C >= 1, r = floor(C^(p/q)) (_rational_root) gives
+    t r <= t C^(p/q) < t (r + 1), equal to t r when the root is exact, so q-th
+    powers are formed only for t r < a < t (r + 1).  They clear the rest to
+    a^q > t^q C^p: equivalent for odd q, or when a and C are >= 0.  For even q a
+    negative a fails, and so does a negative C, whose C^(p/q) is not real."""
+    if a >= 0 and C >= 1:
+        r, exact = _rational_root(C, p, q)
+        if exact or not t * r < a < t * (r + 1):
+            return a > t * r
+    elif q % 2 == 0 and (a < 0 or C < 0):
         return False
     return a**q > t**q * C**p
 

@@ -144,9 +144,11 @@ def x_matrix(spec: PeriodicSpec) -> tuple[XMatrix, int]:
 # ---------------------------------------------------------------------------
 
 
-def _explicit_coeffs(x: XMatrix, target: str) -> tuple[int, int, int, int]:
-    """The verified closed-form coefficient list of the beta cubic, cubic in the X
-    entries; the alpha cubic is the beta cubic of X with coordinates 1 and 2 swapped."""
+def cubic_coeffs(x: XMatrix, target: str) -> tuple[int, int, int, int]:
+    """Coefficients (A, B, C, D) of the integer cubic annihilating the target limit: closed
+    forms, cubic in the X entries, that eliminate the other variable from the two quadratic
+    relations of the fixed point (alpha's is beta's with coordinates 1 and 2 swapped).
+    Raises DegenerateCubic when A vanishes, with residual=(D, C, B), constant term first."""
     order = {"alpha": (2, 1, 3), "beta": (1, 2, 3)}.get(target)
     if order is None:
         raise InputError("target must be 'alpha' or 'beta'")
@@ -163,24 +165,12 @@ def _explicit_coeffs(x: XMatrix, target: str) -> tuple[int, int, int, int]:
         + 2 * x22 * x23 * x31 - x23 * x31 * x33
     )
     d = x11 * x21 * x23 - x13 * x21**2 - x21 * x23 * x33 + x23**2 * x31
-    return (a, b, c, d)
-
-
-def cubic_coeffs(x: XMatrix, target: str) -> tuple[int, int, int, int]:
-    """Coefficients (A, B, C, D) of the integer cubic annihilating the target limit.
-
-    Evaluated from the explicit closed forms, which eliminate the other
-    variable from the two quadratic relations of the fixed point.  Raises
-    DegenerateCubic when the leading coefficient vanishes (the residual
-    lower-degree polynomial rides along in the exception).
-    """
-    coeffs = _explicit_coeffs(x, target)
-    if coeffs[0] == 0:
+    if a == 0:
         raise DegenerateCubic(
             f"leading coefficient vanishes for {target}; residual polynomial attached",
-            residual=tuple(reversed(coeffs[1:])),
+            residual=(d, c, b),
         )
-    return coeffs
+    return (a, b, c, d)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,20 @@ def test_expand_decimal_budget_exhaustion(files):
     assert "decimal" in err or "budget" in err
 
 
+def test_an_exhausted_oracle_names_its_certified_query(files):
+    from mcf import OracleExhausted
+    from mcf.exact_reals import DecimalOracle
+
+    path = files("dec.json", [{"kind": "decimal", "digits": "1.41"},
+                              {"kind": "decimal", "digits": "1.25"}])
+    code, out, err = invoke(["expand", "--input", path, "--steps", "30"])
+    exhausted = "decimal literal '1.41' has no precision beyond 10^-2 (supply more digits or an exact kind)"
+    assert (code, out, err) == (3, "", f"error: floor of x_1^(1) at level 1: {exhausted}\n")
+    with pytest.raises(OracleExhausted) as exc:  # outside a certified query: the oracle's own words
+        DecimalOracle("1.41").enclosure(1)
+    assert str(exc.value) == exhausted
+
+
 def test_decimal_digits_written_as_a_json_number_are_read_as_written(files, tmp_path):
     written = "1.8836075983867565088995"  # the float nearest to it prints as 1.8836075983867564
     number = str(tmp_path / "number.json")
@@ -161,17 +175,35 @@ def test_decimal_digits_written_as_a_json_number_are_read_as_written(files, tmp_
         ["expand", "--input", text, "--steps", "40"])
 
 
-def test_construct_liouville_with_a_tiny_delta_finishes():
-    # ceil(C^(1/10^9)) needs the 10^9-th root of C, which is 1: no 10^9-digit power is formed
+TINY_DELTA = ["--delta", "1/1000000000"]
+
+
+def run_cli_process(argv) -> subprocess.CompletedProcess:
+    """`python -m mcf.cli argv` in a fresh interpreter, killed after 10 s."""
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = ["construct", "liouville", "--m", "2", "--delta", "1/1000000000", "--b-rule", "const:0",
-            "--depth", "12"]
-    out = subprocess.run([sys.executable, "-m", "mcf.cli", *argv], env=env, capture_output=True,
-                         text=True, timeout=10)
+    return subprocess.run([sys.executable, "-m", "mcf.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=10)
+
+
+def test_construct_liouville_with_a_tiny_delta_finishes():
+    # ceil(C^(1/10^9)) needs the 10^9-th root of C, which is 1: no 10^9-digit power is formed
+    out = run_cli_process(["construct", "liouville", "--m", "2", *TINY_DELTA, "--b-rule", "const:0",
+                           "--depth", "12"])
     assert out.returncode == 0, out.stderr
     pq = pq_from_json(json.loads(out.stdout))
     assert len(pq.seqs[0]) == 13 and pq.seqs[1] == (0,) * 13
+
+
+def test_verify_liouville_with_a_tiny_delta_finishes(tmp_path):
+    # each head is above t_n (floor(C^(1/10^9)) + 1) = 2 t_n, so no a^(10^9) is formed
+    path = tmp_path / "tiny.json"
+    built = run_cli_process(["construct", "liouville", "--m", "2", *TINY_DELTA, "--b-rule", "const:0",
+                             "--depth", "12"])
+    path.write_text(built.stdout)
+    out = run_cli_process(["verify", "liouville", "--pq", str(path), *TINY_DELTA])
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["verdict"] == "hypotheses-hold-to-depth"
 
 
 def test_periodic_solve_json():

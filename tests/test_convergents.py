@@ -51,7 +51,8 @@ from mcf.convergents import (
 )
 from mcf.errors import MCFError, NonTerminating
 from mcf.liouville import seq_rule
-from mcf.recurrence import Column, ConvergentState, LagProducts, PartialQuotients, conv_stream, lag_stream
+from mcf.recurrence import (Column, ConvergentState, LagProducts, PartialQuotients, check_admissible,
+                            conv_stream, lag_stream)
 from mcf.serialization import pq_from_json
 from mcf.transcendence import QuasiPeriodicSpec, main1_check
 
@@ -216,7 +217,8 @@ def test_constant_quotients_denominator_growth_rate():
 def test_limit_oracle_contains_algebraic_value():
     alpha, beta = cbrt2_pair()
     rec = expand([alpha, beta], 14)
-    oracles = [ConvergentLimitOracle(rec.pq, 1), ConvergentLimitOracle(rec.pq, 2)]
+    cols = [(col.C, *col.A) for col in conv_stream(rec.pq)]
+    oracles = [ConvergentLimitOracle(rec.pq, 1, cols), ConvergentLimitOracle(rec.pq, 2, cols)]
     tight_alpha = alpha.element.interval(Fraction(1, 10**12))
     tight_beta = beta.element.interval(Fraction(1, 10**12))
     prev = None
@@ -267,6 +269,17 @@ def test_bound_checks_box_shift():
         )
         report = bound_checks(shifted, box=(n_shift, m_shift))
         assert report.ok
+
+
+def test_bound_checks_find_a_tilde_quadratic_violation():
+    # an inadmissible pq (a seeded search) on which ac1_3 >= 3 C_2^2 with a_3 < C_2
+    pq = PartialQuotients.from_lists([0, 6, 4, 3, 4, 6, 0], [0, 30, 15, 25, 26, 11, 23])
+    cols, off = column_table(pq)
+    violated = [n for n in range(1, pq.rect_len) if pq.seqs[0][n] < cols[off + n - 1].C
+                and max(tildes(cols[off + n], cols[off + n - 1])) >= 3 * cols[off + n - 1].C ** 2]
+    quad = bound_checks(pq).items[1]
+    assert quad.name == "tilde-quadratic" and quad.first_violation == violated[0] == 3
+    assert not check_admissible(pq).ok
 
 
 def test_bound_checks_preconditions():
@@ -533,7 +546,7 @@ def test_limit_values_walk_the_recurrence_once(monkeypatch):
     monkeypatch.setattr(ConvergentState, "step", lambda self, q: steps.append(1) or step(self, q))
     xs = limit_values(pq)
     assert len(steps) == 100  # one row per index, not m = 3 rows
-    alone = ConvergentLimitOracle(pq, 2)
+    alone = ConvergentLimitOracle(pq, 2, [(col.C, *col.A) for col in conv_stream(pq)])
     assert len(steps) == 200
     for level in (0, 40, 96):
         assert xs[1].oracle.enclosure(level) == alone.enclosure(level)

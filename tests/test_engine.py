@@ -8,7 +8,7 @@ import pytest
 from helpers import first_step, random_admissible, random_admissible_m2
 from references import as_fraction, reference_step
 
-from mcf import AlgebraicValue, InputError, NumberField, RationalInterval, expand
+from mcf import AlgebraicValue, InputError, NonTerminating, NumberField, RationalInterval, expand
 from mcf.exact_reals import DecimalOracle, OracleValue, RationalValue
 from mcf.recurrence import PartialQuotients, check_admissible
 
@@ -113,6 +113,26 @@ def test_oracle_matches_exact_expansion():
         8,
     )
     assert exact.pq.seqs == dec.pq.seqs
+
+
+@pytest.mark.parametrize("rational_first", [False, True])
+def test_an_oracle_tuple_with_a_rational_coordinate_matches_the_exact_expansion(rational_first):
+    # the rational coordinate enters the rows exactly, the decimal as the basis; the floors
+    # agree through the exact run's first interruption, at n, whose integral trailing
+    # quotient the oracle run certifies as a floor; it cannot detect the interruption, so
+    # the next step divides by an enclosure of 0 and no further floor certifies
+    digits = "1.41421356237309504880168872420969807856967187537694807317667973799"
+    pair = [OracleValue(DecimalOracle(digits)), RationalValue(Fraction(5, 8))]
+    exact = [Fraction(digits), Fraction(5, 8)]
+    if rational_first:
+        pair.reverse()
+        exact.reverse()
+    ref = expand(exact, 12)
+    n = ref.interruptions[0].index
+    assert n >= 6
+    assert expand(pair, n + 1).pq.seqs == tuple(seq[:n + 1] for seq in ref.pq.seqs)
+    with pytest.raises(NonTerminating):
+        expand(pair, n + 2)
 
 
 def test_oracle_matches_exact_expansion_m3():

@@ -113,6 +113,25 @@ def test_light_commands_execute_only_the_recurrence_layers(name):
     assert run_command(argv) == {"executed": layers(*modules), "mpmath": False}
 
 
+CHECKERS = {
+    **{name: WITH_LOGS[name] for name in ("verify growth --d", "verify main1", "verify main2")},
+    **{name: WITHOUT_LOGS[name] for name in ("verify bounds", "verify growth --M")},
+    "construct quasiperiodic": ["construct", "quasiperiodic", *SCHEDULE, "--depth", "30"],
+}
+
+
+@pytest.mark.parametrize("name", CHECKERS)
+def test_the_convergent_checkers_execute_no_engine(name):
+    # only proximity_check expands, and it imports the engine in its own body
+    report = run_command(CHECKERS[name])
+    assert "mcf.convergents" in report["executed"] and "mcf.engine" not in report["executed"]
+
+
+def test_periodic_solve_executes_the_engine():
+    # it re-expands each candidate root pair; expand's own test pins its layers
+    assert "mcf.engine" in run_command(WITHOUT_LOGS["periodic solve"])["executed"]
+
+
 @pytest.mark.parametrize("name", WITHOUT_LOGS)
 def test_commands_without_a_logarithm_leave_mpmath_unimported(name):
     assert not run_command(WITHOUT_LOGS[name])["mpmath"]

@@ -19,17 +19,21 @@ from references import (column_table, exceeds_rational_power, liouville_first_vi
 
 from mcf import (
     AdmissibilityError,
+    AlgebraicValue,
     InputError,
     LiouvilleSpec,
+    NumberField,
+    RationalInterval,
     ScheduleOverlap,
     const_rule,
     construct_liouville,
+    expand,
     verify_liouville,
 )
 from mcf.convergents import approx_witnesses, bound_checks, k_interval, limit_values, loglog_interval
 from mcf.liouville import _head_exceeds, _iroot_floor, cycle_rule, seq_rule as mcf_seq_rule
 from mcf.radix import EXACT, int_to_str, to_decimal
-from mcf.recurrence import PartialQuotients, check_admissible
+from mcf.recurrence import PartialQuotients, check_admissible, conv_stream
 from mcf.transcendence import (
     QuasiPeriodicSpec,
     _log_ratio_string,
@@ -91,6 +95,51 @@ def test_roth_scan_liouville_contains_witnesses():
     hits = roth_scan(xs, pq, Fraction(1, 2), 10, coords=[1])
     assert set(wit) <= set(hits)
     assert len(wit) >= 4
+
+
+def roth_hits_by_brackets(brackets, pq, epsilon, upto, coords):
+    """Indices n <= upto with |x_i - A_n^(i)/C_n|^q < 1/C_n^(2q+p) for each 1-based i in
+    coords, each decided in Fractions on the brackets [lo, hi] = brackets(bits)[i - 1] of x,
+    refined until the inequality separates (the values here never tie)."""
+    p, q = epsilon.numerator, epsilon.denominator
+    hits = []
+    for col in conv_stream(pq, upto):
+        bound = Fraction(1, col.C ** (2 * q + p))
+
+        def holds(i):
+            center = Fraction(col.A[i - 1], col.C)
+            for bits in itertools.count(64, 64):
+                lo, hi = (v - center for v in brackets(bits)[i - 1])
+                near = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+                if max(abs(lo), abs(hi)) ** q < bound:
+                    return True
+                if near**q >= bound:
+                    return False
+
+        if all(holds(i) for i in coords):
+            hits.append(col.n)
+    return hits
+
+
+def test_roth_scan_decides_an_even_root_as_the_exact_inequality():
+    # epsilon = 1/2 clears to |x - A_n/C_n|^2 < 1/C_n^5: abs_diff_pow_lt's even-q branch on
+    # (2^(1/3), 2^(2/3)), bracketed apart by integer cube roots, and its rational branch on
+    # the convergent of index 12, a rational pair the scan meets again at n = 12
+    theta = NumberField([-2, 0, 0, 1], RationalInterval(1, 2)).gen()
+    pair = [AlgebraicValue(theta), AlgebraicValue(theta * theta)]
+    pq = expand(pair, 42).pq
+
+    def cube_roots(bits):
+        return [(Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits))
+                for r in (_iroot_floor(k << 3 * bits, 3) for k in (2, 4))]
+
+    col = list(conv_stream(pq, 12))[-1]
+    rational = [Fraction(col.A[0], col.C), Fraction(col.A[1], col.C)]
+    for x, brackets in ((pair, cube_roots), (rational, lambda bits: [(v, v) for v in rational])):
+        for coords in ([1, 2], [1], [2]):
+            hits = roth_scan(x, pq, Fraction(1, 2), 40, coords=coords)
+            assert hits == roth_hits_by_brackets(brackets, pq, Fraction(1, 2), 40, coords)
+            assert 0 < len(hits) < 41 and (12 in hits) == (x is rational)
 
 
 def test_roth_scan_epsilon_validation():
@@ -169,6 +218,10 @@ def test_schedule_validation():
         QuasiPeriodicSpec(
             m=2, schedule=((0, 2, 3),), base_rules=(const_rule(2), const_rule(1))
         )
+    for starts in ((5, 5), (5, 3)):
+        with pytest.raises(ScheduleOverlap, match="^schedule starts must be strictly increasing$"):
+            QuasiPeriodicSpec(m=2, schedule=tuple((n, 1, 1) for n in starts),
+                              base_rules=(const_rule(2), const_rule(1)))
 
 
 def test_build_quasiperiodic_idempotent():
@@ -428,6 +481,12 @@ def test_head_exceeds_decides_signed_heads_and_denominators_over_the_reals():
         for p in (p for p in range(1, 5) if math.gcd(p, q) == 1):
             for a, t, C in itertools.product(range(-9, 10), range(4), range(-9, 10)):
                 assert _head_exceeds(a, t, C, p, q) == exceeds_rational_power(a, t, C, Fraction(p, q))
+    # q = 10^9: C^(1/q) is 1 at C = 1 and in (1, 2) for 2 <= C < 2^q, so every case with
+    # C >= 1 but t < a < 2t is decided without a q-th power (an even q fails a negative a or C)
+    for a, t, C in itertools.product(range(-9, 10), range(4), [-5, 1, 2, 9, 1 << 4096]):
+        if C >= 2 and t < a < 2 * t:
+            continue
+        assert _head_exceeds(a, t, C, 1, 10**9) == (C >= 1 and a > t)
 
 
 @pytest.mark.parametrize("build", [
