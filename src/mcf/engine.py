@@ -18,12 +18,18 @@ arithmetic, with no field inverse:
     row_1' = row_0,   row_i' = row_{i-1} - a_{i-1} row_0,   row_0' = row_m - a_m row_0.
 
 Certification: a floor k is accepted only when the whole enclosure of
-L_j / L_0 lies in [k, k+1): read by integer division off a fixed-point box of
-the basis for exact inputs, and off the ratio's values at the vertices of the
-enclosing simplex (SimplexOracle) or box for oracles; otherwise the precision
-rises one level (the oracle level, or root refinement to 2^-(64 * 2^level) in
-the field's shared cache).  Each floor starts at the level that certified the
-previous one; MCF_PRECISION_BUDGET counts the levels tried from there.  For
+L_j / L_0 lies in [k, k+1): read off the ratio's values at the vertices of
+the enclosing simplex (SimplexOracle) or box for oracles, and by integer
+division off enclosures [lo, hi] / 2^P of the forms for exact inputs.  The
+forms follow the rows' recurrence, L_0' = L_m - a_m L_0 and so on, so each
+row's enclosure at the level that certified the last floor is carried along
+by small x big interval steps (the running forms); a floor tries them first
+and re-seeds them from the exact rows on a fixed-point box of the basis
+when they cannot decide.  Otherwise the precision rises one level (the
+oracle level, or root refinement to 2^-(64 * 2^level) in the field's
+shared cache).  Each floor starts at the level that certified the previous
+one, where the running forms and the re-seed are that level's one round;
+MCF_PRECISION_BUDGET counts the levels tried from there.  For
 rational and algebraic inputs a ratio whose rows are proportional is exactly
 rational and is decided exactly, so the interruption test is the exact
 linear test (row_m - k row_0) . (1, x) = 0.  Oracle inputs never detect an
@@ -88,17 +94,6 @@ def _root_powers(fld: NumberField, level: int) -> tuple[int, list[int], list[int
         lo.append(x >> (P * (k - 1)))
         hi.append(-((-y) >> (P * (k - 1))))
     return P, lo, hi
-
-
-def _form(row: list[int], P: int, lo: list[int], hi: list[int]) -> tuple[int, int]:
-    """Enclosure [a, b] / 2^P of the form row . (1, b_1, ..., b_K)."""
-    a = b = row[0] << P
-    for r, l, h in zip(row[1:], lo, hi):
-        if r > 0:
-            a, b = a + r * l, b + r * h
-        elif r:
-            a, b = a + r * h, b + r * l
-    return a, b
 
 
 def _ratio_floor(a: int, b: int, c: int, d: int) -> int | None:
@@ -190,13 +185,20 @@ class _Run:
             rows = [[1]] + [[v.value] for v in values]
         self.rows = _scaled(rows)
         self.exact = self.kind != "oracle"  # proportional rows are an exactly rational ratio
+        # exact kinds: each row's form at self.level, advanced with the rows (running forms)
+        self.live = [self.forms(row, 0) for row in self.rows] if self.exact else []
 
     def forms(self, row: list[int], level: int):
         """row . (1, b) on the level's enclosure of the basis: [a, b] / 2^P, or vertex values."""
         if self._enclose is not None and self._enc[0] != level:
             self._enc = (level, self._enclose(level))
-        enc = self._enc[1]
-        return _form(row, *enc) if self.exact else [sum(r * v for r, v in zip(row, V)) for V in enc]
+        if not self.exact:
+            return [sum(r * v for r, v in zip(row, V)) for V in self._enc[1]]
+        P, lo, hi = self._enc[1]
+        a = b = row[0] << P
+        for r, l, h in zip(row[1:], lo, hi):
+            a, b = (a + r * l, b + r * h) if r >= 0 else (a + r * h, b + r * l)
+        return a, b
 
     def value(self, j: int) -> RealValue:
         """The complete quotient x^(j) = L_j / L_0 as a value of the input's kind (traces)."""
@@ -208,27 +210,38 @@ class _Run:
         return OracleValue(_Image(self, self.rows, j))
 
     def trailing_integer(self) -> int | None:
-        """The trailing complete quotient when it is exactly an integer (never for oracles)."""
-        r = self.exact and _proportional(self.rows[-1], self.rows[0])
-        return r[0] // r[1] if r and r[0] % r[1] == 0 else None
+        """The trailing complete quotient when it is exactly an integer k: row_m = k row_0, with
+        k read off row_0's first nonzero entry (never for oracles, whose row_0 can vanish)."""
+        if self.exact:
+            num, den = self.rows[-1], self.rows[0]
+            k = next(x // y for x, y in zip(num, den) if y)
+            return k if all(x == k * y for x, y in zip(num, den)) else None
 
     def floors(self, n: int) -> list[tuple[int, Fraction | None]]:
         """Certified floors of x_n^(1..dim), with the ratio width that certified each (oracles)."""
-        den, den_at, out = self.rows[0], {}, []
+        den, memo, out = self.rows[0], {}, []
+
+        def form(i, level):  # row i's enclosure from the exact row, at most once per level
+            return memo.get((i, level)) or memo.setdefault((i, level), self.forms(self.rows[i], level))
+
         for j in range(1, len(self.rows)):
-            num, start = self.rows[j], self.level
+            num, start, live = self.rows[j], self.level, self.live
+            if self.exact and (k := _ratio_floor(*live[j], *live[0])) is not None:
+                out.append((k, None))  # the running forms decide: the start level's round
+                continue
 
             def attempt(level):
-                num_f = self.forms(num, level)
-                den_f = den_at.get(level) or den_at.setdefault(level, self.forms(den, level))
-                if self.exact:
-                    k = _ratio_floor(*num_f, *den_f)
-                    if k is None and level == start and (r := _proportional(num, den)):
-                        k = r[0] // r[1]
-                    return None if k is None else (level, k, None)
-                iv = _vertex_interval(num_f, den_f)
-                k = iv.floor_certified() if iv else None
-                return None if k is None else (level, k, iv.width)
+                if not self.exact:
+                    iv = _vertex_interval(form(j, level), form(0, level))
+                    k = iv.floor_certified() if iv else None
+                    return None if k is None else (level, k, iv.width)
+                k = _ratio_floor(*form(j, level), *form(0, level))
+                if k is None and level == start and (r := _proportional(num, den)):
+                    k = r[0] // r[1]
+                if k is not None:  # re-seed: rows j and 0, or every row on a new level
+                    for i in (0, j) if level == start else range(len(live)):
+                        live[i] = form(i, level)
+                    return level, k, None
 
             self.level, k, width = certify(f"floor of x_{n}^({j})", attempt,
                                            budget_levels(start, self.max_level, self.budget))
@@ -236,14 +249,15 @@ class _Run:
         return out
 
     def advance(self, floors: list[int]) -> None:
-        """One Jacobi-Perron step on the rows: N_{n+1} from N_n and a_n."""
-        rows, r0 = self.rows, self.rows[0]
-
-        def sub(row, a):
-            return [x - a * y for x, y in zip(row, r0)] if a else row
-
-        self.rows = [sub(rows[-1], floors[-1]), r0]
-        self.rows += [sub(rows[i - 1], floors[i - 2]) for i in range(2, len(rows))]
+        """One Jacobi-Perron step on the rows and the running forms: N_{n+1} from N_n and a_n,
+        row_i' = row_(i-1) - c_i row_0 (row_(-1) = row_m) with c = (a_m, 0, a_1, ..., a_(m-1))."""
+        c, r0 = [floors[-1], 0, *floors[:-1]], self.rows[0]
+        self.rows = [[x - a * y for x, y in zip(row, r0)] if a else row
+                     for row, a in zip(self.rows[-1:] + self.rows[:-1], c)]
+        if self.exact:  # [l, h] - a [lo, hi] by small x big products (a < 0 at index 0)
+            lo, hi = self.live[0]
+            self.live = [(l - max(a * lo, a * hi), h - min(a * lo, a * hi))
+                         for (l, h), a in zip(self.live[-1:] + self.live[:-1], c)]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +314,7 @@ def expand(inputs, steps: int, keep_trace: bool = False) -> ExpansionRecord:
             widths[dim - 1].append(None)
             if dim > 1:
                 interruptions.append(InterruptionEvent(n, dim - 1, value))
-            run.rows = run.rows[:-1]
+            run.rows, run.live = run.rows[:-1], run.live[:-1]
         if len(run.rows) == 1:
             terminated = True
             break

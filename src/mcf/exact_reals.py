@@ -83,13 +83,13 @@ class NumberField:
     nonzero and opposite).  The isolating interval only ever shrinks; the
     cache is protected by a lock so concurrent refinement stays monotone.
     This class is the one place in mcf that refines a root or decides
-    whether it is rational (``exact_root``).  A rational root p/q of an
-    integer polynomial has q | lead, so it is a multiple of 1/lead; the
-    constructor refines the bracket to width 1/(lead^2 + 1), below 1/lead,
-    where at most one multiple is left, and tests that one candidate exactly.
-    Any width below 1/lead would do; this one is kept because later
-    refinement starts from the bracket it leaves, so ``root_interval`` and
-    ``periodic solve``'s ``alpha_interval`` keep their bytes.
+    whether it is rational (``exact_root``).  The cached bracket is the cell
+    of ``root_interval``'s halving grid at the least width requested so far
+    (``polynomials.refine_root``).  A rational root p/q of an integer
+    polynomial has q | lead, so the constructor requests width 1/(lead^2 + 1),
+    below 1/lead, where one multiple of 1/lead at most is left, and tests it
+    exactly.  Any width below 1/lead would do; this one keeps the bytes of
+    ``root_interval`` and of ``periodic solve``'s ``alpha_interval``.
     """
 
     __slots__ = ("min_poly", "_initial", "_interval", "_exact_root", "_lock")
@@ -139,11 +139,8 @@ class NumberField:
     def refine_root(self, max_width: Fraction) -> RationalInterval:
         """Shrink the cached isolating interval to width <= max_width (monotone)."""
         with self._lock:
-            if self._exact_root is not None:
-                return self._interval
-            if self._interval.width <= max_width:
-                return self._interval
-            self._interval = pol.refine_root(self.min_poly, self._interval, max_width)
+            if self._exact_root is None and self._interval.width > max_width:
+                self._interval = pol.refine_root(self.min_poly, self._interval, max_width)
             return self._interval
 
     def element(self, coords) -> "FieldElement":
@@ -277,8 +274,8 @@ class FieldElement:
         target = min(self.field.root_interval().width, max_width)
 
         def attempt(level):
-            if level:
-                self.field.refine_root(target / 16**level)
+            if level:  # 4, 8, 16, ... bits past the target: the bits double per level
+                self.field.refine_root(target / (1 << (4 << (level - 1))))
             iv = pol.poly_eval_interval(self.coords, self.field.root_interval())
             return iv if iv.width <= max_width else None
 

@@ -195,7 +195,7 @@ def isolate_real_roots(p) -> list[RationalInterval]:
 
     Works on the squarefree part.  No endpoint is a root and each interval
     holds exactly one root, a simple one, so the endpoint signs are nonzero and
-    opposite and plain bisection refines it.
+    opposite and `refine_root` refines it.
     """
     p = normalize(p)
     if degree(p) < 1:
@@ -226,40 +226,69 @@ def isolate_real_roots(p) -> list[RationalInterval]:
     return isolated
 
 
-def refine_root(p, iv: RationalInterval, max_width: Fraction) -> RationalInterval:
-    """Bisect a sign-change bracket until its width is at most max_width.
+def _homogeneous(ints, x: int, q: int) -> int:
+    """q^d p(x / q) for an integer polynomial p of degree d."""
+    acc, qk = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        qk *= q
+        acc = acc * x + c * qk
+    return acc
 
-    The bracket is integer numerators over a common denominator q (doubled
-    when needed) and signs come from q^d p(x / q): the brackets of plain
-    rational bisection, without a gcd per step.
+
+def _newton(ints, x: int, q: int) -> int:
+    """One integer Newton step on p / p' from x / q, in units of 1 / q: a proposal, for signs to
+    check.  p / p' has only simple roots, so a cluster of roots costs no linear phase."""
+    d1 = [k * c for k, c in enumerate(ints)][1:]
+    d2 = [k * c for k, c in enumerate(d1)][1:]
+    v, v1, v2 = (_homogeneous(f, x, q) if f else 0 for f in (ints, d1, d2))  # q^(d-i) p^(i)(x / q)
+    return x - v * v1 // den if (den := v1 * v1 - v * v2) else x
+
+
+def refine_root(p, iv: RationalInterval, max_width: Fraction) -> RationalInterval:
+    """The bracket bisection of iv ends in, computed directly: the cell of iv's halving grid
+    that holds the root at the least depth k whose cells are at most max_width wide, or the
+    point bracket when the root is a grid point of depth <= k.
+
+    iv must hold one root of p, with nonzero opposite signs at its ends.  From the midpoint
+    of the cell known to hold the root, an integer Newton step on p / p' proposes its
+    sub-cell g levels deeper.  The exact signs of q^d p(x / q) at the ends of that cell, or
+    of the neighbour they point to, accept it and double g (so the depth about doubles);
+    a rejection halves g and costs one bisection step.  Newton only proposes.
     """
     ints = primitive_part(p)
 
-    def sign(x: int, q: int) -> int:
-        acc, qk = ints[-1], 1
-        for c in reversed(ints[:-1]):
-            qk *= q
-            acc = acc * x + c * qk
-        return (acc > 0) - (acc < 0)
+    def sign(x: int, j: int) -> int:
+        v = _homogeneous(ints, x, q << j)
+        return (v > 0) - (v < 0)
+
+    def proposal(j: int, i: int, j2: int) -> int | None:
+        """The index of the depth-j2 cell inside cell i of depth j that holds the root, if found."""
+        t = (_newton(ints, ((lo << j) + i * w << j2 - j) + (w << j2 - j - 1), q << j2) - (lo << j2)) // w
+        for _ in range(2):  # the proposed cell, then the neighbour its signs point to
+            a = (lo << j2) + t * w
+            s0, s1 = (sign(a, j2), sign(a + w, j2)) if t >> j2 - j == i else (0, 0)
+            if (s0, s1) == (slo, shi):
+                return t
+            t += 1 if s0 == slo else -1
+        return None
 
     q = lcm(iv.lo.denominator, iv.hi.denominator)
-    lo, hi = int(iv.lo * q), int(iv.hi * q)
-    slo, shi = sign(lo, q), sign(hi, q)
-    if slo == 0 or shi == 0 or slo == shi:
-        raise ValueError("refine_root requires a strict sign-change bracket")
-    max_width = as_fraction(max_width)
-    wn, wd = max_width.numerator, max_width.denominator
-    while (hi - lo) * wd > wn * q:
-        if (hi - lo) & 1:
-            lo, hi, q = lo << 1, hi << 1, q << 1
-        mid = (lo + hi) >> 1
-        smid = sign(mid, q)
-        if smid == 0:
-            # exact rational root: return the degenerate point bracket
-            return RationalInterval.point(Fraction(mid, q))
-        if smid == slo:
-            lo = mid
-        else:
-            hi = mid
-    return RationalInterval(Fraction(lo, q), Fraction(hi, q))
-
+    lo, w = int(iv.lo * q), int(iv.width * q)
+    slo, shi = sign(lo, 0), sign(lo + w, 0)
+    wn, wd = as_fraction(max_width).as_integer_ratio()
+    if slo == 0 or shi == 0 or slo == shi or wn <= 0:
+        raise ValueError("refine_root requires a strict sign-change bracket and a positive width")
+    k = (-(-w * wd // (wn * q)) - 1).bit_length()  # the least k with w / (q 2^k) <= wn / wd
+    j = i = 0  # the root is strictly inside cell i of depth j: [lo 2^j + i w, + w] / (q 2^j)
+    g = 4  # the depth a proposal aims to gain
+    while j < k:
+        if (t := proposal(j, i, j2 := min(k, j + g))) is not None:
+            j, i, g = j2, t, 2 * g
+            continue
+        g = max(2, g // 2)
+        mid = ((lo << j) + i * w << 1) + w
+        s = sign(mid, j + 1)
+        if s == 0:
+            return RationalInterval.point(Fraction(mid, q << j + 1))
+        j, i = j + 1, 2 * i + (s == slo)
+    return RationalInterval(Fraction((lo << k) + i * w, q << k), Fraction((lo << k) + (i + 1) * w, q << k))

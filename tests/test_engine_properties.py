@@ -4,6 +4,7 @@ import contextlib
 import functools
 import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,11 +14,11 @@ from helpers import first_step
 from references import (FunctionOracle, floor_exact, is_integer, proportional, reference_expand,
                         reference_step)
 
-from mcf import AlgebraicValue, NonTerminating, NumberField, RationalInterval, expand
+from mcf import AlgebraicValue, NonTerminating, NumberField, RationalInterval, engine, expand, polynomials
 from mcf.convergents import limit_values
 from mcf.engine import _proportional
 from mcf.exact_reals import OracleValue, RationalValue, SimplexOracle
-from mcf.polynomials import poly_eval, refine_root
+from mcf.polynomials import isolate_real_roots, refine_root
 from mcf.recurrence import PartialQuotients
 
 PROPERTY = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -230,33 +231,126 @@ def test_simplex_floors_need_every_vertex():
 
 
 def fraction_bisection(p, iv, max_width):
+    def sign(x):  # of p(n/d) d^deg, term by term
+        v = sum(Fraction(c) * x.numerator**k * x.denominator**(len(p) - 1 - k) for k, c in enumerate(p))
+        return (v > 0) - (v < 0)
+
     lo, hi = iv.lo, iv.hi
-    flo = poly_eval(p, lo)
+    slo = sign(lo)
     while hi - lo > max_width:
         mid = (lo + hi) / 2
-        fmid = poly_eval(p, mid)
-        if fmid == 0:
+        smid = sign(mid)
+        if smid == 0:
             return RationalInterval(mid, mid)
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+        if smid == slo:
+            lo = mid
         else:
             hi = mid
     return RationalInterval(lo, hi)
 
 
-@PROPERTY
-@given(st.sampled_from([
-    ([-2, 0, 0, 1], (1, 2)),
+DEG8 = [3, -1, 4, -1, 5, -9, 2, 6, -5]
+ROOT_CASES = [  # (modulus, bracket isolating one of its roots)
+    ([-3, 0, 2], (Fraction(-7, 5), Fraction(-6, 5))),  # non-monic
     ([1, -3, 0, 1], (Fraction(1, 3), Fraction(3, 5))),
-    ([-3, 0, 2], (Fraction(-7, 5), Fraction(-6, 5))),
+    ([-1, -1, 0, 0, 0, 1], (1, 2)),
+    ([-7, 0, 0, 0, 0, 0, 3], (1, 2)),  # non-monic
+    ([1, -3, 0, 0, 0, 0, 0, 1], (0, 1)),
+    ([1, -3, 0, 0, 0, 0, 0, 1], (1, 2)),
+    *[(DEG8, (iv.lo, iv.hi)) for iv in isolate_real_roots(DEG8)],
+    ([2, -2, -1, 1], (Fraction(6, 5), Fraction(3, 2))),  # (x - 1)(x^2 - 2): reducible, squarefree
+    ([10, -16, -5, 8], (0, 1)),  # (8x - 5)(x^2 - 2): the root 5/8 is a depth-3 grid point
+    ([2, -1, -2, 1], (Fraction(3, 2), Fraction(5, 2))),  # (x - 2)(x^2 - 1): the root is the midpoint
     ([-1, 2], (0, 1)),
     ([Fraction(-1, 2), Fraction(1, 3), 0, 1], (Fraction(-1, 7), Fraction(9, 7))),
-]), st.integers(1, 200))
-def test_refine_root_brackets_equal_fraction_bisection(case, bits):
+    *[([-k] + [0] * (d - 1) + [1], (1, 2)) for d, ks in RADICAL_KS.items() for k in ks],
+]
+
+
+def widths(bits):
+    """Powers of 1/2, 1/3 and 1/10 down to about 2^-bits."""
+    return st.one_of(st.integers(1, bits).map(lambda b: Fraction(1, 1 << b)),
+                     st.integers(1, bits * 63 // 100).map(lambda b: Fraction(1, 3**b)),
+                     st.integers(1, bits * 3 // 10).map(lambda b: Fraction(1, 10**b)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ROOT_CASES), widths(4000))
+def test_refine_root_brackets_equal_fraction_bisection(case, width):
     poly, (lo, hi) = case
     iv = RationalInterval(lo, hi)
-    width = Fraction(1, 1 << bits)
     assert refine_root(poly, iv, width) == fraction_bisection(poly, iv, width)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(ROOT_CASES), widths(600), st.sampled_from([256, -256]))
+def test_rejected_newton_proposals_leave_bisection_to_decide(case, width, shift):
+    # every proposal lands 256 past one end of the bracket
+    poly, (lo, hi) = case
+    iv, proposals = RationalInterval(lo, hi), []
+
+    def propose(ints, x, q):
+        proposals.append(x)
+        return x + shift * q
+
+    with mock.patch("mcf.polynomials._newton", propose):
+        got = refine_root(poly, iv, width)
+    assert got == fraction_bisection(poly, iv, width)
+    assert proposals or got == iv  # every refinement starts with a proposal
+
+
+def test_refine_root_evaluates_the_polynomial_a_few_times_per_doubling():
+    # bisection evaluates once per bit; 2^(1/3) and a root 2^-200 from a complex pair
+    # ((x - 1)^3 + 2^-400 (x - 1), where Newton's own steps shrink by 2/3) take a few dozen
+    eps2 = Fraction(1, 1 << 400)
+    for poly, iv, bits in (([-2, 0, 0, 1], RationalInterval(1, 2), 8192),
+                           ([-1 - eps2, 3 + eps2, -3, 1], RationalInterval(Fraction(1, 3), 2), 1000)):
+        calls, homogeneous = [], polynomials._homogeneous
+        with mock.patch("mcf.polynomials._homogeneous", lambda *a: calls.append(a) or homogeneous(*a)):
+            got = refine_root(poly, iv, Fraction(1, 1 << bits))
+        assert got == fraction_bisection(poly, iv, Fraction(1, 1 << bits))
+        assert len(calls) < 200
+
+
+def test_a_proposal_in_another_roots_cell_is_rejected():
+    # x^3 - 3x rises through -sqrt(3) and sqrt(3): the mirrored proposal lands in the
+    # cell of sqrt(3), outside the bracket, whose end signs match the bracket's
+    poly, iv = [0, -3, 0, 1], RationalInterval(-2, -1)
+    with mock.patch("mcf.polynomials._newton", lambda ints, x, q: -x):
+        for bits in (8, 64, 500):
+            width = Fraction(1, 1 << bits)
+            assert refine_root(poly, iv, width) == fraction_bisection(poly, iv, width)
+
+
+def test_running_forms_enclose_the_exact_forms(monkeypatch):
+    # after every step each row's running form [lo, hi] / 2^P holds row . (1, theta, ...),
+    # decided by exact signs; the first quotients are negative
+    advance, checked = engine._Run.advance, []
+
+    def checking(run, floors):
+        advance(run, floors)
+        level, (P, _, _) = run._enc
+        assert level == run.level
+        for row, (lo, hi) in zip(run.rows, run.live):
+            value = run.field.element(row)
+            assert (value - Fraction(lo, 1 << P)).sign() >= 0 <= (Fraction(hi, 1 << P) - value).sign()
+            checked.append(row)
+
+    monkeypatch.setattr(engine._Run, "advance", checking)
+    t3, t4 = radical_field(3, 2).gen(), radical_field(4, 3).gen()
+    for values in ([-t3, t3 * t3 - 3], [-t4 - Fraction(1, 2), Fraction(-7, 3) * t4 * t4, t4**3 - 5]):
+        assert_matches_reference([AlgebraicValue(v) for v in values], 40)
+    assert len(checked) == 40 * 3 + 40 * 4
+
+
+def test_running_forms_reseed_on_a_deep_expansion(monkeypatch):
+    # a few hundred floors under a small budget: the running forms decide most of
+    # them and are re-seeded from the exact rows now and then
+    calls, forms = [], engine._Run.forms
+    monkeypatch.setattr(engine._Run, "forms", lambda *args: calls.append(args) or forms(*args))
+    theta = radical_field(3, 2).gen()
+    assert_matches_reference([AlgebraicValue(theta + 1), AlgebraicValue(theta * theta)], 300)
+    assert 3 < len(calls) < 100
 
 
 @st.composite

@@ -273,6 +273,21 @@ def test_field_element_queries_try_at_most_the_budget(monkeypatch):
     assert big.interval(Fraction(1, 10**40)).width <= Fraction(1, 10**40)
 
 
+def test_root_refinement_to_a_nonpositive_width_is_refused():
+    for width in (0, Fraction(-1, 1000)):
+        with pytest.raises(ValueError, match="positive width"):
+            cbrt2_field().refine_root(width)
+
+
+def test_field_element_enclosures_of_large_coordinates_fit_the_budget(monkeypatch):
+    # 2^300 theta needs ~300 root bits past the target: 4, 8, 16, ... more bits per
+    # level reach them at level 8, where 4 bits per level ran out of all 64 levels
+    monkeypatch.setenv("MCF_PRECISION_BUDGET", "9")
+    iv = cbrt2_field().element([0, 2**300]).interval(Fraction(1, 2**10))
+    assert iv.width <= Fraction(1, 2**10)
+    assert 0 < iv.lo and iv.lo**3 < 2**901 < iv.hi**3
+
+
 def test_refinement_budget_is_read_only_in_exact_reals():
     # every other module refines through exact_reals.certify / budget_levels
     src = Path(mcf.__file__).parent

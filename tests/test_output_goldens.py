@@ -8,7 +8,9 @@ exits 1 and still prints its report.
 """
 
 import contextlib
+import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -65,3 +67,27 @@ def test_stdout_golden(name, argv):
     code, out = stdout_of(argv)
     assert code == EXIT_CODES.get(name, 0)
     assert out == (GOLDEN / f"out_{name}.txt").read_text()
+
+
+def stdout_sha256(argv) -> str:
+    code, out = stdout_of(argv)
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+# Deep runs, where root brackets are refined to thousands of bits and the engine's
+# running forms re-seed many times, pinned by the sha256 of their stdout.
+
+def test_deep_expand_stdout_hash(tmp_path):
+    cbrt2 = {"kind": "algebraic", "minpoly": ["-2", "0", "0", "1"], "lo": "1/1", "hi": "2/1"}
+    pair = tmp_path / "pair.json"  # (theta + 1, theta^2), theta = 2^(1/3)
+    pair.write_text(json.dumps([{**cbrt2, "coords": ["1/1", "1/1", "0/1"]},
+                                {**cbrt2, "coords": ["0/1", "0/1", "1/1"]}]))
+    assert (stdout_sha256(["expand", "--input", str(pair), "--steps", "8000"])
+            == "bb4842d2bddb812981752e77ff92c36ba8eb593598c4116e9cf38f55e335e07a")
+
+
+def test_long_preperiod_periodic_solve_stdout_hash():
+    ones = ["0"] + ["1"] * 999
+    argv = ["periodic", "solve", "--json", "--pre-a", *ones, "--pre-b", *ones, "--per-a", "2", "--per-b", "1"]
+    assert stdout_sha256(argv) == "fe3bd5a2dc3fbc665b7ece5bce20e92d52e4de30b5728af69aad30feefc9725c"
