@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import sys
 
 from .errors import HypothesisViolated, InputError, MCFError, NonTerminating
@@ -54,6 +53,8 @@ class _Formatter(argparse.HelpFormatter):
 
 
 def _load_json(path: str):
+    import json  # here, so that mcf --help imports no json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_int=radix.str_to_int, parse_float=ser.JSONFloat)
@@ -199,14 +200,14 @@ def _cmd_verify_bounds(args) -> int:
             raise InputError("--box needs two integers N,M")
         box = (parts[0], parts[1])
     report = convergents.bound_checks(pq, upto=args.depth, box=box)
-    _print(ser.dumps_stable(ser.bound_report_to_json(report)))
+    _print(ser.dumps_stable(ser.check_report_to_json(report)))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
 def _cmd_verify_growth(args) -> int:
     pq = ser.pq_from_json(_load_json(args.pq))
     report = convergents.growth_check(pq, upto=args.depth, d=args.d, M=args.M)
-    _print(ser.dumps_stable(ser.growth_report_to_json(report)))
+    _print(ser.dumps_stable(ser.check_report_to_json(report)))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -41,7 +40,7 @@ from .exact_reals import (
     query_levels,
 )
 from .intervals import RationalInterval, as_fraction, iv_enclosure
-from .radix import frac_to_str, int_to_str
+from .radix import Record, frac_to_str, int_to_str
 from .recurrence import CheckItem, PartialQuotients, conv_stream, int_entries, lag_stream
 from .recurrence import ConvergentState  # noqa: F401  (perfbench/tracer.py's convergents.ConvergentState.step)
 
@@ -141,17 +140,21 @@ def approx_witnesses(x, pq: PartialQuotients, upto: int, coords=None) -> list[in
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    items: tuple[CheckItem, ...]
-    empirical_K: int
+class CheckReport(Record):
+    """The items of bound_checks or growth_check, and the figures the check computed
+    by their JSON keys: {"empirical_K": int} or {"constants": {name: RationalInterval}}."""
+
+    __slots__ = ("items", "extra")
+
+    def __init__(self, items: tuple[CheckItem, ...], extra: dict):
+        self._init(items, extra)
 
     @property
     def ok(self) -> bool:
         return all(item.ok for item in self.items)
 
 
-def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> BoundReport:
+def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> CheckReport:
     """Check the numerator/denominator and tilde-quadratic bounds for m = 2.
 
     Without a box the inputs must satisfy a_0 = b_0 = 0 (so the limits lie in
@@ -205,8 +208,8 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Bou
         f" {int_to_str(mbox)} C_n <= B_n <= {int_to_str(mbox + 1)} C_n"
     )
     quad = f"ac1_{{n+1}}, bc1_{{n+1}} < 3 C_n^2 at the {applied} indices with a_{{n+1}} < C_n"
-    return BoundReport((CheckItem(name, first, detail, tuple(boundary)),
-                        CheckItem("tilde-quadratic", first_quad, quad)), k_emp)
+    return CheckReport((CheckItem(name, first, detail, tuple(boundary)),
+                        CheckItem("tilde-quadratic", first_quad, quad)), {"empirical_K": k_emp})
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +217,16 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Bou
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProximityReport:
-    n: int
-    prefix_bound: Fraction      # 1 / C_{n-2}
-    triangle_bound: Fraction    # 2 / C_n
-    tighter: str                # "prefix" | "triangle" | "equal"
-    prefix_certified: tuple[bool, ...]
-    triangle_certified: tuple[bool, ...]
+class ProximityReport(Record):
+    """Whether each coordinate's gap is certified below the prefix bound 1 / C_(n-2)
+    and below the triangle bound 2 / C_n, and which bound is the tighter rational:
+    "prefix", "triangle" or "equal"."""
+
+    __slots__ = ("n", "prefix_bound", "triangle_bound", "tighter", "prefix_certified", "triangle_certified")
+
+    def __init__(self, n: int, prefix_bound: Fraction, triangle_bound: Fraction, tighter: str,
+                 prefix_certified: tuple[bool, ...], triangle_certified: tuple[bool, ...]):
+        self._init(n, prefix_bound, triangle_bound, tighter, prefix_certified, triangle_certified)
 
     @property
     def ok(self) -> bool:
@@ -432,22 +437,12 @@ def loglog_lt(c: int, d: int, m: int, n: int) -> bool:
     return certify(f"log log C_{n + 1} < K({int_to_str(d)}, {m}) * {n}", attempt)
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    items: tuple[CheckItem, ...]
-    constants: dict
-
-    @property
-    def ok(self) -> bool:
-        return all(item.ok for item in self.items)
-
-
 def growth_check(
     pq: PartialQuotients,
     upto: int | None = None,
     d: int | None = None,
     M: int | None = None,
-) -> GrowthReport:
+) -> CheckReport:
     """Certified growth bounds on the convergent denominators.
 
     Always (m = 2): C_n > psi^(n-2) with psi the real root of x^3 - x^2 - 1.
@@ -524,5 +519,5 @@ def growth_check(
     for name, *_ in items:
         if isinstance(stopped.get(name), Exception):
             raise stopped[name]
-    return GrowthReport(tuple(CheckItem(name, stopped.get(name), detail, tuple(touches))
-                              for name, detail, _, _, touches in items), constants)
+    return CheckReport(tuple(CheckItem(name, stopped.get(name), detail, tuple(touches))
+                             for name, detail, _, _, touches in items), {"constants": constants})

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polynomials as pol
@@ -60,6 +59,7 @@ from .exact_reals import (
     enclosure_at,
 )
 from .intervals import RationalInterval, as_fraction
+from .radix import Record
 from .recurrence import PartialQuotients
 from .recurrence import check_admissible  # noqa: F401  (perfbench/tracer.py's engine.check_admissible)
 
@@ -265,22 +265,22 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InterruptionEvent:
+class InterruptionEvent(Record):
     """Trailing complete quotient was the integer `value` at index `index`."""
 
-    index: int
-    dimension_after: int
-    value: int
+    __slots__ = ("index", "dimension_after", "value")
+
+    def __init__(self, index: int, dimension_after: int, value: int):
+        self._init(index, dimension_after, value)
 
 
-@dataclass(frozen=True)
-class ExpansionRecord:
-    pq: PartialQuotients
-    interruptions: tuple[InterruptionEvent, ...]
-    terminated: bool
-    trace: tuple[tuple[RealValue, ...], ...] | None = None
-    floor_widths: tuple[tuple[Fraction | None, ...], ...] = field(default=None)
+class ExpansionRecord(Record):
+    __slots__ = ("pq", "interruptions", "terminated", "trace", "floor_widths")
+
+    def __init__(self, pq: PartialQuotients, interruptions: tuple[InterruptionEvent, ...],
+                 terminated: bool, trace: tuple[tuple[RealValue, ...], ...] | None = None,
+                 floor_widths: tuple[tuple[Fraction | None, ...], ...] | None = None):
+        self._init(pq, interruptions, terminated, trace, floor_widths)
 
 
 def expand(inputs, steps: int, keep_trace: bool = False) -> ExpansionRecord:

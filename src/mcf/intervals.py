@@ -6,12 +6,11 @@ intervals against exact rationals; no floating point is involved anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
 from .errors import DivisionByZero
-from .radix import frac_to_str, str_to_frac
+from .radix import Record, frac_to_str, str_to_frac
 
 
 def as_fraction(x) -> Fraction:
@@ -25,16 +24,14 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class RationalInterval:
+class RationalInterval(Record):
     """Closed interval [lo, hi], lo <= hi, both exact rationals."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
+    def __init__(self, lo, hi):
+        object.__setattr__(self, "lo", as_fraction(lo))
+        object.__setattr__(self, "hi", as_fraction(hi))
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self}")
 

@@ -14,13 +14,12 @@ integer powers.  Verdicts are about finite depth; none claims transcendence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import AdmissibilityConflict, InputError
 from .intervals import as_fraction
-from .radix import drop_digits, frac_to_str, int_to_str, magnitude
+from .radix import Record, drop_digits, frac_to_str, int_to_str, magnitude
 from .recurrence import CheckItem, ConvergentState, LagProducts, PartialQuotients, QuotientRows, int_entries
 
 
@@ -54,18 +53,18 @@ def seq_rule(values: Sequence[int]) -> Rule:
     return rule
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Record):
     """Finite-depth evidence for a criterion's hypotheses.
 
     The verdict is either "hypotheses-hold-to-depth" or "violated-at(i)";
     it never asserts transcendence.
     """
 
-    criterion: str
-    depth: int
-    hypotheses: tuple[CheckItem, ...]
-    data: dict = field(default_factory=dict)
+    __slots__ = ("criterion", "depth", "hypotheses", "data")
+
+    def __init__(self, criterion: str, depth: int, hypotheses: tuple[CheckItem, ...],
+                 data: dict | None = None):
+        self._init(criterion, depth, hypotheses, {} if data is None else data)
 
     @property
     def ok(self) -> bool:
@@ -127,8 +126,7 @@ def _rational_root(base, p: int, q: int):
 MAX_LIOUVILLE_M = 64
 
 
-@dataclass(frozen=True)
-class LiouvilleSpec:
+class LiouvilleSpec(Record):
     """Free data for a Liouville-type construction, 2 <= m <= MAX_LIOUVILLE_M.
 
     `tail_rules` supply a_n^(j) for j = 2..m at every index (one rule serves
@@ -136,27 +134,22 @@ class LiouvilleSpec:
     derived.
     """
 
-    m: int
-    delta: Fraction
-    depth: int
-    tail_rules: tuple[Rule, ...]
-    head: int = 0
+    __slots__ = ("m", "delta", "depth", "tail_rules", "head")
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta", as_fraction(self.delta))
-        entries = int_entries((self.m, self.depth, self.head), "(m, depth, head)")
-        for name, value in zip(("m", "depth", "head"), entries):
-            object.__setattr__(self, name, value)
-        if not 2 <= self.m <= MAX_LIOUVILLE_M:
+    def __init__(self, m: int, delta: Fraction, depth: int, tail_rules: tuple[Rule, ...], head: int = 0):
+        delta = as_fraction(delta)
+        m, depth, head = int_entries((m, depth, head), "(m, depth, head)")
+        if not 2 <= m <= MAX_LIOUVILLE_M:
             raise InputError(f"Liouville constructions need 2 <= m <= {MAX_LIOUVILLE_M}")
-        if self.delta <= 0:
+        if delta <= 0:
             raise InputError("delta must be positive")
-        if self.depth < 1:
+        if depth < 1:
             raise InputError("depth must be >= 1")
-        if len(self.tail_rules) == 1:
-            object.__setattr__(self, "tail_rules", self.tail_rules * (self.m - 1))
-        if len(self.tail_rules) != self.m - 1:
-            raise InputError(f"need {self.m - 1} tail rules for m = {self.m}")
+        if len(tail_rules) == 1:
+            tail_rules = tail_rules * (m - 1)
+        if len(tail_rules) != m - 1:
+            raise InputError(f"need {m - 1} tail rules for m = {m}")
+        self._init(m, delta, depth, tail_rules, head)
 
 
 def liouville_rows(spec: LiouvilleSpec, number=int) -> QuotientRows:

@@ -19,7 +19,6 @@ lag-product ("tilde") sequences of the convergents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import expand
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .exact_reals import AlgebraicValue, FieldElement, NumberField, certify
 from .intervals import RationalInterval
-from .radix import frac_to_str
+from .radix import Record, frac_to_str
 from .recurrence import ConvergentState, LagProducts, PartialQuotients, check_admissible, int_entries
 from . import polynomials as pol
 
@@ -42,18 +41,15 @@ from . import polynomials as pol
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodicSpec:
+class PeriodicSpec(Record):
     """Pre-period blocks (length k, possibly empty) and period blocks (length h >= 1)."""
 
-    pre_a: tuple[int, ...]
-    pre_b: tuple[int, ...]
-    per_a: tuple[int, ...]
-    per_b: tuple[int, ...]
+    __slots__ = ("pre_a", "pre_b", "per_a", "per_b")
 
-    def __post_init__(self):
-        for name in ("pre_a", "pre_b", "per_a", "per_b"):
-            object.__setattr__(self, name, int_entries(getattr(self, name), name))
+    def __init__(self, pre_a: tuple[int, ...], pre_b: tuple[int, ...], per_a: tuple[int, ...],
+                 per_b: tuple[int, ...]):
+        self._init(int_entries(pre_a, "pre_a"), int_entries(pre_b, "pre_b"), int_entries(per_a, "per_a"),
+                   int_entries(per_b, "per_b"))
         if len(self.pre_a) != len(self.pre_b):
             raise InputError("pre-period blocks must have equal length")
         if len(self.per_a) != len(self.per_b):
@@ -96,15 +92,13 @@ def validate_spec(spec: PeriodicSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class XMatrix:
-    rows: tuple[tuple[int, int, int], ...]
+class XMatrix(Record):
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
+    def __init__(self, rows: tuple[tuple[int, int, int], ...]):
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise InputError("XMatrix is 3x3")
-        rows = tuple(int_entries(r, f"X row {i}") for i, r in enumerate(self.rows))
-        object.__setattr__(self, "rows", rows)
+        self._init(tuple(int_entries(r, f"X row {i}") for i, r in enumerate(rows)))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -178,8 +172,7 @@ def cubic_coeffs(x: XMatrix, target: str) -> tuple[int, int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CubicCertificate:
+class CubicCertificate(Record):
     """Exact cubic data recovered from a periodic spec.
 
     Polynomials are primitive integer coefficient tuples, constant term
@@ -188,20 +181,18 @@ class CubicCertificate:
     must satisfy it whenever the hypotheses hold.
     """
 
-    spec: PeriodicSpec
-    poly_alpha: tuple[int, ...]
-    poly_beta: tuple[int, ...]
-    height_alpha: int
-    height_beta: int
-    c_top: int
-    bound: int | None
-    bound_applicable: bool
-    alpha: AlgebraicValue
-    beta: AlgebraicValue
-    alpha_interval: RationalInterval
-    beta_interval: RationalInterval
-    residual_ok: bool
-    matched_steps: int
+    __slots__ = ("spec", "poly_alpha", "poly_beta", "height_alpha", "height_beta", "c_top", "bound",
+                 "bound_applicable", "alpha", "beta", "alpha_interval", "beta_interval", "residual_ok",
+                 "matched_steps")
+
+    def __init__(self, spec: PeriodicSpec, poly_alpha: tuple[int, ...], poly_beta: tuple[int, ...],
+                 height_alpha: int, height_beta: int, c_top: int, bound: int | None,
+                 bound_applicable: bool, alpha: AlgebraicValue, beta: AlgebraicValue,
+                 alpha_interval: RationalInterval, beta_interval: RationalInterval,
+                 residual_ok: bool, matched_steps: int):
+        self._init(spec, poly_alpha, poly_beta, height_alpha, height_beta, c_top, bound,
+                   bound_applicable, alpha, beta, alpha_interval, beta_interval, residual_ok,
+                   matched_steps)
 
 
 _RESIDUAL_WIDTH = Fraction(1, 10**50)  # each cubic's residual on its root enclosure is below this

@@ -19,6 +19,10 @@ The results are exactly `str(v)`, `int(s)`, `str(Fraction)` and
 `Fraction(s)` with the cap lifted; malformed text raises InputError, and so
 does a rational whose exponent exceeds MAX_EXPONENT in absolute value, for
 which `Fraction(s)` would form 10**exp and not return.
+
+`Record` is the base of mcf's immutable value records (intervals, columns,
+specs and reports): plain slotted classes whose repr writes every int through
+int_to_str, and which cost an import nothing beyond their own class bodies.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import decimal
 import re
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import InputError
 
@@ -165,3 +170,69 @@ def str_to_frac(text: str) -> Fraction:
     exp = written - len(dec)  # value = num / den * 10**exp
     num, den = (num * 10**exp, den) if exp >= 0 else (num, den * 10**-exp)
     return Fraction(-num if match["sign"] == "-" else num, den)
+
+
+# ---------------------------------------------------------------------------
+# Value records
+# ---------------------------------------------------------------------------
+
+
+def _repr(v) -> str:
+    """repr(v), with each int and Fraction in it, also inside tuples and dicts, written
+    through int_to_str."""
+    if type(v) is int:
+        return int_to_str(v)
+    if type(v) is Fraction:
+        return f"Fraction({int_to_str(v.numerator)}, {int_to_str(v.denominator)})"
+    if type(v) is tuple:
+        return f"({_repr(v[0])},)" if len(v) == 1 else f"({', '.join(map(_repr, v))})"
+    if type(v) is dict:
+        return "{" + ", ".join(f"{_repr(k)}: {_repr(x)}" for k, x in v.items()) + "}"
+    return repr(v)
+
+
+class Record:
+    """Base of mcf's immutable value records.
+
+    A subclass names its fields in __slots__ (those of its bases come first)
+    and sets them in its own __init__, by object.__setattr__ or _init; any later
+    assignment raises AttributeError.  Records compare equal, and hash, by
+    class and field values, and repr as Name(field=value, ...) with ints
+    written through int_to_str, so a repr never meets the int digit cap.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        # the field values (one field: its value), which equality and the hash compare
+        cls._key = staticmethod(attrgetter(*cls._fields))
+
+    def _init(self, *values) -> None:
+        """Set the fields, in _fields order, to values."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its own __init__, which takes the fields in order
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={_repr(getattr(self, name))}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import InputError
-from .radix import int_to_str
+from .radix import Record, int_to_str
 
 
 # ---------------------------------------------------------------------------
@@ -27,19 +26,18 @@ from .radix import int_to_str
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientRows:
+class QuotientRows(Record):
     """m sequences a^(1), ..., a^(m) of exact integers as given (ints, or integral Decimals
     under radix.EXACT); lengths may differ after interruptions."""
 
-    m: int
-    seqs: tuple
+    __slots__ = ("m", "seqs")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, seqs: tuple):
+        if m < 1:
             raise InputError("dimension m must be >= 1")
-        if len(self.seqs) != self.m:
-            raise InputError(f"expected {int_to_str(self.m)} sequences, got {len(self.seqs)}")
+        if len(seqs) != m:
+            raise InputError(f"expected {int_to_str(m)} sequences, got {len(seqs)}")
+        self._init(m, seqs)
 
     def entry(self, dim: int, n: int) -> int | None:
         """Quotient a_n^(dim), 1-based dim, or None past the end of that sequence."""
@@ -77,28 +75,29 @@ def int_entries(seq, name: str, size: int | None = None) -> tuple[int, ...]:
 class PartialQuotients(QuotientRows):
     """m int sequences a^(1), ..., a^(m): QuotientRows whose entries pass int_entries."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        seqs = tuple(int_entries(s, f"a^({j})") for j, s in enumerate(self.seqs, 1))
-        object.__setattr__(self, "seqs", seqs)
+    __slots__ = ()
+
+    def __init__(self, m: int, seqs: tuple):
+        super().__init__(m, seqs)
+        object.__setattr__(self, "seqs", tuple(int_entries(s, f"a^({j})") for j, s in enumerate(seqs, 1)))
 
     @staticmethod
     def from_lists(*seqs) -> "PartialQuotients":
         return PartialQuotients(len(seqs), tuple(tuple(s) for s in seqs))
 
 
-@dataclass(frozen=True)
-class Violation:
-    index: int
-    dim: int | None
-    rule: str
-    message: str
+class Violation(Record):
+    __slots__ = ("index", "dim", "rule", "message")
+
+    def __init__(self, index: int, dim: int | None, rule: str, message: str):
+        self._init(index, dim, rule, message)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    m: int
-    violations: tuple[Violation, ...]
+class AdmissibilityReport(Record):
+    __slots__ = ("m", "violations")
+
+    def __init__(self, m: int, violations: tuple[Violation, ...]):
+        self._init(m, violations)
 
     @property
     def ok(self) -> bool:
@@ -184,15 +183,15 @@ def check_admissible(pq: QuotientRows) -> AdmissibilityReport:
     return AdmissibilityReport(m=m, violations=violations)
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(Record):
     """One named bound or hypothesis checked over an index range; it holds
     when no index violates it."""
 
-    name: str
-    first_violation: int | None
-    detail: str
-    boundary_indices: tuple[int, ...] = ()
+    __slots__ = ("name", "first_violation", "detail", "boundary_indices")
+
+    def __init__(self, name: str, first_violation: int | None, detail: str,
+                 boundary_indices: tuple[int, ...] = ()):
+        self._init(name, first_violation, detail, boundary_indices)
 
     @property
     def ok(self) -> bool:
@@ -204,13 +203,15 @@ class CheckItem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(Record):
     """Convergent column of index n: numerators A^(1..m) and denominator C."""
 
-    n: int
-    A: tuple[int, ...]
-    C: int
+    __slots__ = ("n", "A", "C")
+
+    def __init__(self, n: int, A: tuple[int, ...], C: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "C", C)
 
 
 class ConvergentState:

@@ -24,7 +24,7 @@ from .radix import int_to_str, quote, str_to_decimal, str_to_frac, str_to_int, t
 from .recurrence import PartialQuotients, QuotientRows
 
 if TYPE_CHECKING:  # report types: only annotations name them, so encoding loads no checker
-    from .convergents import BoundReport, GrowthReport
+    from .convergents import CheckReport
     from .engine import ExpansionRecord
     from .liouville import CriterionReport
     from .periodic import CubicCertificate, PeriodicSpec
@@ -259,20 +259,18 @@ def _check_items_json(items) -> list[dict]:
     ]
 
 
-def bound_report_to_json(report: BoundReport) -> dict:
-    return {
-        "ok": report.ok,
-        "items": _check_items_json(report.items),
-        "empirical_K": int_to_str(report.empirical_K),
-    }
+def check_report_to_json(report: CheckReport) -> dict:
+    """The report of verify bounds or verify growth; its extra figures keep their keys,
+    an int as a decimal string and named intervals as interval objects."""
+    out = {"ok": report.ok, "items": _check_items_json(report.items)}
+    for key, value in report.extra.items():
+        out[key] = (int_to_str(value) if isinstance(value, int)
+                    else {name: interval_json(iv) for name, iv in value.items()})
+    return out
 
 
-def growth_report_to_json(report: GrowthReport) -> dict:
-    return {
-        "ok": report.ok,
-        "items": _check_items_json(report.items),
-        "constants": {name: interval_json(iv) for name, iv in report.constants.items()},
-    }
+# the names perfbench/tracer.py times this encoding by
+bound_report_to_json = growth_report_to_json = check_report_to_json
 
 
 def criterion_report_to_json(report: CriterionReport) -> dict:

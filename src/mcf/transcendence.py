@@ -13,7 +13,6 @@ checker ever claims transcendence (a statement about limits).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .convergents import eta_field, lt_power, psi_field, scan_inputs
@@ -22,7 +21,7 @@ from .exact_reals import abs_diff_pow_lt, certify
 from .intervals import RationalInterval, as_fraction, iv_enclosure
 from .liouville import CriterionReport, Rule, _iroot_floor
 from .liouville import construct_liouville, verify_liouville  # noqa: F401  (perfbench/tracer.py's targets)
-from .radix import frac_to_str, int_to_str
+from .radix import Record, frac_to_str, int_to_str
 from .recurrence import CheckItem, PartialQuotients, check_admissible, conv_stream, int_entries
 
 
@@ -65,25 +64,22 @@ def roth_scan(x, pq: PartialQuotients, epsilon, upto: int, coords=None) -> list[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuasiPeriodicSpec:
+class QuasiPeriodicSpec(Record):
     """Schedule of repetition windows over base sequences.
 
     schedule entries are (n_k, r_k, lambda_k), all positive, n_k strictly
     increasing, windows disjoint: n_{k+1} >= n_k + lambda_k * r_k.
     """
 
-    m: int
-    schedule: tuple[tuple[int, int, int], ...]
-    base_rules: tuple[Rule, ...]
+    __slots__ = ("m", "schedule", "base_rules")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, schedule: tuple[tuple[int, int, int], ...], base_rules: tuple[Rule, ...]):
+        if m < 1:
             raise InputError("dimension m must be >= 1")
-        if len(self.base_rules) != self.m:
-            raise InputError(f"need {self.m} base rules")
-        sched = tuple(int_entries(w, f"schedule window {k}", 3) for k, w in enumerate(self.schedule))
-        object.__setattr__(self, "schedule", sched)
+        if len(base_rules) != m:
+            raise InputError(f"need {m} base rules")
+        sched = tuple(int_entries(w, f"schedule window {k}", 3) for k, w in enumerate(schedule))
+        self._init(m, sched, base_rules)
         prev_end = None
         prev_n = None
         for n_k, r_k, lam_k in sched:

@@ -64,7 +64,7 @@ from mcf import polynomials as pol
 from mcf.cli import AUX_M2
 from mcf.convergents import (
     CertifiedPowers,
-    GrowthReport,
+    CheckReport,
     eta_field,
     k_interval,
     loglog_lt,
@@ -376,7 +376,7 @@ class FractionPowers:
 
 
 def growth_check_by_table(pq: PartialQuotients, upto: int | None = None, d: int | None = None,
-                          M: int | None = None) -> GrowthReport:
+                          M: int | None = None) -> CheckReport:
     """`mcf.convergents.growth_check` from the list of every column: psi-lower,
     then the M hypothesis and eta-upper, then the d hypothesis and loglog, each
     in a pass of its own."""
@@ -439,7 +439,7 @@ def growth_check_by_table(pq: PartialQuotients, upto: int | None = None, d: int 
             "loglog", first,
             f"log log C_(n+1) < K({int_to_str(d)}, {pq.m}) n for 1 <= n <= {n_max - 1}"))
 
-    return GrowthReport(items=tuple(items), constants=constants)
+    return CheckReport(tuple(items), {"constants": constants})
 
 
 def floor_exact(x) -> int:

@@ -184,7 +184,7 @@ def test_criterion_7_loglog_growth():
             report = growth_check(pq, upto=61, d=d)
             loglog = [it for it in report.items if it.name == "loglog"][0]
             assert loglog.ok
-            assert report.constants["K"].width <= Fraction(1, 10**6)
+            assert report.extra["constants"]["K"].width <= Fraction(1, 10**6)
 
 
 @criterion(8, "Liouville closed loop at depth 12 with >= 4 chained witnesses")

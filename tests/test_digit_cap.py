@@ -26,11 +26,11 @@ from test_output_goldens import CASES, EXIT_CODES, GOLDEN, stdout_of
 
 from mcf import InputError, NumberField, PreconditionViolated, RationalInterval
 from mcf.convergents import bound_checks
-from mcf.engine import expand
+from mcf.engine import ExpansionRecord, InterruptionEvent, expand
 from mcf.exact_reals import AlgebraicValue, RationalValue
 from mcf.liouville import MAX_LIOUVILLE_M
 from mcf.radix import MAX_EXPONENT
-from mcf.recurrence import PartialQuotients, check_admissible
+from mcf.recurrence import Column, PartialQuotients, QuotientRows, check_admissible
 from mcf.serialization import expansion_jsonl, parse_frac
 
 SRC = Path(__file__).parents[1] / "src"
@@ -88,6 +88,18 @@ def test_reprs_hold_every_digit():
         assert repr(RationalValue(small)) == f"RationalValue(1/{BIG_TEXT})"
         assert repr(element) == f"FieldElement([1/{BIG_TEXT}, 0, 1] over deg-3 field)"
         assert repr(AlgebraicValue(element)) == f"AlgebraicValue({element!r})"
+
+
+@pytest.mark.parametrize("record", [
+    lambda: Column(0, (1,), BIG),
+    lambda: PartialQuotients(2, ((0, BIG), (0, 1))),
+    lambda: QuotientRows(1, ((-BIG,),)),
+    lambda: ExpansionRecord(PartialQuotients(1, ((BIG,),)), (InterruptionEvent(0, 0, BIG),), True,
+                            floor_widths=((Fraction(1, BIG),),)),
+], ids=["Column", "PartialQuotients", "QuotientRows", "ExpansionRecord"])
+def test_record_reprs_hold_every_digit(record):
+    with int_digit_cap(4300):
+        assert BIG_TEXT in repr(record())
 
 
 # -- parse_frac is Fraction(str) ------------------------------------------------

@@ -23,15 +23,21 @@ GOLDEN = Path(__file__).parent / "golden"
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
-# after a probe: the executed mcf modules and whether mpmath was imported
+# after a probe: the executed mcf modules, and whether mpmath, json, dataclasses and inspect
+# were imported (json read before the report's own import of it)
 REPORT = """
-import importlib.util, json, sys
+import sys
+imported = {name: name in sys.modules for name in ("mpmath", "json", "dataclasses", "inspect")}
+import importlib.util, json
 print(json.dumps({
     "executed": sorted(name for name, mod in sys.modules.items()
                        if name.split(".")[0] == "mcf" and type(mod) is not importlib.util._LazyModule),
-    "mpmath": "mpmath" in sys.modules,
+    **imported,
 }))
 """
+# each class of `dataclasses` exec-compiles its methods in every process, and the
+# module brings `inspect`, `ast`, `dis` and `tokenize` with it: no probe imports either
+UNUSED = {"dataclasses": False, "inspect": False}
 
 
 def probe(code: str) -> dict:
@@ -57,13 +63,24 @@ def layers(*names) -> list[str]:
     return sorted(["mcf", "mcf.cli", "mcf.errors", *(f"mcf.{n}" for n in names)])
 
 
+def report_of(executed: list[str], mpmath: bool = False, json: bool = True) -> dict:
+    """The report of a probe that executed these mcf modules and imported no dataclasses or inspect."""
+    return {"executed": executed, "mpmath": mpmath, "json": json, **UNUSED}
+
+
+def unused(report: dict) -> dict:
+    return {name: report[name] for name in UNUSED}
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_module_imports_on_its_own(module):
-    assert f"mcf.{module}" in probe(f"import mcf.{module}")["executed"]
+    report = probe(f"import mcf.{module}")
+    assert f"mcf.{module}" in report["executed"] and unused(report) == UNUSED
 
 
 def test_help_executes_only_the_cli():
-    assert run_command(["--help"]) == {"executed": layers(), "mpmath": False}
+    # json comes with the first command that reads or writes data
+    assert run_command(["--help"]) == report_of(layers(), json=False)
 
 
 def test_expand_executes_the_engine_layers_only(tmp_path):
@@ -71,11 +88,8 @@ def test_expand_executes_the_engine_layers_only(tmp_path):
     path.write_text(json.dumps({"kind": "algebraic", "minpoly": ["-2", "0", "0", "1"],
                                 "lo": "1/1", "hi": "2/1"}))
     report = run_command(["expand", "--input", str(path), "--steps", "5"])
-    assert report == {
-        "executed": layers("engine", "exact_reals", "intervals", "polynomials", "radix",
-                           "recurrence", "serialization"),
-        "mpmath": False,
-    }
+    assert report == report_of(layers("engine", "exact_reals", "intervals", "polynomials", "radix",
+                                      "recurrence", "serialization"))
 
 
 PQ2 = str(GOLDEN / "pq_m2.json")
@@ -110,7 +124,7 @@ def test_light_commands_execute_only_the_recurrence_layers(name):
     # no field, engine, convergents or transcendence code: a pq is decoded through
     # serialization's module reference to exact_reals, which stays unexecuted
     argv, modules = LIGHT_COMMANDS[name]
-    assert run_command(argv) == {"executed": layers(*modules), "mpmath": False}
+    assert run_command(argv) == report_of(layers(*modules))
 
 
 CHECKERS = {
@@ -125,21 +139,25 @@ def test_the_convergent_checkers_execute_no_engine(name):
     # only proximity_check expands, and it imports the engine in its own body
     report = run_command(CHECKERS[name])
     assert "mcf.convergents" in report["executed"] and "mcf.engine" not in report["executed"]
+    assert unused(report) == UNUSED
 
 
 def test_periodic_solve_executes_the_engine():
     # it re-expands each candidate root pair; expand's own test pins its layers
-    assert "mcf.engine" in run_command(WITHOUT_LOGS["periodic solve"])["executed"]
+    report = run_command(WITHOUT_LOGS["periodic solve"])
+    assert "mcf.engine" in report["executed"] and unused(report) == UNUSED
 
 
 @pytest.mark.parametrize("name", WITHOUT_LOGS)
 def test_commands_without_a_logarithm_leave_mpmath_unimported(name):
-    assert not run_command(WITHOUT_LOGS[name])["mpmath"]
+    report = run_command(WITHOUT_LOGS[name])
+    assert not report["mpmath"] and unused(report) == UNUSED
 
 
 @pytest.mark.parametrize("name", WITH_LOGS)
 def test_commands_with_a_logarithm_import_mpmath(name):
-    assert run_command(WITH_LOGS[name])["mpmath"]
+    report = run_command(WITH_LOGS[name])
+    assert report["mpmath"] and unused(report) == UNUSED
 
 
 def test_importing_the_cli_registers_every_layer_unexecuted():
@@ -149,7 +167,7 @@ import sys, mcf.cli
 missing = [m for m in %r if "mcf." + m not in sys.modules]
 assert not missing, missing
 """ % [m for m in MODULES if m not in ("cli", "errors")])
-    assert report == {"executed": layers(), "mpmath": False}
+    assert report == report_of(layers(), json=False)
 
 
 def test_import_mcf_executes_only_the_errors():
@@ -164,8 +182,8 @@ except AttributeError:
 else:
     raise AssertionError("unknown names must raise AttributeError")
 """)
-    assert "mcf.engine" in report["executed"]
-    assert probe("import mcf") == {"executed": ["mcf", "mcf.errors"], "mpmath": False}
+    assert "mcf.engine" in report["executed"] and unused(report) == UNUSED
+    assert probe("import mcf") == report_of(["mcf", "mcf.errors"], json=False)
 
 
 def test_the_liouville_exports_execute_only_the_light_layers():
@@ -173,8 +191,8 @@ def test_the_liouville_exports_execute_only_the_light_layers():
 import mcf
 assert mcf.construct_liouville is __import__("mcf.liouville").liouville.construct_liouville
 """)
-    assert report == {"executed": ["mcf", "mcf.errors", "mcf.intervals", "mcf.liouville",
-                                   "mcf.radix", "mcf.recurrence"], "mpmath": False}
+    assert report == report_of(["mcf", "mcf.errors", "mcf.intervals", "mcf.liouville", "mcf.radix",
+                                "mcf.recurrence"], json=False)
 
 
 def _module_level_imports(path: Path) -> set[str]:

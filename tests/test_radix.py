@@ -1,6 +1,10 @@
-"""The decimal wire conversion: exactly str()/int(), on both sides of the builtin leaf sizes."""
+"""The decimal wire conversion: exactly str()/int(), on both sides of the builtin leaf sizes;
+and radix.Record, the base of the value records."""
 
+import copy
 import decimal
+import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,8 +12,9 @@ from hypothesis import strategies as st
 
 from helpers import int_digit_cap
 
-from mcf import InputError
+from mcf import InputError, RationalInterval
 from mcf.radix import int_to_str, str_to_decimal, str_to_int, to_decimal
+from mcf.recurrence import CheckItem, Column, PartialQuotients, QuotientRows
 from mcf.serialization import parse_int
 
 BIG_BITS = 1 << 15  # the size scale of the drawn integers
@@ -144,3 +149,24 @@ def test_str_to_decimal_has_the_value_and_errors_of_str_to_int(text):
         d = str_to_decimal(text)
     assert d.as_tuple().exponent == 0
     assert str(d) == int_to_str(expected)
+
+
+# -- radix.Record: the base of the value records ---------------------------------
+
+
+def test_records_are_immutable_values():
+    col = Column(1, (2, 3), 4)
+    assert col == Column(1, (2, 3), 4) and hash(col) == hash(Column(1, (2, 3), 4))
+    assert col != Column(1, (2, 3), 5) and col != (1, (2, 3), 4)
+    assert len({RationalInterval(1, 2), RationalInterval(Fraction(2, 2), 2), RationalInterval(1, 3)}) == 2
+    assert QuotientRows(1, ((1,),)) != PartialQuotients(1, ((1,),))  # the class is part of the value
+    with pytest.raises(AttributeError):
+        col.C = 5
+    with pytest.raises(AttributeError):
+        del col.C
+    with pytest.raises(AttributeError):
+        col.extra = 0
+    pq = PartialQuotients(2, ((0, 3), (0, 1)))
+    assert copy.copy(col) == col and pickle.loads(pickle.dumps(pq)) == pq
+    assert repr(CheckItem("x", None, "d", (7,))) == \
+        "CheckItem(name='x', first_violation=None, detail='d', boundary_indices=(7,))"
