@@ -39,7 +39,7 @@ from .exact_reals import (
     enclosure_at,
     query_levels,
 )
-from .intervals import RationalInterval, as_fraction, iv_enclosure
+from .intervals import RationalInterval, as_fraction
 from .radix import Record, frac_to_str, int_to_str
 from .recurrence import CheckItem, PartialQuotients, conv_stream, int_entries, lag_stream
 from .recurrence import ConvergentState  # noqa: F401  (perfbench/tracer.py's convergents.ConvergentState.step)
@@ -387,9 +387,9 @@ def lt_power(a: int, c: int, d: int) -> bool:
 def _k_enclosure(d: int, m: int, prec: int) -> RationalInterval:
     if d < 1 or m < 1:
         raise InputError("need d >= 1 and m >= 1")
-    return iv_enclosure(
-        prec, lambda iv: iv.log(d + 1) + iv.log(iv.mpf(d + 1) / d) + iv.log(iv.log(m + 1))
-    )
+    from .logs import log_enclosure as log  # here: only a log executes mcf.logs
+
+    return log(d + 1, prec) + log(Fraction(d + 1, d), prec) + log(log(m + 1, prec), prec)
 
 
 def k_interval(d: int, m: int, max_width=Fraction(1, 10**6)) -> RationalInterval:
@@ -408,7 +408,9 @@ def loglog_interval(c: int, prec: int = 128) -> RationalInterval:
     """Certified enclosure of log log c (c >= 2)."""
     if c < 2:
         raise InputError("log log requires c >= 2")
-    return iv_enclosure(prec, lambda iv: iv.log(iv.log(iv.mpf(c))))
+    from .logs import log_enclosure
+
+    return log_enclosure(log_enclosure(c, prec), prec)
 
 
 def loglog_lt(c: int, d: int, m: int, n: int) -> bool:

@@ -140,19 +140,3 @@ class RationalInterval(Record):
     def __repr__(self):
         return f"RationalInterval({frac_to_str(self.lo)!r}, {frac_to_str(self.hi)!r})"
 
-
-def iv_enclosure(prec: int, compute) -> RationalInterval:
-    """The exact endpoints of the interval compute(iv) returns, iv a fresh mpmath
-    interval context at prec bits (mpmath's global iv is never touched); mpmath
-    is imported here, on the first logarithm a run takes."""
-    from mpmath.ctx_iv import MPIntervalContext
-
-    def to_frac(raw) -> Fraction:
-        sign, man, exp, _ = raw  # a libmp tuple (sign, mantissa, exponent, bitcount)
-        mag = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-        return -mag if sign else mag
-
-    ctx = MPIntervalContext()
-    ctx.prec = prec
-    lo, hi = compute(ctx)._mpi_
-    return RationalInterval(to_frac(lo), to_frac(hi))

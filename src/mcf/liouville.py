@@ -201,7 +201,9 @@ def _head_exceeds(a, t, C, p: int, q: int) -> bool:
     t r <= t C^(p/q) < t (r + 1), equal to t r when the root is exact, so q-th
     powers are formed only for t r < a < t (r + 1).  They clear the rest to
     a^q > t^q C^p: equivalent for odd q, or when a and C are >= 0.  For even q a
-    negative a fails, and so does a negative C, whose C^(p/q) is not real."""
+    negative a fails, and so does a negative C, whose C^(p/q) is not real.  Signs decide C = 0 and a < 0 <= C - 1."""
+    if C == 0 or a < 0 <= C - 1:
+        return a > 0
     if a >= 0 and C >= 1:
         r, exact = _rational_root(C, p, q)
         if exact or not t * r < a < t * (r + 1):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .convergents import eta_field, lt_power, psi_field, scan_inputs
 from .errors import AdmissibilityError, InputError, ScheduleOverlap
 from .exact_reals import abs_diff_pow_lt, certify
-from .intervals import RationalInterval, as_fraction, iv_enclosure
+from .intervals import RationalInterval, as_fraction
 from .liouville import CriterionReport, Rule, _iroot_floor
 from .liouville import construct_liouville, verify_liouville  # noqa: F401  (perfbench/tracer.py's targets)
 from .radix import Record, frac_to_str, int_to_str
@@ -122,12 +122,14 @@ def build_quasiperiodic(spec: QuasiPeriodicSpec, depth: int) -> PartialQuotients
 
 
 def _log_ratio_string(lam: int, n_k: int) -> str:
-    """log(lam)/n_k to 20 digits, in a fresh mpmath context at 30 digits."""
-    from mpmath import MPContext
+    """log(lam)/n_k correctly rounded to 20 significant digits (logs.significant_string);
+    for lam >= 2 it is irrational, so no tie can keep a level from deciding."""
+    from .logs import log_enclosure, significant_string  # here: only a log executes mcf.logs
 
-    ctx = MPContext()
-    ctx.dps = 30
-    return ctx.nstr(ctx.log(ctx.mpf(lam)) / n_k, 20, strip_zeros=False)
+    def attempt(level):
+        return significant_string(log_enclosure(lam, 96 << level) / n_k, 20)
+
+    return certify(f"20 digits of log(lambda)/n at window n = {int_to_str(n_k)}", attempt)
 
 
 def _log_ratio_le(lam: int, n: int, lam2: int, n2: int) -> bool:
@@ -143,8 +145,10 @@ def _log_ratio_le(lam: int, n: int, lam2: int, n2: int) -> bool:
     if t**b == lam and (t == 1 or a * (t.bit_length() - 1) <= lam2.bit_length()) and t**a == lam2:
         return True
 
+    from .logs import log_enclosure
+
     def attempt(level):
-        diff = iv_enclosure(64 << level, lambda iv: a * iv.log(lam) - b * iv.log(lam2))
+        diff = log_enclosure(lam, 64 << level) * a - log_enclosure(lam2, 64 << level) * b
         if diff.hi < 0:
             return True
         if diff.lo > 0:
@@ -212,13 +216,6 @@ def main1_check(spec: QuasiPeriodicSpec, d: int, c, depth: int) -> CriterionRepo
 _VARIANTS = ("statement", "lemma38", "proof18")
 
 
-def _log_enclosure_of_interval(iv_rat: RationalInterval, prec: int) -> RationalInterval:
-    def log_of(v: Fraction):
-        return lambda iv: iv.log(iv.mpf(v.numerator) / v.denominator)
-
-    return iv_enclosure(prec, log_of(iv_rat.lo)).hull(iv_enclosure(prec, log_of(iv_rat.hi)))
-
-
 def main2_constant(M: int, variant: str = "statement", max_width=Fraction(1, 10**9)) -> RationalInterval:
     """Certified enclosure of the threshold B for quotient bound M.
 
@@ -243,11 +240,13 @@ def main2_constant(M: int, variant: str = "statement", max_width=Fraction(1, 10*
     if eta_f.min_poly == psi_f.min_poly:
         return RationalInterval.point(Fraction(factor - 1))
 
+    from .logs import log_enclosure
+
     def attempt(level):
         width = Fraction(1, 1 << (64 * (level + 1)))
         prec = 64 * (level + 1) + 33  # the bits of 1/width, plus 32
-        log_eta = _log_enclosure_of_interval(eta_f.refine_root(width), prec)
-        log_psi = _log_enclosure_of_interval(psi_f.refine_root(width), prec)
+        log_eta = log_enclosure(eta_f.refine_root(width), prec)
+        log_psi = log_enclosure(psi_f.refine_root(width), prec)
         b_iv = log_eta * factor / log_psi - 1
         return b_iv if b_iv.width <= max_width else None
 

@@ -467,7 +467,7 @@ def test_checkers_hold_a_window_not_every_column():
                              base_rules=tuple(seq_rule(s) for s in pq.seqs))
     calls = {"growth M=5": lambda: growth_check(pq, M=5), "growth d=1": lambda: growth_check(pq, d=1),
              "main1": lambda: main1_check(spec, d=1, c=1, depth=3800)}
-    for call in calls.values():  # the first calls load mpmath and fill the K cache
+    for call in calls.values():  # the first calls execute mcf.logs and fill the K cache
         call()
     peaks = {name: _traced_peak(call) for name, call in calls.items()}
     assert all(peak < 1 << 20 for peak in peaks.values()), peaks

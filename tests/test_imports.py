@@ -121,10 +121,11 @@ LIGHT_COMMANDS = {
 
 @pytest.mark.parametrize("name", LIGHT_COMMANDS)
 def test_light_commands_execute_only_the_recurrence_layers(name):
-    # no field, engine, convergents or transcendence code: a pq is decoded through
+    # no field, engine, convergents, logs or transcendence code: a pq is decoded through
     # serialization's module reference to exact_reals, which stays unexecuted
     argv, modules = LIGHT_COMMANDS[name]
-    assert run_command(argv) == report_of(layers(*modules))
+    report = run_command(argv)
+    assert report == report_of(layers(*modules)) and "mcf.logs" not in report["executed"]
 
 
 CHECKERS = {
@@ -150,23 +151,41 @@ def test_periodic_solve_executes_the_engine():
 
 @pytest.mark.parametrize("name", WITHOUT_LOGS)
 def test_commands_without_a_logarithm_leave_mpmath_unimported(name):
+    # nor do they execute mcf.logs, which the checkers import where they take a log
     report = run_command(WITHOUT_LOGS[name])
     assert not report["mpmath"] and unused(report) == UNUSED
+    assert "mcf.logs" not in report["executed"]
+
+
+def test_importing_the_checkers_executes_no_logs():
+    # perfbench's library routes import both; mcf.logs is imported where a log is taken
+    report = probe("import mcf.convergents, mcf.transcendence")
+    assert "mcf.transcendence" in report["executed"] and "mcf.logs" not in report["executed"]
 
 
 @pytest.mark.parametrize("name", WITH_LOGS)
-def test_commands_with_a_logarithm_import_mpmath(name):
-    report = run_command(WITH_LOGS[name])
-    assert report["mpmath"] and unused(report) == UNUSED
+def test_commands_with_a_logarithm_run_without_mpmath(name):
+    # an import of mpmath raises ImportError in this probe; the logarithms are mcf.logs'
+    report = probe(f"""
+import contextlib, io, sys
+sys.modules["mpmath"] = None
+import mcf.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert mcf.cli.run({WITH_LOGS[name]!r}) == 0
+""")
+    assert "mcf.logs" in report["executed"] and unused(report) == UNUSED
 
 
 def test_importing_the_cli_registers_every_layer_unexecuted():
-    # perfbench's tracer reads each layer from sys.modules right after `import mcf.cli`
+    # perfbench's tracer reads each layer from sys.modules right after `import mcf.cli`;
+    # it wraps nothing in mcf.logs, which is imported where a log is taken (registering
+    # it raised the peak RSS of `mcf --help` by about 0.1 MB)
     report = probe("""
 import sys, mcf.cli
 missing = [m for m in %r if "mcf." + m not in sys.modules]
 assert not missing, missing
-""" % [m for m in MODULES if m not in ("cli", "errors")])
+assert "mcf.logs" not in sys.modules
+""" % [m for m in MODULES if m not in ("cli", "errors", "logs")])
     assert report == report_of(layers(), json=False)
 
 
@@ -223,6 +242,12 @@ def test_the_light_layers_import_only_light_modules(module):
     assert sorted(imports - light - set(sys.stdlib_module_names)) == []
 
 
+def test_logs_imports_only_the_stdlib_radix_and_intervals():
+    # the certified logarithms run on exact rationals alone
+    imports = _module_level_imports(PACKAGE / "logs.py")
+    assert sorted(imports - {".radix", ".intervals"} - set(sys.stdlib_module_names)) == []
+
+
 def _scopes(path: Path, hit) -> set[str]:
     """module.function (or module, at top level) of every node in path for which hit(node)."""
     found = set()
@@ -246,9 +271,10 @@ def _imports_mpmath(node) -> bool:
     return any(name.split(".")[0] == "mpmath" for name in names)
 
 
-def test_mpmath_is_imported_only_on_the_log_paths():
+def test_no_module_imports_mpmath():
+    # mpmath is the tests' oracle only: mcf.logs takes every logarithm in integers
     importers = set().union(*(_scopes(p, _imports_mpmath) for p in PACKAGE.glob("*.py")))
-    assert importers == {"intervals.iv_enclosure", "transcendence._log_ratio_string"}
+    assert importers == set()
 
 
 def _calls_root_helper(node) -> bool:

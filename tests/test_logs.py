@@ -1,0 +1,176 @@
+"""Certified logarithms in integer arithmetic (mcf.logs) against mpmath as the oracle.
+
+mpmath is a test dependency only.  Each enclosure must contain mpmath's value at
+four times its precision, and be no wider than mpmath's own outward-rounded
+interval logarithm at the same precision (the enclosure mcf took before
+mcf.logs); the 20-digit strings must equal mpmath's `nstr` of a 60-digit value.
+"""
+
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath.ctx_iv import MPIntervalContext
+
+from mcf.convergents import _k_enclosure, eta_field, loglog_interval, psi_field
+from mcf.intervals import RationalInterval
+from mcf.logs import log_enclosure, significant_string
+from mcf.transcendence import _log_ratio_string, main2_constant
+
+
+def mpf(v: Fraction):
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
+def contains(iv: RationalInterval, value) -> bool:
+    # at the callers' working precision, far beyond the enclosure's width
+    lo, hi = (mpf(v) for v in (iv.lo, iv.hi))
+    return lo <= value <= hi
+
+
+def mpmath_enclosure(prec: int, compute) -> RationalInterval:
+    """The exact endpoints of the interval compute(iv) returns, iv a fresh mpmath
+    interval context at prec bits: how mcf enclosed its logarithms before mcf.logs."""
+    def to_frac(raw) -> Fraction:
+        sign, man, exp, _ = raw  # a libmp tuple (sign, mantissa, exponent, bitcount)
+        mag = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+        return -mag if sign else mag
+
+    ctx = MPIntervalContext()
+    ctx.prec = prec
+    lo, hi = compute(ctx)._mpi_
+    return RationalInterval(to_frac(lo), to_frac(hi))
+
+
+BITS = 4000
+positive_rationals = st.one_of(
+    st.integers(-BITS, BITS).map(lambda k: Fraction(2) ** k),  # powers of two
+    st.builds(lambda k, s: 1 + s * Fraction(1, 2**k), st.integers(1, BITS), st.sampled_from([1, -1])),
+    st.integers(1 << (BITS - 1), (1 << BITS) - 1).map(Fraction),  # 4000-bit integers
+    st.builds(Fraction, st.integers(1, 1 << BITS), st.integers(1, 1 << BITS)),
+    st.builds(Fraction, st.integers(1, 1000), st.integers(1, 1000)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(positive_rationals, st.integers(8, 600))
+@example(Fraction(1), 64)
+@example(Fraction(2), 64)
+@example(Fraction(1, 2), 64)
+@example(Fraction(3, 2), 8)
+def test_log_enclosure_contains_log_and_is_no_wider_than_mpmaths(x, prec):
+    iv = log_enclosure(x, prec)
+    with mpmath.workprec(4 * prec + x.numerator.bit_length() + x.denominator.bit_length()):
+        assert contains(iv, mpmath.log(mpf(x)))
+    assert iv.width <= mpmath_enclosure(prec, lambda iv: iv.log(iv.mpf(x.numerator) / x.denominator)).width
+    if x == 1:
+        assert iv == RationalInterval.point(0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(positive_rationals, positive_rationals, st.integers(8, 300))
+def test_log_of_an_enclosure_is_the_hull_of_its_endpoints_logs(x, y, prec):
+    lo, hi = min(x, y), max(x, y)
+    iv = log_enclosure(RationalInterval(lo, hi), prec)
+    assert iv == log_enclosure(lo, prec).hull(log_enclosure(hi, prec))
+
+
+def test_small_logs_keep_their_relative_precision():
+    # log(1 + 1/d) ~ 1/d: the width follows the value, not an absolute number of bits
+    for d in (10, 10**6, 2**1000):
+        iv = log_enclosure(Fraction(d + 1, d), 64)
+        assert 0 < iv.lo and iv.width < iv.lo / 2**64
+        assert iv.width <= mpmath_enclosure(64, lambda ctx: ctx.log(ctx.mpf(d + 1) / d)).width
+
+
+@pytest.mark.parametrize("x", [0, -1, Fraction(-1, 3)])
+def test_log_enclosure_refuses_nonpositive_numbers(x):
+    with pytest.raises(ValueError):
+        log_enclosure(x, 64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 50), st.integers(1, 6), st.sampled_from([64, 128, 256]))
+def test_k_enclosure_contains_k(d, m, prec):
+    iv = _k_enclosure(d, m, prec)
+    with mpmath.workprec(4 * prec):
+        assert contains(iv, mpmath.log(d + 1) + mpmath.log(mpmath.mpf(d + 1) / d)
+                        + mpmath.log(mpmath.log(m + 1)))
+    before = mpmath_enclosure(
+        prec, lambda iv: iv.log(d + 1) + iv.log(iv.mpf(d + 1) / d) + iv.log(iv.log(m + 1)))
+    assert iv.width <= before.width
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(2, 1000), st.integers(2, 1 << BITS)), st.sampled_from([128, 256, 512]))
+def test_loglog_interval_contains_loglog(c, prec):
+    iv = loglog_interval(c, prec)
+    with mpmath.workprec(4 * prec + c.bit_length()):
+        assert contains(iv, mpmath.log(mpmath.log(c)))
+
+
+def true_root(field) -> mpmath.mpf:
+    """The field's root by mpmath's Newton iteration from a tight certified bracket."""
+    bracket = field.refine_root(Fraction(1, 1 << 64))
+    coeffs = [mpmath.mpf(c) for c in reversed(field.min_poly)]
+    return mpmath.findroot(lambda x: mpmath.polyval(coeffs, x), mpf(bracket.midpoint()))
+
+
+@pytest.mark.parametrize("variant", ["statement", "lemma38", "proof18"])
+@pytest.mark.parametrize("M", [1, 2, 7, 50])
+def test_main2_constant_contains_b(M, variant):
+    with mpmath.workdps(80):
+        eta = true_root(eta_field(M))
+        psi = true_root(eta_field(1) if variant == "statement" else psi_field())
+        factor = 18 if variant == "proof18" else 2
+        assert contains(main2_constant(M, variant), factor * mpmath.log(eta) / mpmath.log(psi) - 1)
+
+
+def mpmath_ratio_string(lam: int, n: int) -> str:
+    with mpmath.workdps(60 + len(str(n))):
+        return mpmath.nstr(mpmath.log(lam) / n, 20, strip_zeros=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(1, 1000), st.integers(1, 1 << BITS)), st.integers(1, 10**15))
+@example(1, 1)
+@example(1, 7)
+@example(2, 10**4)  # 0.000069314718055994530942: fixed notation down to exponent -5
+@example(2, 10**5)  # 6.9314718055994530942e-6: scientific from exponent -6
+@example(2, 10**6)
+@example(3, 1)
+@example((1 << BITS) - 1, 1)
+def test_log_ratio_string_is_mpmaths_correctly_rounded_string(lam, n):
+    assert _log_ratio_string(lam, n) == mpmath_ratio_string(lam, n)
+
+
+def test_log_ratio_string_pins_the_notation_boundary():
+    assert _log_ratio_string(1, 3) == "0.0"
+    assert _log_ratio_string(2, 10**4) == "0.000069314718055994530942"
+    assert _log_ratio_string(2, 10**5) == "6.9314718055994530942e-6"
+    assert _log_ratio_string(2, 10**6) == "6.9314718055994530942e-7"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**40), st.integers(0, 60), st.integers(-60, 0),
+       st.integers(1, 10**6).map(lambda k: 10 * k + 3))
+def test_significant_string_writes_what_mpmaths_nstr_writes(num, up, down, den):
+    # den is coprime to 10 and above 1, so no value is a tie between two 20-digit numbers
+    value = Fraction(num * 10**up, den * 10**-down)
+    with mpmath.workdps(80):
+        expected = mpmath.nstr(mpf(value), 20, strip_zeros=False)
+    assert significant_string(RationalInterval.point(value), 20) == expected
+
+
+def test_significant_string_waits_while_the_endpoints_round_apart():
+    third = Fraction(1, 3)
+    assert significant_string(RationalInterval(third - Fraction(1, 10**30), third), 20) is not None
+    assert significant_string(RationalInterval(third - Fraction(1, 10**15), third), 20) is None
+    # 9.99...996 rounds up into the next decade, to 10.000000000000000000
+    nines = Fraction(10) - Fraction(4, 10**20)
+    rounded_up = significant_string(RationalInterval(nines, nines + Fraction(1, 10**25)), 20)
+    assert rounded_up == "10.000000000000000000"
+    with pytest.raises(ValueError):
+        significant_string(RationalInterval(-1, 1), 20)

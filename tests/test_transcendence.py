@@ -7,6 +7,7 @@ import random
 import re
 import signal
 import threading
+import time
 from fractions import Fraction
 
 import mpmath
@@ -291,8 +292,8 @@ def test_main1_check_ratio_trend_and_violations():
 
 
 def test_no_thread_sees_mpmath_precision_move():
-    # the certified logarithms and the ratio strings compute in private mpmath
-    # contexts, so another thread never sees the global iv.prec or mp.dps change
+    # the certified logarithms and the ratio strings compute in integers (mcf.logs), so a
+    # thread that uses mpmath beside them never sees its global iv.prec or mp.dps change
     done = threading.Event()
     seen = set()
 
@@ -487,6 +488,27 @@ def test_head_exceeds_decides_signed_heads_and_denominators_over_the_reals():
         if C >= 2 and t < a < 2 * t:
             continue
         assert _head_exceeds(a, t, C, 1, 10**9) == (C >= 1 and a > t)
+
+
+@pytest.mark.parametrize("q", [10**9, 10**9 + 1])
+def test_head_exceeds_settles_signs_before_any_power(q):
+    # t C^delta is 0 at C = 0 and >= 0 at C >= 1, so these cases form no q-th power:
+    # at q = 10^9 + 1, a**q alone would hold about a gigabit
+    start = time.perf_counter()
+    for a, t, p in itertools.product(range(-2, 3), range(3), (1, 3)):
+        assert _head_exceeds(a, t, 0, p, q) == (a > 0)
+        if a < 0:
+            for C in (1, 2, 9, 1 << 4096):
+                assert _head_exceeds(a, t, C, p, q) is False
+    assert time.perf_counter() - start < 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-60, 60), st.integers(0, 8), st.one_of(st.just(0), st.integers(-60, 60)),
+       st.integers(1, 6), st.integers(1, 6))
+def test_head_exceeds_matches_exact_powers_at_small_q(a, t, C, p, q):
+    g = math.gcd(p, q)
+    assert _head_exceeds(a, t, C, p // g, q // g) == exceeds_rational_power(a, t, C, Fraction(p, q))
 
 
 @pytest.mark.parametrize("build", [
