@@ -173,14 +173,12 @@ def _cmd_construct_liouville(args) -> int:
         head=args.a0,
     )
     with decimal.localcontext(radix.EXACT):  # as in _cmd_convergents: no big int is built
-        rows = liouville.liouville_rows(spec, radix.to_decimal)
-        _print(ser.dumps_stable(ser.pq_to_json(rows)))
+        ser.write_pq(liouville.liouville_rows(spec, radix.to_decimal), sys.stdout.write)
     return EXIT_OK
 
 
 def _cmd_construct_quasiperiodic(args) -> int:
-    pq = transcendence.build_quasiperiodic(_quasi_spec(args), args.depth)
-    _print(ser.dumps_stable(ser.pq_to_json(pq)))
+    ser.write_pq(transcendence.build_quasiperiodic(_quasi_spec(args), args.depth), sys.stdout.write)
     return EXIT_OK
 
 

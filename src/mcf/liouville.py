@@ -206,8 +206,9 @@ def _head_exceeds(a, t, C, p: int, q: int) -> bool:
         return a > 0
     if a >= 0 and C >= 1:
         r, exact = _rational_root(C, p, q)
-        if exact or not t * r < a < t * (r + 1):
-            return a > t * r
+        low = t * r
+        if exact or not low < a < low + t:
+            return a > low
     elif q % 2 == 0 and (a < 0 or C < 0):
         return False
     return a**q > t**q * C**p

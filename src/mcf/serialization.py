@@ -24,6 +24,8 @@ from .radix import int_to_str, quote, str_to_decimal, str_to_frac, str_to_int, t
 from .recurrence import PartialQuotients, QuotientRows
 
 if TYPE_CHECKING:  # report types: only annotations name them, so encoding loads no checker
+    from collections.abc import Iterator
+
     from .convergents import CheckReport
     from .engine import ExpansionRecord
     from .liouville import CriterionReport
@@ -170,9 +172,23 @@ def pq_to_json(pq: QuotientRows) -> dict:
     return {"m": pq.m, "seqs": [[int_to_str(v) for v in s] for s in pq.seqs]}
 
 
-def expansion_jsonl(record: ExpansionRecord, trace: bool = False) -> list[str]:
-    """One line per index: {'n', 'a', 'event'} with the quotients emitted there."""
-    lines = []
+def write_pq(pq: QuotientRows, write) -> None:
+    """Pass dumps_stable(pq_to_json(pq)) + "\n" to `write` piece by piece: each quotient's
+    digits once, as int_to_str gives them, and no copy of the document is held."""
+    write(f'{{"m":{pq.m},"seqs":[')
+    for i, s in enumerate(pq.seqs):
+        write(",[" if i else "[")
+        for k, v in enumerate(s):
+            write(',"' if k else '"')
+            write(int_to_str(v))
+            write('"')
+        write("]")
+    write("]}\n")
+
+
+def expansion_jsonl(record: ExpansionRecord, trace: bool = False) -> Iterator[str]:
+    """One line per index, yielded as it is encoded: {'n', 'a', 'event'} with the
+    quotients emitted there."""
     interrupted_at = {ev.index for ev in record.interruptions}
     total = max((len(s) for s in record.pq.seqs), default=0)
     for n in range(total):
@@ -181,8 +197,7 @@ def expansion_jsonl(record: ExpansionRecord, trace: bool = False) -> list[str]:
         payload = {"n": n, "a": emitted, "event": event}
         if trace and record.trace is not None and n < len(record.trace):
             payload["trace"] = [_trace_value(v) for v in record.trace[n]]
-        lines.append(dumps_stable(payload))
-    return lines
+        yield dumps_stable(payload)
 
 
 def _trace_value(rv: exact_reals.RealValue) -> dict:

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, wire formats, determinism, help goldens."""
 
 import contextlib
+import decimal
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,9 +26,9 @@ from mcf import cli
 from mcf import serialization as ser
 from mcf.cli import build_parser, run
 from mcf.convergents import k_interval
-from mcf.liouville import cycle_rule, seq_rule
-from mcf.radix import int_to_str, str_to_int
-from mcf.recurrence import ConvergentState, PartialQuotients, conv_stream
+from mcf.liouville import cycle_rule, liouville_rows, seq_rule
+from mcf.radix import EXACT, int_to_str, str_to_int, to_decimal
+from mcf.recurrence import ConvergentState, PartialQuotients, QuotientRows, conv_stream
 from mcf.serialization import criterion_report_to_json, dumps_stable, pq_from_json, pq_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -627,6 +629,57 @@ def test_liouville_past_the_radix_cutoff_round_trips(tmp_path):
     code, out, _ = invoke(["verify", "liouville", "--pq", str(path), "--delta", "1"])
     assert code == 0
     assert json.loads(out)["verdict"] == "hypotheses-hold-to-depth"
+
+
+@st.composite
+def wire_pqs(draw):
+    """Ragged pqs, m = 1..4, empty sequences included: ints of both signs, some past the
+    radix cutoff, each entry an int or an integral Decimal."""
+    value = st.one_of(st.integers(-10**6, 10**6), st.integers(-(1 << 3000), 1 << 3000))
+    entry = st.tuples(value, st.booleans()).map(lambda vd: to_decimal(vd[0]) if vd[1] else vd[0])
+    m = draw(st.integers(1, 4))
+    seqs = draw(st.lists(st.lists(entry, max_size=5), min_size=m, max_size=m))
+    return QuotientRows(m, tuple(map(tuple, seqs)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(wire_pqs())
+@example(QuotientRows(1, ((),)))
+@example(QuotientRows(3, ((0, -1), (), (to_decimal(-(1 << 2000)),))))
+def test_write_pq_writes_the_bytes_of_the_document(pq):
+    pieces = []
+    ser.write_pq(pq, pieces.append)
+    assert "".join(pieces) == dumps_stable(pq_to_json(pq)) + "\n"
+
+
+def test_construct_liouville_holds_no_copy_of_its_document():
+    # Writing value by value adds less than one head's digits to the heap peak of the
+    # construction itself; a document built whole before writing (about four copies
+    # of it) adds more.
+    argv = ["construct", "liouville", "--m", "2", "--delta", "1", "--depth", "16", "--b-rule", "const:0"]
+    spec = LiouvilleSpec(2, Fraction(1), 16, (const_rule(0),))
+
+    def rows():
+        with decimal.localcontext(EXACT):
+            return liouville_rows(spec, to_decimal)
+
+    def peak(fn):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+
+    head_digits = rows().seqs[0][-1].adjusted() + 1
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        assert run(argv) == 0  # every layer executed before anything is traced
+        tracemalloc.start()
+        try:
+            rows_peak = peak(rows)
+            command_peak = peak(lambda: run(argv))
+        finally:
+            tracemalloc.stop()
+    assert head_digits > 800_000
+    assert command_peak - rows_peak < head_digits
 
 
 @st.composite

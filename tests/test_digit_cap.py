@@ -67,7 +67,7 @@ def test_no_thread_sees_the_digit_cap_lifted():
 def test_interruption_entry_holds_every_digit():
     with int_digit_cap(4300):
         record = expand([Fraction(1, 3), BIG], 1)
-        lines = expansion_jsonl(record)
+        lines = list(expansion_jsonl(record))  # the lines are encoded as they are drawn
     assert [(e.index, e.dimension_after, e.value) for e in record.interruptions] == [(0, 1, BIG)]
     assert lines == [f'{{"a":["0","{BIG_TEXT}"],"event":"interruption","n":0}}']
 
