@@ -158,7 +158,8 @@ def _cmd_periodic_solve(args) -> int:
         _print(f"height bound: {bound}")
         _print(f"alpha ~ {alpha_mid.numerator / alpha_mid.denominator:.12f}, "
                f"beta ~ {beta_mid.numerator / beta_mid.denominator:.12f}")
-        _print(f"round-trip matched {cert.matched_steps} quotients; residual_ok = {cert.residual_ok}")
+        _print(f"root selected by the convergent simplex at index {cert.matched_steps}; "
+               f"residual_ok = {cert.residual_ok}")
     return EXIT_OK
 
 

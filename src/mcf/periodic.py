@@ -14,21 +14,17 @@ naive heights are bounded by 3024 C_{h+k-1}^9 when both limits lie in (0,1)
 (3024 N^5 M^5 C_{h+k-1}^9 for limits in (0,N) x (0,M)).
 
 V^{-1} needs no division: det V = 1 and the adjugate entries are exactly the
-lag-product ("tilde") sequences of the convergents.
+lag-product ("tilde") sequences of the convergents.  The limit of an
+admissible expansion lies in the simplex of any 3 consecutive convergents,
+so that simplex picks alpha among the alpha cubic's real roots, and the
+first X-relation gives beta in Q(alpha).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .engine import expand
-from .errors import (
-    AdmissibilityError,
-    DegenerateCubic,
-    InputError,
-    NonTerminating,
-    RootSelectionAmbiguous,
-)
+from .errors import AdmissibilityError, DegenerateCubic, InputError, RootSelectionAmbiguous
 from .exact_reals import AlgebraicValue, FieldElement, NumberField, certify
 from .intervals import RationalInterval
 from .radix import Record, frac_to_str
@@ -223,35 +219,26 @@ def _degenerate(name: str, root: Fraction, poly: tuple[int, ...]) -> DegenerateC
                            "input is outside the cubic-irrational regime", residual=poly)
 
 
-def _partner(fld: NumberField, x: XMatrix, poly_b, target: PartialQuotients) -> FieldElement | None:
-    """beta in Q(alpha), from the first X-relation, if (alpha, beta) re-expands to target.
-    Each way to fail repeats at a longer target: a zero denominator, a nonzero residual
-    of the beta cubic, NonTerminating in the expansion, or a quotient mismatch."""
+def _partner(fld: NumberField, x: XMatrix, poly_b) -> FieldElement | None:
+    """beta in Q(alpha) from the first X-relation, or None when its denominator vanishes or
+    it is not a root of the beta cubic."""
     theta = fld.gen()
     den = x[1, 2] - x[3, 2] * theta
     if den.is_zero():
         return None
     beta = (x[3, 1] * theta * theta + (x[3, 3] - x[1, 1]) * theta - x[1, 3]) / den
-    if not pol.poly_eval(poly_b, beta).is_zero():
-        return None
-    probe = target.rect_len
-    try:
-        rec = expand([AlgebraicValue(theta), AlgebraicValue(beta)], probe)
-    except NonTerminating:
-        return None
-    if rec.pq.is_rectangular and all(s[:probe] == t for s, t in zip(rec.pq.seqs, target.seqs)):
-        return beta
-    return None
+    return beta if pol.poly_eval(poly_b, beta).is_zero() else None
 
 
 def solve_periodic(spec: PeriodicSpec) -> CubicCertificate:
     """Full pipeline: X matrix, cubic coefficients, heights and bound, root
-    selection by re-expansion, and interval residual certification.
+    selection by the convergent simplex, and interval residual certification.
 
-    The root of the alpha-cubic is selected by re-expanding each candidate
-    pair exactly and matching at least 2(k+h) quotients against the unrolled
-    spec; a candidate that fails is dropped, and while several match, the
-    survivors are matched again against twice as many quotients.
+    The limit lies in the simplex of the convergents L..L+2, L = 2(k+h), so
+    alpha is the real root of the alpha cubic whose bracket, refined to the
+    width of the simplex's alpha-projection, meets that projection (closed,
+    so a limit on a face counts).  While several roots meet it, L doubles,
+    up to 8(k+h); a lone real root needs no walk.  `matched_steps` is L.
     """
     steps = 2 * (spec.k + spec.h)
     x, c_top = x_matrix(spec)
@@ -267,19 +254,22 @@ def solve_periodic(spec: PeriodicSpec) -> CubicCertificate:
     else:
         bound, applicable = None, False
 
+    state = ConvergentState.initial(2, (0, 2))  # (A^(1), C) of the last three columns
     for attempt in range(4):
         probe = steps << attempt
-        target = unroll(spec, probe)
-        matched = [(fld, beta) for fld in fields
-                   if (beta := _partner(fld, x, poly_b, target)) is not None]
-        if len(matched) == 1:
+        if len(fields) > 1:
+            for a in zip(*(s[state.n:] for s in unroll(spec, probe + 3).seqs)):
+                state.advance(a)
+            lo, _, hi = sorted(Fraction(a1, c) for a1, c in state.window)
+            fields = [fld for fld in fields if (iv := fld.refine_root(hi - lo)).lo <= hi and lo <= iv.hi]
+        if len(fields) < 2:
             break
-        if not matched:
-            raise RootSelectionAmbiguous("no real root of the recovered cubic reproduces the expansion")
-        fields = [fld for fld, _ in matched]
     else:
-        raise RootSelectionAmbiguous(f"{len(matched)} roots still reproduce the prefix after deepening")
-    fld, beta_el = matched[0]
+        raise RootSelectionAmbiguous(f"{len(fields)} roots still meet the convergent simplex after deepening")
+    beta_el = _partner(fields[0], x, poly_b) if fields else None
+    if beta_el is None:
+        raise RootSelectionAmbiguous("no real root of the recovered cubic is the limit of the expansion")
+    fld = fields[0]
     if beta_el.is_rational():  # beta in the cubic field Q(alpha) is rational or cubic
         raise _degenerate("beta", beta_el.coords[0], poly_b)
 

@@ -222,6 +222,7 @@ def test_periodic_solve_human():
     assert code == 0
     assert "'-1', '-1', '-1', '1'" in out
     assert "alpha ~ 1.8392867" in out
+    assert out.endswith("root selected by the convergent simplex at index 2; residual_ok = True\n")
 
 
 def test_periodic_solve_human_with_a_negative_index_0_quotient():

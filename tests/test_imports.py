@@ -143,10 +143,11 @@ def test_the_convergent_checkers_execute_no_engine(name):
     assert unused(report) == UNUSED
 
 
-def test_periodic_solve_executes_the_engine():
-    # it re-expands each candidate root pair; expand's own test pins its layers
+def test_periodic_solve_executes_no_engine():
+    # the root is selected by the convergent simplex; nothing is expanded
     report = run_command(WITHOUT_LOGS["periodic solve"])
-    assert "mcf.engine" in report["executed"] and unused(report) == UNUSED
+    assert report == report_of(layers("exact_reals", "intervals", "periodic", "polynomials", "radix",
+                                      "recurrence", "serialization"))
 
 
 @pytest.mark.parametrize("name", WITHOUT_LOGS)

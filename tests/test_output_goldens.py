@@ -90,4 +90,4 @@ def test_deep_expand_stdout_hash(tmp_path):
 def test_long_preperiod_periodic_solve_stdout_hash():
     ones = ["0"] + ["1"] * 999
     argv = ["periodic", "solve", "--json", "--pre-a", *ones, "--pre-b", *ones, "--per-a", "2", "--per-b", "1"]
-    assert stdout_sha256(argv) == "fe3bd5a2dc3fbc665b7ece5bce20e92d52e4de30b5728af69aad30feefc9725c"
+    assert stdout_sha256(argv) == "02260fc36c5df514be060182d38880aa8277e3bd8799ca834ad35a2cc93defdb"

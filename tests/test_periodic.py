@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,7 +14,6 @@ from mcf import (
     AdmissibilityError,
     DegenerateCubic,
     InputError,
-    NonTerminating,
     PeriodicSpec,
     RootSelectionAmbiguous,
     expand,
@@ -23,6 +21,7 @@ from mcf import (
 )
 from mcf import periodic
 from mcf import polynomials as pol
+from mcf.exact_reals import NumberField
 from mcf.periodic import (
     XMatrix,
     cubic_coeffs,
@@ -266,58 +265,54 @@ def test_a_negative_index_0_quotient_makes_the_bound_inapplicable(pre_a, pre_b):
     assert expand([cert.alpha, cert.beta], 12).pq.seqs == unroll(spec, 12).seqs
 
 
-def scripted_expand(monkeypatch, script):
-    """Replace the expansions of root selection: script(probe, call) gives a spec (its
-    quotients are the expansion), "real", or an exception to raise; probes are logged."""
-    real, probes = periodic.expand, []
-
-    def fake(values, steps):
-        probes.append(steps)
-        verdict = script(steps, probes.count(steps))
-        if isinstance(verdict, PeriodicSpec):
-            return SimpleNamespace(pq=unroll(verdict, steps))
-        if verdict == "real":
-            return real(values, steps)
-        raise verdict
-
-    monkeypatch.setattr(periodic, "expand", fake)
-    return probes
-
-
-def test_root_selection_deepens_while_several_roots_match(monkeypatch):
-    probes = scripted_expand(monkeypatch, lambda steps, call: SEPTIC if steps == 4 else "real")
+def test_septic_selects_the_largest_root_by_the_convergent_simplex():
+    # L = 4: of the three roots' brackets, refined to the width of the alpha-projection of
+    # the convergents 4..6, only the largest root's meets it
     cert = solve_periodic(SEPTIC)
-    assert probes == [4, 4, 4, 8, 8, 8]
+    assert (cert.poly_alpha, cert.matched_steps) == ((-1, -2, 1, 1), 4)
+    assert cert.alpha_interval.lo > 1  # 2 cos(2 pi / 7)
+    lo, _, hi = sorted(Fraction(col.A[0], col.C) for col in list(conv_stream(unroll(SEPTIC, 7)))[4:])
+    brackets = [fld.refine_root(hi - lo) for fld in periodic._root_fields(cert.poly_alpha)]
+    assert [iv.lo <= hi and lo <= iv.hi for iv in brackets] == [False, False, True]
+    assert brackets[2].lo > 1
+
+
+def test_root_selection_doubles_l_while_another_root_meets_the_simplex(monkeypatch):
+    # a spec sharing SEPTIC's first L + 3 = 7 quotients has its limit in the simplex of the
+    # convergents 4..6 too, but not in that of 8..10
+    head = unroll(SEPTIC, 7).seqs
+    twin = solve_periodic(PeriodicSpec(head[0], head[1], (2,), (1,))).alpha.element.field
+    root_fields = periodic._root_fields
+    monkeypatch.setattr(periodic, "_root_fields", lambda poly: root_fields(poly) + [twin])
+    cert = solve_periodic(SEPTIC)
     assert cert.matched_steps == 8
-    assert cert.poly_alpha == (-1, -2, 1, 1)
+    assert cert.alpha_interval.lo > 1
     assert expand([cert.alpha, cert.beta], 12).pq.seqs == unroll(SEPTIC, 12).seqs
-    assert cert.alpha_interval.lo > 1  # the largest root, 2 cos(2 pi / 7)
-
-
-def test_a_root_that_fails_a_probe_is_not_expanded_again(monkeypatch):
-    # the smallest root fails at 4 quotients; only the other two are expanded at 8
-    def script(steps, call):
-        if steps > 4:
-            return "real"
-        return NonTerminating("made to fail") if call == 1 else SEPTIC
-
-    probes = scripted_expand(monkeypatch, script)
-    assert solve_periodic(SEPTIC).matched_steps == 8
-    assert probes == [4, 4, 4, 8, 8]
 
 
 def test_root_selection_ambiguous_after_deepening(monkeypatch):
-    probes = scripted_expand(monkeypatch, lambda steps, call: SEPTIC)
+    # a second field on the selected root meets every simplex: L doubles three times
+    root_fields, lengths, unroll_spec = periodic._root_fields, [], periodic.unroll
+
+    def with_a_copy(poly):
+        fields = root_fields(poly)
+        return fields + [NumberField(fields[-1].min_poly, fields[-1].root_interval())]
+
+    monkeypatch.setattr(periodic, "_root_fields", with_a_copy)
+    monkeypatch.setattr(periodic, "unroll", lambda spec, n: lengths.append(n) or unroll_spec(spec, n))
     with pytest.raises(RootSelectionAmbiguous) as err:
         solve_periodic(SEPTIC)
-    assert str(err.value) == "3 roots still reproduce the prefix after deepening"
-    assert probes == [4] * 3 + [8] * 3 + [16] * 3 + [32] * 3
+    assert str(err.value) == "2 roots still meet the convergent simplex after deepening"
+    assert lengths == [6, 7, 11, 19, 35]  # validate_spec's probe, then the columns L..L+2
 
 
-@pytest.mark.parametrize("failure", [NonTerminating("made to fail"), PeriodicSpec((), (), (2,), (1,))])
-def test_root_selection_without_a_matching_root(monkeypatch, failure):
-    probes = scripted_expand(monkeypatch, lambda steps, call: failure)
+def test_a_root_without_a_partner_is_not_the_limit(monkeypatch):
+    fld = periodic._root_fields(solve_periodic(SEPTIC).poly_alpha)[-1]
+    identity = XMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))  # X12 = X32 = 0: a zero denominator
+    assert periodic._partner(fld, identity, (1, 0, 0, 1)) is None
+    recover = periodic.cubic_coeffs
+    monkeypatch.setattr(periodic, "cubic_coeffs",  # beta is no root of x^3 - 3
+                        lambda x, name: (1, 0, 0, -3) if name == "beta" else recover(x, name))
     with pytest.raises(RootSelectionAmbiguous) as err:
         solve_periodic(SEPTIC)
-    assert str(err.value) == "no real root of the recovered cubic reproduces the expansion"
-    assert probes == [4, 4, 4]
+    assert str(err.value) == "no real root of the recovered cubic is the limit of the expansion"
