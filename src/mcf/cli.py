@@ -213,6 +213,10 @@ def _cmd_verify_growth(args) -> int:
 def _cmd_verify_liouville(args) -> int:
     import decimal
 
+    # the heads' comparator, imported before the document is read: compiling mcf.logs takes
+    # about 1 MB of heap for a moment, which at the first head set the run's peak RSS
+    from . import logs  # noqa: F401
+
     with decimal.localcontext(radix.EXACT):  # as in construct: the digits are read as Decimals
         rows = ser.pq_from_json(_load_json(args.pq), ser.parse_decimal, recurrence.QuotientRows)
         report = liouville.liouville_report(rows, ser.parse_frac(args.delta), upto=args.depth)

@@ -31,15 +31,13 @@ from .errors import (
 from .exact_reals import (
     NumberField,
     OracleValue,
+    RationalValue,
     SimplexOracle,
-    abs_diff_pow_lt,
     as_real,
-    budget_levels,
-    certify,
     enclosure_at,
     query_levels,
 )
-from .intervals import RationalInterval, as_fraction
+from .intervals import RationalInterval, as_fraction, certify
 from .radix import Record, frac_to_str, int_to_str
 from .recurrence import CheckItem, PartialQuotients, conv_stream, int_entries, lag_stream
 from .recurrence import ConvergentState  # noqa: F401  (perfbench/tracer.py's convergents.ConvergentState.step)
@@ -99,13 +97,29 @@ def scan_inputs(x, pq: PartialQuotients, last: int, coords=None) -> tuple[list, 
     return values, which
 
 
+def gap_below(x, center: Fraction, q: int, bound, what) -> bool:
+    """|x - center|^q < prod v^-e over the pairs (e, v) of bound, as one log_sign query
+    named `what`: |x - center| is exact for a rational x, else enclosed at the levels a
+    certified query on x tries (query_levels).  x = center passes."""
+    from .logs import Enclosure, log_sign
+
+    if isinstance(x, RationalValue):
+        gap = abs(x.value - center)
+        if not gap:
+            return True
+    else:
+        start = query_levels(x).start
+        gap = Enclosure(lambda level: (enclosure_at(x, start + level) - center).abs())
+    return log_sign(((q, gap), *bound), what) < 0
+
+
 def approx_witnesses(x, pq: PartialQuotients, upto: int, coords=None) -> list[int]:
     """Indices n <= upto where the checked coordinates simultaneously satisfy
 
         |x_i - A_n^(i)/C_n| < |ac1_{n+1}^(i)| / (C_{n+1} C_n),
 
-    each strict inequality certified (exact signs for algebraic inputs,
-    interval refinement for oracles; ties are refined until resolved).
+    each strict inequality one log_sign query (gap_below): exact for rational
+    inputs, by interval refinement otherwise.
 
     `coords` is a list of 1-based coordinates (default: all).  Each single
     coordinate has such witnesses at least once per window of m+1
@@ -121,15 +135,14 @@ def approx_witnesses(x, pq: PartialQuotients, upto: int, coords=None) -> list[in
     stream = lag_stream(pq, [(i, pq.m) for i in which], upto + 1)
     col, witnesses = next(stream)[0], []
     for nxt, lags in stream:
-        n, ok = col.n, True
-        for i in which:
-            target = Fraction(col.A[i], col.C)
-            radius = Fraction(abs(lags[i, pq.m][0]), nxt.C * col.C)
-            what = f"witness test |x_{i + 1} - A_{n}/C_{n}| < |ac1_{n + 1}|/(C_{n + 1} C_{n})"
-            if radius == 0 or not abs_diff_pow_lt(values[i], target, 1, radius, what):
-                ok = False
-                break
-        if ok:
+        n = col.n
+        # ac1 = 0, or C_n C_(n+1) < 0, leaves no positive bound to fall below
+        if (nxt.C > 0) == (col.C > 0) and all(
+                lags[i, pq.m][0] and gap_below(
+                    values[i], Fraction(col.A[i], col.C), 1,
+                    ((-1, abs(lags[i, pq.m][0])), (1, abs(nxt.C)), (1, abs(col.C))),
+                    lambda: f"witness test |x_{i + 1} - A_{n}/C_{n}| < |ac1_{n + 1}|/(C_{n + 1} C_{n})")
+                for i in which):
             witnesses.append(n)
         col = nxt
     return witnesses
@@ -183,6 +196,14 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Che
                 f" quotients ({int_to_str(a0)}, {int_to_str(b0)})")
         strict_upper_is_lemma = False
 
+    from .logs import log_sign
+
+    def below_3_square(v: int, n: int) -> bool:  # v < 3 C_(n-1)^2
+        if not C_prev:
+            return v < 0
+        terms = ((1, v), (-1, 3), (-2, abs(C_prev)))
+        return v <= 0 or log_sign(terms, lambda: f"lag product at {n} < 3 C_{n - 1}^2") < 0
+
     first = first_quad = None
     boundary: list[int] = []
     applied, k_emp, C_prev = 0, 0, None
@@ -194,10 +215,10 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Che
                 first = row.n
             elif not strict_upper_is_lemma and (A == upper_a or B == upper_b):
                 boundary.append(row.n)
-        # ac1_n, bc1_n < 3 C_(n-1)^2 where a_n < C_(n-1); bit lengths mostly decide
+        # ac1_n, bc1_n < 3 C_(n-1)^2 where a_n < C_(n-1)
         if row.n and first_quad is None and pq.seqs[0][row.n] < C_prev:
             applied += 1
-            if not all(lt_power(v[0], C_prev, 2) or v[0] < 3 * C_prev**2 for v in lags.values()):
+            if not all(below_3_square(v[0], row.n) for v in lags.values()):
                 first_quad = row.n
         k_emp = max(k_emp, -(-A // C), -(-B // C))  # ceil division
         C_prev = C
@@ -303,84 +324,22 @@ def eta_field(M: int) -> NumberField:
     return NumberField((-1, -M, -M, 1), RationalInterval(Fraction(M), Fraction(M + 1)))
 
 
-_POWER_BITS = 128  # working precision of a fresh CertifiedPowers, in bits
+_ROOT_BITS = 128  # a growth base at level k is its root to 2^-(_ROOT_BITS << k)
 
 
-class CertifiedPowers:
-    """Outward-rounded enclosures of base^e for the real root of a field.
+def root_enclosure(field: NumberField):
+    """The root of field as a log_sign value: at level k, bracketed to width
+    2^-(128 << k) and rounded outward to 2^-((128 << k) + 16), which keeps the
+    endpoints short; level 0 is the enclosure growth_check reports."""
+    from .logs import Enclosure
 
-    Enclosures are integer mantissas (lo, hi) over 2^s, s = bits + 16: each
-    step rounds lo * base_lo down and hi * base_hi up to s dyadic places, so
-    enclosures stay sound and endpoint sizes stay bounded, and no gcd is
-    taken.  Only the last power formed is held: a larger e steps on from it,
-    a smaller one restarts from base^0.  tighten() doubles the working
-    precision and restarts.
-    """
+    def at(level: int) -> RationalInterval:
+        bits = _ROOT_BITS << level
+        scale = 1 << (bits + 16)
+        iv = field.refine_root(Fraction(1, 1 << bits)) * scale
+        return RationalInterval(Fraction(math.floor(iv.lo), scale), Fraction(math.ceil(iv.hi), scale))
 
-    def __init__(self, field: NumberField):
-        self._field = field
-        self._bits = _POWER_BITS
-        self._levels = budget_levels()  # the refinement budget, read once per instance
-        self._rebuild()
-
-    def _rebuild(self):
-        self._shift = s = self._bits + 16
-        base = self._field.refine_root(Fraction(1, 1 << self._bits)) * (1 << s)
-        self._base = (math.floor(base.lo), math.ceil(base.hi))
-        self._last = (0, 1 << s, 1 << s)  # (e, lo, hi) of the last power formed
-
-    def tighten(self):
-        self._bits *= 2
-        self._rebuild()
-
-    def _mantissas(self, e: int) -> tuple[int, int]:
-        (b_lo, b_hi), s = self._base, self._shift
-        last, lo, hi = self._last if e >= self._last[0] else (0, 1 << s, 1 << s)
-        for _ in range(e - last):
-            lo, hi = lo * b_lo >> s, -(-hi * b_hi >> s)
-        self._last = (e, lo, hi)
-        return lo, hi
-
-    def power(self, e: int) -> RationalInterval:
-        if e < 0:
-            raise InputError("only nonnegative exponents are tracked")
-        lo, hi = self._mantissas(e)
-        return RationalInterval(Fraction(lo, 1 << self._shift), Fraction(hi, 1 << self._shift))
-
-    def cmp_int(self, e: int, value: int) -> int:
-        """Certified comparison of base^e with an integer: -1, 0 (exact tie), +1."""
-        if e == 0:
-            return (1 > value) - (1 < value)
-
-        def attempt(level):
-            if level:
-                self.tighten()
-            lo, hi = self._mantissas(e)
-            scaled = value << self._shift
-            if hi < scaled:
-                return -1
-            if lo > scaled:
-                return 1
-
-        return certify(f"comparison of root^{e} with an integer", attempt, self._levels)
-
-
-def lt_power(a: int, c: int, d: int) -> bool:
-    """a < c**d, exactly, for d >= 0.
-
-    For c >= 1, c**d >= 1 > a if a < 1, and 2^(d (bits(c) - 1)) <= c**d <= 2^(d bits(c)),
-    so the bit length of a decides unless it falls between those exponents;
-    only then, or for c < 1, is c**d formed.
-    """
-    if c >= 1:
-        if a < 1:
-            return True
-        a_bits, c_bits = a.bit_length(), c.bit_length()
-        if a_bits <= d * (c_bits - 1):
-            return True
-        if a_bits > d * c_bits:
-            return False
-    return a < c**d
+    return Enclosure(at)
 
 
 @functools.lru_cache(maxsize=64)
@@ -413,30 +372,38 @@ def loglog_interval(c: int, prec: int = 128) -> RationalInterval:
     return log_enclosure(log_enclosure(c, prec), prec)
 
 
-def loglog_lt(c: int, d: int, m: int, n: int) -> bool:
-    """Certified strict comparison log log c < K(d, m) n for c = C_(n+1).
+def _log_of(c: int):
+    """log c (c >= 2) as a log_sign value: log_enclosure to 128 << level bits, first
+    bracketed by the integers around bits(c) log 2 (0.693147 < log 2 < 0.693148)."""
+    from .logs import Enclosure, log_enclosure
 
-    log log c < log bits(c) < bits(bits(c)), so bits(bits(c)) <= K n (K's first
-    enclosure) answers True at once.  At n = 1 it is c^d < (m+1)^((d+1)^2), equal
-    only if m+1 = t^d and c = t^((d+1)^2) (coprime exponents): tested exactly.
-    Else both sides are enclosed at 128 * 2^level bits, so a near tie resolves."""
+    bits = c.bit_length()  # 2^(bits-1) <= c < 2^bits
+    return Enclosure(lambda level: log_enclosure(c, 128 << level),
+                     ((bits - 1) * 693147 // 10**6, -(-bits * 693148 // 10**6)))
+
+
+@functools.lru_cache(maxsize=8)
+def _exp_k(d: int, m: int):
+    """exp K(d, m) = (d+1)^2/d log(m+1) as a log_sign value, shared by every query."""
+    from .logs import Enclosure, log_enclosure
+
+    return Enclosure(lambda level: log_enclosure(m + 1, 64 << level) * Fraction((d + 1) ** 2, d))
+
+
+def loglog_lt(c: int, d: int, m: int, n: int) -> bool:
+    """Certified strict comparison log log c < K(d, m) n for c = C_(n+1): one log_sign
+    query, log(log c) - n log(exp K) < 0.  At n = 1 it is the exact
+    c^d < (m+1)^((d+1)^2), so its tie (m+1 = t^d, c = t^((d+1)^2)) is decided."""
     if c < 2:
         raise InputError(f"log log C_{n + 1} needs C_{n + 1} >= 2, got C_{n + 1} = {int_to_str(c)}")
-    k = _k_enclosure(d, m, 128).lo
-    if c.bit_length().bit_length() * k.denominator <= k.numerator * n:
-        return True
-    if n == 1 and d < (m + 1).bit_length() and any(
-            t**d == m + 1 and c == t ** ((d + 1) ** 2) for t in range(2, m + 2)):
-        return False
+    from .logs import log_sign
 
-    def attempt(level):
-        lhs, rhs = loglog_interval(c, 128 << level), _k_enclosure(d, m, 128 << level) * n
-        if lhs.hi < rhs.lo:
-            return True
-        if lhs.lo > rhs.hi:
-            return False
+    def what():
+        return f"log log C_{n + 1} < K({int_to_str(d)}, {m}) * {n}"
 
-    return certify(f"log log C_{n + 1} < K({int_to_str(d)}, {m}) * {n}", attempt)
+    if n == 1:
+        return log_sign(((d, c), (-(d + 1) ** 2, m + 1)), what) < 0
+    return log_sign(((1, _log_of(c)), (-n, _exp_k(d, m))), what) < 0
 
 
 def growth_check(
@@ -475,28 +442,33 @@ def growth_check(
     if d is not None and d < 1:
         raise InputError("d must be >= 1")
 
+    from .logs import below_power, log_sign
+
     constants: dict = {}
     items = []  # (name, detail, holds(n, C_n), lag, boundary): a violation at column n is at n - lag
     if pq.m == 2:
-        psi = CertifiedPowers(psi_field())
-        constants["psi_enclosure"] = psi.power(1)
+        psi = root_enclosure(psi_field())
+        constants["psi_enclosure"] = psi.interval(0)
         boundary: list[int] = []
 
         def psi_lower(n: int, C: int) -> bool:
-            if n < 2:
-                return C >= 1  # psi^(n-2) < 1 <= C_n
-            sign = psi.cmp_int(n - 2, C)
+            if n < 2 or C < 1:
+                return C >= 1  # psi^(n-2) < 1 <= C_n, and psi^(n-2) > 0 >= C_n
+            sign = log_sign(((1, C), (2 - n, psi)), lambda: f"C_{n} against psi^{n - 2}")
             if sign == 0:  # C_2 = 1 = psi^0
                 boundary.append(n)
-            return sign <= 0
+            return sign >= 0
 
         items.append(("psi-lower", "C_n > psi^(n-2) (boundary equality possible only at n = 2)",
                       psi_lower, 0, boundary))
     if M is not None:
-        eta = CertifiedPowers(eta_field(M))
-        constants["eta_enclosure"] = eta.power(1)
-        items.append(("eta-upper", f"C_n <= eta({int_to_str(M)})^n",
-                      lambda n, C: eta.cmp_int(n, C) >= 0, 0, ()))
+        eta = root_enclosure(eta_field(M))
+        constants["eta_enclosure"] = eta.interval(0)
+
+        def eta_upper(n: int, C: int) -> bool:  # eta^n >= 1 > C_n when C_n < 1
+            return C < 1 or log_sign(((1, C), (-n, eta)), lambda: f"C_{n} against eta^{n}") <= 0
+
+        items.append(("eta-upper", f"C_n <= eta({int_to_str(M)})^n", eta_upper, 0, ()))
     if d is not None:
         items.append(("loglog", f"log log C_(n+1) < K({int_to_str(d)}, {pq.m}) n for 1 <= n <= {n_max - 1}",
                       lambda n, C: n < 2 or loglog_lt(C, d, pq.m, n - 1), 1, ()))
@@ -505,7 +477,8 @@ def growth_check(
     C_prev = None
     for col in conv_stream(pq, n_max):
         n = col.n
-        if d is not None and n >= 2 and not lt_power(pq.seqs[0][n], C_prev, d):
+        if d is not None and n >= 2 and not below_power(
+                pq.seqs[0][n], C_prev, d, lambda: f"a_{n}^(1) < C_{n - 1}^{int_to_str(d)}"):
             raise HypothesisViolated(
                 f"a_{n}^(1) = {int_to_str(pq.seqs[0][n])} >= C_{n - 1}^{int_to_str(d)}", n)
         for name, _, holds, lag, _ in items:

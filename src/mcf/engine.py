@@ -54,11 +54,9 @@ from .exact_reals import (
     RealValue,
     SimplexOracle,
     as_real,
-    budget_levels,
-    certify,
     enclosure_at,
 )
-from .intervals import RationalInterval, as_fraction
+from .intervals import RationalInterval, as_fraction, budget_levels, certify
 from .radix import Record
 from .recurrence import PartialQuotients
 from .recurrence import check_admissible  # noqa: F401  (perfbench/tracer.py's engine.check_admissible)

@@ -5,73 +5,27 @@ interval oracles.
 Floors, signs and integrality tests are *certified*: either decided by exact
 rational arithmetic, or by refining an enclosing interval with exact rational
 endpoints until the question is settled.  Every refinement in the package
-runs through ``certify``, whose bounded budget (see ``refinement_budget``)
-turns would-be infinite loops into ``NonTerminating``.
+runs through ``intervals.certify``, whose bounded budget (see
+``intervals.refinement_budget``) turns would-be infinite loops into
+``NonTerminating``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from fractions import Fraction
 from math import ceil
 from typing import Callable, Sequence
 
-from .errors import (
-    DivisionByZero,
-    FieldMismatch,
-    InputError,
-    NonTerminating,
-    OracleExhausted,
-)
-from .intervals import RationalInterval, as_fraction
+from .errors import DivisionByZero, FieldMismatch, InputError, OracleExhausted
+from .intervals import RationalInterval, as_fraction, budget_levels, certify
 from . import polynomials as pol
-from .radix import frac_to_str, int_to_str, quote, str_to_frac, str_to_int
+from .radix import frac_to_str, int_to_str, quote, str_to_frac
 
-DEFAULT_REFINEMENT_BUDGET = 64
 # Hard cap on refinement rounds for algebraic values: round k targets a root
 # interval of width 2**-(64 * 2**k), so round 18 is ~16 Mbit — past any sane
 # use, but reached before memory death on exact-zero pathologies.
 _MAX_ALGEBRAIC_ROUNDS = 18
-
-
-def refinement_budget() -> int:
-    raw = os.environ.get("MCF_PRECISION_BUDGET")
-    if raw is None:
-        return DEFAULT_REFINEMENT_BUDGET
-    try:
-        value = str_to_int(raw)
-    except InputError as exc:
-        raise InputError(f"MCF_PRECISION_BUDGET must be an integer, got {quote(raw)}") from exc
-    if value < 1:
-        raise InputError("MCF_PRECISION_BUDGET must be >= 1")
-    return value
-
-
-def budget_levels(start: int = 0, cap: int | None = None, budget: int | None = None) -> range:
-    """The levels a query tries: budget (default: read now) rounds from start, none past cap."""
-    stop = start + (refinement_budget() if budget is None else budget)
-    return range(start, stop if cap is None else min(stop, cap + 1))
-
-
-def certify(what: str, attempt: Callable[[int], object], levels: range | None = None):
-    """The first verdict attempt(level) gives (None means undecided at that level).
-
-    Each attempt reads every enclosure its query needs at that level, so
-    both sides of a comparison tighten together.  levels defaults to the
-    budget counted from 0; running out raises NonTerminating naming `what`
-    and the levels tried.  An oracle that runs out in an attempt raises its
-    OracleExhausted again, prefixed with `what` and the level.
-    """
-    levels = budget_levels() if levels is None else levels
-    for level in levels:
-        try:
-            verdict = attempt(level)
-        except OracleExhausted as exc:
-            raise type(exc)(f"{what} at level {level}: {exc}") from exc
-        if verdict is not None:
-            return verdict
-    raise NonTerminating(f"{what} not certified at levels {levels.start}..{levels.stop - 1}")
 
 
 class NumberField:
@@ -474,36 +428,3 @@ def enclosure_at(x, round_k: int) -> RationalInterval:
         bits = 8 << min(round_k, 20)
         return x.element.interval(Fraction(1, 1 << bits))
     return x.oracle.enclosure(round_k)
-
-
-def abs_diff_pow_lt(x, center, q: int, bound, what: str = "comparison |x - c|^q < bound") -> bool:
-    """Certified strict test |x - center|**q < bound (q >= 1, bound rational).
-
-    Decides exactly for rational and algebraic x.  For oracles the enclosure
-    is refined until the comparison is certified either way; an exact tie
-    (possible only if the oracle limit violates its irrationality contract)
-    exhausts the budget and raises NonTerminating naming `what`.
-    """
-    center = as_fraction(center)
-    bound = as_fraction(bound)
-    if q < 1:
-        raise InputError("exponent q must be >= 1")
-    x = as_real(x)
-    if isinstance(x, RationalValue):
-        return abs(x.value - center) ** q < bound
-    if isinstance(x, AlgebraicValue):
-        diff_pow = (x.element - center) ** q
-        # |v| < T  <=>  -T < v < T, decided by two exact signs
-        if q % 2 == 0:
-            return (diff_pow - bound).sign() < 0
-        return (diff_pow - bound).sign() < 0 and (diff_pow + bound).sign() > 0
-
-    def attempt(level):
-        mag = (x.oracle.enclosure(level) - center).abs()
-        lo_pow, hi_pow = mag.lo**q, mag.hi**q
-        if hi_pow < bound:
-            return True
-        if lo_pow > bound or lo_pow == hi_pow == bound:
-            return False
-
-    return certify(what, attempt, query_levels(x))

@@ -1,4 +1,5 @@
-"""Closed intervals with exact rational endpoints.
+"""Closed intervals with exact rational endpoints, and `certify`, the one
+refinement loop.
 
 All certification in this package bottoms out in comparisons of such
 intervals against exact rationals; no floating point is involved anywhere.
@@ -6,11 +7,13 @@ intervals against exact rationals; no floating point is involved anywhere.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from math import floor
+from typing import Callable
 
-from .errors import DivisionByZero
-from .radix import Record, frac_to_str, str_to_frac
+from .errors import DivisionByZero, InputError, NonTerminating, OracleExhausted
+from .radix import Record, frac_to_str, quote, str_to_frac, str_to_int
 
 
 def as_fraction(x) -> Fraction:
@@ -140,3 +143,44 @@ class RationalInterval(Record):
     def __repr__(self):
         return f"RationalInterval({frac_to_str(self.lo)!r}, {frac_to_str(self.hi)!r})"
 
+
+DEFAULT_REFINEMENT_BUDGET = 64
+
+
+def refinement_budget() -> int:
+    raw = os.environ.get("MCF_PRECISION_BUDGET")
+    if raw is None:
+        return DEFAULT_REFINEMENT_BUDGET
+    try:
+        value = str_to_int(raw)
+    except InputError as exc:
+        raise InputError(f"MCF_PRECISION_BUDGET must be an integer, got {quote(raw)}") from exc
+    if value < 1:
+        raise InputError("MCF_PRECISION_BUDGET must be >= 1")
+    return value
+
+
+def budget_levels(start: int = 0, cap: int | None = None, budget: int | None = None) -> range:
+    """The levels a query tries: budget (default: read now) rounds from start, none past cap."""
+    stop = start + (refinement_budget() if budget is None else budget)
+    return range(start, stop if cap is None else min(stop, cap + 1))
+
+
+def certify(what: str, attempt: Callable[[int], object], levels: range | None = None):
+    """The first verdict attempt(level) gives (None means undecided at that level).
+
+    Each attempt reads every enclosure its query needs at that level, so
+    both sides of a comparison tighten together.  levels defaults to the
+    budget counted from 0; running out raises NonTerminating naming `what`
+    and the levels tried.  An oracle that runs out in an attempt raises its
+    OracleExhausted again, prefixed with `what` and the level.
+    """
+    levels = budget_levels() if levels is None else levels
+    for level in levels:
+        try:
+            verdict = attempt(level)
+        except OracleExhausted as exc:
+            raise type(exc)(f"{what} at level {level}: {exc}") from exc
+        if verdict is not None:
+            return verdict
+    raise NonTerminating(f"{what} not certified at levels {levels.start}..{levels.stop - 1}")

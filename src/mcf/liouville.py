@@ -8,8 +8,10 @@ not involve a_n^(1), so the head can be chosen as
     a_n^(1) = max(max_i |tilde_i(n)| * ceil(C_{n-1}^delta), floor) + 1
 
 which makes a_n^(1) > max_i |tilde_i(n)| C_{n-1}^delta hold strictly at every
-n >= 1 while staying admissible; rational exponents are cleared exactly to
-integer powers.  Verdicts are about finite depth; none claims transcendence.
+n >= 1 while staying admissible; the construction takes floor(C^delta) by an
+integer root of C^p, and the checker decides each head by one certified
+comparison of logarithms (logs.log_sign), which it imports where it compares.
+Verdicts are about finite depth; none claims transcendence.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Sequence
 
 from .errors import AdmissibilityConflict, InputError
 from .intervals import as_fraction
-from .radix import Record, drop_digits, frac_to_str, int_to_str, magnitude
+from .radix import Record, frac_to_str, int_to_str, iroot_floor
 from .recurrence import CheckItem, ConvergentState, LagProducts, PartialQuotients, QuotientRows, int_entries
 
 
@@ -83,44 +85,6 @@ class CriterionReport(Record):
 # ---------------------------------------------------------------------------
 
 
-def _iroot_floor(x, n: int):
-    """Largest r >= 0 with r**n <= x, in the type of x, by integer Newton iteration at
-    doubling precision (Brent & Zimmermann, section 1.5).
-
-    For b**(e-1) <= x < b**e (radix.magnitude) the root has k = ceil(e/n) base-b digits at
-    most.  The root r' of the top digits x // b**(n h) gives the start (r' + 1) b**h, above
-    the root.  Newton iterates from above decrease to the floor root, never below it; for
-    h = (k - bits(n)) // 2 the first is within 1 of it, so a root costs about one division
-    and a few powers of the full size.  When b**e <= 2**n the root is 1.
-    """
-    if x < 0 or n < 1:
-        raise InputError("integer root needs x >= 0, n >= 1")
-    if x in (0, 1) or n == 1:
-        return x
-    b, e = magnitude(x)
-    if e * (b - 1).bit_length() <= n:  # x < b**e <= 2**n
-        return type(x)(1)
-    B, k = type(x)(b), -(-e // n)
-    h = (k - n.bit_length()) // 2
-    r = B**k if h <= 0 else (_iroot_floor(drop_digits(x, n * h), n) + 1) * B**h
-    while True:
-        r = ((n - 1) * r + x // r ** (n - 1)) // n
-        if r**n <= x:
-            return r
-        if (r - 1) ** n <= x:
-            return r - 1
-
-
-def _rational_root(base, p: int, q: int):
-    """(r, exact): r = floor(base^(p/q)) for base >= 1 and p, q >= 1, and whether
-    r = base^(p/q), exactly, in the type of base."""
-    if base < 1:
-        raise InputError("base must be >= 1")
-    num = base**p
-    r = _iroot_floor(num, q)
-    return r, r**q == num
-
-
 # The largest dimension of a Liouville construction: LagProducts holds m^3 lag
 # products of the m pairs (i, m), so the check comes before anything of size m.
 MAX_LIOUVILLE_M = 64
@@ -176,8 +140,9 @@ def liouville_rows(spec: LiouvilleSpec, number=int) -> QuotientRows:
             head = number(spec.head)
         else:
             t_max = max(abs(t) for t in lags.peek_lag1(tail).values())
-            r, exact = _rational_root(state.window[0][0], *spec.delta.as_integer_ratio())
-            threshold = t_max * (r if exact else r + 1)
+            power = state.window[0][0] ** spec.delta.numerator  # C^p, then r = floor(C^(p/q))
+            r = iroot_floor(power, spec.delta.denominator)
+            threshold = t_max * (r if r**spec.delta.denominator == power else r + 1)
             head = max(threshold, max([0] + tail)) + 1
         a = (head, *tail)
         for j, v in enumerate(a):
@@ -194,31 +159,30 @@ def construct_liouville(spec: LiouvilleSpec) -> PartialQuotients:
     return PartialQuotients(spec.m, liouville_rows(spec).seqs)
 
 
-def _head_exceeds(a, t, C, p: int, q: int) -> bool:
+def _head_exceeds(a, t, C, p: int, q: int, what="a > t C^delta") -> bool:
     """a > t * C^(p/q) over the reals, for t >= 0.
 
-    For a >= 0 and C >= 1, r = floor(C^(p/q)) (_rational_root) gives
-    t r <= t C^(p/q) < t (r + 1), equal to t r when the root is exact, so q-th
-    powers are formed only for t r < a < t (r + 1).  They clear the rest to
-    a^q > t^q C^p: equivalent for odd q, or when a and C are >= 0.  For even q a
-    negative a fails, and so does a negative C, whose C^(p/q) is not real.  Signs decide C = 0 and a < 0 <= C - 1."""
-    if C == 0 or a < 0 <= C - 1:
+    Signs settle C = 0, t = 0 and a negative C, whose C^(p/q) is not real for even q
+    and is -|C|^(p/q) for odd q and odd p; the rest is one log_sign query on
+    q log a - q log t - p log |C|."""
+    if C == 0:
         return a > 0
-    if a >= 0 and C >= 1:
-        r, exact = _rational_root(C, p, q)
-        low = t * r
-        if exact or not low < a < low + t:
-            return a > low
-    elif q % 2 == 0 and (a < 0 or C < 0):
+    if C < 0 and q % 2 == 0:
         return False
-    return a**q > t**q * C**p
+    if t == 0:
+        return a > 0
+    from .logs import log_sign  # here: only a comparison executes mcf.logs
+
+    if C < 0 and p % 2:  # t C^(p/q) = -t |C|^(p/q) < 0
+        return a >= 0 or log_sign(((q, -a), (-q, t), (-p, -C)), what) < 0
+    return a > 0 and log_sign(((q, a), (-q, t), (-p, abs(C))), what) > 0
 
 
 def liouville_report(pq: QuotientRows, delta, upto: int | None = None) -> CriterionReport:
     """Check a_n^(1) > max_i |tilde_i(n)| * C_{n-1}^delta for 1 <= n <= upto.
 
-    The rational exponent delta = p/q is cleared exactly, in the quotients' type
-    (_head_exceeds).
+    Each index is one log_sign query for delta = p/q (_head_exceeds), in the
+    quotients' type.
     """
     delta = as_fraction(delta)
     if delta <= 0:
@@ -231,7 +195,8 @@ def liouville_report(pq: QuotientRows, delta, upto: int | None = None) -> Criter
         a = tuple(pq.seqs[j][n] for j in range(pq.m))
         if n >= 1:
             t_max = max(abs(t) for t in lags.peek_lag1(a[1:]).values())
-            if not _head_exceeds(a[0], t_max, state.window[0][0], p, q):
+            if not _head_exceeds(a[0], t_max, state.window[0][0], p, q,
+                                 lambda: f"head a_{n}^(1) > t C_{n - 1}^{frac_to_str(delta)}"):
                 first = n
                 break
         if n < n_max:  # column n_max and its lag products feed nothing

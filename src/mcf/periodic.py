@@ -25,8 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AdmissibilityError, DegenerateCubic, InputError, RootSelectionAmbiguous
-from .exact_reals import AlgebraicValue, FieldElement, NumberField, certify
-from .intervals import RationalInterval
+from .exact_reals import AlgebraicValue, FieldElement, NumberField
+from .intervals import RationalInterval, certify
 from .radix import Record, frac_to_str
 from .recurrence import ConvergentState, LagProducts, PartialQuotients, check_admissible, int_entries
 from . import polynomials as pol

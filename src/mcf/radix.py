@@ -20,6 +20,8 @@ The results are exactly `str(v)`, `int(s)`, `str(Fraction)` and
 does a rational whose exponent exceeds MAX_EXPONENT in absolute value, for
 which `Fraction(s)` would form 10**exp and not return.
 
+`iroot_floor` takes the floor of an n-th root of an int or integral Decimal.
+
 `Record` is the base of mcf's immutable value records (intervals, columns,
 specs and reports): plain slotted classes whose repr writes every int through
 int_to_str, and which cost an import nothing beyond their own class bodies.
@@ -97,6 +99,34 @@ def drop_digits(v, k: int):
     if isinstance(v, decimal.Decimal):
         return EXACT.scaleb(v, -k).to_integral_value(decimal.ROUND_FLOOR)
     return v >> k
+
+
+def iroot_floor(x, n: int):
+    """Largest r >= 0 with r**n <= x, in the type of x, by integer Newton iteration at
+    doubling precision (Brent & Zimmermann, section 1.5).
+
+    For b**(e-1) <= x < b**e (magnitude) the root has k = ceil(e/n) base-b digits at
+    most.  The root r' of the top digits x // b**(n h) gives the start (r' + 1) b**h, above
+    the root.  Newton iterates from above decrease to the floor root, never below it; for
+    h = (k - bits(n)) // 2 the first is within 1 of it, so a root costs about one division
+    and a few powers of the full size.  When b**e <= 2**n the root is 1.
+    """
+    if x < 0 or n < 1:
+        raise InputError("integer root needs x >= 0, n >= 1")
+    if x in (0, 1) or n == 1:
+        return x
+    b, e = magnitude(x)
+    if e * (b - 1).bit_length() <= n:  # x < b**e <= 2**n
+        return type(x)(1)
+    B, k = type(x)(b), -(-e // n)
+    h = (k - n.bit_length()) // 2
+    r = B**k if h <= 0 else (iroot_floor(drop_digits(x, n * h), n) + 1) * B**h
+    while True:
+        r = ((n - 1) * r + x // r ** (n - 1)) // n
+        if r**n <= x:
+            return r
+        if (r - 1) ** n <= x:
+            return r - 1
 
 
 def frac_to_str(v) -> str:

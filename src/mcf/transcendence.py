@@ -12,14 +12,12 @@ checker ever claims transcendence (a statement about limits).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .convergents import eta_field, lt_power, psi_field, scan_inputs
+from .convergents import eta_field, gap_below, psi_field, root_enclosure, scan_inputs
 from .errors import AdmissibilityError, InputError, ScheduleOverlap
-from .exact_reals import abs_diff_pow_lt, certify
-from .intervals import RationalInterval, as_fraction
-from .liouville import CriterionReport, Rule, _iroot_floor
+from .intervals import RationalInterval, as_fraction, certify
+from .liouville import CriterionReport, Rule
 from .liouville import construct_liouville, verify_liouville  # noqa: F401  (perfbench/tracer.py's targets)
 from .radix import Record, frac_to_str, int_to_str
 from .recurrence import CheckItem, PartialQuotients, check_admissible, conv_stream, int_entries
@@ -29,8 +27,9 @@ def roth_scan(x, pq: PartialQuotients, epsilon, upto: int, coords=None) -> list[
     """Indices n <= upto with |x_i - A_n^(i)/C_n| < 1/C_n^(2+epsilon) for
     every requested coordinate, certified.
 
-    epsilon must be a positive rational; the exponent is cleared exactly.
-    epsilon = 0 is the critical exponent and is rejected.
+    epsilon = p/q must be a positive rational; each test is one log_sign query
+    on q log|x_i - A_n^(i)/C_n| + (2q + p) log C_n (gap_below), so no power of
+    C_n is formed.  epsilon = 0 is the critical exponent and is rejected.
     """
     epsilon = as_fraction(epsilon)
     if epsilon == 0:
@@ -45,16 +44,12 @@ def roth_scan(x, pq: PartialQuotients, epsilon, upto: int, coords=None) -> list[
     hits = []
     for col in conv_stream(pq, upto):
         n, C = col.n, col.C
-        bound = Fraction(1, C ** (2 * q + p))
-        ok = True
-        for i in which:
-            target = Fraction(col.A[i], C)
-            what = (f"Roth test |x_{i + 1} - A_{n}/C_{n}|^{int_to_str(q)}"
-                    f" < 1/C_{n}^{int_to_str(2 * q + p)}")
-            if not abs_diff_pow_lt(values[i], target, q, bound, what):
-                ok = False
-                break
-        if ok:
+        # 1/C^(2q+p) is negative for a negative C and odd p: no gap falls below it
+        if (C > 0 or p % 2 == 0) and all(
+                gap_below(values[i], Fraction(col.A[i], C), q, ((2 * q + p, abs(C)),),
+                          lambda: f"Roth test |x_{i + 1} - A_{n}/C_{n}|^{int_to_str(q)}"
+                                  f" < 1/C_{n}^{int_to_str(2 * q + p)}")
+                for i in which):
             hits.append(n)
     return hits
 
@@ -132,32 +127,6 @@ def _log_ratio_string(lam: int, n_k: int) -> str:
     return certify(f"20 digits of log(lambda)/n at window n = {int_to_str(n_k)}", attempt)
 
 
-def _log_ratio_le(lam: int, n: int, lam2: int, n2: int) -> bool:
-    """log(lam)/n <= log(lam2)/n2, that is lam^n2 <= lam2^n, decided exactly.
-
-    With a = n2/g, b = n/g (g = gcd), equality means lam = t^b and lam2 = t^a
-    for an integer t, tested by an integer root; otherwise a log(lam) - b log(lam2)
-    is nonzero and its enclosure separates from 0, so no giant power is formed.
-    """
-    g = math.gcd(n, n2)
-    a, b = n2 // g, n // g
-    t = _iroot_floor(lam, b)
-    if t**b == lam and (t == 1 or a * (t.bit_length() - 1) <= lam2.bit_length()) and t**a == lam2:
-        return True
-
-    from .logs import log_enclosure
-
-    def attempt(level):
-        diff = log_enclosure(lam, 64 << level) * a - log_enclosure(lam2, 64 << level) * b
-        if diff.hi < 0:
-            return True
-        if diff.lo > 0:
-            return False
-
-    windows = f"n = {int_to_str(n)} and n = {int_to_str(n2)}"
-    return certify(f"order of log(lambda)/n at windows {windows}", attempt)
-
-
 def main1_check(spec: QuasiPeriodicSpec, d: int, c, depth: int) -> CriterionReport:
     """Hypotheses of the unbounded-quotient quasi-periodic criterion (m = 2):
 
@@ -169,12 +138,15 @@ def main1_check(spec: QuasiPeriodicSpec, d: int, c, depth: int) -> CriterionRepo
         raise InputError("this criterion is specific to m = 2")
     if d < 1:
         raise InputError("d must be >= 1")
+    from .logs import below_power, log_sign
+
     c = as_fraction(c)
     pq = build_quasiperiodic(spec, depth + 1)
     first = None
     for col in conv_stream(pq, depth - 1):
-        if col.n and not lt_power(pq.seqs[0][col.n + 1], col.C, d):
-            first = col.n + 1
+        n = col.n
+        if n and not below_power(pq.seqs[0][n + 1], col.C, d, lambda: f"a_{n + 1} < C_{n}^{int_to_str(d)}"):
+            first = n + 1
             break
     h1 = CheckItem(
         "head-below-denominator-power",
@@ -192,8 +164,10 @@ def main1_check(spec: QuasiPeriodicSpec, d: int, c, depth: int) -> CriterionRepo
         f"r_k < {frac_to_str(c)} n_k for every scheduled window (index = schedule position)",
     )
     ratios = [_log_ratio_string(lam_k, n_k) for n_k, _, lam_k in spec.schedule]
+    # log(lam)/n <= log(lam')/n', that is n' log lam - n log lam' <= 0
     monotone = all(
-        _log_ratio_le(lam, n, lam_next, n_next)
+        log_sign(((n_next, lam), (-n, lam_next)),
+                 f"order of log(lambda)/n at windows n = {int_to_str(n)} and n = {int_to_str(n_next)}") <= 0
         for (n, _, lam), (n_next, _, lam_next) in zip(spec.schedule, spec.schedule[1:])
     )
     return CriterionReport(
@@ -216,6 +190,17 @@ def main1_check(spec: QuasiPeriodicSpec, d: int, c, depth: int) -> CriterionRepo
 _VARIANTS = ("statement", "lemma38", "proof18")
 
 
+def _threshold_bases(M: int, variant: str):
+    """(factor, eta's field, psi's field) of B = factor log(eta)/log(psi) - 1."""
+    if variant not in _VARIANTS:
+        raise InputError(f"variant must be one of {_VARIANTS}")
+    if M < 1:
+        raise InputError("M must be >= 1")
+    # the statement's psi is the tribonacci constant; the lemma's is x^3 - x^2 - 1
+    psi_f = eta_field(1) if variant == "statement" else psi_field()
+    return 18 if variant == "proof18" else 2, eta_field(M), psi_f
+
+
 def main2_constant(M: int, variant: str = "statement", max_width=Fraction(1, 10**9)) -> RationalInterval:
     """Certified enclosure of the threshold B for quotient bound M.
 
@@ -228,15 +213,8 @@ def main2_constant(M: int, variant: str = "statement", max_width=Fraction(1, 10*
     root of x^3 - M x^2 - M x - 1.  For variant=statement and M = 1 the two
     cubics coincide and B = 1 exactly (a width-zero interval).
     """
-    if variant not in _VARIANTS:
-        raise InputError(f"variant must be one of {_VARIANTS}")
-    if M < 1:
-        raise InputError("M must be >= 1")
     max_width = as_fraction(max_width)
-    factor = 18 if variant == "proof18" else 2
-    eta_f = eta_field(M)
-    # the statement's psi is the tribonacci constant; the lemma's is x^3 - x^2 - 1
-    psi_f = eta_field(1) if variant == "statement" else psi_field()
+    factor, eta_f, psi_f = _threshold_bases(M, variant)
     if eta_f.min_poly == psi_f.min_poly:
         return RationalInterval.point(Fraction(factor - 1))
 
@@ -286,15 +264,25 @@ def main2_check(
     )
 
     b_iv = main2_constant(M, variant)
+    from .logs import log_sign
+
+    factor, eta_f, psi_f = _threshold_bases(M, variant)
+    eta, psi = root_enclosure(eta_f), root_enclosure(psi_f)
+
+    def exceeds(ratio: Fraction) -> bool:  # (lam + n) log psi - factor n log eta > 0 for ratio = lam/n
+        if b_iv.is_point:
+            return ratio > b_iv.lo
+        lam, n = ratio.numerator, ratio.denominator
+        what = f"comparison of the ratio {frac_to_str(ratio)} with B({int_to_str(M)}, {variant})"
+        return log_sign(((lam + n, psi), (-factor * n, eta)), what) > 0
+
     ratios = [Fraction(lam_k, n_k) for n_k, _, lam_k in spec.schedule]
     running_max = Fraction(0)
     exceed_at = None
     for idx, ratio in enumerate(ratios):
         running_max = max(running_max, ratio)
-        if exceed_at is None:
-            verdict = _ratio_exceeds(ratio, M, variant, b_iv)
-            if verdict:
-                exceed_at = idx
+        if exceed_at is None and exceeds(ratio):
+            exceed_at = idx
     return CriterionReport(
         criterion="quasi-periodic-main2",
         depth=depth,
@@ -309,19 +297,3 @@ def main2_check(
             "first_exceed_index": str(exceed_at) if exceed_at is not None else "none",
         },
     )
-
-
-def _ratio_exceeds(ratio: Fraction, M: int, variant: str, b_iv: RationalInterval) -> bool:
-    """Certified strict comparison ratio > B, refining B's enclosure as needed."""
-    if b_iv.is_point:
-        return ratio > b_iv.lo
-
-    def attempt(level):
-        b = b_iv if not level else main2_constant(M, variant, b_iv.width / (1 << (32 * level)))
-        if ratio > b.hi:
-            return True
-        if ratio <= b.lo:
-            return False
-
-    what = f"comparison of the ratio {frac_to_str(ratio)} with B({int_to_str(M)}, {variant})"
-    return certify(what, attempt)

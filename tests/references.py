@@ -25,12 +25,14 @@ magnitudes (`exceeds_rational_power`), and its first failure along a table of
 every column (`liouville_first_violation`), against
 `mcf.liouville.liouville_report`, which clears delta's denominator.
 
-The outward-rounded `Fraction` interval chain of base^e, against the integer
-mantissas of `mcf.convergents.CertifiedPowers`, which hold only the last power.
-
 The growth check from a table of every column, one pass per item
 (`growth_check_by_table`), against the single walk of
-`mcf.convergents.growth_check`.
+`mcf.convergents.growth_check`, whose comparisons are `mcf.logs.log_sign`
+queries.  The table decides them on its own: psi^e and eta(M)^e by an
+outward-rounded `Fraction` interval chain (`FractionPowers`) tightened until it
+leaves C_n, the d hypothesis by the exact integer a < c**d, and log log C_(n+1)
+against K(d, m) n by mpmath intervals (at n = 1 by the integers c^d and
+(m+1)^((d+1)^2)).
 
 The certified floor and integrality test of one real value of any kind, the
 single-value forms of what the engine certifies per index.
@@ -60,28 +62,14 @@ import json
 import math
 from fractions import Fraction
 
+from mpmath.ctx_iv import MPIntervalContext
+
 from mcf import polynomials as pol
 from mcf.cli import AUX_M2
-from mcf.convergents import (
-    CertifiedPowers,
-    CheckReport,
-    eta_field,
-    k_interval,
-    loglog_lt,
-    lt_power,
-    psi_field,
-)
-from mcf.errors import DegenerateCubic, HypothesisViolated, InputError, MCFError
-from mcf.exact_reals import (
-    AlgebraicValue,
-    IntervalOracle,
-    NumberField,
-    RationalValue,
-    as_real,
-    certify,
-    query_levels,
-)
-from mcf.intervals import RationalInterval
+from mcf.convergents import CheckReport, eta_field, k_interval, psi_field
+from mcf.errors import DegenerateCubic, HypothesisViolated, InputError, MCFError, NonTerminating
+from mcf.exact_reals import AlgebraicValue, IntervalOracle, NumberField, RationalValue, as_real, query_levels
+from mcf.intervals import RationalInterval, certify
 from mcf.liouville import CriterionReport, seq_rule as mcf_seq_rule
 from mcf.periodic import PeriodicSpec, XMatrix, solve_periodic, unroll, validate_spec
 from mcf.radix import int_to_str
@@ -375,6 +363,33 @@ class FractionPowers:
         return self._powers[e]
 
 
+def _power_sign(powers: FractionPowers, e: int, value: int) -> int:
+    """The sign of base^e - value: the chain tightens until base^e's enclosure leaves value,
+    or is the point value (only base^0 = 1 is)."""
+    for _ in range(8):
+        iv = powers.power(e)
+        if iv.hi < value or iv.lo > value or iv.is_point:
+            return (iv.lo > value) - (iv.hi < value)
+        powers.tighten()
+    raise NonTerminating(f"reference comparison of root^{e} with {int_to_str(value)}")
+
+
+def _loglog_below(c: int, d: int, m: int, n: int) -> bool:
+    """log log c < K(d, m) n, c = C_(n+1): in integers at n = 1, else by mpmath intervals."""
+    if c < 2:
+        raise InputError(f"log log C_{n + 1} needs C_{n + 1} >= 2, got C_{n + 1} = {int_to_str(c)}")
+    if n == 1:  # log c < ((d+1)^2/d) log(m+1)
+        return c**d < (m + 1) ** ((d + 1) ** 2)
+    for prec in (128, 256, 512, 1024):
+        iv = MPIntervalContext()  # a context of its own: mpmath.iv's precision is global
+        iv.prec = prec
+        lhs = iv.log(iv.log(iv.mpf(c)))
+        rhs = (iv.log(d + 1) + iv.log(iv.mpf(d + 1) / d) + iv.log(iv.log(m + 1))) * n
+        if lhs.b < rhs.a or lhs.a > rhs.b:
+            return lhs.b < rhs.a
+    raise NonTerminating(f"reference log log C_{n + 1} < K({d}, {m}) * {n}")
+
+
 def growth_check_by_table(pq: PartialQuotients, upto: int | None = None, d: int | None = None,
                           M: int | None = None) -> CheckReport:
     """`mcf.convergents.growth_check` from the list of every column: psi-lower,
@@ -386,7 +401,7 @@ def growth_check_by_table(pq: PartialQuotients, upto: int | None = None, d: int 
     constants: dict = {}
 
     if pq.m == 2:
-        psi = CertifiedPowers(psi_field())
+        psi = FractionPowers(psi_field())
         constants["psi_enclosure"] = psi.power(1)
         first = None
         boundary = []
@@ -394,7 +409,7 @@ def growth_check_by_table(pq: PartialQuotients, upto: int | None = None, d: int 
             if n < 2:
                 ok = rows[n].C >= 1  # psi^(n-2) < 1 <= C_n
             else:
-                sign = psi.cmp_int(n - 2, rows[n].C)
+                sign = _power_sign(psi, n - 2, rows[n].C)
                 if sign == 0:  # C_2 = 1 = psi^0
                     boundary.append(n)
                 ok = sign <= 0
@@ -412,11 +427,11 @@ def growth_check_by_table(pq: PartialQuotients, upto: int | None = None, d: int 
             if pq.seqs[0][n] > M:
                 raise HypothesisViolated(
                     f"a_{n} = {int_to_str(pq.seqs[0][n])} > M = {int_to_str(M)}", n)
-        eta = CertifiedPowers(eta_field(M))
+        eta = FractionPowers(eta_field(M))
         constants["eta_enclosure"] = eta.power(1)
         first = None
         for n in range(n_max + 1):
-            if eta.cmp_int(n, rows[n].C) < 0:
+            if _power_sign(eta, n, rows[n].C) < 0:
                 first = n
                 break
         items.append(CheckItem("eta-upper", first, f"C_n <= eta({int_to_str(M)})^n"))
@@ -425,14 +440,14 @@ def growth_check_by_table(pq: PartialQuotients, upto: int | None = None, d: int 
         if d < 1:
             raise InputError("d must be >= 1")
         for n in range(1, n_max):
-            if not lt_power(pq.seqs[0][n + 1], rows[n].C, d):
+            if not pq.seqs[0][n + 1] < rows[n].C ** d:
                 raise HypothesisViolated(
                     f"a_{n + 1}^(1) = {int_to_str(pq.seqs[0][n + 1])} >= C_{n}^{int_to_str(d)}",
                     n + 1)
         constants["K"] = k_interval(d, pq.m)
         first = None
         for n in range(1, n_max):
-            if not loglog_lt(rows[n + 1].C, d, pq.m, n):
+            if not _loglog_below(rows[n + 1].C, d, pq.m, n):
                 first = n
                 break
         items.append(CheckItem(

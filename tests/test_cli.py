@@ -484,13 +484,19 @@ def test_verify_growth_exact_loglog_tie_is_a_violation(files, seqs, d):
 
 
 def test_loglog_rung_leaves_the_ties_to_enclosures(files, monkeypatch):
-    # on the near and deep ties the bit-length rung must not answer: each
-    # comparison of log log C_2 goes through its enclosures
-    from mcf import convergents
+    # on the near and deep ties log_sign's first step, from magnitudes, must not answer:
+    # the comparison of log log C_2 goes on to certified logarithms of C_2 itself, and
+    # no later C_n needs them
+    from mcf import logs
 
-    seen = []
-    enclose = convergents.loglog_interval
-    monkeypatch.setattr(convergents, "loglog_interval", lambda c, prec: seen.append(c) or enclose(c, prec))
+    seen, log_bounds = [], logs._log_bounds
+
+    def certified_log(v, w):  # w = None: magnitudes only
+        if w is not None:
+            seen.append(v)
+        return log_bounds(v, w)
+
+    monkeypatch.setattr(logs, "_log_bounds", certified_log)
     cases = [(_deep_tie_pq(files)[0], "1000")]
     for b2 in (321307467, 321307667):
         cases.append((files(f"tie{b2}.json", {"m": 2, "seqs": [NEAR_TIE_A, ["0", "0", str(b2), "0"]]}),
@@ -498,8 +504,8 @@ def test_loglog_rung_leaves_the_ties_to_enclosures(files, monkeypatch):
     for pq, d in cases:
         seen.clear()
         invoke(["verify", "growth", "--pq", pq, "--d", d])
-        c2 = list(conv_stream(pq_from_json(json.loads(Path(pq).read_text()))))[2].C
-        assert seen and set(seen) == {c2}
+        columns = [col.C for col in conv_stream(pq_from_json(json.loads(Path(pq).read_text())))]
+        assert columns[2] in seen and not set(columns[3:]) & set(seen)
 
 
 @pytest.mark.parametrize("argv", [

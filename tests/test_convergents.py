@@ -1,11 +1,9 @@
 """Convergents, auxiliary sequences, witnesses, bounds, growth."""
 
-import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,7 +12,6 @@ from mpmath import mp
 
 from helpers import random_admissible, random_admissible_m2, random_pq_with_power_hypothesis
 from references import (
-    FractionPowers,
     column_table,
     det_int,
     factor_matrix,
@@ -33,10 +30,9 @@ from mcf import (
     RationalInterval,
     expand,
 )
-from mcf import convergents, exact_reals
+from mcf import convergents
 from mcf.cli import AUX_M2
 from mcf.convergents import (
-    CertifiedPowers,
     ConvergentLimitOracle,
     approx_witnesses,
     bound_checks,
@@ -45,18 +41,16 @@ from mcf.convergents import (
     k_interval,
     limit_values,
     loglog_lt,
-    lt_power,
     proximity_check,
     psi_field,
+    root_enclosure,
 )
 from mcf.errors import MCFError, NonTerminating
+from mcf.logs import Enclosure, below_power, log_sign
 from mcf.liouville import seq_rule
 from mcf.recurrence import (Column, ConvergentState, LagProducts, PartialQuotients, check_admissible,
                             conv_stream, lag_stream)
-from mcf.serialization import pq_from_json
 from mcf.transcendence import QuasiPeriodicSpec, main1_check
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def cbrt2_pair():
@@ -338,50 +332,25 @@ def test_growth_constants():
     assert k12.lo <= ref <= k12.hi + Fraction(1, 10**10)
 
 
-@pytest.mark.parametrize("make_field", [psi_field, lambda: eta_field(1), lambda: eta_field(5)],
-                         ids=["psi", "eta1", "eta5"])
-def test_certified_powers_equal_the_fraction_chain(make_field):
-    # the integer mantissas give exactly the outward-rounded Fraction enclosures,
-    # before and after tighten(), for rising exponents and then in any order
-    # (a smaller exponent restarts from base^0)
-    fast, ref = CertifiedPowers(make_field()), FractionPowers(make_field())
-    exponents = [*range(501), *random.Random(19).choices(range(501), k=40), 7, 7, 0, 1]
-    for _ in range(2):
-        for e in exponents:
-            assert fast.power(e) == ref.power(e)
-        fast.tighten()
-        ref.tighten()
-
-
 def test_certified_powers_comparisons():
-    cp = CertifiedPowers(psi_field())
-    assert cp.cmp_int(0, 1) == 0
-    assert cp.cmp_int(10, 45) == 1   # psi^10 ~ 45.6
-    assert cp.cmp_int(10, 46) == -1
-
-
-def test_certified_powers_read_the_budget_once_per_chain(monkeypatch):
-    pq = pq_from_json(json.loads((GOLDEN / "pq_m2.json").read_text()))
-    reads, chains = [], []
-    budget, init = exact_reals.refinement_budget, CertifiedPowers.__init__
-    monkeypatch.setattr(exact_reals, "refinement_budget", lambda: reads.append(1) or budget())
-    monkeypatch.setattr(CertifiedPowers, "__init__",
-                        lambda self, *args: chains.append(1) or init(self, *args))
-    report = growth_check(pq, M=7)
-    assert report.ok and len(chains) == 2  # psi and eta(7), 40 comparisons each
-    assert len(reads) == len(chains)
+    # psi^e against an integer is one log_sign query on log C - e log psi
+    psi = root_enclosure(psi_field())
+    assert log_sign(((1, 1), (0, psi)), "psi^0 against 1") == 0
+    assert log_sign(((1, 45), (-10, psi)), "psi^10 against 45") == -1  # psi^10 ~ 45.6
+    assert log_sign(((1, 46), (-10, psi)), "psi^10 against 46") == 1
 
 
 def test_certified_powers_tighten_to_the_default_report(monkeypatch):
-    # C_n = psi^(n-2) times a constant near 1: 2 starting bits decide no comparison for long.
-    # The constants are psi^1 and eta^1 at the starting precision, so they only enclose
+    # C_n = psi^(n-2) times a constant near 1: a 2-bit root decides no comparison for long,
+    # so the queries go on to deeper levels of the growth bases.  The constants are the
+    # bases' level 0 at that precision, so they only enclose the default ones
     pq = PartialQuotients.from_lists([0] + [1] * 30, [0] * 31)
     default = growth_check(pq, M=1)
-    tightened, tighten = [], CertifiedPowers.tighten
-    monkeypatch.setattr(convergents, "_POWER_BITS", 2)
-    monkeypatch.setattr(CertifiedPowers, "tighten", lambda self: tightened.append(1) or tighten(self))
+    levels, log_bounds = set(), Enclosure.log_bounds
+    monkeypatch.setattr(convergents, "_ROOT_BITS", 2)
+    monkeypatch.setattr(Enclosure, "log_bounds", lambda self, level: levels.add(level) or log_bounds(self, level))
     report = growth_check(pq, M=1)
-    assert tightened and (report.ok, report.items) == (default.ok, default.items)
+    assert any(levels) and (report.ok, report.items) == (default.ok, default.items)  # a level past 0
     for name, iv in report.extra["constants"].items():
         start = default.extra["constants"][name]
         assert iv.lo <= start.lo and start.hi <= iv.hi
@@ -477,9 +446,10 @@ def test_checkers_hold_a_window_not_every_column():
 @given(st.integers(-(1 << 40), 1 << 80), st.integers(-3, 1 << 16), st.integers(0, 6),
        st.integers(-2, 2))
 def test_lt_power_matches_exact_comparison(a, c, d, nudge):
-    assert lt_power(a, c, d) == (a < c**d)
+    # a < c**d as the growth check and main1 decide it: signs, then one log_sign query
+    assert below_power(a, c, d, "a < c^d") == (a < c**d)
     near = c**d + nudge  # ties and their neighbours, where bit lengths cannot decide
-    assert lt_power(near, c, d) == (near < c**d)
+    assert below_power(near, c, d, "a < c^d") == (near < c**d)
 
 
 def test_lt_power_edge_cases():
@@ -492,10 +462,14 @@ def test_lt_power_edge_cases():
         (5, 0, 2), (-5, -3, 3), (-27, -3, 3), (-28, -3, 3),  # other signs: exact
     ]
     for a, c, d in cases:
-        assert lt_power(a, c, d) == (a < c**d), (a, c, d)
-    # decided by bit lengths alone: 3**(10**9) is never formed
-    assert lt_power(10**100, 3, 10**9)
-    assert not lt_power(1 << 4_000_000, 3, 10**6)
+        assert below_power(a, c, d, "a < c^d") == (a < c**d), (a, c, d)
+    # decided by the first step's bounds: 3**(10**9) is never formed
+    start = time.perf_counter()
+    assert below_power(10**100, 3, 10**9, "10^100 < 3^(10^9)")
+    assert not below_power(1 << 4_000_000, 3, 10**6, "2^4000000 < 3^(10^6)")
+    assert log_sign(((1, 10**100), (-10**9, 3)), "10^100 against 3^(10^9)") == -1
+    assert log_sign(((4_000_000, 2), (-10**6, 3)), "2^4000000 against 3^(10^6)") == 1
+    assert time.perf_counter() - start < 1
 
 
 def test_growth_check_loglog():
@@ -511,17 +485,16 @@ def test_growth_check_loglog():
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 1 << 4096), st.integers(1, 50), st.integers(1, 4), st.integers(1, 40))
 def test_loglog_rung_agrees_with_512_bit_enclosures(c, d, m, n):
-    # an answer formed without enclosing log log c comes from the bit-length
-    # rung (True, and a 512-bit evaluation of both sides agrees) or from the
-    # exact tie at n = 1 (False, and c^d = (m+1)^((d+1)^2) in integers)
-    with mock.patch.object(convergents, "loglog_interval", wraps=convergents.loglog_interval) as spy:
-        verdict = loglog_lt(c, d, m, n)
-    if not spy.called and verdict:
-        with mp.workprec(512):
-            k = mp.log(d + 1) + mp.log(mp.mpf(d + 1) / d) + mp.log(mp.log(m + 1))
-            assert mp.log(mp.log(c)) < k * n
-    elif not spy.called:
-        assert n == 1 and c**d == (m + 1) ** ((d + 1) ** 2)
+    # every answer, whether log_sign's first step gave it or a deeper one, agrees with a
+    # 512-bit evaluation of both sides, or is the exact tie at n = 1 (False, and
+    # c^d = (m+1)^((d+1)^2) in integers)
+    verdict = loglog_lt(c, d, m, n)
+    if n == 1 and c**d == (m + 1) ** ((d + 1) ** 2):
+        assert not verdict
+        return
+    with mp.workprec(512):
+        k = mp.log(d + 1) + mp.log(mp.mpf(d + 1) / d) + mp.log(mp.log(m + 1))
+        assert verdict == (mp.log(mp.log(c)) < k * n)
 
 
 def test_long_window_oracle_witness_scan_completes():

@@ -288,11 +288,11 @@ def test_field_element_enclosures_of_large_coordinates_fit_the_budget(monkeypatc
     assert 0 < iv.lo and iv.lo**3 < 2**901 < iv.hi**3
 
 
-def test_refinement_budget_is_read_only_in_exact_reals():
-    # every other module refines through exact_reals.certify / budget_levels
+def test_refinement_budget_is_read_only_in_intervals():
+    # every other module refines through intervals.certify / budget_levels
     src = Path(mcf.__file__).parent
     readers = {p.name for p in src.glob("*.py") if "refinement_budget(" in p.read_text()}
-    assert readers == {"exact_reals.py"}
+    assert readers == {"intervals.py"}
 
 
 def test_real_value_wrappers():

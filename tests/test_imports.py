@@ -94,6 +94,7 @@ def test_expand_executes_the_engine_layers_only(tmp_path):
 
 PQ2 = str(GOLDEN / "pq_m2.json")
 SCHEDULE = ["--schedule", str(GOLDEN / "schedule_m2.json"), "--base", PQ2]
+# the commands that print no logarithm; those that compare a power execute mcf.logs for it
 WITHOUT_LOGS = {
     "periodic solve": ["periodic", "solve", "--per-a", "2", "--per-b", "1"],
     "convergents": ["convergents", "--pq", PQ2, "--depth", "10", "--emit", "csv"],
@@ -101,6 +102,14 @@ WITHOUT_LOGS = {
     "verify bounds": ["verify", "bounds", "--pq", PQ2],
     "verify growth --M": ["verify", "growth", "--pq", PQ2, "--M", "7"],
     "construct liouville": ["construct", "liouville", "--b-rule", "const:1", "--depth", "5"],
+    "construct quasiperiodic": ["construct", "quasiperiodic", *SCHEDULE, "--depth", "30"],
+}
+# every mcf module each comparing command executes: log_sign's mcf.logs on its layers
+COMPARING = {
+    "verify bounds": ("convergents", "exact_reals", "intervals", "logs", "radix", "recurrence",
+                      "serialization"),
+    "verify growth --M": ("convergents", "exact_reals", "intervals", "logs", "polynomials", "radix",
+                          "recurrence", "serialization"),
 }
 WITH_LOGS = {
     "verify growth --d": ["verify", "growth", "--pq", PQ2, "--d", "2"],
@@ -115,23 +124,28 @@ LIGHT_COMMANDS = {
     "construct liouville": (["construct", "liouville", "--delta", "3/2", "--b-rule", "const:1",
                              "--depth", "5"], (*LIGHT, "liouville")),
     "verify liouville": (["verify", "liouville", "--pq", LIOUVILLE_PQ, "--delta", "3/2"],
-                         (*LIGHT, "liouville")),
+                         (*LIGHT, "liouville", "logs")),
 }
 
 
 @pytest.mark.parametrize("name", LIGHT_COMMANDS)
 def test_light_commands_execute_only_the_recurrence_layers(name):
-    # no field, engine, convergents, logs or transcendence code: a pq is decoded through
-    # serialization's module reference to exact_reals, which stays unexecuted
+    # no field, engine, convergents or transcendence code: a pq is decoded through
+    # serialization's module reference to exact_reals, which stays unexecuted.  verify
+    # liouville decides its heads by log_sign, so it adds mcf.logs, a light module too
     argv, modules = LIGHT_COMMANDS[name]
-    report = run_command(argv)
-    assert report == report_of(layers(*modules)) and "mcf.logs" not in report["executed"]
+    assert run_command(argv) == report_of(layers(*modules))
+
+
+@pytest.mark.parametrize("name", COMPARING)
+def test_comparing_commands_execute_exactly_their_layers_and_logs(name):
+    report = run_command(WITHOUT_LOGS[name])
+    assert report == report_of(layers(*COMPARING[name]))
 
 
 CHECKERS = {
     **{name: WITH_LOGS[name] for name in ("verify growth --d", "verify main1", "verify main2")},
-    **{name: WITHOUT_LOGS[name] for name in ("verify bounds", "verify growth --M")},
-    "construct quasiperiodic": ["construct", "quasiperiodic", *SCHEDULE, "--depth", "30"],
+    **{name: WITHOUT_LOGS[name] for name in ("verify bounds", "verify growth --M", "construct quasiperiodic")},
 }
 
 
@@ -152,10 +166,11 @@ def test_periodic_solve_executes_no_engine():
 
 @pytest.mark.parametrize("name", WITHOUT_LOGS)
 def test_commands_without_a_logarithm_leave_mpmath_unimported(name):
-    # nor do they execute mcf.logs, which the checkers import where they take a log
+    # and only those that compare a power execute mcf.logs, which the checkers import
+    # where they compare or take a log
     report = run_command(WITHOUT_LOGS[name])
     assert not report["mpmath"] and unused(report) == UNUSED
-    assert "mcf.logs" not in report["executed"]
+    assert ("mcf.logs" in report["executed"]) == (name in COMPARING)
 
 
 def test_importing_the_checkers_executes_no_logs():
@@ -296,7 +311,8 @@ def test_roots_are_refined_and_found_rational_only_in_number_field():
 
 def test_tracer_targets_absent_from_mcf_are_the_known_five():
     # looked up as Tracer.install() does; these five name code removed earlier, which
-    # ROADMAP item 0 retargets, and a removal elsewhere must not add to them
+    # ROADMAP item 0 retargets, and a removal elsewhere must not add to them.  The two
+    # CertifiedPowers methods left with the class, whose comparisons are log_sign's now
     spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -309,7 +325,8 @@ def test_tracer_targets_absent_from_mcf_are_the_known_five():
                 absent.add(f"{modname}.{attr}")
     assert absent == {"mcf.convergents.tilde_next", "mcf.convergents.aux_stream",
                       "mcf.convergents.tilde_stream", "mcf.serialization.proximity_report_to_json",
-                      "mcf.intervals.RationalInterval.outward"}
+                      "mcf.intervals.RationalInterval.outward", "mcf.convergents.CertifiedPowers.cmp_int",
+                      "mcf.convergents.CertifiedPowers.tighten"}
 
 
 

@@ -4,19 +4,24 @@ mpmath is a test dependency only.  Each enclosure must contain mpmath's value at
 four times its precision, and be no wider than mpmath's own outward-rounded
 interval logarithm at the same precision (the enclosure mcf took before
 mcf.logs); the 20-digit strings must equal mpmath's `nstr` of a 60-digit value.
+`log_sign` must give the sign of the exact product of Fraction powers.
 """
 
+import decimal
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 
 from mcf.convergents import _k_enclosure, eta_field, loglog_interval, psi_field
+from mcf.errors import NonTerminating
 from mcf.intervals import RationalInterval
-from mcf.logs import log_enclosure, significant_string
+from mcf.logs import Enclosure, log_enclosure, log_sign, significant_string
+from mcf.radix import EXACT
 from mcf.transcendence import _log_ratio_string, main2_constant
 
 
@@ -174,3 +179,82 @@ def test_significant_string_waits_while_the_endpoints_round_apart():
     assert rounded_up == "10.000000000000000000"
     with pytest.raises(ValueError):
         significant_string(RationalInterval(-1, 1), 20)
+
+
+# ---------------------------------------------------------------------------
+# log_sign against exact Fraction powers
+# ---------------------------------------------------------------------------
+
+
+def exact_sign(terms) -> int:
+    """The sign of sum e log v from prod v^e against 1, in Fractions."""
+    product = Fraction(1)
+    for e, v in terms:
+        product *= Fraction(v) ** e
+    return (product > 1) - (product < 1)
+
+
+def shrinking(v: Fraction) -> Enclosure:
+    """Enclosures [v - r, v + r] of v, r = 2^-(2 << k) (an algebraic value's bits double per
+    level too), cut at 0: level 0 of a v below 1/4 has lo = 0."""
+    return Enclosure(lambda k: RationalInterval(max(Fraction(0), v - Fraction(1, 1 << (2 << k))),
+                                                v + Fraction(1, 1 << (2 << k))))
+
+
+positive = st.integers(1, 40)
+exact_values = st.one_of(positive, st.fractions(min_value=Fraction(1, 40), max_value=40,
+                                                max_denominator=40).filter(bool),
+                         positive.map(decimal.Decimal), st.integers(1, 1 << 200))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.integers(-7, 7), exact_values), max_size=4))
+def test_log_sign_of_exact_values_is_the_sign_of_the_exact_product(terms):
+    # ints, Fractions and exact Decimals, ties included: prod v^e = 1 gives 0
+    with decimal.localcontext(EXACT):
+        assert log_sign(terms, "differential") == exact_sign(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-7, 7), exact_values), max_size=3),
+       st.lists(st.tuples(st.integers(-7, 7).filter(bool),
+                          st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
+                          .filter(bool)), min_size=1, max_size=2))
+def test_log_sign_with_enclosures_is_the_sign_of_the_exact_product(terms, enclosed):
+    # an enclosed value only tightens toward it, so a tie can never be decided: none is drawn
+    sign = exact_sign(terms + enclosed)
+    assume(sign != 0)
+    queries = terms + [(e, shrinking(v)) for e, v in enclosed]
+    with decimal.localcontext(EXACT):
+        assert log_sign(queries, "differential") == sign
+
+
+def test_log_sign_reads_an_enclosure_at_zero_as_minus_infinity(monkeypatch):
+    # x = c enclosed by [0, 2^-(2^k)]: no level bounds log |x - c| from below, and the
+    # upper ends decide once 2^(2^k) passes 10^30
+    zero = Enclosure(lambda k: RationalInterval(0, Fraction(1, 2 ** (2**k))))
+    assert log_sign(((1, zero), (5, 10**6)), "exact zero") == -1
+    assert log_sign(((-1, zero), (-5, 10**6)), "exact zero") == 1
+    assert log_sign(((3, Enclosure(lambda k: RationalInterval.point(0))),), "a point at 0") == -1
+    with pytest.raises(ValueError, match="nonpositive"):
+        log_sign(((1, 0),), "an exact 0")
+    # -inf on both sides decides nothing, at any level
+    monkeypatch.setenv("MCF_PRECISION_BUDGET", "4")
+    for point in (zero, Enclosure(lambda k: RationalInterval.point(0))):
+        with pytest.raises(NonTerminating, match="^zero against zero not certified at levels 0..3$"):
+            log_sign(((1, zero), (-1, point)), "zero against zero")
+
+
+@pytest.mark.parametrize("terms, sign", [
+    (((1, 10**100), (-10**9, 3)), -1),  # 10^100 < 3^(10^9)
+    (((4_000_000, 2), (-10**6, 3)), 1),  # 2^4000000 > 3^(10^6)
+    (((10**9, 7), (-10**9, 5), (-(10**9 + 1), 3)), -1),  # 7^q < 5^q 3^(q+1)
+    (((2, 512), (-9, 4)), 0),  # 512^2 = 4^9: a two-base tie, by integer roots
+    (((10**9, 8), (-3 * 10**9, 2)), 0),  # 8^q = 2^(3q)
+    (((10**9 + 1, 4), (-(2 * 10**9 + 2), 2)), 0),
+    (((10**9, 4), (-(2 * 10**9 + 1), 2)), -1),
+])
+def test_log_sign_forms_no_power_of_a_huge_exponent(terms, sign):
+    start = time.perf_counter()
+    assert log_sign(terms, "huge exponents") == sign
+    assert time.perf_counter() - start < 1

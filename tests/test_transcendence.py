@@ -2,13 +2,18 @@
 
 import decimal
 import itertools
+import json
 import math
+import os
 import random
 import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -32,8 +37,8 @@ from mcf import (
     verify_liouville,
 )
 from mcf.convergents import approx_witnesses, bound_checks, k_interval, limit_values, loglog_interval
-from mcf.liouville import _head_exceeds, _iroot_floor, cycle_rule, seq_rule as mcf_seq_rule
-from mcf.radix import EXACT, int_to_str, to_decimal
+from mcf.liouville import _head_exceeds, cycle_rule, seq_rule as mcf_seq_rule
+from mcf.radix import EXACT, int_to_str, iroot_floor, to_decimal
 from mcf.recurrence import PartialQuotients, check_admissible, conv_stream
 from mcf.transcendence import (
     QuasiPeriodicSpec,
@@ -44,6 +49,8 @@ from mcf.transcendence import (
     main2_constant,
     roth_scan,
 )
+
+SRC = Path(__file__).parents[1] / "src"
 
 
 def test_construct_liouville_hand_values():
@@ -123,16 +130,16 @@ def roth_hits_by_brackets(brackets, pq, epsilon, upto, coords):
 
 
 def test_roth_scan_decides_an_even_root_as_the_exact_inequality():
-    # epsilon = 1/2 clears to |x - A_n/C_n|^2 < 1/C_n^5: abs_diff_pow_lt's even-q branch on
-    # (2^(1/3), 2^(2/3)), bracketed apart by integer cube roots, and its rational branch on
-    # the convergent of index 12, a rational pair the scan meets again at n = 12
+    # epsilon = 1/2 is the query 2 log|x - A_n/C_n| + 5 log C_n < 0 (exact products of
+    # enclosure ends, weight 7) on (2^(1/3), 2^(2/3)), against brackets from integer cube
+    # roots, and on the convergent of index 12: a rational pair, exact, met again at n = 12
     theta = NumberField([-2, 0, 0, 1], RationalInterval(1, 2)).gen()
     pair = [AlgebraicValue(theta), AlgebraicValue(theta * theta)]
     pq = expand(pair, 42).pq
 
     def cube_roots(bits):
         return [(Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits))
-                for r in (_iroot_floor(k << 3 * bits, 3) for k in (2, 4))]
+                for r in (iroot_floor(k << 3 * bits, 3) for k in (2, 4))]
 
     col = list(conv_stream(pq, 12))[-1]
     rational = [Fraction(col.A[0], col.C), Fraction(col.A[1], col.C)]
@@ -141,6 +148,62 @@ def test_roth_scan_decides_an_even_root_as_the_exact_inequality():
             hits = roth_scan(x, pq, Fraction(1, 2), 40, coords=coords)
             assert hits == roth_hits_by_brackets(brackets, pq, Fraction(1, 2), 40, coords)
             assert 0 < len(hits) < 41 and (12 in hits) == (x is rational)
+
+
+def test_roth_scan_at_a_billionth_answers_within_a_second():
+    # epsilon = 1/10^9: each test is 10^9 log|x - A_n/C_n| + (2 10^9 + 1) log C_n < 0,
+    # against the same inequality in mpmath at 300 digits
+    theta = NumberField([-2, 0, 0, 1], RationalInterval(1, 2)).gen()
+    pair = [AlgebraicValue(theta), AlgebraicValue(theta * theta)]
+    pq = expand(pair, 8).pq
+    start = time.perf_counter()
+    hits = roth_scan(pair, pq, Fraction(1, 10**9), 5)
+    assert time.perf_counter() - start < 1
+    with mpmath.workdps(300):
+        x = [mpmath.cbrt(2), mpmath.cbrt(4)]
+        exponent = 2 + mpmath.mpf(1) / 10**9
+        expected = [col.n for col in conv_stream(pq, 5)
+                    if all(abs(x[i] - mpmath.mpf(col.A[i]) / col.C) < mpmath.mpf(col.C) ** -exponent
+                           for i in range(2))]
+    assert hits == expected == [0, 1, 2]
+
+
+def test_constructed_heads_at_a_weight_past_the_exact_step_are_decided_by_products():
+    # delta = 5/3 weighs 3 + 3 + 5 = 11 > EXACT_WEIGHT, and each constructed head sits within
+    # 1/r of t C^delta, where logarithms would need as many bits as the head: the exact
+    # products, a few times the head's size, are formed once the log precision squared
+    # exceeds their bits
+    spec = LiouvilleSpec(m=2, delta=Fraction(5, 3), depth=10, tail_rules=(const_rule(0),), head=0)
+    pq = construct_liouville(spec)
+    assert pq.seqs[0][-1].bit_length() > 50_000
+    start = time.perf_counter()
+    assert verify_liouville(pq, Fraction(5, 3)).verdict == "hypotheses-hold-to-depth"
+    assert time.perf_counter() - start < 2
+
+
+HAND_MADE = {"m": 2, "seqs": [["0", "3", "7"], ["0", "1", "5"]]}  # at n = 2: a = 7, t = 5, C_1 = 3
+
+
+@pytest.mark.parametrize("delta, reduced, verdict", [
+    ("1/1000000000", "1/9", "hypotheses-hold-to-depth"),  # 7 > 5 3^delta, 3^delta < 7/5
+    ("1000000001/1000000000", "10/9", "violated-at(2)"),  # 5 3^delta > 15 > 7
+    ("1000000001/1000", "10001/10", "violated-at(2)"),
+])
+def test_hand_made_heads_at_huge_denominators_answer_within_a_second(tmp_path, delta, reduced, verdict):
+    # a q-th power of a head here would hold about a gigabit: each head is one log_sign
+    # query.  The verdict is the one exact powers give at a reduced denominator
+    path = tmp_path / "hand_made.json"
+    path.write_text(json.dumps(HAND_MADE))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    out = subprocess.run(["timeout", "10", sys.executable, "-m", "mcf.cli", "verify", "liouville",
+                          "--pq", str(path), "--delta", delta], env=env, capture_output=True, text=True)
+    assert time.perf_counter() - start < 5  # the interpreter's start included
+    assert (out.returncode, out.stderr) == (0 if verdict.startswith("hyp") else 1, "")
+    assert json.loads(out.stdout)["verdict"] == verdict
+    pq = PartialQuotients.from_lists(*([int(v) for v in seq] for seq in HAND_MADE["seqs"]))
+    first = liouville_first_violation(pq, Fraction(reduced))
+    assert verdict == ("hypotheses-hold-to-depth" if first is None else f"violated-at({first})")
 
 
 def test_roth_scan_epsilon_validation():
@@ -376,9 +439,9 @@ def test_iroot_floor_brackets_the_root(x, n, number):
     # n past 4096 (bits) and 4 * 1234 (digits) takes the root-is-1 shortcut
     # an integral Decimal under EXACT gives the int root, as an integral Decimal
     with decimal.localcontext(EXACT):
-        r = _iroot_floor(number(x), n)
+        r = iroot_floor(number(x), n)
         assert r**n <= x < (r + 1) ** n
-    assert type(r) is type(number(x)) and int_to_str(r) == int_to_str(_iroot_floor(x, n))
+    assert type(r) is type(number(x)) and int_to_str(r) == int_to_str(iroot_floor(x, n))
 
 
 @settings(max_examples=100, deadline=None)
@@ -390,7 +453,7 @@ def test_iroot_floor_brackets_the_root_of_values_up_to_100000_bits(n, bits, offs
     r = rng.getrandbits(max(1, bits // n))
     x = rng.getrandbits(bits) if offset is None else max(0, r**n + offset)
     with decimal.localcontext(EXACT):
-        r = _iroot_floor(number(x), n)
+        r = iroot_floor(number(x), n)
         assert r**n <= x < (r + 1) ** n
     assert type(r) is type(number(x))
 
@@ -410,7 +473,7 @@ def test_iroot_floor_of_a_200000_bit_value_starts_near_the_root(n, number):
     signal.alarm(20)
     try:
         with decimal.localcontext(EXACT):
-            r = _iroot_floor(x, n)
+            r = iroot_floor(x, n)
             assert r**n <= x < (r + 1) ** n
     finally:
         signal.alarm(0)
@@ -456,7 +519,7 @@ def signed_liouville_pq(rng: random.Random, delta: Fraction, length: int) -> Par
         tails.append(rng.choice([rng.randint(-3, 3), rng.randint(-10**3, 10**3)]))
         cols, off = column_table(PartialQuotients.from_lists(heads + [0], tails))
         t = max(abs(v) for v in tildes(cols[off + n], cols[off + n - 1]))
-        root = _iroot_floor(abs(cols[off + n - 1].C) ** delta.numerator, delta.denominator)
+        root = iroot_floor(abs(cols[off + n - 1].C) ** delta.numerator, delta.denominator)
         near = t * root + rng.randint(-3, 3)
         heads.append(near if rng.random() < 0.7 else -near)
     return PartialQuotients.from_lists(heads, tails)
@@ -482,12 +545,13 @@ def test_head_exceeds_decides_signed_heads_and_denominators_over_the_reals():
         for p in (p for p in range(1, 5) if math.gcd(p, q) == 1):
             for a, t, C in itertools.product(range(-9, 10), range(4), range(-9, 10)):
                 assert _head_exceeds(a, t, C, p, q) == exceeds_rational_power(a, t, C, Fraction(p, q))
-    # q = 10^9: C^(1/q) is 1 at C = 1 and in (1, 2) for 2 <= C < 2^q, so every case with
-    # C >= 1 but t < a < 2t is decided without a q-th power (an even q fails a negative a or C)
+    # q = 10^9: C^(1/q) is 1 at C = 1 and in (1, 1 + 10^-5) for 2 <= C <= 2^4096, so with
+    # C >= 1 the head exceeds exactly when a > t, also for t < a < 2t, where a > t C^(1/q)
+    # is one comparison of logarithms (an even q fails a negative a or C)
+    start = time.perf_counter()
     for a, t, C in itertools.product(range(-9, 10), range(4), [-5, 1, 2, 9, 1 << 4096]):
-        if C >= 2 and t < a < 2 * t:
-            continue
         assert _head_exceeds(a, t, C, 1, 10**9) == (C >= 1 and a > t)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("q", [10**9, 10**9 + 1])
