@@ -1,5 +1,6 @@
-"""Limit enclosures, approximation witnesses, and the certified bound and
-growth checks of the convergents (the recurrence itself is mcf.recurrence).
+"""Limit enclosures, the approximation layer (one gap value and one scan walk for the
+witness, Roth and proximity tests), and the certified bound and growth checks of the
+convergents (the recurrence itself is mcf.recurrence).
 
 The auxiliary ("tilde") sequences are the bilinear lag products
 
@@ -44,7 +45,7 @@ from .recurrence import ConvergentState  # noqa: F401  (perfbench/tracer.py's co
 
 
 # ---------------------------------------------------------------------------
-# Limit enclosures (the window mechanism) and approximation witnesses
+# Limit enclosures (the window mechanism) and the approximation layer
 # ---------------------------------------------------------------------------
 
 
@@ -83,34 +84,55 @@ def limit_values(pq: PartialQuotients) -> tuple[OracleValue, ...]:
     return tuple(OracleValue(ConvergentLimitOracle(pq, i, cols)) for i in range(1, pq.m + 1))
 
 
-def scan_inputs(x, pq: PartialQuotients, last: int, coords=None) -> tuple[list, list[int]]:
-    """(values, 0-based coordinates) for a scan of x against pq's convergents
-    0..last; coords are 1-based (default: all)."""
+def gap_value(x, y):
+    """|x - y| as a log_sign value: an exact Fraction when both values are rational, else an
+    Enclosure whose level k reads each value k levels past its query_levels start (the
+    deepest level its oracle has memoized)."""
+    from .logs import Enclosure
+
+    x, y = as_real(x), as_real(y)
+    if isinstance(x, RationalValue) and isinstance(y, RationalValue):
+        return abs(x.value - y.value)
+    sx, sy = query_levels(x).start, query_levels(y).start
+    return Enclosure(lambda level: (enclosure_at(x, sx + level) - enclosure_at(y, sy + level)).abs())
+
+
+def approx_scan(x, pq: PartialQuotients, upto: int, coords, bound, ahead: bool = False) -> list[int]:
+    """Indices n <= upto where every checked coordinate i (0-based; coords are 1-based,
+    default all) has |x_i - A_n^(i)/C_n|^q < prod v^-e over the pairs (e, v) of terms,
+    for (q, terms, what) = bound(i, col, nxt, ac1), or None when no bound is to fall below.
+    Each test is one log_sign query named `what` on gap_value; x_i = A_n^(i)/C_n passes,
+    and a column with C_n = 0 has no convergent and is no hit.  With ahead, nxt is column
+    n + 1 and ac1 the lag-1 product of (A^(i), C) at n + 1, else both are None; the walk
+    holds lag_stream's window, not the columns."""
+    from .logs import log_sign
+
     values = [as_real(v) for v in (x if isinstance(x, (list, tuple)) else [x])]
     if len(values) != pq.m:
         raise InputError(f"need {pq.m} coordinate values")
     which = list(range(pq.m)) if coords is None else [c - 1 for c in coords]
     if any(not 0 <= i < pq.m for i in which):
         raise InputError(f"coordinates must be in 1..{pq.m}")
+    last = upto + ahead
     if pq.rect_len <= last:
         raise InputError(f"the scan needs convergents through index {last}; pq has {pq.rect_len}")
-    return values, which
 
+    def below(i, col, nxt, ac1) -> bool:
+        test = bound(i, col, nxt, ac1)
+        if test is None:
+            return False
+        q, terms, what = test
+        gap = gap_value(values[i], Fraction(col.A[i], col.C))
+        return gap == 0 or log_sign(((q, gap), *terms), what) < 0
 
-def gap_below(x, center: Fraction, q: int, bound, what) -> bool:
-    """|x - center|^q < prod v^-e over the pairs (e, v) of bound, as one log_sign query
-    named `what`: |x - center| is exact for a rational x, else enclosed at the levels a
-    certified query on x tries (query_levels).  x = center passes."""
-    from .logs import Enclosure, log_sign
-
-    if isinstance(x, RationalValue):
-        gap = abs(x.value - center)
-        if not gap:
-            return True
-    else:
-        start = query_levels(x).start
-        gap = Enclosure(lambda level: (enclosure_at(x, start + level) - center).abs())
-    return log_sign(((q, gap), *bound), what) < 0
+    hits, prev = [], None
+    for col, lags in lag_stream(pq, [(i, pq.m) for i in which] if ahead else (), last):
+        at, nxt = (prev, col) if ahead else (col, None)
+        if at is not None and at.C and all(
+                below(i, at, nxt, lags[i, pq.m][0] if ahead else None) for i in which):
+            hits.append(at.n)
+        prev = col
+    return hits
 
 
 def approx_witnesses(x, pq: PartialQuotients, upto: int, coords=None) -> list[int]:
@@ -118,7 +140,7 @@ def approx_witnesses(x, pq: PartialQuotients, upto: int, coords=None) -> list[in
 
         |x_i - A_n^(i)/C_n| < |ac1_{n+1}^(i)| / (C_{n+1} C_n),
 
-    each strict inequality one log_sign query (gap_below): exact for rational
+    each strict inequality one log_sign query (approx_scan): exact for rational
     inputs, by interval refinement otherwise.
 
     `coords` is a list of 1-based coordinates (default: all).  Each single
@@ -131,21 +153,15 @@ def approx_witnesses(x, pq: PartialQuotients, upto: int, coords=None) -> list[in
     past the scan range: keep upto <= rect_len - 4 or so, else the oracle
     exhausts.
     """
-    values, which = scan_inputs(x, pq, upto + 1, coords)
-    stream = lag_stream(pq, [(i, pq.m) for i in which], upto + 1)
-    col, witnesses = next(stream)[0], []
-    for nxt, lags in stream:
+    def bound(i, col, nxt, ac1):
+        # ac1 = 0, or C_n C_(n+1) <= 0, leaves no positive bound to fall below
+        if not ac1 or not nxt.C or (nxt.C > 0) != (col.C > 0):
+            return None
         n = col.n
-        # ac1 = 0, or C_n C_(n+1) < 0, leaves no positive bound to fall below
-        if (nxt.C > 0) == (col.C > 0) and all(
-                lags[i, pq.m][0] and gap_below(
-                    values[i], Fraction(col.A[i], col.C), 1,
-                    ((-1, abs(lags[i, pq.m][0])), (1, abs(nxt.C)), (1, abs(col.C))),
-                    lambda: f"witness test |x_{i + 1} - A_{n}/C_{n}| < |ac1_{n + 1}|/(C_{n + 1} C_{n})")
-                for i in which):
-            witnesses.append(n)
-        col = nxt
-    return witnesses
+        return (1, ((-1, abs(ac1)), (1, abs(nxt.C)), (1, abs(col.C))),
+                lambda: f"witness test |x_{i + 1} - A_{n}/C_{n}| < |ac1_{n + 1}|/(C_{n + 1} C_{n})")
+
+    return approx_scan(x, pq, upto, coords, bound, ahead=True)
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +272,14 @@ class ProximityReport(Record):
 
 def proximity_check(x, x_prime, n: int) -> ProximityReport:
     """Certify |x_i - x'_i| < 1/C_{n-2} and < 2/C_n for both coordinates of two
-    m = 2 inputs whose expansions agree through index n (each bound certified
-    separately; the report also says which bound is the tighter rational)."""
-    x = list(x)
-    x_prime = list(x_prime)
+    m = 2 inputs whose expansions agree through index n (each bound one log_sign
+    query on the coordinate's gap_value; the report also says which bound is the
+    tighter rational)."""
+    x, x_prime = list(x), list(x_prime)
     if n < 2:
         raise InputError("proximity bounds need a shared prefix through index n >= 2")
     from .engine import expand  # here, so the checkers that never expand execute no engine
+    from .logs import log_sign
 
     rec = expand(x, n + 1)
     rec_p = expand(x_prime, n + 1)
@@ -270,42 +287,20 @@ def proximity_check(x, x_prime, n: int) -> ProximityReport:
         raise InputError("proximity_check is specific to m = 2")
     for j in range(2):
         if rec.pq.seqs[j][: n + 1] != rec_p.pq.seqs[j][: n + 1]:
-            raise PrefixMismatch(
-                f"expansions disagree within indices 0..{n} in coordinate {j + 1}"
-            )
+            raise PrefixMismatch(f"expansions disagree within indices 0..{n} in coordinate {j + 1}")
     C_n2, _, C_n = deque((col.C for col in conv_stream(rec.pq, n)), maxlen=3)
-    prefix_bound = Fraction(1, C_n2)
-    triangle_bound = Fraction(2, C_n)
+    prefix_bound, triangle_bound = Fraction(1, C_n2), Fraction(2, C_n)
+    gaps = list(map(gap_value, x, x_prime))
 
-    def certify_gap(name: str, bound: Fraction) -> list[bool]:
-        out = []
-        for i in range(2):
-            xi, yi = as_real(x[i]), as_real(x_prime[i])
-            levels, shift = query_levels(xi), query_levels(yi).start - query_levels(xi).start
+    def below(name: str, bound: Fraction) -> tuple[bool, ...]:
+        what = f"proximity gap of coordinate {{}} against the {name} bound at n = {n}"
+        return tuple(gap == 0 or log_sign(((1, gap), (-1, bound)), what.format(i + 1)) < 0
+                     for i, gap in enumerate(gaps))
 
-            def attempt(level):
-                gap = (enclosure_at(xi, level) - enclosure_at(yi, level + shift)).abs()
-                if gap.hi < bound:
-                    return True
-                if gap.lo > bound:
-                    return False
-
-            what = f"proximity gap of coordinate {i + 1} against the {name} bound at n = {n}"
-            out.append(certify(what, attempt, levels))
-        return out
-
-    tighter = (
-        "equal" if prefix_bound == triangle_bound
-        else ("prefix" if prefix_bound < triangle_bound else "triangle")
-    )
-    return ProximityReport(
-        n,
-        prefix_bound,
-        triangle_bound,
-        tighter,
-        tuple(certify_gap("prefix", prefix_bound)),
-        tuple(certify_gap("triangle", triangle_bound)),
-    )
+    tighter = ("equal" if prefix_bound == triangle_bound
+               else "prefix" if prefix_bound < triangle_bound else "triangle")
+    return ProximityReport(n, prefix_bound, triangle_bound, tighter,
+                           below("prefix", prefix_bound), below("triangle", triangle_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +356,6 @@ def k_interval(d: int, m: int, max_width=Fraction(1, 10**6)) -> RationalInterval
 
     what = f"K({int_to_str(d)}, {m}) enclosure of width <= {frac_to_str(max_width)}"
     return certify(what, attempt)
-
-
-def loglog_interval(c: int, prec: int = 128) -> RationalInterval:
-    """Certified enclosure of log log c (c >= 2)."""
-    if c < 2:
-        raise InputError("log log requires c >= 2")
-    from .logs import log_enclosure
-
-    return log_enclosure(log_enclosure(c, prec), prec)
 
 
 def _log_of(c: int):

@@ -19,9 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import AdmissibilityConflict, InputError
+from .errors import AdmissibilityConflict, InputError, NonTerminating
 from .intervals import as_fraction
-from .radix import Record, frac_to_str, int_to_str, iroot_floor
+from .radix import Record, frac_to_str, int_to_str, iroot_floor, magnitude
 from .recurrence import CheckItem, ConvergentState, LagProducts, PartialQuotients, QuotientRows, int_entries
 
 
@@ -88,6 +88,10 @@ class CriterionReport(Record):
 # The largest dimension of a Liouville construction: LagProducts holds m^3 lag
 # products of the m pairs (i, m), so the check comes before anything of size m.
 MAX_LIOUVILLE_M = 64
+# The largest C^p, in bits (a decimal digit counts 10/3), that liouville_rows forms for
+# floor(C^delta), past which it raises NonTerminating: 16 times the largest formed, in
+# CI's depth-17 delta = 1 document.
+MAX_POWER_BITS = 1 << 26
 
 
 class LiouvilleSpec(Record):
@@ -123,7 +127,8 @@ def liouville_rows(spec: LiouvilleSpec, number=int) -> QuotientRows:
     At each n >= 1 the lag-1 products do not involve the head: a_n^(1) adds
     a_n^(1) times column n-1 to column n, which cancels in A_n C_{n-1} - A_{n-1} C_n,
     so LagProducts.peek_lag1 gives them from the tail.  The head quotient is
-    then set just above both the criterion threshold and the admissibility floor.
+    then set just above both the criterion threshold and the admissibility floor
+    (a C^p past MAX_POWER_BITS raises NonTerminating before it is formed).
     The output is admissible by construction: for n >= 1 every tail entry is >= 0
     and below the head, so each lexicographic chain ends at its first comparison.
     """
@@ -140,7 +145,13 @@ def liouville_rows(spec: LiouvilleSpec, number=int) -> QuotientRows:
             head = number(spec.head)
         else:
             t_max = max(abs(t) for t in lags.peek_lag1(tail).values())
-            power = state.window[0][0] ** spec.delta.numerator  # C^p, then r = floor(C^(p/q))
+            C, p = state.window[0][0], spec.delta.numerator
+            base, e = magnitude(C)
+            bits = p * e * (10 if base == 10 else 3) // 3
+            if C > 1 and bits > MAX_POWER_BITS:
+                raise NonTerminating(f"index {n}: floor(C_{n - 1}^delta) needs C_{n - 1}^{int_to_str(p)},"
+                                     f" about {int_to_str(bits)} bits, past {MAX_POWER_BITS}")
+            power = C**p  # then r = floor(C^(p/q))
             r = iroot_floor(power, spec.delta.denominator)
             threshold = t_max * (r if r**spec.delta.denominator == power else r + 1)
             head = max(threshold, max([0] + tail)) + 1

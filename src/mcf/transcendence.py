@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .convergents import eta_field, gap_below, psi_field, root_enclosure, scan_inputs
+from .convergents import approx_scan, eta_field, psi_field, root_enclosure
 from .errors import AdmissibilityError, InputError, ScheduleOverlap
 from .intervals import RationalInterval, as_fraction, certify
 from .liouville import CriterionReport, Rule
@@ -28,8 +28,8 @@ def roth_scan(x, pq: PartialQuotients, epsilon, upto: int, coords=None) -> list[
     every requested coordinate, certified.
 
     epsilon = p/q must be a positive rational; each test is one log_sign query
-    on q log|x_i - A_n^(i)/C_n| + (2q + p) log C_n (gap_below), so no power of
-    C_n is formed.  epsilon = 0 is the critical exponent and is rejected.
+    on q log|x_i - A_n^(i)/C_n| + (2q + p) log C_n (convergents.approx_scan), so
+    no power of C_n is formed.  epsilon = 0 is the critical exponent and is rejected.
     """
     epsilon = as_fraction(epsilon)
     if epsilon == 0:
@@ -39,19 +39,17 @@ def roth_scan(x, pq: PartialQuotients, epsilon, upto: int, coords=None) -> list[
         )
     if epsilon < 0:
         raise InputError("epsilon must be positive")
-    values, which = scan_inputs(x, pq, upto, coords)
     p, q = epsilon.numerator, epsilon.denominator
-    hits = []
-    for col in conv_stream(pq, upto):
+
+    def bound(i, col, nxt, ac1):
         n, C = col.n, col.C
         # 1/C^(2q+p) is negative for a negative C and odd p: no gap falls below it
-        if (C > 0 or p % 2 == 0) and all(
-                gap_below(values[i], Fraction(col.A[i], C), q, ((2 * q + p, abs(C)),),
-                          lambda: f"Roth test |x_{i + 1} - A_{n}/C_{n}|^{int_to_str(q)}"
-                                  f" < 1/C_{n}^{int_to_str(2 * q + p)}")
-                for i in which):
-            hits.append(n)
-    return hits
+        if C < 0 and p % 2:
+            return None
+        return (q, ((2 * q + p, abs(C)),),
+                lambda: f"Roth test |x_{i + 1} - A_{n}/C_{n}|^{int_to_str(q)} < 1/C_{n}^{int_to_str(2 * q + p)}")
+
+    return approx_scan(x, pq, upto, coords, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,25 @@ def test_proximity_of_nearby_periodic_roots():
     assert rep.ok
 
 
+def test_proximity_of_window_oracles_read_at_different_levels():
+    # two limits sharing their quotients through index n; one oracle has already answered
+    # at a deep level, so each gap reads the two values at levels a fixed offset apart
+    n = 10
+    pq = random_admissible_m2(random.Random(28), 80, head=(0, 0))
+    a, b = list(pq.seqs[0]), list(pq.seqs[1])
+    a[n + 1] += 1  # a_(n+1) > b_(n+1) stays admissible and leaves indices 0..n alone
+    pq_prime = PartialQuotients.from_lists(a, b)
+    assert check_admissible(pq_prime).ok
+    fresh = proximity_check(limit_values(pq), limit_values(pq_prime), n)
+    x, x_prime = limit_values(pq), limit_values(pq_prime)
+    x_prime[0].oracle.enclosure(40)
+    assert x_prime[0].oracle.deepest_level() == 40
+    rep = proximity_check(x, x_prime, n)
+    assert rep == fresh and rep.ok
+    cols = list(conv_stream(pq, n))
+    assert (rep.prefix_bound, rep.triangle_bound) == (Fraction(1, cols[n - 2].C), Fraction(2, cols[n].C))
+
+
 def test_growth_constants():
     psi_iv = psi_field().refine_root(Fraction(1, 10**8))
     assert Fraction(146, 100) < psi_iv.lo and psi_iv.hi < Fraction(147, 100)

@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 
-from mcf.convergents import _k_enclosure, eta_field, loglog_interval, psi_field
+from mcf.convergents import _k_enclosure, eta_field, psi_field
 from mcf.errors import NonTerminating
 from mcf.intervals import RationalInterval
 from mcf.logs import Enclosure, log_enclosure, log_sign, significant_string
@@ -111,7 +111,7 @@ def test_k_enclosure_contains_k(d, m, prec):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(st.integers(2, 1000), st.integers(2, 1 << BITS)), st.sampled_from([128, 256, 512]))
 def test_loglog_interval_contains_loglog(c, prec):
-    iv = loglog_interval(c, prec)
+    iv = log_enclosure(log_enclosure(c, prec), prec)
     with mpmath.workprec(4 * prec + c.bit_length()):
         assert contains(iv, mpmath.log(mpmath.log(c)))
 

@@ -36,8 +36,9 @@ from mcf import (
     expand,
     verify_liouville,
 )
-from mcf.convergents import approx_witnesses, bound_checks, k_interval, limit_values, loglog_interval
+from mcf.convergents import approx_witnesses, bound_checks, k_interval, limit_values
 from mcf.liouville import _head_exceeds, cycle_rule, seq_rule as mcf_seq_rule
+from mcf.logs import log_enclosure
 from mcf.radix import EXACT, int_to_str, iroot_floor, to_decimal
 from mcf.recurrence import PartialQuotients, check_admissible, conv_stream
 from mcf.transcendence import (
@@ -206,6 +207,16 @@ def test_hand_made_heads_at_huge_denominators_answer_within_a_second(tmp_path, d
     assert verdict == ("hypotheses-hold-to-depth" if first is None else f"violated-at({first})")
 
 
+def test_construction_past_the_power_cap_exits_3_naming_the_index():
+    # floor(C_1^delta) at delta = (10^9 + 1)/10^9 would take the root of a 3-Gbit C_1^p
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(["timeout", "10", sys.executable, "-m", "mcf.cli", "construct", "liouville", "--m", "2",
+                          "--delta", "1000000001/1000000000", "--depth", "3", "--b-rule", "const:0"],
+                         env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (3, "")
+    assert "index 2" in out.stderr and "C_1^1000000001" in out.stderr
+
+
 def test_roth_scan_epsilon_validation():
     pq = PartialQuotients.from_lists([0, 1], [0, 0])
     with pytest.raises(InputError):
@@ -241,6 +252,61 @@ def test_roth_scan_algebraic_regression():
     assert roth_scan(pair, rec.pq, Fraction(1), 100) == [0, 1]
     assert roth_scan(pair, rec.pq, Fraction(1), 100, coords=[1]) == [0, 1, 3]
     assert roth_scan(pair, rec.pq, Fraction(1), 100, coords=[2]) == [0, 1]
+
+
+def scan_hits_by_fractions(x, pq, upto, coords, holds):
+    """Indices n <= upto at which holds(x_i, column n, column n + 1, i) for every checked
+    0-based i; a column with C_n = 0 has no convergent A_n/C_n and is no hit."""
+    cols = list(conv_stream(pq))
+    which = range(pq.m) if coords is None else [c - 1 for c in coords]
+    return [n for n in range(upto + 1)
+            if cols[n].C and all(holds(x[i], cols[n], cols[n + 1] if n + 1 < len(cols) else None, i)
+                                 for i in which)]
+
+
+def roth_holds(epsilon):
+    p, q = epsilon.numerator, epsilon.denominator
+    return lambda x, col, nxt, i: abs(x - Fraction(col.A[i], col.C)) ** q < Fraction(1, col.C ** (2 * q + p))
+
+
+def witness_holds(x, col, nxt, i):  # |x - A_n/C_n| < |ac1_(n+1)| / (C_(n+1) C_n), where defined
+    ac1 = nxt.A[i] * col.C - col.A[i] * nxt.C
+    return bool(nxt.C) and abs(x - Fraction(col.A[i], col.C)) < Fraction(abs(ac1), nxt.C * col.C)
+
+
+@st.composite
+def rational_scans(draw):
+    """Small signed quotients, so that C_n <= 0 occurs (most draws are not admissible), a
+    rational point whose coordinates are often convergents of the pq, and coordinates."""
+    m, length = draw(st.integers(1, 3)), draw(st.integers(2, 8))
+    pq = PartialQuotients.from_lists(*(draw(st.lists(st.integers(-3, 4), min_size=length, max_size=length))
+                                       for _ in range(m)))
+    centers = [Fraction(col.A[i], col.C) for col in conv_stream(pq) if col.C for i in range(m)]
+    x = [draw(st.sampled_from(centers) | st.fractions(-3, 3, max_denominator=40)) for _ in range(m)]
+    return pq, x, draw(st.none() | st.lists(st.integers(1, m), min_size=1, max_size=m, unique=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_scans())
+def test_scans_of_rational_points_equal_their_inequalities_in_fractions(case):
+    # rational gaps are exact, so each log_sign query is the exact inequality
+    pq, x, coords = case
+    last = pq.rect_len - 1
+    for epsilon in (Fraction(1), Fraction(1, 2), Fraction(2)):
+        assert roth_scan(x, pq, epsilon, last, coords) == scan_hits_by_fractions(
+            x, pq, last, coords, roth_holds(epsilon))
+    assert approx_witnesses(x, pq, last - 1, coords) == scan_hits_by_fractions(
+        x, pq, last - 1, coords, witness_holds)
+
+
+def test_scans_treat_a_zero_denominator_as_no_convergent():
+    # C_2 = 0 and C_3 = -1: Fraction(A_2, C_2) is never formed
+    pq = PartialQuotients.from_lists([0, 1, 0, -1, 2, 1], [0, 0, 0, -2, 0, 0])
+    assert [col.C for col in conv_stream(pq)][:4] == [1, 1, 0, -1]
+    pair = [Fraction(1, 3), Fraction(1, 5)]
+    assert roth_scan(pair, PartialQuotients.from_lists([0, 1, 0, -1, 2, 1], [0] * 6), 2, 4) == [0, 1]
+    assert roth_scan(pair, pq, 2, 4) == scan_hits_by_fractions(pair, pq, 4, None, roth_holds(Fraction(2)))
+    assert approx_witnesses(pair, pq, 4) == scan_hits_by_fractions(pair, pq, 4, None, witness_holds)
 
 
 def test_build_quasiperiodic_copy_layout():
@@ -370,7 +436,7 @@ def test_no_thread_sees_mpmath_precision_move():
     try:
         for n in range(1, 60):
             k_interval(n, 2, Fraction(1, 10**30))
-            loglog_interval(3**n, 512)
+            log_enclosure(log_enclosure(3**n, 512), 512)
             _log_ratio_string(n + 1, n)
     finally:
         done.set()
