@@ -212,13 +212,7 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Che
                 f" quotients ({int_to_str(a0)}, {int_to_str(b0)})")
         strict_upper_is_lemma = False
 
-    from .logs import log_sign
-
-    def below_3_square(v: int, n: int) -> bool:  # v < 3 C_(n-1)^2
-        if not C_prev:
-            return v < 0
-        terms = ((1, v), (-1, 3), (-2, abs(C_prev)))
-        return v <= 0 or log_sign(terms, lambda: f"lag product at {n} < 3 C_{n - 1}^2") < 0
+    from .logs import power_sign
 
     first = first_quad = None
     boundary: list[int] = []
@@ -234,7 +228,9 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Che
         # ac1_n, bc1_n < 3 C_(n-1)^2 where a_n < C_(n-1)
         if row.n and first_quad is None and pq.seqs[0][row.n] < C_prev:
             applied += 1
-            if not all(below_3_square(v[0], row.n) for v in lags.values()):
+            n = row.n
+            if not all(power_sign(v[0], 3, C_prev, 2, 1, lambda: f"lag product at {n} < 3 C_{n - 1}^2") < 0
+                       for v in lags.values()):
                 first_quad = row.n
         k_emp = max(k_emp, -(-A // C), -(-B // C))  # ceil division
         C_prev = C
@@ -288,7 +284,7 @@ def proximity_check(x, x_prime, n: int) -> ProximityReport:
     for j in range(2):
         if rec.pq.seqs[j][: n + 1] != rec_p.pq.seqs[j][: n + 1]:
             raise PrefixMismatch(f"expansions disagree within indices 0..{n} in coordinate {j + 1}")
-    C_n2, _, C_n = deque((col.C for col in conv_stream(rec.pq, n)), maxlen=3)
+    C_n2, _, C_n = deque((col.C for col in conv_stream(rec.pq, n, (2,))), maxlen=3)
     prefix_bound, triangle_bound = Fraction(1, C_n2), Fraction(2, C_n)
     gaps = list(map(gap_value, x, x_prime))
 
@@ -358,38 +354,32 @@ def k_interval(d: int, m: int, max_width=Fraction(1, 10**6)) -> RationalInterval
     return certify(what, attempt)
 
 
-def _log_of(c: int):
-    """log c (c >= 2) as a log_sign value: log_enclosure to 128 << level bits, first
-    bracketed by the integers around bits(c) log 2 (0.693147 < log 2 < 0.693148)."""
-    from .logs import Enclosure, log_enclosure
+def loglog_below(d: int, m: int):
+    """The certified strict comparison log log c < K(d, m) n for c = C_(n+1), as a function
+    of (c, n) that makes one log_sign query, log(log c) - n log(exp K) < 0; mcf.logs is
+    imported once, here.  exp K = (d+1)^2/d log(m+1) is one Enclosure that every query
+    shares, and log c (c >= 2) is log_enclosure to 128 << level bits, first bracketed by
+    the integers around bits(c) log 2 (0.693147 < log 2 < 0.693148).  At n = 1 it is the
+    exact c^d < (m+1)^((d+1)^2), so its tie (m+1 = t^d, c = t^((d+1)^2)) is decided."""
+    from .logs import Enclosure, log_enclosure, log_sign
 
-    bits = c.bit_length()  # 2^(bits-1) <= c < 2^bits
-    return Enclosure(lambda level: log_enclosure(c, 128 << level),
-                     ((bits - 1) * 693147 // 10**6, -(-bits * 693148 // 10**6)))
+    exp_k = Enclosure(lambda level: log_enclosure(m + 1, 64 << level) * Fraction((d + 1) ** 2, d))
 
+    def below(c: int, n: int) -> bool:
+        if c < 2:
+            raise InputError(f"log log C_{n + 1} needs C_{n + 1} >= 2, got C_{n + 1} = {int_to_str(c)}")
 
-@functools.lru_cache(maxsize=8)
-def _exp_k(d: int, m: int):
-    """exp K(d, m) = (d+1)^2/d log(m+1) as a log_sign value, shared by every query."""
-    from .logs import Enclosure, log_enclosure
+        def what():
+            return f"log log C_{n + 1} < K({int_to_str(d)}, {m}) * {n}"
 
-    return Enclosure(lambda level: log_enclosure(m + 1, 64 << level) * Fraction((d + 1) ** 2, d))
+        if n == 1:
+            return log_sign(((d, c), (-(d + 1) ** 2, m + 1)), what) < 0
+        bits = c.bit_length()  # 2^(bits-1) <= c < 2^bits
+        log_c = Enclosure(lambda level: log_enclosure(c, 128 << level),
+                          ((bits - 1) * 693147 // 10**6, -(-bits * 693148 // 10**6)))
+        return log_sign(((1, log_c), (-n, exp_k)), what) < 0
 
-
-def loglog_lt(c: int, d: int, m: int, n: int) -> bool:
-    """Certified strict comparison log log c < K(d, m) n for c = C_(n+1): one log_sign
-    query, log(log c) - n log(exp K) < 0.  At n = 1 it is the exact
-    c^d < (m+1)^((d+1)^2), so its tie (m+1 = t^d, c = t^((d+1)^2)) is decided."""
-    if c < 2:
-        raise InputError(f"log log C_{n + 1} needs C_{n + 1} >= 2, got C_{n + 1} = {int_to_str(c)}")
-    from .logs import log_sign
-
-    def what():
-        return f"log log C_{n + 1} < K({int_to_str(d)}, {m}) * {n}"
-
-    if n == 1:
-        return log_sign(((d, c), (-(d + 1) ** 2, m + 1)), what) < 0
-    return log_sign(((1, _log_of(c)), (-n, _exp_k(d, m))), what) < 0
+    return below
 
 
 def growth_check(
@@ -428,7 +418,7 @@ def growth_check(
     if d is not None and d < 1:
         raise InputError("d must be >= 1")
 
-    from .logs import below_power, log_sign
+    from .logs import log_sign, power_sign
 
     constants: dict = {}
     items = []  # (name, detail, holds(n, C_n), lag, boundary): a violation at column n is at n - lag
@@ -456,15 +446,16 @@ def growth_check(
 
         items.append(("eta-upper", f"C_n <= eta({int_to_str(M)})^n", eta_upper, 0, ()))
     if d is not None:
+        loglog = loglog_below(d, pq.m)
         items.append(("loglog", f"log log C_(n+1) < K({int_to_str(d)}, {pq.m}) n for 1 <= n <= {n_max - 1}",
-                      lambda n, C: n < 2 or loglog_lt(C, d, pq.m, n - 1), 1, ()))
+                      lambda n, C: n < 2 or loglog(C, n - 1), 1, ()))
 
     stopped: dict = {}  # name -> None, the first violating index, or the error of a certification
     C_prev = None
-    for col in conv_stream(pq, n_max):
+    for col in conv_stream(pq, n_max, (pq.m,)):
         n = col.n
-        if d is not None and n >= 2 and not below_power(
-                pq.seqs[0][n], C_prev, d, lambda: f"a_{n}^(1) < C_{n - 1}^{int_to_str(d)}"):
+        if d is not None and n >= 2 and power_sign(
+                pq.seqs[0][n], 1, C_prev, d, 1, lambda: f"a_{n}^(1) < C_{n - 1}^{int_to_str(d)}") >= 0:
             raise HypothesisViolated(
                 f"a_{n}^(1) = {int_to_str(pq.seqs[0][n])} >= C_{n - 1}^{int_to_str(d)}", n)
         for name, _, holds, lag, _ in items:

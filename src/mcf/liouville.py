@@ -10,7 +10,7 @@ not involve a_n^(1), so the head can be chosen as
 which makes a_n^(1) > max_i |tilde_i(n)| C_{n-1}^delta hold strictly at every
 n >= 1 while staying admissible; the construction takes floor(C^delta) by an
 integer root of C^p, and the checker decides each head by one certified
-comparison of logarithms (logs.log_sign), which it imports where it compares.
+comparison (logs.power_sign), which it imports where it compares.
 Verdicts are about finite depth; none claims transcendence.
 """
 
@@ -170,34 +170,17 @@ def construct_liouville(spec: LiouvilleSpec) -> PartialQuotients:
     return PartialQuotients(spec.m, liouville_rows(spec).seqs)
 
 
-def _head_exceeds(a, t, C, p: int, q: int, what="a > t C^delta") -> bool:
-    """a > t * C^(p/q) over the reals, for t >= 0.
-
-    Signs settle C = 0, t = 0 and a negative C, whose C^(p/q) is not real for even q
-    and is -|C|^(p/q) for odd q and odd p; the rest is one log_sign query on
-    q log a - q log t - p log |C|."""
-    if C == 0:
-        return a > 0
-    if C < 0 and q % 2 == 0:
-        return False
-    if t == 0:
-        return a > 0
-    from .logs import log_sign  # here: only a comparison executes mcf.logs
-
-    if C < 0 and p % 2:  # t C^(p/q) = -t |C|^(p/q) < 0
-        return a >= 0 or log_sign(((q, -a), (-q, t), (-p, -C)), what) < 0
-    return a > 0 and log_sign(((q, a), (-q, t), (-p, abs(C))), what) > 0
-
-
 def liouville_report(pq: QuotientRows, delta, upto: int | None = None) -> CriterionReport:
     """Check a_n^(1) > max_i |tilde_i(n)| * C_{n-1}^delta for 1 <= n <= upto.
 
-    Each index is one log_sign query for delta = p/q (_head_exceeds), in the
-    quotients' type.
+    Each index is one logs.power_sign comparison for delta = p/q, in the quotients'
+    type; a negative C_(n-1) with even q has no real C^delta and fails the index.
     """
     delta = as_fraction(delta)
     if delta <= 0:
         raise InputError("delta must be positive")
+    from .logs import power_sign  # here: only a comparison executes mcf.logs
+
     n_max = pq.last_index(upto)
     p, q = delta.numerator, delta.denominator
     state, lags = ConvergentState.initial(pq.m, [pq.m]), LagProducts(pq.m, [(i, pq.m) for i in range(pq.m)])
@@ -206,8 +189,9 @@ def liouville_report(pq: QuotientRows, delta, upto: int | None = None) -> Criter
         a = tuple(pq.seqs[j][n] for j in range(pq.m))
         if n >= 1:
             t_max = max(abs(t) for t in lags.peek_lag1(a[1:]).values())
-            if not _head_exceeds(a[0], t_max, state.window[0][0], p, q,
-                                 lambda: f"head a_{n}^(1) > t C_{n - 1}^{frac_to_str(delta)}"):
+            C = state.window[0][0]
+            if (C < 0 and q % 2 == 0) or power_sign(
+                    a[0], t_max, C, p, q, lambda: f"head a_{n}^(1) > t C_{n - 1}^{frac_to_str(delta)}") <= 0:
                 first = n
                 break
         if n < n_max:  # column n_max and its lag products feed nothing

@@ -251,14 +251,19 @@ def log_sign(terms, what) -> int:
     return certify(what, logs)
 
 
-def below_power(a: int, c: int, d: int, what) -> bool:
-    """a < c**d for d >= 0, without forming c**d: signs settle 0**d = 0, a <= 0 and a
-    negative c**d, and the rest is one log_sign query on log a - d log |c|."""
-    if c == 0 and d:
-        return a < 0
-    if c > 0 or d % 2 == 0:  # c**d = |c|**d >= 1
-        return a <= 0 or log_sign(((1, a), (-d, abs(c))), what) < 0
-    return a < 0 and log_sign(((1, -a), (-d, -c)), what) > 0  # c**d = -|c|**d
+def power_sign(a, t, c, p: int, q: int, what) -> int:
+    """The sign (-1, 0, +1) of a - t c^(p/q) for exact a, t >= 0 and c (int, or integral
+    Decimal under radix.EXACT), integers p >= 0 and q >= 1, and c >= 0 or q odd, where
+    c^(p/q) = -|c|^(p/q) for c < 0 and odd p; no power is formed.  Signs settle a zero
+    threshold (t = 0, or c = 0 < p), a negative one and a <= 0 against a positive one;
+    the rest is one log_sign query on +-(q log|a| - q log t - p log|c|)."""
+    if c < 0 and q % 2 == 0:
+        raise ValueError(f"{what if isinstance(what, str) else what()}: an even root of a negative value")
+    if not t or (not c and p):
+        return (a > 0) - (a < 0)
+    if c < 0 and p % 2:  # a + t |c|^(p/q)
+        return 1 if a >= 0 else -log_sign(((q, -a), (-q, t), (-p, -c)), what)
+    return -1 if a <= 0 else log_sign(((q, a), (-q, t), (-p, abs(c))), what)
 
 
 def _rounded(f: Fraction, digits: int) -> tuple[int, int]:

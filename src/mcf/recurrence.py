@@ -252,10 +252,11 @@ class ConvergentState:
         return Column(self.n - 1, tuple(A), C)
 
 
-def conv_stream(pq: PartialQuotients, upto: int | None = None):
-    """Yield the Column of each index n = 0..upto (rectangular range only)."""
+def conv_stream(pq: PartialQuotients, upto: int | None = None, coords=None):
+    """Yield the Column of each index n = 0..upto (rectangular range only); with coords
+    (ConvergentState.initial's, C last), its A holds only those numerators: (m,) walks C alone."""
     limit = pq.rect_len if upto is None else min(upto + 1, pq.rect_len)
-    state = ConvergentState.initial(pq.m)
+    state = ConvergentState.initial(pq.m, coords)
     for n in range(limit):
         yield state.step(tuple(pq.seqs[j][n] for j in range(pq.m)))
 

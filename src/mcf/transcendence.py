@@ -136,14 +136,18 @@ def main1_check(spec: QuasiPeriodicSpec, d: int, c, depth: int) -> CriterionRepo
         raise InputError("this criterion is specific to m = 2")
     if d < 1:
         raise InputError("d must be >= 1")
-    from .logs import below_power, log_sign
+    (depth,) = int_entries([depth], "depth")
+    if depth < 0:  # indices 0..depth, build_quasiperiodic's depth + 1
+        raise InputError(f"depth must be >= 0, got {int_to_str(depth)}")
+    from .logs import log_sign, power_sign
 
     c = as_fraction(c)
     pq = build_quasiperiodic(spec, depth + 1)
     first = None
-    for col in conv_stream(pq, depth - 1):
+    for col in conv_stream(pq, depth - 1, (2,)):
         n = col.n
-        if n and not below_power(pq.seqs[0][n + 1], col.C, d, lambda: f"a_{n + 1} < C_{n}^{int_to_str(d)}"):
+        if n and power_sign(pq.seqs[0][n + 1], 1, col.C, d, 1,
+                            lambda: f"a_{n + 1} < C_{n}^{int_to_str(d)}") >= 0:
             first = n + 1
             break
     h1 = CheckItem(
@@ -242,6 +246,9 @@ def main2_check(
     running maximum of lambda_k/n_k against the certified threshold B."""
     if spec.m != 2:
         raise InputError("this criterion is specific to m = 2")
+    (depth,) = int_entries([depth], "depth")
+    if depth < 0:  # indices 0..depth, build_quasiperiodic's depth + 1
+        raise InputError(f"depth must be >= 0, got {int_to_str(depth)}")
     pq = build_quasiperiodic(spec, depth + 1)
     first = None
     for n in range(depth + 1):

@@ -353,7 +353,10 @@ def _malformed_cases(files):
     base = files("base.json", {"m": 2, "seqs": [["1"] * 8, ["0"] * 8]})
     sched = files("sched.json", {"schedule": [[1, 1, 2]]})
     main1 = ["verify", "main1", "--base", base, "--d", "2", "--depth", "5"]
+    main2 = ["verify", "main2", "--base", base, "--M", "7", "--N", "3", "--schedule", sched]
     not_int = "expected an integer (number or decimal string), got the number"
+    truncated = files("cut.json", None)
+    Path(truncated).write_text('{"m": 2, "seqs": [["1"')
     return {
         "missing field": (["expand", "--input", files("r.json", {"kind": "rational", "num": "1"}),
                            "--steps", "2"], "missing field 'den'"),
@@ -389,6 +392,13 @@ def _malformed_cases(files):
         "schedule entry object": (main1 + ["--c", "2", "--schedule", files(
             "o.json", {"schedule": [{"n": 1, "r": 1, "lam": 2}]})],
                                   "schedule entry 0 must be [n, r, lambda]"),
+        "truncated JSON": (["verify", "admissible", "--pq", truncated], f"malformed JSON in {truncated}: "),
+        "input neither value nor list": (["expand", "--steps", "2", "--input", files("n.json", 5)],
+                                         "input file must hold a real value or a list of them"),
+        # main1 and main2 build indices 0..depth: depth -1 builds none
+        "main1 depth": (main1 + ["--c", "2", "--schedule", sched, "--depth", "-1"],
+                        "depth must be >= 0, got -1"),
+        "main2 depth": (main2 + ["--depth", "-1"], "depth must be >= 0, got -1"),
     }
 
 
@@ -396,7 +406,8 @@ def _malformed_cases(files):
                                   "short schedule entry", "b-rule", "delta", "c",
                                   "boolean rational", "boolean digits", "fractional quotient",
                                   "fractional m", "exponent in a schedule", "inputs wrapper",
-                                  "schedule entry object"])
+                                  "schedule entry object", "truncated JSON", "input neither value nor list",
+                                  "main1 depth", "main2 depth"])
 def test_malformed_fields_and_flags_exit_2(files, case):
     argv, message = _malformed_cases(files)[case]
     code, out, err = invoke(argv)

@@ -40,13 +40,13 @@ from mcf.convergents import (
     growth_check,
     k_interval,
     limit_values,
-    loglog_lt,
+    loglog_below,
     proximity_check,
     psi_field,
     root_enclosure,
 )
 from mcf.errors import MCFError, NonTerminating
-from mcf.logs import Enclosure, below_power, log_sign
+from mcf.logs import Enclosure, log_sign, power_sign
 from mcf.liouville import seq_rule
 from mcf.recurrence import (Column, ConvergentState, LagProducts, PartialQuotients, check_admissible,
                             conv_stream, lag_stream)
@@ -466,9 +466,9 @@ def test_checkers_hold_a_window_not_every_column():
        st.integers(-2, 2))
 def test_lt_power_matches_exact_comparison(a, c, d, nudge):
     # a < c**d as the growth check and main1 decide it: signs, then one log_sign query
-    assert below_power(a, c, d, "a < c^d") == (a < c**d)
+    assert (power_sign(a, 1, c, d, 1, "a < c^d") < 0) == (a < c**d)
     near = c**d + nudge  # ties and their neighbours, where bit lengths cannot decide
-    assert below_power(near, c, d, "a < c^d") == (near < c**d)
+    assert (power_sign(near, 1, c, d, 1, "a < c^d") < 0) == (near < c**d)
 
 
 def test_lt_power_edge_cases():
@@ -481,11 +481,11 @@ def test_lt_power_edge_cases():
         (5, 0, 2), (-5, -3, 3), (-27, -3, 3), (-28, -3, 3),  # other signs: exact
     ]
     for a, c, d in cases:
-        assert below_power(a, c, d, "a < c^d") == (a < c**d), (a, c, d)
+        assert (power_sign(a, 1, c, d, 1, "a < c^d") < 0) == (a < c**d), (a, c, d)
     # decided by the first step's bounds: 3**(10**9) is never formed
     start = time.perf_counter()
-    assert below_power(10**100, 3, 10**9, "10^100 < 3^(10^9)")
-    assert not below_power(1 << 4_000_000, 3, 10**6, "2^4000000 < 3^(10^6)")
+    assert power_sign(10**100, 1, 3, 10**9, 1, "10^100 < 3^(10^9)") < 0
+    assert power_sign(1 << 4_000_000, 1, 3, 10**6, 1, "2^4000000 < 3^(10^6)") > 0
     assert log_sign(((1, 10**100), (-10**9, 3)), "10^100 against 3^(10^9)") == -1
     assert log_sign(((4_000_000, 2), (-10**6, 3)), "2^4000000 against 3^(10^6)") == 1
     assert time.perf_counter() - start < 1
@@ -507,7 +507,7 @@ def test_loglog_rung_agrees_with_512_bit_enclosures(c, d, m, n):
     # every answer, whether log_sign's first step gave it or a deeper one, agrees with a
     # 512-bit evaluation of both sides, or is the exact tie at n = 1 (False, and
     # c^d = (m+1)^((d+1)^2) in integers)
-    verdict = loglog_lt(c, d, m, n)
+    verdict = loglog_below(d, m)(c, n)
     if n == 1 and c**d == (m + 1) ** ((d + 1) ** 2):
         assert not verdict
         return

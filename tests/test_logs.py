@@ -4,10 +4,12 @@ mpmath is a test dependency only.  Each enclosure must contain mpmath's value at
 four times its precision, and be no wider than mpmath's own outward-rounded
 interval logarithm at the same precision (the enclosure mcf took before
 mcf.logs); the 20-digit strings must equal mpmath's `nstr` of a 60-digit value.
-`log_sign` must give the sign of the exact product of Fraction powers.
+`log_sign` must give the sign of the exact product of Fraction powers, and
+`power_sign` that of a - t c^(p/q) by exact q-th powers.
 """
 
 import decimal
+import itertools
 import time
 from fractions import Fraction
 
@@ -20,8 +22,8 @@ from mpmath.ctx_iv import MPIntervalContext
 from mcf.convergents import _k_enclosure, eta_field, psi_field
 from mcf.errors import NonTerminating
 from mcf.intervals import RationalInterval
-from mcf.logs import Enclosure, log_enclosure, log_sign, significant_string
-from mcf.radix import EXACT
+from mcf.logs import Enclosure, log_enclosure, log_sign, power_sign, significant_string
+from mcf.radix import EXACT, to_decimal
 from mcf.transcendence import _log_ratio_string, main2_constant
 
 
@@ -257,4 +259,55 @@ def test_log_sign_reads_an_enclosure_at_zero_as_minus_infinity(monkeypatch):
 def test_log_sign_forms_no_power_of_a_huge_exponent(terms, sign):
     start = time.perf_counter()
     assert log_sign(terms, "huge exponents") == sign
+    assert time.perf_counter() - start < 1
+
+
+def exact_power_sign(a: int, t: int, c: int, p: int, q: int) -> int:
+    """The sign of a - t c^(p/q) (c >= 0 or q odd), by q-th powers: x -> x^q increases on
+    the reals for odd q and on x >= 0 for even q, where t c^(p/q) >= 0 lies."""
+    if q % 2 == 0 and a < 0:
+        return -1
+    diff = a**q - t**q * c**p  # (t c^(p/q))^q = t^q c^p, a real odd root included
+    return (diff > 0) - (diff < 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-(1 << 40), 1 << 40), st.integers(0, 1 << 20), st.integers(-(1 << 12), 1 << 12),
+       st.integers(0, 7), st.integers(1, 6), st.booleans(), st.integers(-2, 2), st.booleans())
+@example(5, 0, 7, 3, 2, False, 0, False)  # t = 0
+@example(-5, 3, 0, 3, 2, False, 0, False)  # c = 0 < p
+@example(-5, 3, 0, 0, 2, False, 0, False)  # p = 0: c^0 = 1
+@example(0, 3, -2, 1, 3, True, 0, True)  # c = -8, odd q and p: a tie at a = 3 (-2)
+@example(-1 << 40, 1, -7, 5, 1, False, 0, False)
+def test_power_sign_matches_exact_powers(a, t, r, p, q, root, nudge, in_decimals):
+    # with root, c = r^q makes t c^(p/q) the integer t r^p (|r| for even q), and a within 2 of
+    # it a tie or its neighbour, which no bound on the logarithms can decide
+    c = r**q if root else r if q % 2 else abs(r)
+    if root:
+        a = t * (r if q % 2 else abs(r)) ** p + nudge
+    sign = exact_power_sign(a, t, c, p, q)
+    assert power_sign(a, t, c, p, q, "a against t c^(p/q)") == sign
+    if in_decimals:  # the Liouville checker's integral Decimals
+        with decimal.localcontext(EXACT):
+            assert power_sign(*map(to_decimal, (a, t, c)), p, q, "in Decimals") == sign
+
+
+@pytest.mark.parametrize("q", [10**9, 10**9 + 1])
+def test_power_sign_forms_no_power(q):
+    # at q = 10^9 + 1, a**q alone would hold about a gigabit.  |c|^(p/q) is 1 at |c| = 1 and
+    # in (1, 1 + 10^-5) for 2 <= |c| <= 2^4096, so t c^(p/q) lies just past s t, s = sign(c^p)
+    # (a negative c only for odd q): signs settle t = 0, c = 0 and a <= 0 < t c^(p/q), and
+    # the rest is one comparison of logarithms
+    start = time.perf_counter()
+    for a, t, p in itertools.product(range(-9, 10), range(4), (1, 3)):
+        assert power_sign(a, t, 0, p, q, "c = 0") == (a > 0) - (a < 0)
+        for c in (1, 2, 9, 1 << 4096, -1, -2, -(1 << 4096)):
+            if c < 0 and q % 2 == 0:
+                with pytest.raises(ValueError, match="^even root: an even root of a negative value$"):
+                    power_sign(a, t, c, p, q, "even root")
+                continue
+            base = t if c > 0 else -t
+            past = a > base if c > 0 else a >= base
+            sign = (a > base) - (a < base) if t == 0 or abs(c) == 1 else 1 if past else -1
+            assert power_sign(a, t, c, p, q, "a against t c^(p/q)") == sign, (a, t, c, p)
     assert time.perf_counter() - start < 1

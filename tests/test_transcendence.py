@@ -20,8 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import (column_table, exceeds_rational_power, liouville_first_violation, seq_rule,
-                        tildes, verify_quasiperiodic)
+from references import column_table, liouville_first_violation, seq_rule, tildes, verify_quasiperiodic
 
 from mcf import (
     AdmissibilityError,
@@ -37,7 +36,7 @@ from mcf import (
     verify_liouville,
 )
 from mcf.convergents import approx_witnesses, bound_checks, k_interval, limit_values
-from mcf.liouville import _head_exceeds, cycle_rule, seq_rule as mcf_seq_rule
+from mcf.liouville import cycle_rule, seq_rule as mcf_seq_rule
 from mcf.logs import log_enclosure
 from mcf.radix import EXACT, int_to_str, iroot_floor, to_decimal
 from mcf.recurrence import PartialQuotients, check_admissible, conv_stream
@@ -603,42 +602,6 @@ def test_liouville_report_decides_signed_heads_over_the_reals():
         for n in range(1, (first or pq.rect_len - 1) + 1):  # the indices the check decides
             decided.add((delta.denominator, pq.seqs[0][n] < 0))
     assert decided == {(q, h) for q in (1, 2, 3) for h in (False, True)}
-
-
-def test_head_exceeds_decides_signed_heads_and_denominators_over_the_reals():
-    # the cleared comparison of liouville_report at every sign of a and C, ties included
-    for q in (1, 2, 3):
-        for p in (p for p in range(1, 5) if math.gcd(p, q) == 1):
-            for a, t, C in itertools.product(range(-9, 10), range(4), range(-9, 10)):
-                assert _head_exceeds(a, t, C, p, q) == exceeds_rational_power(a, t, C, Fraction(p, q))
-    # q = 10^9: C^(1/q) is 1 at C = 1 and in (1, 1 + 10^-5) for 2 <= C <= 2^4096, so with
-    # C >= 1 the head exceeds exactly when a > t, also for t < a < 2t, where a > t C^(1/q)
-    # is one comparison of logarithms (an even q fails a negative a or C)
-    start = time.perf_counter()
-    for a, t, C in itertools.product(range(-9, 10), range(4), [-5, 1, 2, 9, 1 << 4096]):
-        assert _head_exceeds(a, t, C, 1, 10**9) == (C >= 1 and a > t)
-    assert time.perf_counter() - start < 1
-
-
-@pytest.mark.parametrize("q", [10**9, 10**9 + 1])
-def test_head_exceeds_settles_signs_before_any_power(q):
-    # t C^delta is 0 at C = 0 and >= 0 at C >= 1, so these cases form no q-th power:
-    # at q = 10^9 + 1, a**q alone would hold about a gigabit
-    start = time.perf_counter()
-    for a, t, p in itertools.product(range(-2, 3), range(3), (1, 3)):
-        assert _head_exceeds(a, t, 0, p, q) == (a > 0)
-        if a < 0:
-            for C in (1, 2, 9, 1 << 4096):
-                assert _head_exceeds(a, t, C, p, q) is False
-    assert time.perf_counter() - start < 1
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(-60, 60), st.integers(0, 8), st.one_of(st.just(0), st.integers(-60, 60)),
-       st.integers(1, 6), st.integers(1, 6))
-def test_head_exceeds_matches_exact_powers_at_small_q(a, t, C, p, q):
-    g = math.gcd(p, q)
-    assert _head_exceeds(a, t, C, p // g, q // g) == exceeds_rational_power(a, t, C, Fraction(p, q))
 
 
 @pytest.mark.parametrize("build", [
