@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import column_table, liouville_first_violation, seq_rule, tildes, verify_quasiperiodic
+from references import (column_table, exceeds_rational_power, liouville_first_violation, seq_rule,
+                        tildes, verify_quasiperiodic)
 
 from mcf import (
     AdmissibilityError,
@@ -37,7 +38,7 @@ from mcf import (
 )
 from mcf.convergents import approx_witnesses, bound_checks, k_interval, limit_values
 from mcf.liouville import cycle_rule, seq_rule as mcf_seq_rule
-from mcf.logs import log_enclosure
+from mcf.logs import log_enclosure, power_sign
 from mcf.radix import EXACT, int_to_str, iroot_floor, to_decimal
 from mcf.recurrence import PartialQuotients, check_admissible, conv_stream
 from mcf.transcendence import (
@@ -602,6 +603,34 @@ def test_liouville_report_decides_signed_heads_over_the_reals():
         for n in range(1, (first or pq.rect_len - 1) + 1):  # the indices the check decides
             decided.add((delta.denominator, pq.seqs[0][n] < 0))
     assert decided == {(q, h) for q in (1, 2, 3) for h in (False, True)}
+
+
+def head_exceeds(a, t, C, p, q):
+    """The head comparison liouville_report makes: a > t C^(p/q) over the reals."""
+    return not (C < 0 and q % 2 == 0) and power_sign(a, t, C, p, q, "a > t C^delta") > 0
+
+
+def test_head_exceeds_decides_signed_heads_and_denominators_over_the_reals():
+    # the cleared comparison of liouville_report at every sign of a and C, ties included
+    for q in (1, 2, 3):
+        for p in (p for p in range(1, 5) if math.gcd(p, q) == 1):
+            for a, t, C in itertools.product(range(-9, 10), range(4), range(-9, 10)):
+                assert head_exceeds(a, t, C, p, q) == exceeds_rational_power(a, t, C, Fraction(p, q))
+    # q = 10^9: C^(1/q) is 1 at C = 1 and in (1, 1 + 10^-5) for 2 <= C <= 2^4096, so with
+    # C >= 1 the head exceeds exactly when a > t, also for t < a < 2t, where a > t C^(1/q)
+    # is one comparison of logarithms (an even q fails a negative a or C)
+    start = time.perf_counter()
+    for a, t, C in itertools.product(range(-9, 10), range(4), [-5, 1, 2, 9, 1 << 4096]):
+        assert head_exceeds(a, t, C, 1, 10**9) == (C >= 1 and a > t)
+    assert time.perf_counter() - start < 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-60, 60), st.integers(0, 8), st.one_of(st.just(0), st.integers(-60, 60)),
+       st.integers(1, 6), st.integers(1, 6))
+def test_head_exceeds_matches_exact_powers_at_small_q(a, t, C, p, q):
+    g = math.gcd(p, q)
+    assert head_exceeds(a, t, C, p // g, q // g) == exceeds_rational_power(a, t, C, Fraction(p, q))
 
 
 @pytest.mark.parametrize("build", [
