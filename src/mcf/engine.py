@@ -208,12 +208,10 @@ class _Run:
         return OracleValue(_Image(self, self.rows, j))
 
     def trailing_integer(self) -> int | None:
-        """The trailing complete quotient when it is exactly an integer k: row_m = k row_0, with
-        k read off row_0's first nonzero entry (never for oracles, whose row_0 can vanish)."""
-        if self.exact:
-            num, den = self.rows[-1], self.rows[0]
-            k = next(x // y for x, y in zip(num, den) if y)
-            return k if all(x == k * y for x, y in zip(num, den)) else None
+        """The trailing complete quotient when it is exactly an integer k: row_m = k row_0
+        (never for oracles, whose row_0 can vanish)."""
+        if self.exact and (r := _proportional(self.rows[-1], self.rows[0])) and r[0] % r[1] == 0:
+            return r[0] // r[1]
 
     def floors(self, n: int) -> list[tuple[int, Fraction | None]]:
         """Certified floors of x_n^(1..dim), with the ratio width that certified each (oracles)."""

@@ -13,11 +13,11 @@ cubics annihilating the other: both limits are cubic irrationals, and their
 naive heights are bounded by 3024 C_{h+k-1}^9 when both limits lie in (0,1)
 (3024 N^5 M^5 C_{h+k-1}^9 for limits in (0,N) x (0,M)).
 
-V^{-1} needs no division: det V = 1 and the adjugate entries are exactly the
-lag-product ("tilde") sequences of the convergents.  The limit of an
-admissible expansion lies in the simplex of any 3 consecutive convergents,
-so that simplex picks alpha among the alpha cubic's real roots, and the
-first X-relation gives beta in Q(alpha).
+V^{-1} needs no division: V is the product of the pre-period's step matrices,
+each with an integer inverse.  The limit of an admissible expansion lies in
+the simplex of any 3 consecutive convergents, so that simplex picks alpha
+among the alpha cubic's real roots, and the first X-relation gives beta in
+Q(alpha).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import AdmissibilityError, DegenerateCubic, InputError, RootSelecti
 from .exact_reals import AlgebraicValue, FieldElement, NumberField
 from .intervals import RationalInterval, certify
 from .radix import Record, frac_to_str
-from .recurrence import ConvergentState, LagProducts, PartialQuotients, check_admissible, int_entries
+from .recurrence import ConvergentState, PartialQuotients, check_admissible, int_entries
 from . import polynomials as pol
 
 
@@ -102,31 +102,18 @@ class XMatrix(Record):
 
 
 def x_matrix(spec: PeriodicSpec) -> tuple[XMatrix, int]:
-    """X = W V^{-1}, V^{-1} assembled from the lag products, and C_(k+h-1): one walk
-    of the columns through index k+h-1."""
+    """X = W V^{-1} and C_(k+h-1), from one walk of the columns through index k+h-1.  V is S_0 ... S_(k-1),
+    S_n = [[a_n, 1, 0], [b_n, 0, 1], [1, 0, 0]], and a row (x, y, z) times S_n^{-1} is (y, z, x - a_n y - b_n z)."""
     validate_spec(spec)
-    k = spec.k
-    pairs = ((1, 2), (0, 2), (0, 1))
-    state, lags = ConvergentState.initial(2), LagProducts(2, pairs)
-    for n, a in enumerate(zip(spec.pre_a + spec.per_a, spec.pre_b + spec.per_b)):
+    state = ConvergentState.initial(2)
+    for a in zip(spec.pre_a + spec.per_a, spec.pre_b + spec.per_b):
         state.step(a)
-        if n < k:  # V^{-1} needs the lag products through index k-1 only
-            lags.step(a)
-
-    def adjugate_row(held: dict, lag: int, sign: int) -> tuple[int, int, int]:
-        b_c, a_c, a_b = (held[pair][lag - 1] for pair in pairs)
-        return (sign * b_c, -sign * a_c, sign * a_b)
-
-    # adjugate of V = [col_(k-1) | col_(k-2) | col_(k-3)] (det = +1), from the lag
-    # products held for indices k-1 (held(0)) and k-2 (held(1))
-    inv = (adjugate_row(lags.held(1), 1, 1), adjugate_row(lags.held(0), 2, -1),
-           adjugate_row(lags.held(0), 1, 1))
-    w = state.window  # w[t][i] = W[i][t]: coordinate i of the column of index k+h-1-t
-    rows = tuple(
-        tuple(sum(w[t][i] * inv[t][j] for t in range(3)) for j in range(3))
-        for i in range(3)
-    )
-    return XMatrix(rows), w[0][2]
+    rows = []
+    for x, y, z in zip(*state.window):  # row i of W: coordinate i of the columns k+h-1, k+h-2, k+h-3
+        for a, b in zip(reversed(spec.pre_a), reversed(spec.pre_b)):  # S_(k-1)^{-1} first
+            x, y, z = y, z, x - a * y - b * z
+        rows.append((x, y, z))
+    return XMatrix(tuple(rows)), state.window[0][2]
 
 
 # ---------------------------------------------------------------------------

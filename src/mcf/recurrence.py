@@ -304,10 +304,6 @@ class LagProducts:
             out.append(acc)
         return tuple(out)
 
-    def held(self, p: int) -> dict:
-        """(L_1, ..., L_m)(n - p) of each pair, p = 0..m-1, n the last index stepped."""
-        return self._history[p]
-
     def peek_lag1(self, tail) -> dict:
         """L_1(n+1) of each pair from a_(n+1)^(2..m) alone, before a_(n+1)^(1) is chosen."""
         a, lag1 = (0, *tail), self._terms[:1]

@@ -153,7 +153,8 @@ def main1_check(spec: QuasiPeriodicSpec, d: int, c, depth: int) -> CriterionRepo
     h1 = CheckItem(
         "head-below-denominator-power",
         first,
-        f"a_(i+1) < C_i^{int_to_str(d)} for 1 <= i <= {depth - 1}",
+        f"a_(i+1) < C_i^{int_to_str(d)} " + (f"for 1 <= i <= {depth - 1}" if depth >= 2
+                                             else f"unchecked: no index i with 1 <= i <= {depth - 1}"),
     )
     first_r = None
     for idx, (n_k, r_k, lam_k) in enumerate(spec.schedule):

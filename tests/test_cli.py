@@ -478,6 +478,18 @@ def test_huge_d_power_hypotheses_answer_without_forming_the_power():
         assert code == 0 and json.loads(out)["ok"]
 
 
+@pytest.mark.parametrize("depth", [0, 1])
+def test_verify_main1_below_depth_2_checks_no_index(depth):
+    # the head hypothesis ranges over 1 <= i <= depth - 1: empty here, and said so
+    code, out, _ = invoke(["verify", "main1", "--schedule", str(GOLDEN / "schedule_m2.json"),
+                           "--base", str(GOLDEN / "pq_m2.json"), "--d", "2", "--c", "1",
+                           "--depth", str(depth)])
+    assert code == 0
+    head = json.loads(out)["hypotheses"][0]
+    assert head["name"] == "head-below-denominator-power" and head["first_violation"] is None
+    assert head["detail"] == f"a_(i+1) < C_i^2 unchecked: no index i with 1 <= i <= {depth - 1}"
+
+
 @pytest.mark.parametrize("seqs,d", [
     ([["0", "5", "3"]], "1"),  # C_2 = 16 = 2^4
     ([["0", "10", "8"], ["0", "0", "1"]], "1"),  # C_2 = 81 = 3^4

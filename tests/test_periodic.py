@@ -50,10 +50,12 @@ def test_x_matrix_single_period():
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.randoms(use_true_random=False), st.booleans())
-def test_x_matrix_matches_inverse_oracle(rng, zero_head):
-    # k = 0 and k = 1 read V^{-1} from the minors of the negative-index columns
-    spec = random_periodic_spec(rng, k_max=6, h_max=5, zero_head=zero_head)
+@given(st.randoms(use_true_random=False), st.sampled_from(["short", "zero head", "pure", "long"]))
+def test_x_matrix_matches_inverse_oracle(rng, kind):
+    # a pure period (k = 0) takes no inverse step; a long pre-period takes hundreds
+    spec = (long_periodic_spec(rng, 200, 400) if kind == "long"
+            else random_periodic_spec(rng, k_max=0 if kind == "pure" else 6, h_max=5,
+                                      zero_head=kind == "zero head"))
     x, c_top = x_matrix(spec)
     assert x.rows == x_matrix_by_inverse(spec).rows
     top = spec.k + spec.h - 1

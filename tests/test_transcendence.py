@@ -40,7 +40,7 @@ from mcf.convergents import approx_witnesses, bound_checks, k_interval, limit_va
 from mcf.liouville import cycle_rule, seq_rule as mcf_seq_rule
 from mcf.logs import log_enclosure, power_sign
 from mcf.radix import EXACT, int_to_str, iroot_floor, to_decimal
-from mcf.recurrence import PartialQuotients, check_admissible, conv_stream
+from mcf.recurrence import LagProducts, PartialQuotients, check_admissible, conv_stream
 from mcf.transcendence import (
     QuasiPeriodicSpec,
     _log_ratio_string,
@@ -603,6 +603,17 @@ def test_liouville_report_decides_signed_heads_over_the_reals():
         for n in range(1, (first or pq.rect_len - 1) + 1):  # the indices the check decides
             decided.add((delta.denominator, pq.seqs[0][n] < 0))
     assert decided == {(q, h) for q in (1, 2, 3) for h in (False, True)}
+
+
+def test_liouville_report_fails_a_head_over_a_negative_denominator_at_even_q(monkeypatch):
+    # no prefix whose earlier heads pass is known to reach C_(n-1) < 0, so the lag products
+    # are zeroed: then a head of 1 passes at every index, and the tail -5 makes C_2 = -4
+    monkeypatch.setattr(LagProducts, "peek_lag1", lambda self, tail: dict.fromkeys(self.pairs, 0))
+    pq = PartialQuotients.from_lists([0, 1, 1, 1], [0, 0, -5, 0])
+    assert [col.C for col in conv_stream(pq)][:3] == [1, 1, -4]
+    # C_2^(1/2) is not real, so the head at n = 3 fails; C_2^1 = -4 is, and a_3 = 1 > 0 * -4
+    assert verify_liouville(pq, Fraction(1, 2)).hypotheses[0].first_violation == 3
+    assert verify_liouville(pq, Fraction(1)).hypotheses[0].first_violation is None
 
 
 def head_exceeds(a, t, C, p, q):
