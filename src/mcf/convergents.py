@@ -192,11 +192,15 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Che
     (upper equality can occur at small indices and is flagged as a boundary
     touch, not a violation) and likewise for B with M.  Additionally, at every
     n with a_{n+1} < C_n, the bounds ac1_{n+1} < 3 C_n^2 and bc1_{n+1} < 3 C_n^2
-    are asserted, and the empirical constant max_n ceil(A_n / C_n) is reported.
+    are asserted, and the empirical constant max_n ceil(A_n / C_n) over the columns with
+    C_n != 0 is reported.
     """
     if pq.m != 2:
         raise InputError("bound_checks is specific to m = 2")
     n_max = pq.last_index(upto)
+    if n_max < 0:
+        raise PreconditionViolated("bound check requires index 0 in both sequences, got lengths "
+                                   f"({len(pq.seqs[0])}, {len(pq.seqs[1])})")
     a0, b0 = pq.seqs[0][0], pq.seqs[1][0]
     if box is None:
         if (a0, b0) != (0, 0):
@@ -232,7 +236,8 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Che
             if not all(power_sign(v[0], 3, C_prev, 2, 1, lambda: f"lag product at {n} < 3 C_{n - 1}^2") < 0
                        for v in lags.values()):
                 first_quad = row.n
-        k_emp = max(k_emp, -(-A // C), -(-B // C))  # ceil division
+        if C:  # a column with C_n = 0 has no ratio A_n / C_n
+            k_emp = max(k_emp, -(-A // C), -(-B // C))  # ceil division
         C_prev = C
     name = "num-le-den" if strict_upper_is_lemma else "box"
     detail = (
@@ -447,7 +452,9 @@ def growth_check(
         items.append(("eta-upper", f"C_n <= eta({int_to_str(M)})^n", eta_upper, 0, ()))
     if d is not None:
         loglog = loglog_below(d, pq.m)
-        items.append(("loglog", f"log log C_(n+1) < K({int_to_str(d)}, {pq.m}) n for 1 <= n <= {n_max - 1}",
+        span = (f"for 1 <= n <= {n_max - 1}" if n_max >= 2
+                else f"unchecked: no index n with 1 <= n <= {n_max - 1}")
+        items.append(("loglog", f"log log C_(n+1) < K({int_to_str(d)}, {pq.m}) n {span}",
                       lambda n, C: n < 2 or loglog(C, n - 1), 1, ()))
 
     stopped: dict = {}  # name -> None, the first violating index, or the error of a certification

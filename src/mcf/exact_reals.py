@@ -55,7 +55,8 @@ class NumberField:
         d = pol.degree(coeffs)
         if not 2 <= d <= 8:
             raise InputError(f"number field modulus degree must be in 2..8, got {d}")
-        if not pol.is_squarefree(coeffs):
+        chain = pol.sturm_chain(coeffs)
+        if pol.degree(chain[-1]) > 0:
             raise InputError("number field modulus must be squarefree")
         lo_sign = pol.poly_eval(coeffs, root_interval.lo)
         hi_sign = pol.poly_eval(coeffs, root_interval.hi)
@@ -63,7 +64,7 @@ class NumberField:
             raise InputError("root interval endpoints must not be roots of the modulus")
         if (lo_sign > 0) == (hi_sign > 0):
             raise InputError("modulus must change sign across the root interval")
-        if pol.count_roots(coeffs, root_interval.lo, root_interval.hi) != 1:
+        if pol.count_roots(chain, root_interval.lo, root_interval.hi) != 1:
             raise InputError("root interval must isolate exactly one real root (Sturm count)")
         self.min_poly = tuple(int(c) for c in coeffs)
         self._initial = root_interval

@@ -201,7 +201,8 @@ def liouville_report(pq: QuotientRows, delta, upto: int | None = None) -> Criter
         CheckItem(
             "head-dominates-tilde",
             first,
-            f"a_n^(1) > max_i |tilde_i(n)| C_(n-1)^{frac_to_str(delta)} for 1 <= n <= {n_max}",
+            f"a_n^(1) > max_i |tilde_i(n)| C_(n-1)^{frac_to_str(delta)} "
+            + (f"for 1 <= n <= {n_max}" if n_max >= 1 else f"unchecked: no index n with 1 <= n <= {n_max}"),
         ),
     )
     return CriterionReport(

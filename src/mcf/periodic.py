@@ -192,7 +192,7 @@ def _root_fields(poly: tuple[int, ...]) -> list[NumberField]:
     cubic field (a cubic without a rational root is irreducible).  A repeated root makes
     every root rational (gcd(p, p') is rational); the modulus must be squarefree, so it is
     then the squarefree part times x^2 + 1, which has the same real roots."""
-    sqf = pol.poly_divmod(poly, pol.poly_gcd(poly, pol.derivative(poly)))[0]
+    sqf = pol.poly_divmod(poly, pol.sturm_chain(poly)[-1])[0]
     modulus = poly if len(sqf) == len(poly) else pol.primitive_part(pol.poly_mul(sqf, (1, 0, 1)))
     fields = [NumberField(modulus, iv) for iv in pol.isolate_real_roots(poly)]
     for fld in fields:

@@ -99,16 +99,6 @@ def poly_divmod(p, q) -> tuple[Poly, Poly]:
     return normalize(out), normalize(p)
 
 
-def poly_gcd(p, q) -> Poly:
-    """Monic gcd over the rationals."""
-    a, b = normalize(p), normalize(q)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return ()
-    return poly_scale(a, Fraction(1) / a[-1])
-
-
 def poly_xgcd(p, q) -> tuple[Poly, Poly, Poly]:
     """Extended gcd: returns (g, s, t) monic with s*p + t*q = g."""
     a, b = normalize(p), normalize(q)
@@ -123,13 +113,6 @@ def poly_xgcd(p, q) -> tuple[Poly, Poly, Poly]:
         return (), s0, t0
     inv_lead = Fraction(1) / a[-1]
     return poly_scale(a, inv_lead), poly_scale(s0, inv_lead), poly_scale(t0, inv_lead)
-
-
-def is_squarefree(p) -> bool:
-    p = normalize(p)
-    if degree(p) <= 0:
-        return True
-    return degree(poly_gcd(p, derivative(p))) <= 0
 
 
 def primitive_part(p) -> tuple[int, ...]:
@@ -153,6 +136,9 @@ def height(p) -> int:
 
 
 def sturm_chain(p) -> list[Poly]:
+    """p, p' and the negated remainders of Euclid on them.  The last member is a constant
+    multiple of gcd(p, p'), constant exactly when p is squarefree; off the roots of p,
+    dividing by it keeps the sign variations, so a repeated root is counted once."""
     chain = [normalize(p), derivative(p)]
     while chain[-1] and degree(chain[-1]) >= 1:
         rem = poly_divmod(chain[-2], chain[-1])[1]
@@ -173,11 +159,9 @@ def sign_variations(chain, x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(p, lo, hi, chain=None) -> int:
-    """Number of distinct real roots in (lo, hi] (Sturm)."""
+def count_roots(chain, lo, hi) -> int:
+    """Number of distinct real roots of chain[0] in (lo, hi], lo and hi no roots of it (Sturm)."""
     lo, hi = as_fraction(lo), as_fraction(hi)
-    if chain is None:
-        chain = sturm_chain(p)
     return sign_variations(chain, lo) - sign_variations(chain, hi)
 
 
@@ -191,21 +175,20 @@ def root_bound(p) -> Fraction:
 
 
 def isolate_real_roots(p) -> list[RationalInterval]:
-    """Disjoint isolating intervals, one simple real root each, in increasing order.
+    """Disjoint isolating intervals, one distinct real root each, in increasing order.
 
-    Works on the squarefree part.  No endpoint is a root and each interval
-    holds exactly one root, a simple one, so the endpoint signs are nonzero and
+    No endpoint is a root and each interval holds exactly one root.  For a
+    squarefree p that root is simple, so the endpoint signs are nonzero and
     opposite and `refine_root` refines it.
     """
     p = normalize(p)
     if degree(p) < 1:
         return []
-    sqfree = poly_divmod(p, poly_gcd(p, derivative(p)))[0]
-    chain = sturm_chain(sqfree)
-    bound = root_bound(sqfree) + 1
+    chain = sturm_chain(p)
+    bound = root_bound(p) + 1
 
     def nudge(x: Fraction, step: Fraction) -> Fraction:
-        while poly_eval(sqfree, x) == 0:
+        while poly_eval(p, x) == 0:
             x += step
         return x
 
@@ -213,7 +196,7 @@ def isolate_real_roots(p) -> list[RationalInterval]:
     stack = [(nudge(-bound, Fraction(-1, 7)), nudge(bound, Fraction(1, 7)))]
     while stack:
         lo, hi = stack.pop()
-        n = count_roots(sqfree, lo, hi, chain)
+        n = count_roots(chain, lo, hi)
         if n == 0:
             continue
         if n == 1:

@@ -452,7 +452,8 @@ def growth_check_by_table(pq: PartialQuotients, upto: int | None = None, d: int 
                 break
         items.append(CheckItem(
             "loglog", first,
-            f"log log C_(n+1) < K({int_to_str(d)}, {pq.m}) n for 1 <= n <= {n_max - 1}"))
+            f"log log C_(n+1) < K({int_to_str(d)}, {pq.m}) n "
+            + ("for" if n_max >= 2 else "unchecked: no index n with") + f" 1 <= n <= {n_max - 1}"))
 
     return CheckReport(tuple(items), {"constants": constants})
 

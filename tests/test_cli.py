@@ -349,6 +349,13 @@ def test_malformed_numbers_in_files_exit_2(files):
     assert code == 2 and "denominator 0" in err
 
 
+# tiny inputs that once ended in a traceback or reported an empty index range as checked
+NO_INDEX_0 = {"m": 2, "seqs": [[], []]}
+NO_B0 = {"m": 2, "seqs": [["0", "1"], []]}
+C1_ZERO = {"m": 2, "seqs": [["1", "0"], ["0", "0"]]}  # C_1 = a_1 = 0, in the box (1, 0)
+INDEX_0_ONLY = {"m": 2, "seqs": [["0"], ["0"]]}
+
+
 def _malformed_cases(files):
     base = files("base.json", {"m": 2, "seqs": [["1"] * 8, ["0"] * 8]})
     sched = files("sched.json", {"schedule": [[1, 1, 2]]})
@@ -399,6 +406,11 @@ def _malformed_cases(files):
         "main1 depth": (main1 + ["--c", "2", "--schedule", sched, "--depth", "-1"],
                         "depth must be >= 0, got -1"),
         "main2 depth": (main2 + ["--depth", "-1"], "depth must be >= 0, got -1"),
+        # bound_checks reads a_0 and b_0
+        "bounds without index 0": (["verify", "bounds", "--pq", files("no0.json", NO_INDEX_0)],
+                                   "bound check requires index 0 in both sequences, got lengths (0, 0)"),
+        "bounds without b_0": (["verify", "bounds", "--pq", files("no_b0.json", NO_B0)],
+                               "bound check requires index 0 in both sequences, got lengths (2, 0)"),
     }
 
 
@@ -407,7 +419,8 @@ def _malformed_cases(files):
                                   "boolean rational", "boolean digits", "fractional quotient",
                                   "fractional m", "exponent in a schedule", "inputs wrapper",
                                   "schedule entry object", "truncated JSON", "input neither value nor list",
-                                  "main1 depth", "main2 depth"])
+                                  "main1 depth", "main2 depth", "bounds without index 0",
+                                  "bounds without b_0"])
 def test_malformed_fields_and_flags_exit_2(files, case):
     argv, message = _malformed_cases(files)[case]
     code, out, err = invoke(argv)
@@ -488,6 +501,35 @@ def test_verify_main1_below_depth_2_checks_no_index(depth):
     head = json.loads(out)["hypotheses"][0]
     assert head["name"] == "head-below-denominator-power" and head["first_violation"] is None
     assert head["detail"] == f"a_(i+1) < C_i^2 unchecked: no index i with 1 <= i <= {depth - 1}"
+
+
+def test_verify_liouville_and_growth_on_index_0_only_check_no_index(files):
+    pq = files("pq.json", INDEX_0_ONLY)
+    code, out, _ = invoke(["verify", "liouville", "--pq", pq, "--delta", "1"])
+    head = json.loads(out)["hypotheses"][0]
+    assert (code, head["first_violation"]) == (0, None)
+    assert head["detail"] == "a_n^(1) > max_i |tilde_i(n)| C_(n-1)^1 unchecked: no index n with 1 <= n <= 0"
+    code, out, _ = invoke(["verify", "growth", "--pq", pq, "--d", "1"])
+    loglog = json.loads(out)["items"][-1]
+    assert (code, loglog["name"], loglog["first_violation"]) == (0, "loglog", None)
+    assert loglog["detail"] == "log log C_(n+1) < K(1, 2) n unchecked: no index n with 1 <= n <= -1"
+
+
+def test_verify_bounds_leaves_a_zero_denominator_out_of_empirical_K(files):
+    # column 1 has no ratio A_1 / C_1, so K comes from column 0 alone
+    code, out, _ = invoke(["verify", "bounds", "--pq", files("c1.json", C1_ZERO), "--box", "1,0"])
+    report = json.loads(out)
+    assert (code, report["empirical_K"], report["items"][0]["first_violation"]) == (1, "1", 1)
+
+
+@pytest.mark.parametrize("pq, box", [(NO_INDEX_0, []), (NO_B0, []), (C1_ZERO, ["--box", "1,0"]),
+                                     (INDEX_0_ONLY, [])],
+                         ids=["no index 0", "no b_0", "C_1 = 0", "index 0 only"])
+def test_degenerate_pq_files_exit_without_a_traceback(files, pq, box):
+    path = files("pq.json", pq)
+    for argv in (["bounds", *box], ["growth", "--d", "1"], ["liouville", "--delta", "1"], ["admissible"]):
+        out = run_cli_process(["verify", *argv, "--pq", path])
+        assert 0 <= out.returncode <= 3 and "Traceback" not in out.stderr, (argv, out.stderr)
 
 
 @pytest.mark.parametrize("seqs,d", [

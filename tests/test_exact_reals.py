@@ -145,6 +145,8 @@ def test_number_field_validation():
         NumberField([2, 0, 0, 1], RationalInterval(1, 2))   # root is negative
     with pytest.raises(InputError):
         NumberField([0, 0, 1], RationalInterval(-1, 1))     # x^2: not squarefree
+    with pytest.raises(InputError, match="squarefree"):  # (x - 1)^2 (x^2 - 2), one root in (5/4, 2)
+        NumberField([-2, 4, -1, -2, 1], RationalInterval(Fraction(5, 4), 2))
     with pytest.raises(InputError):
         NumberField([-4, 0, 1], RationalInterval(-3, 3))    # two roots inside
     with pytest.raises(InputError):
@@ -197,7 +199,7 @@ def test_exact_root_agrees_with_the_simplest_fraction(a, b, e, c, d):
     # (b x - a)(e x^2 + c x + d): the lattice test against the simplest fraction of the
     # same refined bracket, which a rational root must be
     p = pol.primitive_part(pol.poly_mul((-a, b), (d, c, e)))
-    if not pol.is_squarefree(p):
+    if pol.degree(pol.sturm_chain(p)[-1]) > 0:  # not squarefree
         return
     for iv in pol.isolate_real_roots(p):
         field = NumberField(p, iv)
@@ -206,6 +208,22 @@ def test_exact_root_agrees_with_the_simplest_fraction(a, b, e, c, d):
         assert field.exact_root() == (cand if pol.poly_eval(p, cand) == 0 else None)
         if iv.lo < Fraction(a, b) < iv.hi:
             assert field.exact_root() == Fraction(a, b)
+
+
+@pytest.mark.parametrize("p, sqfree", [
+    ((-9, 15, -7, 1), (3, -4, 1)),           # (x - 3)^2 (x - 1)
+    ((-8, 12, -6, 1), (-2, 1)),              # (x - 2)^3
+    ((4, 4, -4, -4, 1, 1), (-2, -2, 1, 1)),  # (x^2 - 2)^2 (x + 1)
+])
+def test_isolate_real_roots_brackets_each_distinct_root_once(p, sqfree):
+    # sqfree, p's squarefree part by hand, has only simple real roots, deg(sqfree) of them:
+    # that many disjoint brackets, each with a sign change of sqfree, hold one root each
+    assert pol.poly_divmod(p, sqfree)[1] == ()
+    brackets = pol.isolate_real_roots(p)
+    assert len(brackets) == len(sqfree) - 1
+    assert all(a.hi <= b.lo for a, b in zip(brackets, brackets[1:]))
+    assert all(pol.poly_eval(sqfree, iv.lo) * pol.poly_eval(sqfree, iv.hi) < 0 for iv in brackets)
+
 
 def test_decimal_oracle():
     orc = DecimalOracle("1.2599")

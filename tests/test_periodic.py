@@ -1,5 +1,6 @@
 """Periodic expansions: X matrix, cubic recovery, heights, round trips."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from mcf import (
     AdmissibilityError,
     DegenerateCubic,
     InputError,
+    MCFError,
     PeriodicSpec,
     RootSelectionAmbiguous,
     expand,
@@ -31,6 +33,7 @@ from mcf.periodic import (
 )
 from mcf.polynomials import poly_eval_interval
 from mcf.recurrence import conv_stream
+from mcf.serialization import certificate_to_json, dumps_stable
 
 
 def test_spec_validation():
@@ -162,6 +165,21 @@ def test_periodic_spec_round_trip(rng, zero_head):
 @given(st.randoms(use_true_random=False))
 def test_long_pre_period_round_trip(rng):
     assert_round_trip(long_periodic_spec(rng, 200, 400))
+
+
+def test_seeded_certificates_digest():
+    # the certificate JSON, or the error, of 400 seeded specs: pins every root bracket the
+    # cubic's isolation and refinement produce
+    digest = hashlib.sha256()
+    for zero_head in (False, True):
+        for seed in range(200):
+            try:
+                line = dumps_stable(certificate_to_json(solve_periodic(
+                    random_periodic_spec(random.Random(seed), zero_head=zero_head))))
+            except MCFError as exc:
+                line = f"{type(exc).__name__}: {exc}"
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == "901885ed1dbdefd12de66026494a245344ec61877efc7ebe9b8d7142ee0dcdda"
 
 
 def test_height_bound_zero_head():
