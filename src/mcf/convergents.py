@@ -29,15 +29,7 @@ from .errors import (
     PreconditionViolated,
     PrefixMismatch,
 )
-from .exact_reals import (
-    NumberField,
-    OracleValue,
-    RationalValue,
-    SimplexOracle,
-    as_real,
-    enclosure_at,
-    query_levels,
-)
+from . import exact_reals  # through the module: only a limit, a gap or a growth base executes field code
 from .intervals import RationalInterval, as_fraction, certify
 from .radix import Record, frac_to_str, int_to_str
 from .recurrence import CheckItem, PartialQuotients, conv_stream, int_entries, lag_stream
@@ -49,39 +41,23 @@ from .recurrence import ConvergentState  # noqa: F401  (perfbench/tracer.py's co
 # ---------------------------------------------------------------------------
 
 
-class ConvergentLimitOracle(SimplexOracle):
-    """Nested enclosures of one limit coordinate of an admissible expansion.
-
-    Level k is the simplex of the m+1 consecutive convergents k..k+m, which
-    always contains the limit tuple (a nonnegative combination of their
-    columns); the simplices shrink monotonically.  Keyed by the pq.
-
-    `cols` is the list of vertex vectors (C_n, A_n^(1), ..., A_n^(m)) for
-    n = 0..rect_len-1, read off one walk of the recurrence (limit_values
-    shares it between the coordinates of one pq).
-    """
-
-    def __init__(self, pq: PartialQuotients, coord: int, cols: list[tuple[int, ...]]):
-        if not 1 <= coord <= pq.m:
-            raise InputError(f"coordinate must be in 1..{pq.m}")
-        super().__init__(pq, coord)
-        self._cols = cols
-        self._m = pq.m
-
-    def vertices(self, level: int) -> list[tuple[int, ...]]:
-        top = level + self._m
-        if top >= len(self._cols):
-            raise OracleExhausted(
-                f"convergent window oracle exhausted at level {level}"
-                f" (have {len(self._cols)} convergents)"
-            )
-        return self._cols[level:top + 1]
-
-
-def limit_values(pq: PartialQuotients) -> tuple[OracleValue, ...]:
-    """Oracle-backed RealValues for the limit tuple of an admissible pq (one walk of the recurrence)."""
+def limit_values(pq: PartialQuotients) -> tuple[exact_reals.OracleValue, ...]:
+    """Oracle-backed RealValues for the limit tuple of an admissible pq: m SimplexOracles keyed
+    by the pq over the columns (C_n, A_n^(1), ..., A_n^(m)) of one walk of the recurrence.
+    Level k is the simplex of the m+1 consecutive convergents k..k+m, which always contains
+    the limit tuple (a nonnegative combination of their columns); the simplices shrink
+    monotonically."""
     cols = [(col.C, *col.A) for col in conv_stream(pq)]
-    return tuple(OracleValue(ConvergentLimitOracle(pq, i, cols)) for i in range(1, pq.m + 1))
+
+    def window(level: int) -> list[tuple[int, ...]]:
+        top = level + pq.m
+        if top >= len(cols):
+            raise OracleExhausted(f"convergent window oracle exhausted at level {level}"
+                                  f" (have {len(cols)} convergents)")
+        return cols[level:top + 1]
+
+    return tuple(exact_reals.OracleValue(exact_reals.SimplexOracle(pq, i, window))
+                 for i in range(1, pq.m + 1))
 
 
 def gap_value(x, y):
@@ -90,11 +66,12 @@ def gap_value(x, y):
     deepest level its oracle has memoized)."""
     from .logs import Enclosure
 
-    x, y = as_real(x), as_real(y)
-    if isinstance(x, RationalValue) and isinstance(y, RationalValue):
+    x, y = exact_reals.as_real(x), exact_reals.as_real(y)
+    if isinstance(x, exact_reals.RationalValue) and isinstance(y, exact_reals.RationalValue):
         return abs(x.value - y.value)
-    sx, sy = query_levels(x).start, query_levels(y).start
-    return Enclosure(lambda level: (enclosure_at(x, sx + level) - enclosure_at(y, sy + level)).abs())
+    sx, sy = exact_reals.query_levels(x).start, exact_reals.query_levels(y).start
+    at = exact_reals.enclosure_at
+    return Enclosure(lambda level: (at(x, sx + level) - at(y, sy + level)).abs())
 
 
 def approx_scan(x, pq: PartialQuotients, upto: int, coords, bound, ahead: bool = False) -> list[int]:
@@ -107,7 +84,7 @@ def approx_scan(x, pq: PartialQuotients, upto: int, coords, bound, ahead: bool =
     holds lag_stream's window, not the columns."""
     from .logs import log_sign
 
-    values = [as_real(v) for v in (x if isinstance(x, (list, tuple)) else [x])]
+    values = [exact_reals.as_real(v) for v in (x if isinstance(x, (list, tuple)) else [x])]
     if len(values) != pq.m:
         raise InputError(f"need {pq.m} coordinate values")
     which = list(range(pq.m)) if coords is None else [c - 1 for c in coords]
@@ -198,9 +175,6 @@ def bound_checks(pq: PartialQuotients, upto: int | None = None, box=None) -> Che
     if pq.m != 2:
         raise InputError("bound_checks is specific to m = 2")
     n_max = pq.last_index(upto)
-    if n_max < 0:
-        raise PreconditionViolated("bound check requires index 0 in both sequences, got lengths "
-                                   f"({len(pq.seqs[0])}, {len(pq.seqs[1])})")
     a0, b0 = pq.seqs[0][0], pq.seqs[1][0]
     if box is None:
         if (a0, b0) != (0, 0):
@@ -308,22 +282,22 @@ def proximity_check(x, x_prime, n: int) -> ProximityReport:
 # Growth constants and certified growth checks
 # ---------------------------------------------------------------------------
 
-def psi_field() -> NumberField:
+def psi_field() -> exact_reals.NumberField:
     """Field of the universal denominator growth base (root of x^3 - x^2 - 1, ~ 1.4656)."""
-    return NumberField((-1, 0, -1, 1), RationalInterval(Fraction(7, 5), Fraction(3, 2)))
+    return exact_reals.NumberField((-1, 0, -1, 1), RationalInterval(Fraction(7, 5), Fraction(3, 2)))
 
 
-def eta_field(M: int) -> NumberField:
+def eta_field(M: int) -> exact_reals.NumberField:
     """Field of the bounded-quotient growth base (positive root of x^3 - M x^2 - M x - 1)."""
     if M < 1:
         raise InputError("M must be >= 1")
-    return NumberField((-1, -M, -M, 1), RationalInterval(Fraction(M), Fraction(M + 1)))
+    return exact_reals.NumberField((-1, -M, -M, 1), RationalInterval(Fraction(M), Fraction(M + 1)))
 
 
 _ROOT_BITS = 128  # a growth base at level k is its root to 2^-(_ROOT_BITS << k)
 
 
-def root_enclosure(field: NumberField):
+def root_enclosure(field: exact_reals.NumberField):
     """The root of field as a log_sign value: at level k, bracketed to width
     2^-(128 << k) and rounded outward to 2^-((128 << k) + 16), which keeps the
     endpoints short; level 0 is the enclosure growth_check reports."""

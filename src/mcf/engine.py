@@ -119,23 +119,6 @@ def _proportional(num: list[int], den: list[int]) -> tuple[int, int] | None:
     return (p, q) if ok else None
 
 
-class _Image(SimplexOracle):
-    """x^(j) = L_j / L_0 at one index: the input's enclosure mapped by N_n (traces)."""
-
-    def __init__(self, run: "_Run", rows: list[list[int]], j: int):
-        super().__init__(id(rows), j)  # rows is held and never mutated: its id names the point
-        self._run, self._rows = run, rows
-
-    def vertices(self, level: int) -> list[tuple[int, ...]]:
-        # separation persists at deeper (nested) levels, so the results stay nested
-        def attempt(probe):
-            forms = [self._run.forms(row, probe) for row in self._rows]
-            return list(zip(*forms)) if min(forms[0]) > 0 else None
-
-        return certify("separation of the quotient denominator from 0", attempt,
-                       budget_levels(level, budget=self._run.budget))
-
-
 class _Run:
     """The rows of N_n over the input's basis (1, b_1, ..., b_K), and the warm-start level.
 
@@ -205,7 +188,18 @@ class _Run:
             return RationalValue(Fraction(num[0], den[0]))
         if self.kind == "algebraic":
             return AlgebraicValue(self.field.element(num) / self.field.element(den))
-        return OracleValue(_Image(self, self.rows, j))
+        rows = self.rows  # held and never mutated (advance builds new rows): its id names the point
+
+        def vertices(level: int) -> list[tuple[int, ...]]:
+            # separation persists at deeper (nested) levels, so the results stay nested
+            def attempt(probe):
+                forms = [self.forms(row, probe) for row in rows]
+                return list(zip(*forms)) if min(forms[0]) > 0 else None
+
+            return certify("separation of the quotient denominator from 0", attempt,
+                           budget_levels(level, budget=self.budget))
+
+        return OracleValue(SimplexOracle(id(rows), j, vertices))
 
     def trailing_integer(self) -> int | None:
         """The trailing complete quotient when it is exactly an integer k: row_m = k row_0

@@ -315,14 +315,14 @@ class IntervalOracle:
 class SimplexOracle(IntervalOracle):
     """Coordinate ``coord`` of a point of R^M enclosed at each level by a simplex.
 
-    Subclasses define ``vertices(level)``: integer vectors (C, A_1, ..., A_M),
-    C > 0, with the point in the convex hull of the A / C.  Oracles of equal
-    ``key`` enclose the same point, so the engine can use their joint simplex.
+    ``vertices(level)`` gives integer vectors (C, A_1, ..., A_M), C > 0, with the
+    point in the convex hull of the A / C.  Oracles of equal ``key`` enclose the
+    same point, so the engine can use their joint simplex.
     """
 
-    def __init__(self, key, coord: int):
+    def __init__(self, key, coord: int, vertices: Callable[[int], list[tuple[int, ...]]]):
         super().__init__()
-        self.key, self.coord = key, coord
+        self.key, self.coord, self.vertices = key, coord, vertices
 
     def _compute(self, level: int) -> RationalInterval:
         vals = [Fraction(v[self.coord], v[0]) for v in self.vertices(level)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 
-from .errors import InputError
+from .errors import InputError, PreconditionViolated
 from .radix import Record, int_to_str
 
 
@@ -50,9 +50,13 @@ class QuotientRows(Record):
         return min(len(s) for s in self.seqs)
 
     def last_index(self, upto: int | None = None) -> int:
-        """The last index a check covers: upto (>= 0), clipped to the rectangular range."""
+        """The last index a check covers: upto (>= 0), clipped to the rectangular range,
+        which must hold index 0 (PreconditionViolated otherwise)."""
         if upto is not None and upto < 0:
             raise InputError(f"depth must be >= 0, got {int_to_str(upto)}")
+        if not self.rect_len:
+            lengths = ", ".join(str(len(s)) for s in self.seqs)
+            raise PreconditionViolated(f"the check needs index 0 in every sequence, got lengths ({lengths})")
         return self.rect_len - 1 if upto is None else min(upto, self.rect_len - 1)
 
     @property

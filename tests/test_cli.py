@@ -358,6 +358,7 @@ INDEX_0_ONLY = {"m": 2, "seqs": [["0"], ["0"]]}
 
 def _malformed_cases(files):
     base = files("base.json", {"m": 2, "seqs": [["1"] * 8, ["0"] * 8]})
+    base3 = files("base3.json", {"m": 3, "seqs": [["1"] * 8, ["0"] * 8, ["0"] * 8]})
     sched = files("sched.json", {"schedule": [[1, 1, 2]]})
     main1 = ["verify", "main1", "--base", base, "--d", "2", "--depth", "5"]
     main2 = ["verify", "main2", "--base", base, "--M", "7", "--N", "3", "--schedule", sched]
@@ -406,11 +407,32 @@ def _malformed_cases(files):
         "main1 depth": (main1 + ["--c", "2", "--schedule", sched, "--depth", "-1"],
                         "depth must be >= 0, got -1"),
         "main2 depth": (main2 + ["--depth", "-1"], "depth must be >= 0, got -1"),
-        # bound_checks reads a_0 and b_0
-        "bounds without index 0": (["verify", "bounds", "--pq", files("no0.json", NO_INDEX_0)],
-                                   "bound check requires index 0 in both sequences, got lengths (0, 0)"),
-        "bounds without b_0": (["verify", "bounds", "--pq", files("no_b0.json", NO_B0)],
-                               "bound check requires index 0 in both sequences, got lengths (2, 0)"),
+        # each check of a pq covers indices 0..depth: QuotientRows.last_index refuses a pq
+        # without index 0 in every sequence
+        **{f"{check[0]} without {what}": (["verify", *check, "--pq", files(f"{name}.json", pq)],
+                                          f"the check needs index 0 in every sequence, got lengths {lengths}")
+           for check in (["bounds"], ["growth", "--d", "1"], ["liouville", "--delta", "1"])
+           for what, name, pq, lengths in (("index 0", "no0", NO_INDEX_0, "(0, 0)"),
+                                           ("b_0", "no_b0", NO_B0, "(2, 0)"))},
+        "box of one integer": (["verify", "bounds", "--pq", base, "--box", "1"], "--box needs two integers N,M"),
+        "unknown rule": (["construct", "liouville", "--b-rule", "foo:1", "--depth", "3"],
+                         "unknown rule 'foo:1'; use const:K, cycle:V1,V2,... or list:V1,V2,..."),
+        "empty cycle": (["construct", "liouville", "--b-rule", "cycle:", "--depth", "3"],
+                        "cycle rule needs at least one value"),
+        "liouville m = 1": (["construct", "liouville", "--m", "1", "--b-rule", "const:1", "--depth", "3"],
+                            "Liouville constructions need 2 <= m <= 64"),
+        "convergents depth": (["convergents", "--pq", base, "--depth", "-1"], "--depth must be >= 0"),
+        "expand steps": (["expand", "--input", files("r3.json", {"kind": "rational", "num": "1", "den": "3"}),
+                          "--steps", "-1"], "steps must be >= 0"),
+        "expand no value": (["expand", "--input", files("none.json", []), "--steps", "2"],
+                            "at least one input value is required"),
+        "bounds m = 3": (["verify", "bounds", "--pq", base3], "bound_checks is specific to m = 2"),
+        "main1 m = 3": (["verify", "main1", "--base", base3, "--schedule", sched, "--d", "2", "--c", "2",
+                         "--depth", "5"], "this criterion is specific to m = 2"),
+        "main2 m = 3": (["verify", "main2", "--base", base3, "--schedule", sched, "--M", "7", "--N", "3"],
+                        "this criterion is specific to m = 2"),
+        "pre-period lengths": (["periodic", "solve", "--pre-a", "1", "--pre-b", "--per-a", "2", "--per-b", "1"],
+                               "pre-period blocks must have equal length"),
     }
 
 
@@ -420,12 +442,26 @@ def _malformed_cases(files):
                                   "fractional m", "exponent in a schedule", "inputs wrapper",
                                   "schedule entry object", "truncated JSON", "input neither value nor list",
                                   "main1 depth", "main2 depth", "bounds without index 0",
-                                  "bounds without b_0"])
+                                  "bounds without b_0", "growth without index 0", "growth without b_0",
+                                  "liouville without index 0", "liouville without b_0",
+                                  "box of one integer", "unknown rule", "empty cycle", "liouville m = 1",
+                                  "convergents depth", "expand steps", "expand no value", "bounds m = 3",
+                                  "main1 m = 3", "main2 m = 3", "pre-period lengths"])
 def test_malformed_fields_and_flags_exit_2(files, case):
     argv, message = _malformed_cases(files)[case]
     code, out, err = invoke(argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"input error: {message}") and err.count("\n") == 1
+
+
+def test_algebraic_inputs_in_two_fields_exit_2(files):
+    # FieldMismatch is an MCFError but no InputError: run's last branch reports it
+    path = files("two_fields.json", [
+        {"kind": "algebraic", "minpoly": ["-2", "0", "1"], "lo": "1", "hi": "2"},
+        {"kind": "algebraic", "minpoly": ["-3", "0", "1"], "lo": "1", "hi": "2"},
+    ])
+    assert invoke(["expand", "--input", path, "--steps", "2"]) == (
+        2, "", "error: all algebraic inputs must live in one number field\n")
 
 
 # C_2 = a_2 C_1 + b_2 sits within 1 of exp(exp(K(40, 2))), inside K's first enclosure

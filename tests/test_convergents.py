@@ -33,7 +33,6 @@ from mcf import (
 from mcf import convergents
 from mcf.cli import AUX_M2
 from mcf.convergents import (
-    ConvergentLimitOracle,
     approx_witnesses,
     bound_checks,
     eta_field,
@@ -211,8 +210,7 @@ def test_constant_quotients_denominator_growth_rate():
 def test_limit_oracle_contains_algebraic_value():
     alpha, beta = cbrt2_pair()
     rec = expand([alpha, beta], 14)
-    cols = [(col.C, *col.A) for col in conv_stream(rec.pq)]
-    oracles = [ConvergentLimitOracle(rec.pq, 1, cols), ConvergentLimitOracle(rec.pq, 2, cols)]
+    oracles = [x.oracle for x in limit_values(rec.pq)]
     tight_alpha = alpha.element.interval(Fraction(1, 10**12))
     tight_beta = beta.element.interval(Fraction(1, 10**12))
     prev = None
@@ -539,7 +537,8 @@ def test_limit_values_walk_the_recurrence_once(monkeypatch):
     monkeypatch.setattr(ConvergentState, "step", lambda self, q: steps.append(1) or step(self, q))
     xs = limit_values(pq)
     assert len(steps) == 100  # one row per index, not m = 3 rows
-    alone = ConvergentLimitOracle(pq, 2, [(col.C, *col.A) for col in conv_stream(pq)])
+    cols = list(conv_stream(pq))
     assert len(steps) == 200
-    for level in (0, 40, 96):
-        assert xs[1].oracle.enclosure(level) == alone.enclosure(level)
+    for level in (0, 40, 96):  # the simplex of the convergents level..level+3, read off its own walk
+        ratios = [Fraction(col.A[1], col.C) for col in cols[level:level + 4]]
+        assert xs[1].oracle.enclosure(level) == RationalInterval(min(ratios), max(ratios))

@@ -210,21 +210,15 @@ def test_secretly_integral_coordinate_runs_out_of_budget():
         expand([AlgebraicValue(theta), AlgebraicValue(theta * theta - 1)], 3)
 
 
-class FixedSimplex(SimplexOracle):
+def fixed_simplex(vertices) -> SimplexOracle:
     """The same simplex at every level."""
-
-    def __init__(self, vertices):
-        super().__init__("fixed", 1)
-        self._vertices = vertices
-
-    def vertices(self, level):
-        return self._vertices
+    return SimplexOracle("fixed", 1, lambda level: vertices)
 
 
 def test_simplex_floors_need_every_vertex():
     # vertices 3/2 and 5/3 share the floor 1; then x' = 1 / (x - 1) spans
     # [3/2, 2], whose vertex floors 1 and 2 differ, so no level certifies it
-    x = OracleValue(FixedSimplex([(2, 3), (3, 5)]))
+    x = OracleValue(fixed_simplex([(2, 3), (3, 5)]))
     assert expand([x], 1).pq.seqs == ((1,),)
     with budget("4"), pytest.raises(NonTerminating):
         expand([x], 2)

@@ -106,8 +106,7 @@ WITHOUT_LOGS = {
 }
 # every mcf module each comparing command executes: log_sign's mcf.logs on its layers
 COMPARING = {
-    "verify bounds": ("convergents", "exact_reals", "intervals", "logs", "radix", "recurrence",
-                      "serialization"),
+    "verify bounds": ("convergents", "intervals", "logs", "radix", "recurrence", "serialization"),
     "verify growth --M": ("convergents", "exact_reals", "intervals", "logs", "polynomials", "radix",
                           "recurrence", "serialization"),
 }
@@ -155,6 +154,18 @@ def test_the_convergent_checkers_execute_no_engine(name):
     report = run_command(CHECKERS[name])
     assert "mcf.convergents" in report["executed"] and "mcf.engine" not in report["executed"]
     assert unused(report) == UNUSED
+
+
+# the checkers whose m = 2 growth base (psi, or eta(M)) is a NumberField root
+TAKE_A_GROWTH_BASE = {"verify growth --d", "verify growth --M", "verify main2"}
+
+
+@pytest.mark.parametrize("name", CHECKERS)
+def test_only_the_checkers_with_a_growth_base_execute_field_code(name):
+    # mcf.convergents reaches mcf.exact_reals through the module object, so a checker
+    # that takes no limit, gap or growth base leaves the field module unexecuted
+    report = run_command(CHECKERS[name])
+    assert ("mcf.exact_reals" in report["executed"]) == (name in TAKE_A_GROWTH_BASE)
 
 
 def test_periodic_solve_executes_no_engine():
