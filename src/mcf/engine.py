@@ -29,12 +29,16 @@ when they cannot decide.  Otherwise the precision rises one level (the
 oracle level, or root refinement to 2^-(64 * 2^level) in the field's
 shared cache).  Each floor starts at the level that certified the previous
 one, where the running forms and the re-seed are that level's one round;
-MCF_PRECISION_BUDGET counts the levels tried from there.  For
-rational and algebraic inputs a ratio whose rows are proportional is exactly
-rational and is decided exactly, so the interruption test is the exact
-linear test (row_m - k row_0) . (1, x) = 0.  Oracle inputs never detect an
-interruption: an integral trailing limit exhausts the budget.  Floats decide
-nothing.
+MCF_PRECISION_BUDGET counts the levels tried from there.
+
+The floors decide integrality too; interruptions come off their tail.  For
+exact inputs x_n^(j) = k only if the enclosure certifying k reaches down to
+k, so the running forms settle almost every step by putting x_n^(j) strictly
+above k.  Only where they touch k, or cannot decide at the start level, does
+the one big x big test run, once per coordinate and step: proportional rows
+are an exactly rational ratio, decided exactly, and row_j = k row_0 is the
+exact interruption test.  Oracle inputs never detect an interruption: an
+integral trailing limit exhausts the budget.  Floats decide nothing.
 """
 
 from __future__ import annotations
@@ -94,12 +98,13 @@ def _root_powers(fld: NumberField, level: int) -> tuple[int, list[int], list[int
     return P, lo, hi
 
 
-def _ratio_floor(a: int, b: int, c: int, d: int) -> int | None:
-    """The common floor k of every ratio in [a, b] / [c, d], or None if there is none."""
+def _ratio_floor(a: int, b: int, c: int, d: int) -> tuple[int, bool] | None:
+    """The common floor k of every ratio in [a, b] / [c, d] and whether the least is k, or None."""
     if c <= 0:
         return None
-    k = a // (d if a >= 0 else c)
-    return k if b < (k + 1) * (c if b >= 0 else d) else None
+    e = d if a >= 0 else c
+    k = a // e
+    return (k, a == k * e) if b < (k + 1) * (c if b >= 0 else d) else None
 
 
 def _vertex_interval(num: list[int], den: list[int]) -> RationalInterval | None:
@@ -201,41 +206,39 @@ class _Run:
 
         return OracleValue(SimplexOracle(id(rows), j, vertices))
 
-    def trailing_integer(self) -> int | None:
-        """The trailing complete quotient when it is exactly an integer k: row_m = k row_0
-        (never for oracles, whose row_0 can vanish)."""
-        if self.exact and (r := _proportional(self.rows[-1], self.rows[0])) and r[0] % r[1] == 0:
-            return r[0] // r[1]
-
-    def floors(self, n: int) -> list[tuple[int, Fraction | None]]:
-        """Certified floors of x_n^(1..dim), with the ratio width that certified each (oracles)."""
+    def floors(self, n: int) -> list[tuple[int, Fraction | None, bool]]:
+        """Certified floors k of x_n^(1..dim), each with the ratio width that certified it
+        (oracles) and whether x_n^(j) = k exactly (never for oracles)."""
         den, memo, out = self.rows[0], {}, []
 
         def form(i, level):  # row i's enclosure from the exact row, at most once per level
             return memo.get((i, level)) or memo.setdefault((i, level), self.forms(self.rows[i], level))
 
+        def proportional(j):  # row_j = (p / q) row_0, the one big x big test, at most once
+            return memo[j] if j in memo else memo.setdefault(j, _proportional(self.rows[j], den))
+
         for j in range(1, len(self.rows)):
-            num, start, live = self.rows[j], self.level, self.live
-            if self.exact and (k := _ratio_floor(*live[j], *live[0])) is not None:
-                out.append((k, None))  # the running forms decide: the start level's round
-                continue
+            start, live = self.level, self.live
+            if self.exact and (f := _ratio_floor(*live[j], *live[0])) is not None:
+                (k, low), width = f, None  # the running forms decide: the start level's round
+            else:
+                def attempt(level):
+                    if not self.exact:
+                        iv = _vertex_interval(form(j, level), form(0, level))
+                        k = iv.floor_certified() if iv else None
+                        return None if k is None else (level, (k, False), iv.width)
+                    f = _ratio_floor(*form(j, level), *form(0, level))
+                    if f is None and level == start and (r := proportional(j)):
+                        f = r[0] // r[1], True
+                    if f is not None:  # re-seed: rows j and 0, or every row on a new level
+                        for i in (0, j) if level == start else range(len(live)):
+                            live[i] = form(i, level)
+                        return level, f, None
 
-            def attempt(level):
-                if not self.exact:
-                    iv = _vertex_interval(form(j, level), form(0, level))
-                    k = iv.floor_certified() if iv else None
-                    return None if k is None else (level, k, iv.width)
-                k = _ratio_floor(*form(j, level), *form(0, level))
-                if k is None and level == start and (r := _proportional(num, den)):
-                    k = r[0] // r[1]
-                if k is not None:  # re-seed: rows j and 0, or every row on a new level
-                    for i in (0, j) if level == start else range(len(live)):
-                        live[i] = form(i, level)
-                    return level, k, None
-
-            self.level, k, width = certify(f"floor of x_{n}^({j})", attempt,
-                                           budget_levels(start, self.max_level, self.budget))
-            out.append((k, width))
+                self.level, (k, low), width = certify(f"floor of x_{n}^({j})", attempt,
+                                                      budget_levels(start, self.max_level, self.budget))
+            # x_n^(j) = k only if its enclosure reaches down to k; then the rows decide
+            out.append((k, width, low and (r := proportional(j)) is not None and r[0] == k * r[1]))
         return out
 
     def advance(self, floors: list[int]) -> None:
@@ -297,26 +300,23 @@ def expand(inputs, steps: int, keep_trace: bool = False) -> ExpansionRecord:
     terminated = False
 
     while n < steps and len(run.rows) > 1:
-        # integral trailing coordinate: emit it and drop a dimension
-        while len(run.rows) > 1 and (value := run.trailing_integer()) is not None:
-            dim = len(run.rows) - 1
-            seqs[dim - 1].append(value)
-            widths[dim - 1].append(None)
-            if dim > 1:
-                interruptions.append(InterruptionEvent(n, dim - 1, value))
+        floors = run.floors(n)
+        for j, (a_j, w_j, _) in enumerate(floors):
+            seqs[j].append(a_j)
+            widths[j].append(w_j)
+        # integral trailing coordinates: each ends its sequence and drops a dimension
+        while floors and floors[-1][2]:
+            value, dim = floors.pop()[0], len(floors)
+            if dim:
+                interruptions.append(InterruptionEvent(n, dim, value))
             run.rows, run.live = run.rows[:-1], run.live[:-1]
-        if len(run.rows) == 1:
+        if not floors:
             terminated = True
             break
 
         if keep_trace:
             trace.append(tuple(run.value(j) for j in range(1, len(run.rows))))
-
-        floors = run.floors(n)
-        for j, (a_j, w_j) in enumerate(floors):
-            seqs[j].append(a_j)
-            widths[j].append(w_j)
-        run.advance([a for a, _ in floors])
+        run.advance([a for a, _, _ in floors])
         n += 1
 
     pq = PartialQuotients(m, tuple(tuple(s) for s in seqs))

@@ -284,13 +284,14 @@ class FieldElement:
 class IntervalOracle:
     """Base class: memoizes ``enclosure(level)`` pulls and asserts nesting.
 
-    Successive pulls must be nested (each new enclosure inside every earlier
-    one); a violation means the oracle is unsound and raises InputError.
+    Enclosures must be nested by level, in whatever order they are pulled:
+    each new one lies inside the nearest pulled coarser level and contains
+    the nearest pulled finer one.  A violation means the oracle is unsound
+    and raises InputError.
     """
 
     def __init__(self):
         self._memo: dict[int, RationalInterval] = {}
-        self._tightest: RationalInterval | None = None
 
     def _compute(self, level: int) -> RationalInterval:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -303,12 +304,14 @@ class IntervalOracle:
         if level in self._memo:
             return self._memo[level]
         iv = self._compute(level)
-        if self._tightest is not None and not self._tightest.contains_interval(iv):
-            raise InputError(
-                f"oracle enclosures are not nested: {iv} is not inside {self._tightest}"
-            )
+        below = [lv for lv in self._memo if lv < level]
+        above = [lv for lv in self._memo if lv > level]
+        pairs = [(self._memo[max(below)], iv)] if below else []
+        pairs += [(iv, self._memo[min(above)])] if above else []
+        for outer, inner in pairs:
+            if not outer.contains_interval(inner):
+                raise InputError(f"oracle enclosures are not nested: {inner} is not inside {outer}")
         self._memo[level] = iv
-        self._tightest = iv
         return iv
 
 

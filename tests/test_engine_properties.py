@@ -347,6 +347,30 @@ def test_running_forms_reseed_on_a_deep_expansion(monkeypatch):
     assert 3 < len(calls) < 100
 
 
+def test_the_exact_row_test_runs_only_where_the_forms_reach_the_floor(monkeypatch):
+    # the running forms put almost every quotient strictly above its floor, so the
+    # big x big row test of _proportional runs a few times in 4000 steps, not once a step
+    calls, proportional = [], engine._proportional
+    monkeypatch.setattr(engine, "_proportional", lambda *rows: calls.append(rows) or proportional(*rows))
+    theta = radical_field(3, 2).gen()
+    rec = expand([AlgebraicValue(theta + 1), AlgebraicValue(theta * theta)], 4000)
+    assert len(rec.pq.seqs[0]) == 4000 and not rec.interruptions
+    assert len(calls) < 100
+
+
+@pytest.mark.parametrize("tail,events,dims", [
+    ((2, 3), [(0, 2, 3), (0, 1, 2)], [1, 1, 1]),  # two interruptions at one index
+    ((Fraction(5, 2), 3), [(0, 2, 3), (2, 1, 0)], [2, 2, 1]),  # x_1^(1) = 2 is not trailing
+])
+def test_interruptions_come_off_the_tail_of_the_floors(tail, events, dims):
+    theta = radical_field(3, 2).gen()
+    values = [AlgebraicValue(theta), *map(RationalValue, tail)]
+    rec = expand(values, 12, keep_trace=True)
+    assert [(e.index, e.dimension_after, e.value) for e in rec.interruptions] == events
+    assert summary(rec) == reference_expand(values, 12)
+    assert [len(point) for point in rec.trace[:3]] == dims  # each trace point follows the drops
+
+
 @st.composite
 def row_pairs(draw):
     """(num, den): den has leading zeros and a nonzero entry; num is a multiple of

@@ -32,7 +32,9 @@ from mcf.exact_reals import (
     RationalValue,
 )
 from mcf import polynomials as pol
+from mcf.convergents import limit_values
 from mcf.errors import DivisionByZero, FieldMismatch
+from mcf.recurrence import PartialQuotients
 
 
 def cbrt2_field() -> NumberField:
@@ -249,6 +251,27 @@ def test_oracle_nesting_enforced():
     orc.enclosure(0)
     with pytest.raises(InputError):
         orc.enclosure(1)
+
+
+@pytest.mark.parametrize("order", [(1, 0), (0, 2, 1), (2, 1, 0)])
+def test_oracle_nesting_is_checked_by_level_in_any_pull_order(order):
+    # level 1 leaves level 0, and level 2 lies inside both: whatever the order, every pull
+    # but the last is sound, and the last meets the bad pair (0, 1) as nearest levels
+    ivs = {0: (0, 2), 1: (1, 3), 2: (1, Fraction(3, 2))}
+    orc = FunctionOracle(lambda level: RationalInterval(*ivs[level]))
+    for level in order[:-1]:
+        orc.enclosure(level)
+    with pytest.raises(InputError, match="not nested"):
+        orc.enclosure(order[-1])
+
+
+@pytest.mark.parametrize("order", [(4, 0), (0, 4)])
+def test_limit_value_oracle_pulls_coarser_after_finer(order):
+    # a sound oracle asked for level 0 after level 4: level 0 must contain level 4
+    pq = PartialQuotients(2, ((0, 3, 2, 5, 1, 4, 2, 3, 6, 2), (0, 1, 0, 2, 0, 1, 1, 2, 3, 1)))
+    orc = limit_values(pq)[0].oracle
+    ivs = {level: orc.enclosure(level) for level in order}
+    assert ivs[0].contains_interval(ivs[4]) and ivs[4].width < ivs[0].width
 
 
 def test_oracle_nesting_holds_for_shrinking():
